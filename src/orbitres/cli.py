@@ -7,8 +7,10 @@ Subcommands:
 * ``selfcheck [MAX_M]``          cross-route and consistency sweep;
 * ``exceptional ALGEBRA LABEL``  embedded exceptional-type table.
 
-Exit codes: 0 success, 2 invalid input, 3 self-check failure.  The
-environment variable ORBITRES_MAX_M (default 30) caps enumeration size.
+Exit codes: 0 success, 2 invalid input, 3 self-check failure, 4 internal
+error (a bug: the two resolution routes disagree, or a degree exponent is
+not a non-negative integer).  The environment variable ORBITRES_MAX_M
+(default 30, a non-negative integer) caps enumeration size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 
 from .enumeration import enumerate_orbits
-from .errors import NotInDatabase, OrbitresError
+from .errors import InternalInvariantError, NotInDatabase, OrbitresError
 from .hesselink import polarizable
 from .orbits import (
     Family,
@@ -35,6 +37,7 @@ from .picard import is_factorial, picard
 from .report import atlas_csv, atlas_markdown, build_report, report_json, report_text
 from .resolution import (
     Verdict,
+    _coerce_algebra,
     admits_symplectic_resolution,
     exceptional_table_json,
     lookup_exceptional,
@@ -46,10 +49,15 @@ DEFAULT_SELFCHECK_M = 12
 
 def _max_m_cap() -> int:
     raw = os.environ.get("ORBITRES_MAX_M", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_M_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_M_CAP
+    try:
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError(raw)
+    except ValueError:
+        raise OrbitresError(f"ORBITRES_MAX_M must be a non-negative integer, got {raw!r}") from None
+    return cap
 
 
 def _check_cap(m: int) -> None:
@@ -137,11 +145,12 @@ def run_selfcheck(max_m: int, out=None) -> int:
                 failures.append(f"{orbit}: resolvable but not polarizable")
             tallies["resolvable implies polarizable"] += 1
             if orbit.family.is_bcd:
-                group = picard(orbit)
+                prof = profile(orbit)
+                group = picard(orbit, prof)
                 if not orbit.is_zero and is_factorial(orbit) != group.is_trivial:
                     failures.append(f"{orbit}: factoriality and picard triviality disagree")
                 tallies["factorial iff trivial picard (non-zero sp/so)"] += 1
-                if profile(orbit).l == 0 and group.free_rank != 0:
+                if prof.l == 0 and group.free_rank != 0:
                     failures.append(f"{orbit}: l = 0 but picard free rank {group.free_rank}")
                 tallies["l = 0 implies picard free rank 0 (sp/so)"] += 1
     print(f"selfcheck over all classical orbits with m <= {max_m} ({checked} orbits)", file=out)
@@ -166,9 +175,7 @@ def _cmd_exceptional(args) -> int:
     if args.export:
         table = exceptional_table_json()
         if args.algebra is not None:
-            wanted = args.algebra.strip().upper()
-            if wanted not in {row["algebra"] for row in table} and wanted != "G2":
-                raise OrbitresError(f"unknown exceptional algebra {args.algebra!r}")
+            wanted = _coerce_algebra(args.algebra).value
             table = [row for row in table if row["algebra"] == wanted]
         print(json.dumps(table, indent=2))
         return 0
@@ -231,6 +238,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalInvariantError as exc:
+        print(f"internal error, this is a bug: {exc}", file=sys.stderr)
+        return 4
     except OrbitresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

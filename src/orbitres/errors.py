@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by orbitres derives from :class:`OrbitresError`, so
-callers (notably the CLI) can catch one base class for "bad input" paths.
+callers (notably the CLI) can catch one base class for "bad input" paths,
+except those under :class:`InternalInvariantError`: they signal a broken
+internal invariant, that is a bug, never bad input.
 """
 
 
@@ -65,7 +67,11 @@ class NotInImage(OrbitresError, ValueError):
     """Degree requested for a (partition, q) pair outside the image test."""
 
 
-class NonIntegralExponent(OrbitresError, ArithmeticError):
+class InternalInvariantError(OrbitresError):
+    """An invariant the package guarantees for every valid input broke."""
+
+
+class NonIntegralExponent(InternalInvariantError, ArithmeticError):
     """The collapsing-degree exponent came out negative or non-integral.
 
     This never fires for valid classical data; it exists as a guard so a
@@ -73,7 +79,7 @@ class NonIntegralExponent(OrbitresError, ArithmeticError):
     """
 
 
-class CrossCheckMismatch(OrbitresError):
+class CrossCheckMismatch(InternalInvariantError):
     """The closed-form criterion and the Hesselink search disagree.
 
     This is an implementation bug by construction and is never returned

@@ -12,6 +12,14 @@ decided by a purely combinatorial test on the partition d:
   power of 2 whose exponent is computed from the count of odd parts; a
   resolution exists iff some admissible q yields degree 1.
 
+None of the sets behind these tests depends on q.  A HesselinkAnalysis is
+built once per partition, in one linear pass each over its N parts: the
+marked set J, the interval bounds j1 and j0, the drop set B, the
+adjacent-pair parity check and the number of odd parts.  Every q-dependent
+answer (image test, degree exponent, collapsing degree, per-q record) is
+then read off the analysis in constant time, so walking all admissible q
+costs O(N + m) rather than O(m * N).
+
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
 from position N+1 (orthogonal case) or N+1/N+2 (symplectic case) onwards,
@@ -66,6 +74,11 @@ def is_admissible(ctx: HesselinkContext, q: int) -> bool:
     return q >= 0 and (q - ctx.m) % 2 == 0 and not (ctx.epsilon == 0 and q == 2)
 
 
+def _padded(d: Partition) -> tuple[int, ...]:
+    """The parts followed by one zero, so d_{j+1} is defined for j <= N."""
+    return d.parts + (0,)
+
+
 def compute_J(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
     """The marked positions within 1..N.
 
@@ -73,13 +86,13 @@ def compute_J(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
     or j-1 sits at a position congruent to m mod 2 with two equal adjacent
     parts.  On the zero-padded tail every position from
     _first_padded_member(ctx, N) onwards is marked as well; those are not
-    materialized here and are accounted for in compute_j1_j0 (they carry
+    materialized here and are accounted for in the analysis (they carry
     part 0, so they can only lower j0, never raise j1).
     """
-    n = len(d)
-    marked = {j for j in range(1, n + 1) if d.part(j) % 2 == ctx.epsilon}
-    for j in range(1, n + 1):
-        if j % 2 == ctx.m % 2 and d.part(j) == d.part(j + 1):
+    parts = _padded(d)
+    marked = {j for j, p in enumerate(parts[:-1], start=1) if p % 2 == ctx.epsilon}
+    for j in range(2 - ctx.m % 2, len(parts), 2):
+        if parts[j - 1] == parts[j]:
             marked.update((j, j + 1))
     # j = N never pairs with the padding since d_N > 0 = d_{N+1}
     return frozenset(marked)
@@ -97,6 +110,125 @@ def _first_padded_member(ctx: HesselinkContext, n_parts: int) -> int:
     return n_parts + 2
 
 
+def compute_B(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
+    """Positions where the partition strictly drops with a part of the
+    unconstrained parity (odd parts for so, even parts for sp)."""
+    parts = _padded(d)
+    return frozenset(
+        j
+        for j in range(1, len(parts))
+        if parts[j - 1] > parts[j] and parts[j - 1] % 2 != ctx.epsilon
+    )
+
+
+@dataclass(frozen=True)
+class HesselinkAnalysis:
+    """The q-independent facts about one partition, each computed once.
+
+    J and B are sorted positions within 1..N.  j1 is the largest marked
+    position with an odd part (-inf when there is none); j0 is the smallest
+    marked position with an even part, the zero-padded tail included, so it
+    is finite and at most N+2.  pairing_ok says adjacent parts share parity
+    at every position congruent to m+1 mod 2, and n_odd counts odd parts.
+    """
+
+    ctx: HesselinkContext
+    J: tuple[int, ...]
+    j1: int | float
+    j0: int
+    B: tuple[int, ...]
+    pairing_ok: bool
+    n_odd: int
+
+    @classmethod
+    def of(cls, ctx: HesselinkContext, d: Partition) -> "HesselinkAnalysis":
+        parts = _padded(d)
+        marked = tuple(sorted(compute_J(ctx, d)))
+        j1 = max((j for j in marked if parts[j - 1] % 2 == 1), default=NEG_INF)
+        j0 = min((j for j in marked if parts[j - 1] % 2 == 0), default=POS_INF)
+        # padded positions beyond N satisfy the pairing check trivially
+        pairing_ok = all(
+            (parts[j - 1] - parts[j]) % 2 == 0
+            for j in range(2 - (ctx.m + 1) % 2, len(parts), 2)
+        )
+        return cls(
+            ctx=ctx,
+            J=marked,
+            j1=j1,
+            j0=min(j0, _first_padded_member(ctx, len(d))),
+            B=tuple(sorted(compute_B(ctx, d))),
+            pairing_ok=pairing_ok,
+            n_odd=sum(p % 2 for p in d.parts),
+        )
+
+    @classmethod
+    def for_orbit(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
+        return cls.of(HesselinkContext.for_orbit(orbit), orbit.partition)
+
+    def admissible_qs(self) -> list[int]:
+        """Every admissible q in 0..m, ascending."""
+        return [q for q in range(self.ctx.m + 1) if is_admissible(self.ctx, q)]
+
+    def in_image(self, q: int) -> bool:
+        """Image test for the Spaltenstein map at admissible q.
+
+        The partition lies in the image iff j1 <= q < j0 and the adjacent
+        parity-pairing condition holds.  Only the interval depends on q.
+        """
+        if not is_admissible(self.ctx, q):
+            raise InadmissibleQ(
+                f"q = {q} is not admissible for m = {self.ctx.m}, epsilon = {self.ctx.epsilon}"
+            )
+        return self.j1 <= q < self.j0 and self.pairing_ok
+
+    def u(self, q: int) -> Fraction:
+        """Exact degree exponent: half of (-1)^epsilon times (#odd parts - q).
+
+        Kept as a rational on purpose; it is converted to an integer exponent
+        only after validation, so a convention error can never be silently
+        truncated away.
+        """
+        sign = -1 if self.ctx.epsilon == 1 else 1
+        return Fraction(sign * (self.n_odd - q), 2)
+
+    def N_P(self, q: int) -> int:
+        """Collapsing degree of the polarization attached to q.
+
+        2^u in general, 2^(u-1) when q = epsilon = 0 with a strict drop at an
+        odd part.  Defined only on the image of the Spaltenstein map; raises
+        NonIntegralExponent if the exponent fails to be a non-negative
+        integer (empirically impossible for valid classical data, kept as a
+        guard).
+        """
+        if not self.in_image(q):
+            raise NotInImage(
+                f"not in the image of the Spaltenstein map at q = {q}: interval "
+                f"[{self.j1}, {self.j0}), pairing {'holds' if self.pairing_ok else 'fails'}"
+            )
+        u = self.u(q)
+        exponent = u if q + self.ctx.epsilon >= 1 or not self.B else u - 1
+        if exponent.denominator != 1 or exponent < 0:
+            raise NonIntegralExponent(
+                f"degree exponent {exponent} for q = {q}, epsilon = {self.ctx.epsilon}, "
+                f"{self.n_odd} odd parts"
+            )
+        return 2 ** int(exponent)
+
+    def record(self, q: int) -> HesselinkReport:
+        """The per-q record; q must be admissible."""
+        in_image = self.in_image(q)
+        return HesselinkReport(
+            q=q,
+            J=self.J,
+            j1=self.j1,
+            j0=self.j0,
+            B=self.B,
+            u=self.u(q),
+            in_image=in_image,
+            N_P=self.N_P(q) if in_image else None,
+        )
+
+
 def compute_j1_j0(ctx: HesselinkContext, d: Partition) -> tuple[int | float, int | float]:
     """(largest marked position with odd part, smallest with even part).
 
@@ -104,76 +236,25 @@ def compute_j1_j0(ctx: HesselinkContext, d: Partition) -> tuple[int | float, int
     padded tail always contributes even (zero) parts, so the second value
     is finite, at most N+2.
     """
-    marked = compute_J(ctx, d)
-    j1 = max((j for j in marked if d.part(j) % 2 == 1), default=NEG_INF)
-    j0 = min((j for j in marked if d.part(j) % 2 == 0), default=POS_INF)
-    return j1, min(j0, _first_padded_member(ctx, len(d)))
-
-
-def _pairing_ok(ctx: HesselinkContext, d: Partition) -> bool:
-    # adjacent parts must share parity at every position congruent to
-    # m+1 mod 2; padded positions beyond N satisfy this trivially
-    return all(
-        (d.part(j) - d.part(j + 1)) % 2 == 0
-        for j in range(1, len(d) + 1)
-        if j % 2 == (ctx.m + 1) % 2
-    )
+    analysis = HesselinkAnalysis.of(ctx, d)
+    return analysis.j1, analysis.j0
 
 
 def in_image_Sq(ctx: HesselinkContext, d: Partition, q: int) -> bool:
-    """Image test for the Spaltenstein map at admissible q.
-
-    The partition lies in the image iff j1 <= q < j0 and the adjacent
-    parity-pairing condition holds.  Only the interval depends on q.
-    """
-    if not is_admissible(ctx, q):
-        raise InadmissibleQ(f"q = {q} is not admissible for m = {ctx.m}, epsilon = {ctx.epsilon}")
-    j1, j0 = compute_j1_j0(ctx, d)
-    return j1 <= q < j0 and _pairing_ok(ctx, d)
-
-
-def compute_B(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
-    """Positions where the partition strictly drops with a part of the
-    unconstrained parity (odd parts for so, even parts for sp)."""
-    return frozenset(
-        j
-        for j in range(1, len(d) + 1)
-        if d.part(j) > d.part(j + 1) and d.part(j) % 2 == (ctx.epsilon + 1) % 2
-    )
+    """Image test for the Spaltenstein map at admissible q (one-off form of
+    HesselinkAnalysis.in_image)."""
+    return HesselinkAnalysis.of(ctx, d).in_image(q)
 
 
 def compute_u(ctx: HesselinkContext, d: Partition, q: int) -> Fraction:
-    """Exact degree exponent: half of (-1)^epsilon times (#odd parts - q).
-
-    Kept as a rational on purpose; it is converted to an integer exponent
-    only after validation, so a convention error can never be silently
-    truncated away.
-    """
-    n_odd = sum(1 for p in d if p % 2 == 1)
-    sign = -1 if ctx.epsilon == 1 else 1
-    return Fraction(sign * (n_odd - q), 2)
+    """Exact degree exponent (one-off form of HesselinkAnalysis.u)."""
+    return HesselinkAnalysis.of(ctx, d).u(q)
 
 
 def N_P(ctx: HesselinkContext, d: Partition, q: int) -> int:
-    """Collapsing degree of the polarization attached to (d, q).
-
-    2^u in general, 2^(u-1) when q = epsilon = 0 with a strict drop at an
-    odd part.  Defined only on the image of the Spaltenstein map; raises
-    NonIntegralExponent if the exponent fails to be a non-negative integer
-    (empirically impossible for valid classical data, kept as a guard).
-    """
-    if not in_image_Sq(ctx, d, q):
-        raise NotInImage(f"{d} is not in the image of the Spaltenstein map at q = {q}")
-    u = compute_u(ctx, d, q)
-    if q + ctx.epsilon >= 1 or not compute_B(ctx, d):
-        exponent = u
-    else:
-        exponent = u - 1
-    if exponent.denominator != 1 or exponent < 0:
-        raise NonIntegralExponent(
-            f"degree exponent {exponent} for d = {d}, q = {q}, epsilon = {ctx.epsilon}"
-        )
-    return 2 ** int(exponent)
+    """Collapsing degree of the polarization attached to (d, q) (one-off
+    form of HesselinkAnalysis.N_P)."""
+    return HesselinkAnalysis.of(ctx, d).N_P(q)
 
 
 @dataclass(frozen=True)
@@ -198,12 +279,11 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     """
     if orbit.family is Family.SL:
         return PolarizabilityResult(polarizable=True, witnesses=())
-    ctx = HesselinkContext.for_orbit(orbit)
-    d = orbit.partition
+    analysis = HesselinkAnalysis.for_orbit(orbit)
     witnesses = tuple(
-        PolarizationWitness(q, N_P(ctx, d, q))
-        for q in range(ctx.m + 1)
-        if is_admissible(ctx, q) and in_image_Sq(ctx, d, q)
+        PolarizationWitness(q, analysis.N_P(q))
+        for q in analysis.admissible_qs()
+        if analysis.in_image(q)
     )
     return PolarizabilityResult(polarizable=bool(witnesses), witnesses=witnesses)
 
@@ -251,29 +331,12 @@ def _sentinel_json(value: int | float) -> int | str:
 
 def hesselink_report(ctx: HesselinkContext, d: Partition, q: int) -> HesselinkReport:
     """Assemble the per-q record; q must be admissible."""
-    if not is_admissible(ctx, q):
-        raise InadmissibleQ(f"q = {q} is not admissible for m = {ctx.m}")
-    j1, j0 = compute_j1_j0(ctx, d)
-    in_image = in_image_Sq(ctx, d, q)
-    return HesselinkReport(
-        q=q,
-        J=tuple(sorted(compute_J(ctx, d))),
-        j1=j1,
-        j0=j0,
-        B=tuple(sorted(compute_B(ctx, d))),
-        u=compute_u(ctx, d, q),
-        in_image=in_image,
-        N_P=N_P(ctx, d, q) if in_image else None,
-    )
+    return HesselinkAnalysis.of(ctx, d).record(q)
 
 
 def admissible_reports(orbit: ClassicalOrbit) -> tuple[HesselinkReport, ...]:
     """Reports for every admissible q in 0..m; empty for sl orbits."""
     if orbit.family is Family.SL:
         return ()
-    ctx = HesselinkContext.for_orbit(orbit)
-    return tuple(
-        hesselink_report(ctx, orbit.partition, q)
-        for q in range(ctx.m + 1)
-        if is_admissible(ctx, q)
-    )
+    analysis = HesselinkAnalysis.for_orbit(orbit)
+    return tuple(analysis.record(q) for q in analysis.admissible_qs())

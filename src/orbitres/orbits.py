@@ -151,8 +151,13 @@ class Partition:
 
     def dual(self) -> "Partition":
         """The transposed Young diagram: dual_i = #{j : d_j >= i}."""
-        return Partition(tuple(sum(1 for p in self.parts if p >= i)
-                               for i in range(1, self.parts[0] + 1)))
+        counts = []
+        j = len(self.parts)  # parts descend, so #{j : d_j >= i} only falls as i grows
+        for i in range(1, self.parts[0] + 1):
+            while self.parts[j - 1] < i:
+                j -= 1
+            counts.append(j)
+        return Partition(tuple(counts))
 
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
@@ -307,10 +312,14 @@ def is_even_orbit(orbit: ClassicalOrbit) -> bool:
     return len({p % 2 for p in orbit.partition}) == 1
 
 
-def orbit_dimension(orbit: ClassicalOrbit) -> int:
-    """Complex dimension of the orbit, via the dual-partition formulas."""
+def orbit_dimension(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> int:
+    """Complex dimension of the orbit, via the dual-partition formulas.
+
+    ``prof`` is the orbit's profile when the caller already has it.
+    """
     m = orbit.m
-    sum_sq = sum(x * x for x in orbit.partition.dual())
+    prof = profile(orbit) if prof is None else prof
+    sum_sq = sum(x * x for x in prof.s.values())
     n_odd = sum(1 for p in orbit.partition if p % 2 == 1)
     if orbit.family is Family.SL:
         return m * m - sum_sq

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import WrongFamily, ZeroOrbit
-from .orbits import ClassicalOrbit, Family, profile
+from .orbits import ClassicalOrbit, Family, PartitionProfile, profile
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,24 @@ class AbelianGroupDescriptor:
 TRIVIAL_GROUP = AbelianGroupDescriptor()
 
 
-def picard_sl(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
+def picard_sl(
+    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
+) -> AbelianGroupDescriptor:
     """Pic of an sl_n orbit: free rank k-1 plus a cyclic factor of order c."""
     if orbit.family is not Family.SL:
         raise WrongFamily(f"picard_sl expects an sl orbit, got {orbit.lie_type.name}")
-    prof = profile(orbit)
+    prof = profile(orbit) if prof is None else prof
     torsion = (prof.c,) if prof.c >= 2 else ()
     return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
 
 
-def picard_bcd(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
+def picard_bcd(
+    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
+) -> AbelianGroupDescriptor:
     """Pic of an sp/so orbit from the (a, b, l, rather-odd) statistics."""
     if orbit.family is Family.SL:
         raise WrongFamily(f"picard_bcd expects sp or so, got {orbit.lie_type.name}")
-    prof = profile(orbit)
+    prof = profile(orbit) if prof is None else prof
     if orbit.family is Family.SP:
         return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * prof.b)
     two_torsion = max(0, prof.a - 1)
@@ -143,11 +147,14 @@ def picard_bcd(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
     return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * two_torsion)
 
 
-def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
-    """Dispatch to the family-specific Picard formula."""
+def picard(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> AbelianGroupDescriptor:
+    """Dispatch to the family-specific Picard formula.
+
+    ``prof`` is the orbit's profile when the caller already has it.
+    """
     if orbit.family is Family.SL:
-        return picard_sl(orbit)
-    return picard_bcd(orbit)
+        return picard_sl(orbit, prof)
+    return picard_bcd(orbit, prof)
 
 
 class QFactorialCertificate(Enum):
@@ -159,14 +166,17 @@ class QFactorialCertificate(Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-def q_factorial_certificate(orbit: ClassicalOrbit) -> QFactorialCertificate:
+def q_factorial_certificate(
+    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
+) -> QFactorialCertificate:
     """Certify Q-factoriality when the sufficient condition applies.
 
     For sp/so the condition is l = 0 (torsion Picard group), for sl it is
     k = 1 (a rectangular partition).  Orbits with l > 0 can genuinely fail
     to be Q-factorial, so NOT_CERTIFIED must not be read as a refutation.
+    ``prof`` is the orbit's profile when the caller already has it.
     """
-    prof = profile(orbit)
+    prof = profile(orbit) if prof is None else prof
     if orbit.family is Family.SL:
         certified = prof.k == 1
     else:

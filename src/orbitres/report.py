@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 
 from .hesselink import HesselinkReport, PolarizabilityResult, admissible_reports, polarizable
-from .orbits import ClassicalOrbit, PartitionProfile, is_even_orbit, orbit_dimension, profile
+from .orbits import ClassicalOrbit, PartitionProfile, orbit_dimension, profile
 from .picard import (
     AbelianGroupDescriptor,
     QFactorialCertificate,
@@ -39,14 +39,18 @@ class OrbitReport:
 
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
-    """Run every analysis on one orbit and bundle the results."""
+    """Run every analysis on one orbit and bundle the results.
+
+    The profile is computed once and handed to every formula that reads it.
+    """
+    prof = profile(orbit)
     return OrbitReport(
         orbit=orbit,
-        profile=profile(orbit),
-        even_orbit=is_even_orbit(orbit),
-        dimension=orbit_dimension(orbit),
-        picard=picard(orbit),
-        q_factorial=q_factorial_certificate(orbit),
+        profile=prof,
+        even_orbit=prof.all_same_parity,
+        dimension=orbit_dimension(orbit, prof),
+        picard=picard(orbit, prof),
+        q_factorial=q_factorial_certificate(orbit, prof),
         factorial=None if orbit.is_zero else is_factorial(orbit),
         polarizability=polarizable(orbit),
         hesselink=admissible_reports(orbit),

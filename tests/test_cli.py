@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 import orbitres.cli as cli
-from orbitres import Family, LieType, count_orbits
+import orbitres.resolution as resolution
+from orbitres import Family, LieType, Verdict, count_orbits
 from orbitres.cli import main
 
 
@@ -70,6 +72,19 @@ class TestReport:
         assert code == 0
         assert json.loads(out)["algebra"] == "so8"
 
+    def test_route_mismatch_is_an_internal_error(self, capsys, monkeypatch):
+        original = resolution.closed_form_verdict
+
+        def flipped(orbit):
+            verdict = original(orbit)
+            return replace(verdict, answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
+
+        monkeypatch.setattr(resolution, "closed_form_verdict", flipped)
+        code, out, err = run(capsys, "report", "so7", "3,2,2")
+        assert code == 4
+        assert out == ""
+        assert "internal error, this is a bug" in err
+
 
 class TestAtlas:
     def test_md_row_count_matches_enumeration(self, capsys):
@@ -109,6 +124,15 @@ class TestAtlas:
         code, _, err = run(capsys, "atlas", "so8")
         assert code == 2
         assert "ORBITRES_MAX_M" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_malformed_cap_rejected(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ORBITRES_MAX_M", raw)
+        for argv in (("atlas", "so8"), ("selfcheck", "4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "ORBITRES_MAX_M must be a non-negative integer" in err
 
 
 class TestSelfcheck:

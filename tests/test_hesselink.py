@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import orbitres.hesselink as hesselink
 from common import bcd_orbits
 from orbitres import (
     Family,
@@ -22,6 +23,7 @@ from orbitres import (
     compute_J,
     compute_j1_j0,
     compute_u,
+    enumerate_orbits,
     hesselink_report,
     in_image_Sq,
     is_admissible,
@@ -269,3 +271,85 @@ class TestReports:
 
     def test_admissible_reports_empty_for_sl(self):
         assert admissible_reports(validate_orbit(LieType(Family.SL, 4), (2, 2))) == ()
+
+
+def plain_records(orbit):
+    """Per-q records straight from the set definitions, rebuilt for every q.
+
+    Written independently of the package: J is built on an explicitly
+    zero-padded sequence, so the padded tail enters j0 through the same
+    rule as every other position.
+    """
+    m = orbit.m
+    eps = 1 if orbit.family is Family.SP else 0
+    parts = orbit.partition.parts
+    n = len(parts)
+    top = n + 4
+    seq = [None] + list(parts) + [0] * (top + 1 - n)  # seq[j] = d_j for j in 1..top+1
+    records = []
+    for q in range(m + 1):
+        if q % 2 != m % 2 or (eps == 0 and q == 2):
+            continue
+        marked = {j for j in range(1, top + 1) if seq[j] % 2 == eps}
+        for j in range(1, top + 1):
+            if j % 2 == m % 2 and seq[j] == seq[j + 1]:
+                marked |= {j, j + 1}
+        j1 = max((j for j in marked if seq[j] % 2 == 1), default=NEG_INF)
+        j0 = min(j for j in marked if seq[j] % 2 == 0)
+        pairing = all(
+            (seq[j] - seq[j + 1]) % 2 == 0 for j in range(1, top + 1) if j % 2 != m % 2
+        )
+        B = tuple(j for j in range(1, n + 1) if seq[j] > seq[j + 1] and seq[j] % 2 != eps)
+        n_odd = sum(1 for p in parts if p % 2 == 1)
+        u = Fraction((-1) ** eps * (n_odd - q), 2)
+        in_image = j1 <= q < j0 and pairing
+        degree = None
+        if in_image:
+            exponent = u if q + eps >= 1 or not B else u - 1
+            assert exponent.denominator == 1 and exponent >= 0
+            degree = 2 ** int(exponent)
+        J = tuple(sorted(j for j in marked if j <= n))
+        records.append((q, J, j1, j0, B, u, in_image, degree))
+    return records
+
+
+def bcd_orbits_up_to(max_m):
+    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
+        for m in range(low, max_m + 1, 2):
+            yield from enumerate_orbits(LieType(family, m))
+
+
+class TestAnalysis:
+    def test_matches_per_q_definitions_up_to_m16(self):
+        checked = 0
+        for orbit in bcd_orbits_up_to(16):
+            expected = plain_records(orbit)
+            got = [
+                (r.q, r.J, r.j1, r.j0, r.B, r.u, r.in_image, r.N_P)
+                for r in admissible_reports(orbit)
+            ]
+            assert got == expected, orbit
+            witnesses = [(w.q, w.N_P) for w in polarizable(orbit).witnesses]
+            assert witnesses == [(rec[0], rec[7]) for rec in expected if rec[6]], orbit
+            checked += 1
+        assert checked > 500
+
+    def test_compute_J_once_per_call(self, monkeypatch):
+        calls = []
+        original = hesselink.compute_J
+
+        def counted(ctx, part):
+            calls.append(part)
+            return original(ctx, part)
+
+        monkeypatch.setattr(hesselink, "compute_J", counted)
+        orbits = [
+            validate_orbit(LieType(Family.SP, 20), (1,) * 20),  # 11 admissible q
+            validate_orbit(LieType(Family.SO_EVEN, 16), (3, 3, 2, 2, 1, 1, 1, 1, 1, 1)),
+            validate_orbit(LieType(Family.SO_ODD, 15), (5, 3, 3, 1, 1, 1, 1)),
+        ]
+        for orbit in orbits:
+            for call in (admissible_reports, polarizable, resolution_by_search):
+                calls.clear()
+                call(orbit)
+                assert len(calls) == 1, (call.__name__, orbit)

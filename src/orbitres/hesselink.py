@@ -12,13 +12,14 @@ decided by a purely combinatorial test on the partition d:
   power of 2 whose exponent is computed from the count of odd parts; a
   resolution exists iff some admissible q yields degree 1.
 
-None of the sets behind these tests depends on q.  A HesselinkAnalysis is
-built once per partition, in one linear pass each over its N parts: the
-marked set J, the interval bounds j1 and j0, the drop set B, the
-adjacent-pair parity check and the number of odd parts.  Every q-dependent
-answer (image test, degree exponent, collapsing degree, per-q record) is
-then read off the analysis in constant time, so walking all admissible q
-costs O(N + m) rather than O(m * N).
+None of the sets behind these tests depends on q.  HesselinkAnalysis is the
+one API for them: it is built once per partition, in O(N) time for its N
+parts, and holds the marked set J, the interval bounds j1 and j0 (j1 is None
+when no marked position carries an odd part, printed as -inf), the drop set
+B, the adjacent-pair parity check and the number of odd parts.  Every
+q-dependent answer (image test, degree exponent, collapsing degree, per-q
+record) is then read off the analysis in constant time, so walking all
+admissible q costs O(N + m) rather than O(m * N).
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -38,9 +39,6 @@ from fractions import Fraction
 
 from .errors import InadmissibleQ, NonIntegralExponent, NotInImage, WrongFamily
 from .orbits import ClassicalOrbit, Family, LieType, Partition
-
-NEG_INF: float = float("-inf")
-POS_INF: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -74,67 +72,31 @@ def is_admissible(ctx: HesselinkContext, q: int) -> bool:
     return q >= 0 and (q - ctx.m) % 2 == 0 and not (ctx.epsilon == 0 and q == 2)
 
 
-def _padded(d: Partition) -> tuple[int, ...]:
-    """The parts followed by one zero, so d_{j+1} is defined for j <= N."""
-    return d.parts + (0,)
-
-
-def compute_J(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
-    """The marked positions within 1..N.
-
-    A position j is marked when d_j has the constrained parity, or when j
-    or j-1 sits at a position congruent to m mod 2 with two equal adjacent
-    parts.  On the zero-padded tail every position from
-    _first_padded_member(ctx, N) onwards is marked as well; those are not
-    materialized here and are accounted for in the analysis (they carry
-    part 0, so they can only lower j0, never raise j1).
-    """
-    parts = _padded(d)
-    marked = {j for j, p in enumerate(parts[:-1], start=1) if p % 2 == ctx.epsilon}
-    for j in range(2 - ctx.m % 2, len(parts), 2):
-        if parts[j - 1] == parts[j]:
-            marked.update((j, j + 1))
-    # j = N never pairs with the padding since d_N > 0 = d_{N+1}
-    return frozenset(marked)
-
-
-def _first_padded_member(ctx: HesselinkContext, n_parts: int) -> int:
-    """Smallest padded index belonging to J.
-
-    Zero parts are even: in the orthogonal case they match epsilon = 0
-    immediately at N+1; in the symplectic case they enter through an equal
-    adjacent pair at the first position past N congruent to m mod 2.
-    """
-    if ctx.epsilon == 0 or n_parts % 2 == 1:
-        return n_parts + 1
-    return n_parts + 2
-
-
-def compute_B(ctx: HesselinkContext, d: Partition) -> frozenset[int]:
-    """Positions where the partition strictly drops with a part of the
-    unconstrained parity (odd parts for so, even parts for sp)."""
-    parts = _padded(d)
-    return frozenset(
-        j
-        for j in range(1, len(parts))
-        if parts[j - 1] > parts[j] and parts[j - 1] % 2 != ctx.epsilon
-    )
-
-
 @dataclass(frozen=True)
 class HesselinkAnalysis:
-    """The q-independent facts about one partition, each computed once.
+    """The q-independent facts about one partition d_1 >= ... >= d_N.
 
-    J and B are sorted positions within 1..N.  j1 is the largest marked
-    position with an odd part (-inf when there is none); j0 is the smallest
-    marked position with an even part, the zero-padded tail included, so it
-    is finite and at most N+2.  pairing_ok says adjacent parts share parity
-    at every position congruent to m+1 mod 2, and n_odd counts odd parts.
+    J holds the marked positions within 1..N: j is marked when d_j has the
+    constrained parity, and j and j+1 both are when j = m (mod 2) and
+    d_j = d_{j+1}.  Position N never pairs that way, since d_N > 0 = d_{N+1}.
+    The zero-padded tail is marked too, from position N+1 in the orthogonal
+    case (zero parts are even) and, in the symplectic case, from the first
+    position past N congruent to m mod 2 (N+1 or N+2), where two zero parts
+    form an equal adjacent pair.  The tail is not listed in J: its parts are
+    even, so it can only lower j0, never raise j1.
+
+    j1 is the largest marked position with an odd part, None when there is
+    none; j0 is the smallest marked position with an even part, the tail
+    included, so it is always finite and at most N+2.  B holds the positions
+    j in 1..N where d_j > d_{j+1} with d_j of the unconstrained parity (odd
+    parts for so, even parts for sp).  pairing_ok says d_j and d_{j+1}
+    share parity at every j <= N congruent to m+1 mod 2 (padded positions
+    beyond N pass trivially), and n_odd counts odd parts.
     """
 
     ctx: HesselinkContext
     J: tuple[int, ...]
-    j1: int | float
+    j1: int | None
     j0: int
     B: tuple[int, ...]
     pairing_ok: bool
@@ -142,23 +104,29 @@ class HesselinkAnalysis:
 
     @classmethod
     def of(cls, ctx: HesselinkContext, d: Partition) -> "HesselinkAnalysis":
-        parts = _padded(d)
-        marked = tuple(sorted(compute_J(ctx, d)))
-        j1 = max((j for j in marked if parts[j - 1] % 2 == 1), default=NEG_INF)
-        j0 = min((j for j in marked if parts[j - 1] % 2 == 0), default=POS_INF)
-        # padded positions beyond N satisfy the pairing check trivially
-        pairing_ok = all(
-            (parts[j - 1] - parts[j]) % 2 == 0
-            for j in range(2 - (ctx.m + 1) % 2, len(parts), 2)
-        )
+        parts = d.parts
+        n = len(parts)
+        marked = [p % 2 == ctx.epsilon for p in parts]  # marked[j - 1]: j in J
+        pairing_ok = True
+        drops = []
+        for j, (p, nxt) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
+            if (j - ctx.m) % 2 == 0:
+                if p == nxt:
+                    marked[j - 1] = marked[j] = True
+            elif (p - nxt) % 2:
+                pairing_ok = False
+            if p > nxt and p % 2 != ctx.epsilon:
+                drops.append(j)
+        J = tuple(j for j in range(1, n + 1) if marked[j - 1])
+        tail = n + 1 if ctx.epsilon == 0 or n % 2 else n + 2  # first marked padded position
         return cls(
             ctx=ctx,
-            J=marked,
-            j1=j1,
-            j0=min(j0, _first_padded_member(ctx, len(d))),
-            B=tuple(sorted(compute_B(ctx, d))),
+            J=J,
+            j1=max((j for j in J if parts[j - 1] % 2), default=None),
+            j0=min((j for j in J if parts[j - 1] % 2 == 0), default=tail),
+            B=tuple(drops),
             pairing_ok=pairing_ok,
-            n_odd=sum(p % 2 for p in d.parts),
+            n_odd=sum(p % 2 for p in parts),
         )
 
     @classmethod
@@ -172,14 +140,15 @@ class HesselinkAnalysis:
     def in_image(self, q: int) -> bool:
         """Image test for the Spaltenstein map at admissible q.
 
-        The partition lies in the image iff j1 <= q < j0 and the adjacent
-        parity-pairing condition holds.  Only the interval depends on q.
+        The partition lies in the image iff j1 <= q < j0 (no lower bound
+        when j1 is None) and the adjacent parity-pairing condition holds.
+        Only the interval depends on q.
         """
         if not is_admissible(self.ctx, q):
             raise InadmissibleQ(
                 f"q = {q} is not admissible for m = {self.ctx.m}, epsilon = {self.ctx.epsilon}"
             )
-        return self.j1 <= q < self.j0 and self.pairing_ok
+        return (self.j1 is None or self.j1 <= q) and q < self.j0 and self.pairing_ok
 
     def u(self, q: int) -> Fraction:
         """Exact degree exponent: half of (-1)^epsilon times (#odd parts - q).
@@ -203,7 +172,8 @@ class HesselinkAnalysis:
         if not self.in_image(q):
             raise NotInImage(
                 f"not in the image of the Spaltenstein map at q = {q}: interval "
-                f"[{self.j1}, {self.j0}), pairing {'holds' if self.pairing_ok else 'fails'}"
+                f"[{_lower_bound(self.j1)}, {self.j0}), "
+                f"pairing {'holds' if self.pairing_ok else 'fails'}"
             )
         u = self.u(q)
         exponent = u if q + self.ctx.epsilon >= 1 or not self.B else u - 1
@@ -227,34 +197,6 @@ class HesselinkAnalysis:
             in_image=in_image,
             N_P=self.N_P(q) if in_image else None,
         )
-
-
-def compute_j1_j0(ctx: HesselinkContext, d: Partition) -> tuple[int | float, int | float]:
-    """(largest marked position with odd part, smallest with even part).
-
-    Sentinels: -inf when no marked position carries an odd part.  The
-    padded tail always contributes even (zero) parts, so the second value
-    is finite, at most N+2.
-    """
-    analysis = HesselinkAnalysis.of(ctx, d)
-    return analysis.j1, analysis.j0
-
-
-def in_image_Sq(ctx: HesselinkContext, d: Partition, q: int) -> bool:
-    """Image test for the Spaltenstein map at admissible q (one-off form of
-    HesselinkAnalysis.in_image)."""
-    return HesselinkAnalysis.of(ctx, d).in_image(q)
-
-
-def compute_u(ctx: HesselinkContext, d: Partition, q: int) -> Fraction:
-    """Exact degree exponent (one-off form of HesselinkAnalysis.u)."""
-    return HesselinkAnalysis.of(ctx, d).u(q)
-
-
-def N_P(ctx: HesselinkContext, d: Partition, q: int) -> int:
-    """Collapsing degree of the polarization attached to (d, q) (one-off
-    form of HesselinkAnalysis.N_P)."""
-    return HesselinkAnalysis.of(ctx, d).N_P(q)
 
 
 @dataclass(frozen=True)
@@ -301,8 +243,8 @@ class HesselinkReport:
 
     q: int
     J: tuple[int, ...]
-    j1: int | float
-    j0: int | float
+    j1: int | None
+    j0: int
     B: tuple[int, ...]
     u: Fraction
     in_image: bool
@@ -312,8 +254,8 @@ class HesselinkReport:
         return {
             "q": self.q,
             "J": list(self.J),
-            "j1": _sentinel_json(self.j1),
-            "j0": _sentinel_json(self.j0),
+            "j1": _lower_bound(self.j1),
+            "j0": self.j0,
             "B": list(self.B),
             "u": str(self.u),
             "in_image": self.in_image,
@@ -321,17 +263,9 @@ class HesselinkReport:
         }
 
 
-def _sentinel_json(value: int | float) -> int | str:
-    if value == NEG_INF:
-        return "-inf"
-    if value == POS_INF:
-        return "+inf"
-    return int(value)
-
-
-def hesselink_report(ctx: HesselinkContext, d: Partition, q: int) -> HesselinkReport:
-    """Assemble the per-q record; q must be admissible."""
-    return HesselinkAnalysis.of(ctx, d).record(q)
+def _lower_bound(j1: int | None) -> int | str:
+    """j1 as printed: -inf when no marked position carries an odd part."""
+    return "-inf" if j1 is None else j1
 
 
 def admissible_reports(orbit: ClassicalOrbit) -> tuple[HesselinkReport, ...]:

@@ -48,10 +48,6 @@ class Family(Enum):
     SO_EVEN = "so_even"
 
     @property
-    def is_orthogonal(self) -> bool:
-        return self in (Family.SO_ODD, Family.SO_EVEN)
-
-    @property
     def is_bcd(self) -> bool:
         """True for sp and so, the families with a parity constraint."""
         return self is not Family.SL
@@ -145,9 +141,6 @@ class Partition:
         if j < 1:
             raise IndexError(f"parts are 1-indexed, got {j}")
         return self.parts[j - 1] if j <= len(self.parts) else 0
-
-    def multiplicities(self) -> dict[int, int]:
-        return dict(Counter(self.parts))
 
     def dual(self) -> "Partition":
         """The transposed Young diagram: dual_i = #{j : d_j >= i}."""

@@ -116,9 +116,6 @@ class AbelianGroupDescriptor:
         return " x ".join(pieces)
 
 
-TRIVIAL_GROUP = AbelianGroupDescriptor()
-
-
 def picard_sl(
     orbit: ClassicalOrbit, prof: PartitionProfile | None = None
 ) -> AbelianGroupDescriptor:

@@ -28,7 +28,7 @@ from enum import Enum
 
 from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
 from .hesselink import resolution_by_search
-from .orbits import ClassicalOrbit, Family, is_even_orbit
+from .orbits import ClassicalOrbit, Family
 
 
 class Verdict(Enum):
@@ -39,10 +39,8 @@ class Verdict(Enum):
 
 class Route(Enum):
     CLOSED_FORM = "closed_form"
-    HESSELINK_SEARCH = "hesselink_search"
     ALWAYS_SLN = "always_sln"
     EXCEPTIONAL_LOOKUP = "exceptional_lookup"
-    EVEN_SPRINGER = "even_springer"
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,6 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
             f"{'yes' if search_says_yes else 'no'} for {orbit}"
         )
     return replace(verdict, cross_checked=True)
-
-
-def springer_consistency(orbit: ClassicalOrbit) -> bool:
-    """Even orbits must come out resolvable (they carry Springer's
-    resolution); exported so the self-check command can assert it."""
-    if not is_even_orbit(orbit):
-        return True
-    return admits_symplectic_resolution(orbit).answer is Verdict.YES
 
 
 class ExceptionalAlgebra(Enum):

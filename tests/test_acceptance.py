@@ -16,9 +16,8 @@ from orbitres import (
     EXCEPTIONAL_TABLE,
     ExceptionalAlgebra,
     Family,
-    HesselinkContext,
+    HesselinkAnalysis,
     LieType,
-    N_P,
     NotInDatabase,
     QFactorialCertificate,
     UnknownAlgebra,
@@ -26,10 +25,8 @@ from orbitres import (
     admits_symplectic_resolution,
     closed_form_verdict,
     enumerate_orbits,
-    is_admissible,
     is_even_orbit,
     is_factorial,
-    in_image_Sq,
     lookup_exceptional,
     minimal_orbit,
     picard,
@@ -80,16 +77,15 @@ def sweep():
     in_image_pairs = 0
     start = time.monotonic()
     for lie_type in _bcd_lie_types(MAX_SWEEP_M):
-        ctx = HesselinkContext.for_lie_type(lie_type)
         for orbit in enumerate_orbits(lie_type):
-            part = orbit.partition
+            analysis = HesselinkAnalysis.for_orbit(orbit)
             degree_one = False
-            for q in range(ctx.m + 1):
-                if not is_admissible(ctx, q) or not in_image_Sq(ctx, part, q):
+            for q in analysis.admissible_qs():
+                if not analysis.in_image(q):
                     continue
                 in_image_pairs += 1
                 try:
-                    degree_one = degree_one or N_P(ctx, part, q) == 1
+                    degree_one = degree_one or analysis.N_P(q) == 1
                 except Exception:
                     violations += 1
             prof = profile(orbit)

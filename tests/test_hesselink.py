@@ -6,26 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-import orbitres.hesselink as hesselink
 from common import bcd_orbits
 from orbitres import (
     Family,
+    HesselinkAnalysis,
     HesselinkContext,
     InadmissibleQ,
     LieType,
-    NEG_INF,
-    N_P,
     NotInImage,
     WrongFamily,
     admissible_reports,
     closed_form_verdict,
-    compute_B,
-    compute_J,
-    compute_j1_j0,
-    compute_u,
     enumerate_orbits,
-    hesselink_report,
-    in_image_Sq,
     is_admissible,
     parse_partition,
     polarizable,
@@ -45,6 +37,10 @@ CTX_SO8 = HesselinkContext(8, 0)
 
 def d(text):
     return parse_partition(text)
+
+
+def analysis(ctx, text):
+    return HesselinkAnalysis.of(ctx, d(text))
 
 
 class TestContext:
@@ -80,101 +76,101 @@ class TestAdmissible:
 class TestMarkedSets:
     """Frozen values, each verified by hand against the set definitions.
 
-    compute_J returns the members within 1..N; the zero-padded tail feeds
-    into j0 (never j1, since padded parts are even).
+    J lists the members within 1..N; the zero-padded tail feeds into j0
+    (never j1, since padded parts are even).
     """
 
     def test_so7_322(self):
-        part = d("3,2,2")
-        assert sorted(compute_J(CTX_SO7, part)) == [2, 3]
-        assert compute_j1_j0(CTX_SO7, part) == (NEG_INF, 2)
-        assert sorted(compute_B(CTX_SO7, part)) == [1]
+        a = analysis(CTX_SO7, "3,2,2")
+        assert a.J == (2, 3)
+        assert (a.j1, a.j0) == (None, 2)
+        assert a.B == (1,)
 
     def test_sp6_minimal(self):
-        part = d("2,1,1,1,1")
-        assert sorted(compute_J(CTX_SP6, part)) == [2, 3, 4, 5]
+        a = analysis(CTX_SP6, "2,1,1,1,1")
+        assert a.J == (2, 3, 4, 5)
         # no even part is marked within 1..N; the padded tail caps j0 at 6
-        assert compute_j1_j0(CTX_SP6, part) == (5, 6)
+        assert (a.j1, a.j0) == (5, 6)
 
     def test_so8_minimal(self):
-        part = d("2,2,1,1,1,1")
-        assert sorted(compute_J(CTX_SO8, part)) == [1, 2, 4, 5]
-        assert compute_j1_j0(CTX_SO8, part) == (5, 1)
+        a = analysis(CTX_SO8, "2,2,1,1,1,1")
+        assert a.J == (1, 2, 4, 5)
+        assert (a.j1, a.j0) == (5, 1)
 
     def test_all_odd_so8(self):
-        part = d("5,3")
-        assert sorted(compute_J(CTX_SO8, part)) == []
+        a = analysis(CTX_SO8, "5,3")
+        assert a.J == ()
         # padding enters at N+1 = 3 for the orthogonal case
-        assert compute_j1_j0(CTX_SO8, part) == (NEG_INF, 3)
+        assert (a.j1, a.j0) == (None, 3)
 
     def test_all_odd_sp6(self):
-        part = d("3,3")
-        assert sorted(compute_J(CTX_SP6, part)) == [1, 2]
+        a = analysis(CTX_SP6, "3,3")
+        assert a.J == (1, 2)
         # N even, so the first padded pair sits at N+2 = 4
-        assert compute_j1_j0(CTX_SP6, part) == (2, 4)
+        assert (a.j1, a.j0) == (2, 4)
 
 
 class TestImageTest:
     def test_so7_322_at_q1(self):
-        assert in_image_Sq(CTX_SO7, d("3,2,2"), 1) is True
+        assert analysis(CTX_SO7, "3,2,2").in_image(1) is True
 
     def test_sp6_minimal_never(self):
-        part = d("2,1,1,1,1")
+        a = analysis(CTX_SP6, "2,1,1,1,1")
         for q in range(7):
             if is_admissible(CTX_SP6, q):
-                assert in_image_Sq(CTX_SP6, part, q) is False
+                assert a.in_image(q) is False
 
     def test_sp6_411_never(self):
-        part = d("4,1,1")
+        a = analysis(CTX_SP6, "4,1,1")
         for q in range(7):
             if is_admissible(CTX_SP6, q):
-                assert in_image_Sq(CTX_SP6, part, q) is False
+                assert a.in_image(q) is False
 
     def test_inadmissible_q_raises(self):
         with pytest.raises(InadmissibleQ):
-            in_image_Sq(CTX_SO8, d("5,3"), 2)
+            analysis(CTX_SO8, "5,3").in_image(2)
         with pytest.raises(InadmissibleQ):
-            in_image_Sq(CTX_SO7, d("3,2,2"), 0)
+            analysis(CTX_SO7, "3,2,2").in_image(0)
 
     def test_padded_cap_blocks_large_q(self):
         # without the padded tail in J this would pass and give u = -1
-        assert in_image_Sq(CTX_SO8, d("5,3"), 4) is False
-        assert in_image_Sq(CTX_SO8, d("5,3"), 0) is True
+        assert analysis(CTX_SO8, "5,3").in_image(4) is False
+        assert analysis(CTX_SO8, "5,3").in_image(0) is True
 
 
 class TestDegreeExponent:
     def test_values(self):
-        assert compute_u(CTX_SO7, d("3,2,2"), 1) == Fraction(0)
-        assert compute_u(CTX_SP6, d("3,3"), 2) == Fraction(0)
-        assert compute_u(HesselinkContext(8, 0), d("3,3,1,1"), 4) == Fraction(0)
-        assert compute_u(CTX_SO8, d("3,3,1,1"), 0) == Fraction(2)
+        assert analysis(CTX_SO7, "3,2,2").u(1) == Fraction(0)
+        assert analysis(CTX_SP6, "3,3").u(2) == Fraction(0)
+        assert analysis(HesselinkContext(8, 0), "3,3,1,1").u(4) == Fraction(0)
+        assert analysis(CTX_SO8, "3,3,1,1").u(0) == Fraction(2)
         # the sign flips for the symplectic family
-        assert compute_u(CTX_SP6, d("3,3"), 4) == Fraction(1)
-        assert compute_u(CTX_SO8, d("5,3"), 4) == Fraction(-1)
+        assert analysis(CTX_SP6, "3,3").u(4) == Fraction(1)
+        assert analysis(CTX_SO8, "5,3").u(4) == Fraction(-1)
 
 
 class TestCollapseDegree:
     def test_degree_one_witnesses(self):
-        assert N_P(CTX_SO7, d("3,2,2"), 1) == 1
-        assert N_P(CTX_SP6, d("3,3"), 2) == 1
-        assert N_P(CTX_SO8, d("4,4"), 0) == 1
+        assert analysis(CTX_SO7, "3,2,2").N_P(1) == 1
+        assert analysis(CTX_SP6, "3,3").N_P(2) == 1
+        assert analysis(CTX_SO8, "4,4").N_P(0) == 1
 
     def test_halved_branch_at_q_zero(self):
         # q = epsilon = 0 with a strict odd drop: degree 2^(u-1)
-        assert N_P(CTX_SO8, d("7,1"), 0) == 1
-        assert N_P(CTX_SO8, d("3,3,1,1"), 0) == 2
-        assert N_P(HesselinkContext(10, 0), d("2,2,2,2,1,1"), 0) == 1
+        assert analysis(CTX_SO8, "7,1").N_P(0) == 1
+        assert analysis(CTX_SO8, "3,3,1,1").N_P(0) == 2
+        assert analysis(HesselinkContext(10, 0), "2,2,2,2,1,1").N_P(0) == 1
 
     def test_unhalved_when_q_positive(self):
-        assert N_P(CTX_SO8, d("3,3,1,1"), 4) == 1
-        assert N_P(CTX_SO7, d("5,1,1"), 1) == 2
-        assert N_P(CTX_SO7, d("5,1,1"), 3) == 1
+        assert analysis(CTX_SO8, "3,3,1,1").N_P(4) == 1
+        assert analysis(CTX_SO7, "5,1,1").N_P(1) == 2
+        assert analysis(CTX_SO7, "5,1,1").N_P(3) == 1
 
     def test_not_in_image_raises(self):
         with pytest.raises(NotInImage):
-            N_P(CTX_SP6, d("4,1,1"), 0)
-        with pytest.raises(NotInImage):
-            N_P(CTX_SO8, d("5,3"), 4)
+            analysis(CTX_SP6, "4,1,1").N_P(0)
+        with pytest.raises(NotInImage, match=r"interval \[-inf, 3\), pairing holds"):
+            analysis(CTX_SO8, "5,3").N_P(4)
 
 
 class TestPolarizable:
@@ -208,27 +204,22 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_exponent_is_non_negative_integer(self, orbit):
-        ctx = HesselinkContext.for_orbit(orbit)
-        part = orbit.partition
-        for q in range(ctx.m + 1):
-            if not is_admissible(ctx, q) or not in_image_Sq(ctx, part, q):
+        a = HesselinkAnalysis.for_orbit(orbit)
+        for q in a.admissible_qs():
+            if not a.in_image(q):
                 continue
-            degree = N_P(ctx, part, q)  # would raise NonIntegralExponent
+            degree = a.N_P(q)  # would raise NonIntegralExponent
             assert degree > 0 and degree & (degree - 1) == 0  # power of two
 
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_interval_is_contiguous(self, orbit):
-        ctx = HesselinkContext.for_orbit(orbit)
-        part = orbit.partition
-        passing = [
-            q for q in range(ctx.m + 1)
-            if is_admissible(ctx, q) and in_image_Sq(ctx, part, q)
-        ]
+        a = HesselinkAnalysis.for_orbit(orbit)
+        passing = [q for q in a.admissible_qs() if a.in_image(q)]
         for low, high in zip(passing, passing[1:]):
             for q in range(low, high + 1):
-                if is_admissible(ctx, q):
-                    assert in_image_Sq(ctx, part, q)
+                if is_admissible(a.ctx, q):
+                    assert a.in_image(q)
 
     @given(bcd_orbits())
     @settings(max_examples=200)
@@ -245,7 +236,7 @@ class TestProperties:
 
 class TestReports:
     def test_report_fields(self):
-        report = hesselink_report(CTX_SO7, d("3,2,2"), 1)
+        report = analysis(CTX_SO7, "3,2,2").record(1)
         assert report.q == 1
         assert report.in_image is True
         assert report.N_P == 1
@@ -253,10 +244,10 @@ class TestReports:
 
     def test_inadmissible_report_rejected(self):
         with pytest.raises(InadmissibleQ):
-            hesselink_report(CTX_SO7, d("3,2,2"), 2)
+            analysis(CTX_SO7, "3,2,2").record(2)
 
     def test_json_sentinels(self):
-        report = hesselink_report(CTX_SO7, d("3,2,2"), 1)
+        report = analysis(CTX_SO7, "3,2,2").record(1)
         payload = report.to_json_dict()
         assert payload["j1"] == "-inf"
         assert payload["j0"] == 2
@@ -294,7 +285,7 @@ def plain_records(orbit):
         for j in range(1, top + 1):
             if j % 2 == m % 2 and seq[j] == seq[j + 1]:
                 marked |= {j, j + 1}
-        j1 = max((j for j in marked if seq[j] % 2 == 1), default=NEG_INF)
+        j1 = max((j for j in marked if seq[j] % 2 == 1), default=None)
         j0 = min(j for j in marked if seq[j] % 2 == 0)
         pairing = all(
             (seq[j] - seq[j + 1]) % 2 == 0 for j in range(1, top + 1) if j % 2 != m % 2
@@ -302,7 +293,7 @@ def plain_records(orbit):
         B = tuple(j for j in range(1, n + 1) if seq[j] > seq[j + 1] and seq[j] % 2 != eps)
         n_odd = sum(1 for p in parts if p % 2 == 1)
         u = Fraction((-1) ** eps * (n_odd - q), 2)
-        in_image = j1 <= q < j0 and pairing
+        in_image = (j1 is None or j1 <= q) and q < j0 and pairing
         degree = None
         if in_image:
             exponent = u if q + eps >= 1 or not B else u - 1
@@ -334,15 +325,15 @@ class TestAnalysis:
             checked += 1
         assert checked > 500
 
-    def test_compute_J_once_per_call(self, monkeypatch):
+    def test_one_analysis_per_call(self, monkeypatch):
         calls = []
-        original = hesselink.compute_J
+        original = HesselinkAnalysis.of.__func__
 
-        def counted(ctx, part):
+        def counted(cls, ctx, part):
             calls.append(part)
-            return original(ctx, part)
+            return original(cls, ctx, part)
 
-        monkeypatch.setattr(hesselink, "compute_J", counted)
+        monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(counted))
         orbits = [
             validate_orbit(LieType(Family.SP, 20), (1,) * 20),  # 11 admissible q
             validate_orbit(LieType(Family.SO_EVEN, 16), (3, 3, 2, 2, 1, 1, 1, 1, 1, 1)),

@@ -21,8 +21,8 @@ from orbitres import (
     closed_form_verdict,
     exceptional_table_json,
     exceptional_verdict,
+    is_even_orbit,
     lookup_exceptional,
-    springer_consistency,
     validate_orbit,
 )
 import orbitres.resolution as resolution_module
@@ -139,14 +139,17 @@ class TestWitness:
 
 
 class TestSpringerConsistency:
+    """Even orbits carry Springer's resolution, so both routes must say yes."""
+
     def test_examples(self):
-        assert springer_consistency(validate_orbit(SO8, (5, 3))) is True
-        assert springer_consistency(validate_orbit(SP6, (2, 2, 2))) is True
-        assert springer_consistency(validate_orbit(SL9, (4, 3, 1, 1))) is True
+        assert admits_symplectic_resolution(validate_orbit(SO8, (5, 3))).answer is Verdict.YES
+        assert admits_symplectic_resolution(validate_orbit(SP6, (2, 2, 2))).answer is Verdict.YES
+        assert admits_symplectic_resolution(validate_orbit(SL9, (4, 3, 1, 1))).answer is Verdict.YES
 
     @given(valid_orbits())
     def test_holds_universally(self, orbit):
-        assert springer_consistency(orbit) is True
+        if is_even_orbit(orbit):
+            assert admits_symplectic_resolution(orbit).answer is Verdict.YES
 
 
 class TestExceptional:

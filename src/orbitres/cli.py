@@ -22,7 +22,6 @@ import sys
 
 from .enumeration import enumerate_orbits
 from .errors import InternalInvariantError, NotInDatabase, OrbitresError
-from .hesselink import polarizable
 from .orbits import (
     Family,
     LieType,
@@ -141,7 +140,7 @@ def run_selfcheck(max_m: int, out=None) -> int:
             if is_even_orbit(orbit) and not resolved:
                 failures.append(f"{orbit}: even orbit judged non-resolvable")
             tallies["even orbit implies resolvable"] += 1
-            if resolved and not polarizable(orbit).polarizable:
+            if resolved and not verdict.polarizability.polarizable:
                 failures.append(f"{orbit}: resolvable but not polarizable")
             tallies["resolvable implies polarizable"] += 1
             if orbit.family.is_bcd:
@@ -164,11 +163,10 @@ def run_selfcheck(max_m: int, out=None) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    max_m = args.max_m_flag if args.max_m_flag is not None else args.max_m
-    if max_m < 2:
-        raise OrbitresError(f"selfcheck needs max_m >= 2, got {max_m}")
-    _check_cap(max_m)
-    return 3 if run_selfcheck(max_m) else 0
+    if args.max_m < 2:
+        raise OrbitresError(f"selfcheck needs max_m >= 2, got {args.max_m}")
+    _check_cap(args.max_m)
+    return 3 if run_selfcheck(args.max_m) else 0
 
 
 def _cmd_exceptional(args) -> int:
@@ -218,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser("selfcheck", help="cross-route consistency sweep")
     selfcheck.add_argument("max_m", nargs="?", type=int, default=DEFAULT_SELFCHECK_M,
                            help=f"largest matrix size to sweep (default {DEFAULT_SELFCHECK_M})")
-    selfcheck.add_argument("--max-m", dest="max_m_flag", type=int, default=None,
-                           help="alternative spelling of the positional argument")
     selfcheck.set_defaults(func=_cmd_selfcheck)
 
     exceptional = sub.add_parser("exceptional", help="exceptional-type verdict lookup")

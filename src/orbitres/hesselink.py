@@ -19,7 +19,9 @@ when no marked position carries an odd part, printed as -inf), the drop set
 B, the adjacent-pair parity check and the number of odd parts.  Every
 q-dependent answer (image test, degree exponent, collapsing degree, per-q
 record) is then read off the analysis in constant time, so walking all
-admissible q costs O(N + m) rather than O(m * N).
+admissible q costs O(N + m) rather than O(m * N).  ``polarizable`` builds
+the analysis of an orbit and keeps it in its result; the degree search and
+the per-q records read that result instead of building their own.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -209,32 +211,41 @@ class PolarizationWitness:
 
 @dataclass(frozen=True)
 class PolarizabilityResult:
+    """The polarizing q of one orbit, read off its analysis.
+
+    ``analysis`` is the HesselinkAnalysis the witnesses came from, None
+    for sl orbits, where the q-machinery does not apply.
+    """
+
     polarizable: bool
     witnesses: tuple[PolarizationWitness, ...]
+    analysis: HesselinkAnalysis | None
 
 
 def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     """All admissible q in 0..m passing the image test, with degrees.
 
     Every sl orbit is polarizable; the result for sl carries no witnesses
-    since the q-machinery does not apply there.
+    and no analysis.
     """
     if orbit.family is Family.SL:
-        return PolarizabilityResult(polarizable=True, witnesses=())
+        return PolarizabilityResult(polarizable=True, witnesses=(), analysis=None)
     analysis = HesselinkAnalysis.for_orbit(orbit)
     witnesses = tuple(
         PolarizationWitness(q, analysis.N_P(q))
         for q in analysis.admissible_qs()
         if analysis.in_image(q)
     )
-    return PolarizabilityResult(polarizable=bool(witnesses), witnesses=witnesses)
+    return PolarizabilityResult(
+        polarizable=bool(witnesses), witnesses=witnesses, analysis=analysis
+    )
 
 
-def resolution_by_search(orbit: ClassicalOrbit) -> bool:
+def resolution_by_search(pol: PolarizabilityResult) -> bool:
     """Search verdict: some polarization collapses with degree 1."""
-    if orbit.family is Family.SL:
+    if pol.analysis is None:
         raise WrongFamily("the search route applies to sp and so orbits only")
-    return any(w.N_P == 1 for w in polarizable(orbit).witnesses)
+    return any(w.N_P == 1 for w in pol.witnesses)
 
 
 @dataclass(frozen=True)
@@ -268,9 +279,8 @@ def _lower_bound(j1: int | None) -> int | str:
     return "-inf" if j1 is None else j1
 
 
-def admissible_reports(orbit: ClassicalOrbit) -> tuple[HesselinkReport, ...]:
+def admissible_reports(pol: PolarizabilityResult) -> tuple[HesselinkReport, ...]:
     """Reports for every admissible q in 0..m; empty for sl orbits."""
-    if orbit.family is Family.SL:
+    if pol.analysis is None:
         return ()
-    analysis = HesselinkAnalysis.for_orbit(orbit)
-    return tuple(analysis.record(q) for q in analysis.admissible_qs())
+    return tuple(pol.analysis.record(q) for q in pol.analysis.admissible_qs())

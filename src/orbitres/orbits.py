@@ -136,12 +136,6 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def part(self, j: int) -> int:
-        """The 1-indexed part d_j, with d_j = 0 for j > N."""
-        if j < 1:
-            raise IndexError(f"parts are 1-indexed, got {j}")
-        return self.parts[j - 1] if j <= len(self.parts) else 0
-
     def dual(self) -> "Partition":
         """The transposed Young diagram: dual_i = #{j : d_j >= i}."""
         counts = []
@@ -305,14 +299,15 @@ def is_even_orbit(orbit: ClassicalOrbit) -> bool:
     return len({p % 2 for p in orbit.partition}) == 1
 
 
-def orbit_dimension(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> int:
+def orbit_dimension(orbit: ClassicalOrbit) -> int:
     """Complex dimension of the orbit, via the dual-partition formulas.
 
-    ``prof`` is the orbit's profile when the caller already has it.
+    They need the sum of the squared dual parts, taken here as
+    sum_j (2j - 1) d_j: s_i^2 is the sum of 2j - 1 over the rows j <= s_i,
+    which are the j with d_j >= i, and row j has d_j such columns i.
     """
     m = orbit.m
-    prof = profile(orbit) if prof is None else prof
-    sum_sq = sum(x * x for x in prof.s.values())
+    sum_sq = sum((2 * j - 1) * p for j, p in enumerate(orbit.partition.parts, start=1))
     n_odd = sum(1 for p in orbit.partition if p % 2 == 1)
     if orbit.family is Family.SL:
         return m * m - sum_sq

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import WrongFamily, ZeroOrbit
+from .errors import ZeroOrbit
 from .orbits import ClassicalOrbit, Family, PartitionProfile, profile
 
 
@@ -116,24 +116,15 @@ class AbelianGroupDescriptor:
         return " x ".join(pieces)
 
 
-def picard_sl(
-    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
-) -> AbelianGroupDescriptor:
-    """Pic of an sl_n orbit: free rank k-1 plus a cyclic factor of order c."""
-    if orbit.family is not Family.SL:
-        raise WrongFamily(f"picard_sl expects an sl orbit, got {orbit.lie_type.name}")
+def picard(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> AbelianGroupDescriptor:
+    """Pic of the orbit from its profile, by the family's formula.
+
+    ``prof`` is the orbit's profile when the caller already has it.
+    """
     prof = profile(orbit) if prof is None else prof
-    torsion = (prof.c,) if prof.c >= 2 else ()
-    return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
-
-
-def picard_bcd(
-    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
-) -> AbelianGroupDescriptor:
-    """Pic of an sp/so orbit from the (a, b, l, rather-odd) statistics."""
     if orbit.family is Family.SL:
-        raise WrongFamily(f"picard_bcd expects sp or so, got {orbit.lie_type.name}")
-    prof = profile(orbit) if prof is None else prof
+        torsion = (prof.c,) if prof.c >= 2 else ()
+        return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
     if orbit.family is Family.SP:
         return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * prof.b)
     two_torsion = max(0, prof.a - 1)
@@ -142,16 +133,6 @@ def picard_bcd(
             free_rank=0, unresolved_extension=UnresolvedExtension(two_torsion)
         )
     return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * two_torsion)
-
-
-def picard(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> AbelianGroupDescriptor:
-    """Dispatch to the family-specific Picard formula.
-
-    ``prof`` is the orbit's profile when the caller already has it.
-    """
-    if orbit.family is Family.SL:
-        return picard_sl(orbit, prof)
-    return picard_bcd(orbit, prof)
 
 
 class QFactorialCertificate(Enum):

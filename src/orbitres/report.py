@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .hesselink import HesselinkReport, PolarizabilityResult, admissible_reports, polarizable
+from .hesselink import HesselinkReport, admissible_reports
 from .orbits import ClassicalOrbit, PartitionProfile, orbit_dimension, profile
 from .picard import (
     AbelianGroupDescriptor,
@@ -33,7 +33,6 @@ class OrbitReport:
     picard: AbelianGroupDescriptor
     q_factorial: QFactorialCertificate
     factorial: bool | None  # None for the zero orbit, which the criterion excludes
-    polarizability: PolarizabilityResult
     hesselink: tuple[HesselinkReport, ...]
     resolution: ResolutionVerdict
 
@@ -41,20 +40,22 @@ class OrbitReport:
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     """Run every analysis on one orbit and bundle the results.
 
-    The profile is computed once and handed to every formula that reads it.
+    The profile is computed once and handed to every formula that reads it;
+    the per-q records are read off the polarizability that the resolution
+    verdict carries.
     """
     prof = profile(orbit)
+    resolution = admits_symplectic_resolution(orbit)
     return OrbitReport(
         orbit=orbit,
         profile=prof,
         even_orbit=prof.all_same_parity,
-        dimension=orbit_dimension(orbit, prof),
+        dimension=orbit_dimension(orbit),
         picard=picard(orbit, prof),
         q_factorial=q_factorial_certificate(orbit, prof),
         factorial=None if orbit.is_zero else is_factorial(orbit),
-        polarizability=polarizable(orbit),
-        hesselink=admissible_reports(orbit),
-        resolution=admits_symplectic_resolution(orbit),
+        hesselink=admissible_reports(resolution.polarizability),
+        resolution=resolution,
     )
 
 
@@ -62,6 +63,7 @@ def report_json(report: OrbitReport) -> dict:
     """JSON-ready dict; every value is a native JSON type."""
     orbit = report.orbit
     prof = report.profile
+    pol = report.resolution.polarizability
     return {
         "algebra": orbit.lie_type.name,
         "cartan_type": orbit.lie_type.cartan_label,
@@ -87,8 +89,8 @@ def report_json(report: OrbitReport) -> dict:
         "q_factorial_certificate": report.q_factorial.value,
         "factorial": report.factorial,
         "polarizable": {
-            "polarizable": report.polarizability.polarizable,
-            "witnesses": [{"q": w.q, "N_P": w.N_P} for w in report.polarizability.witnesses],
+            "polarizable": pol.polarizable,
+            "witnesses": [{"q": w.q, "N_P": w.N_P} for w in pol.witnesses],
         },
         "hesselink": [h.to_json_dict() for h in report.hesselink],
         "resolution": report.resolution.to_json_dict(),
@@ -105,7 +107,7 @@ def _witness_text(report: OrbitReport) -> str:
 
 
 def _polarizable_text(report: OrbitReport) -> str:
-    pol = report.polarizability
+    pol = report.resolution.polarizability
     if not pol.polarizable:
         return "no"
     if not pol.witnesses:
@@ -164,7 +166,7 @@ _ATLAS_COLUMNS = (
 def _atlas_row(report: OrbitReport) -> dict[str, str]:
     orbit = report.orbit
     prof = report.profile
-    pol = report.polarizability
+    pol = report.resolution.polarizability
     return {
         "partition": orbit.partition.compact_str(),
         "label": orbit.very_even_label.value if orbit.very_even_label else "",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
-from .hesselink import resolution_by_search
+from .hesselink import PolarizabilityResult, polarizable, resolution_by_search
 from .orbits import ClassicalOrbit, Family
 
 
@@ -62,10 +62,18 @@ class ResolutionWitness:
 
 @dataclass(frozen=True)
 class ResolutionVerdict:
+    """An answer, its route and its closed-form witness.
+
+    ``polarizability`` is the Hesselink result the dispatcher checked the
+    answer against (sl's trivial result for sl orbits), None for a bare
+    closed form and for exceptional lookups; it stays out of the JSON form.
+    """
+
     answer: Verdict
     route: Route
-    witness: ResolutionWitness | None = None
-    cross_checked: bool = False
+    witness: ResolutionWitness | None
+    polarizability: PolarizabilityResult | None
+    cross_checked: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,29 +104,35 @@ def _adjacent_odd_pair(parts: tuple[int, ...]) -> int | None:
     return None
 
 
-def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
-    """Resolution verdict from the family's closed-form criterion."""
-    if orbit.family is Family.SL:
-        return ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN)
+def _closed_form_witness(orbit: ClassicalOrbit) -> ResolutionWitness | None:
+    """The clause of the sp/so closed form that holds, or None."""
     parts = orbit.partition.parts
     q = _odd_prefix_length(parts)
     if orbit.family is Family.SP:
-        if q is not None and q % 2 == 0:
-            return ResolutionVerdict(Verdict.YES, Route.CLOSED_FORM, ResolutionWitness(q=q))
-        return ResolutionVerdict(Verdict.NO, Route.CLOSED_FORM)
+        return ResolutionWitness(q=q) if q is not None and q % 2 == 0 else None
     if orbit.family is Family.SO_ODD:
-        if q is not None and q % 2 == 1:
-            return ResolutionVerdict(Verdict.YES, Route.CLOSED_FORM, ResolutionWitness(q=q))
-        return ResolutionVerdict(Verdict.NO, Route.CLOSED_FORM)
+        return ResolutionWitness(q=q) if q is not None and q % 2 == 1 else None
     # so_{2n}: the even prefix with q = 2 excluded, then the adjacent pair
     if q is not None and q % 2 == 0 and q != 2:
-        return ResolutionVerdict(Verdict.YES, Route.CLOSED_FORM, ResolutionWitness(q=q))
+        return ResolutionWitness(q=q)
     k = _adjacent_odd_pair(parts)
-    if k is not None:
+    return None if k is None else ResolutionWitness(pair_position=k)
+
+
+def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
+    """Resolution verdict from the family's closed-form criterion."""
+    if orbit.family is Family.SL:
         return ResolutionVerdict(
-            Verdict.YES, Route.CLOSED_FORM, ResolutionWitness(pair_position=k)
+            Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None, cross_checked=False
         )
-    return ResolutionVerdict(Verdict.NO, Route.CLOSED_FORM)
+    witness = _closed_form_witness(orbit)
+    return ResolutionVerdict(
+        Verdict.NO if witness is None else Verdict.YES,
+        Route.CLOSED_FORM,
+        witness=witness,
+        polarizability=None,
+        cross_checked=False,
+    )
 
 
 def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
@@ -126,12 +140,13 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
 
     For sl the closed form stands alone.  For sp/so the closed form and
     the Hesselink degree search must agree; a mismatch raises
-    CrossCheckMismatch instead of preferring either route.
+    CrossCheckMismatch instead of preferring either route.  The verdict
+    carries the orbit's polarizability, which the search read.
     """
-    verdict = closed_form_verdict(orbit)
+    verdict = replace(closed_form_verdict(orbit), polarizability=polarizable(orbit))
     if orbit.family is Family.SL:
         return verdict
-    search_says_yes = resolution_by_search(orbit)
+    search_says_yes = resolution_by_search(verdict.polarizability)
     if (verdict.answer is Verdict.YES) != search_says_yes:
         raise CrossCheckMismatch(
             f"closed form says {verdict.answer.value} but the degree search says "
@@ -231,7 +246,13 @@ def lookup_exceptional(algebra, label: str) -> ExceptionalRecord:
 def exceptional_verdict(algebra, label: str) -> ResolutionVerdict:
     """Verdict for an exceptional-type orbit from the embedded table."""
     record = lookup_exceptional(algebra, label)
-    return ResolutionVerdict(record.verdict, Route.EXCEPTIONAL_LOOKUP)
+    return ResolutionVerdict(
+        record.verdict,
+        Route.EXCEPTIONAL_LOOKUP,
+        witness=None,
+        polarizability=None,
+        cross_checked=False,
+    )
 
 
 def exceptional_table_json() -> list[dict]:

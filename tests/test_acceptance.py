@@ -33,7 +33,6 @@ from orbitres import (
     polarizable,
     profile,
     q_factorial_certificate,
-    resolution_by_search,
     validate_orbit,
 )
 

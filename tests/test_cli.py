@@ -154,11 +154,6 @@ class TestSelfcheck:
         checked = int(out.split("(")[1].split(" orbits")[0])
         assert checked >= 4
 
-    def test_max_m_flag_spelling(self, capsys):
-        code, out, _ = run(capsys, "selfcheck", "--max-m", "4")
-        assert code == 0
-        assert "m <= 4" in out
-
     def test_max_m_too_small(self, capsys):
         code, _, err = run(capsys, "selfcheck", "1")
         assert code == 2

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import orbitres.hesselink as hesselink_module
 from common import bcd_orbits
 from orbitres import (
     Family,
@@ -16,6 +19,7 @@ from orbitres import (
     NotInImage,
     WrongFamily,
     admissible_reports,
+    build_report,
     closed_form_verdict,
     enumerate_orbits,
     is_admissible,
@@ -25,6 +29,7 @@ from orbitres import (
     validate_orbit,
     Verdict,
 )
+from orbitres.cli import _selfcheck_lie_types, run_selfcheck
 
 SP6 = LieType(Family.SP, 6)
 SO7 = LieType(Family.SO_ODD, 7)
@@ -190,14 +195,15 @@ class TestPolarizable:
         assert wit(validate_orbit(LieType(Family.SO_EVEN, 12), (3, 3, 2, 2, 1, 1))) == [(0, 2)]
 
     def test_resolution_by_search(self):
-        assert resolution_by_search(validate_orbit(SO7, (3, 2, 2))) is True
-        assert resolution_by_search(validate_orbit(SO8, (3, 2, 2, 1))) is False
-        assert resolution_by_search(validate_orbit(SO8, (2, 2, 1, 1, 1, 1))) is False
-        assert resolution_by_search(validate_orbit(SP6, (2, 2, 1, 1))) is False
+        search = lambda orbit: resolution_by_search(polarizable(orbit))
+        assert search(validate_orbit(SO7, (3, 2, 2))) is True
+        assert search(validate_orbit(SO8, (3, 2, 2, 1))) is False
+        assert search(validate_orbit(SO8, (2, 2, 1, 1, 1, 1))) is False
+        assert search(validate_orbit(SP6, (2, 2, 1, 1))) is False
 
     def test_search_rejects_sl(self):
         with pytest.raises(WrongFamily):
-            resolution_by_search(validate_orbit(LieType(Family.SL, 4), (2, 2)))
+            resolution_by_search(polarizable(validate_orbit(LieType(Family.SL, 4), (2, 2))))
 
 
 class TestProperties:
@@ -224,14 +230,15 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_search_matches_closed_form(self, orbit):
-        assert resolution_by_search(orbit) == (
+        assert resolution_by_search(polarizable(orbit)) == (
             closed_form_verdict(orbit).answer is Verdict.YES
         )
 
     @given(bcd_orbits())
     def test_resolution_implies_polarizable(self, orbit):
-        if resolution_by_search(orbit):
-            assert polarizable(orbit).polarizable
+        pol = polarizable(orbit)
+        if resolution_by_search(pol):
+            assert pol.polarizable
 
 
 class TestReports:
@@ -256,12 +263,13 @@ class TestReports:
 
     def test_admissible_reports_cover_range(self):
         orbit = validate_orbit(SO8, (3, 3, 1, 1))
-        reports = admissible_reports(orbit)
+        reports = admissible_reports(polarizable(orbit))
         assert [r.q for r in reports] == [0, 4, 6, 8]
         assert [(r.q, r.N_P) for r in reports if r.in_image] == [(0, 2), (4, 1)]
 
     def test_admissible_reports_empty_for_sl(self):
-        assert admissible_reports(validate_orbit(LieType(Family.SL, 4), (2, 2))) == ()
+        sl_orbit = validate_orbit(LieType(Family.SL, 4), (2, 2))
+        assert admissible_reports(polarizable(sl_orbit)) == ()
 
 
 def plain_records(orbit):
@@ -315,32 +323,55 @@ class TestAnalysis:
         checked = 0
         for orbit in bcd_orbits_up_to(16):
             expected = plain_records(orbit)
+            pol = polarizable(orbit)
             got = [
                 (r.q, r.J, r.j1, r.j0, r.B, r.u, r.in_image, r.N_P)
-                for r in admissible_reports(orbit)
+                for r in admissible_reports(pol)
             ]
             assert got == expected, orbit
-            witnesses = [(w.q, w.N_P) for w in polarizable(orbit).witnesses]
+            witnesses = [(w.q, w.N_P) for w in pol.witnesses]
             assert witnesses == [(rec[0], rec[7]) for rec in expected if rec[6]], orbit
             checked += 1
         assert checked > 500
 
-    def test_one_analysis_per_call(self, monkeypatch):
-        calls = []
-        original = HesselinkAnalysis.of.__func__
+    def test_one_analysis_per_orbit(self, monkeypatch):
+        """A report, and the selfcheck for each orbit it sweeps, call
+        polarizable once and build one analysis for an sp/so orbit, none
+        for sl; the search and the per-q records read that one result."""
+        analyses, polarized = [], []
+        original_of = HesselinkAnalysis.of.__func__
+        original_polarizable = hesselink_module.polarizable
 
-        def counted(cls, ctx, part):
-            calls.append(part)
-            return original(cls, ctx, part)
+        def counted_of(cls, ctx, part):
+            analyses.append((ctx, part))
+            return original_of(cls, ctx, part)
 
-        monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(counted))
-        orbits = [
-            validate_orbit(LieType(Family.SP, 20), (1,) * 20),  # 11 admissible q
-            validate_orbit(LieType(Family.SO_EVEN, 16), (3, 3, 2, 2, 1, 1, 1, 1, 1, 1)),
-            validate_orbit(LieType(Family.SO_ODD, 15), (5, 3, 3, 1, 1, 1, 1)),
-        ]
-        for orbit in orbits:
-            for call in (admissible_reports, polarizable, resolution_by_search):
-                calls.clear()
-                call(orbit)
-                assert len(calls) == 1, (call.__name__, orbit)
+        def counted_polarizable(orbit):
+            polarized.append(orbit)
+            return original_polarizable(orbit)
+
+        monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(counted_of))
+        # rebind every module-level name bound to polarizable, wherever it was imported
+        for name, module in list(sys.modules.items()):
+            if name == "orbitres" or name.startswith("orbitres."):
+                for attr, value in list(vars(module).items()):
+                    if value is original_polarizable:
+                        monkeypatch.setattr(module, attr, counted_polarizable)
+
+        def expected_analyses(orbits):
+            return [(HesselinkContext.for_orbit(o), o.partition) for o in orbits if o.family.is_bcd]
+
+        for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
+            for orbit in enumerate_orbits(LieType(family, m)):
+                analyses.clear()
+                polarized.clear()
+                build_report(orbit)
+                assert polarized == [orbit]
+                assert analyses == expected_analyses([orbit])
+
+        analyses.clear()
+        polarized.clear()
+        assert run_selfcheck(8, out=io.StringIO()) == 0
+        swept = [o for lie_type in _selfcheck_lie_types(8) for o in enumerate_orbits(lie_type)]
+        assert polarized == swept
+        assert analyses == expected_analyses(swept)

@@ -66,12 +66,6 @@ class TestPartition:
         with pytest.raises(NonPositivePart):
             Partition(())
 
-    def test_zero_padding(self):
-        d = Partition((3, 2, 2))
-        assert [d.part(j) for j in range(1, 6)] == [3, 2, 2, 0, 0]
-        with pytest.raises(IndexError):
-            d.part(0)
-
     def test_dual(self):
         assert Partition((3, 1)).dual().parts == (2, 1, 1)
         assert Partition((2, 2)).dual().parts == (2, 2)

@@ -11,12 +11,9 @@ from orbitres import (
     QFactorialCertificate,
     UnresolvedExtension,
     VeryEvenLabel,
-    WrongFamily,
     ZeroOrbit,
     is_factorial,
     picard,
-    picard_bcd,
-    picard_sl,
     profile,
     q_factorial_certificate,
     validate_orbit,
@@ -86,12 +83,6 @@ class TestPicardSL:
     def test_regular_torsion_is_n(self, n):
         group = picard(validate_orbit(LieType(Family.SL, n), (n,)))
         assert group.torsion == (n,)
-
-    def test_wrong_family(self):
-        with pytest.raises(WrongFamily):
-            picard_sl(validate_orbit(SP6, (2, 2, 2)))
-        with pytest.raises(WrongFamily):
-            picard_bcd(validate_orbit(SL3, (3,)))
 
 
 class TestPicardBCD:

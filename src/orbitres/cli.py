@@ -11,12 +11,14 @@ Exit codes: 0 success, 2 invalid input, 3 self-check failure, 4 internal
 error (a bug: the two resolution routes disagree, or a degree exponent is
 not a non-negative integer).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
+
+``atlas --format json`` writes its array one orbit at a time, so after an
+internal error (exit 4) stdout may hold a truncated array.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -33,7 +35,7 @@ from .orbits import (
     validate_orbit,
 )
 from .picard import is_factorial, picard
-from .report import atlas_csv, atlas_markdown, build_report, report_json, report_text
+from .report import atlas_csv, atlas_markdown, build_report, json_text, report_json, report_text
 from .resolution import (
     Verdict,
     _coerce_algebra,
@@ -75,7 +77,7 @@ def _cmd_report(args) -> int:
     orbit = validate_orbit(lie_type, partition, label)
     report = build_report(orbit)
     if args.format == "json":
-        print(json.dumps(report_json(report), indent=2))
+        print(json_text(report_json(report)))
     else:
         print(report_text(report))
     return 0
@@ -84,10 +86,19 @@ def _cmd_report(args) -> int:
 def _cmd_atlas(args) -> int:
     lie_type = parse_algebra(args.algebra)
     _check_cap(lie_type.m)
-    reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
     if args.format == "json":
-        print(json.dumps([report_json(r) for r in reports], indent=2))
-    elif args.format == "csv":
+        # The text of json.dumps(<list of reports>, indent=2), written one
+        # orbit at a time; every algebra has an orbit, so the list is never
+        # empty.
+        out = sys.stdout
+        separator = "["
+        for orbit in enumerate_orbits(lie_type):
+            out.write(separator + "\n  " + json_text(report_json(build_report(orbit)), "\n  "))
+            separator = ","
+        out.write("\n]\n")
+        return 0
+    reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
+    if args.format == "csv":
         print(atlas_csv(reports), end="")
     else:
         print(atlas_markdown(reports, title=f"nilpotent orbits of {lie_type.name}"))
@@ -175,7 +186,7 @@ def _cmd_exceptional(args) -> int:
         if args.algebra is not None:
             wanted = _coerce_algebra(args.algebra).value
             table = [row for row in table if row["algebra"] == wanted]
-        print(json.dumps(table, indent=2))
+        print(json_text(table))
         return 0
     if args.algebra is None or args.label is None:
         raise OrbitresError("provide ALGEBRA and LABEL, or --export for the stored table")

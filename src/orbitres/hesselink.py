@@ -136,8 +136,9 @@ class HesselinkAnalysis:
         return cls.of(HesselinkContext.for_orbit(orbit), orbit.partition)
 
     def admissible_qs(self) -> list[int]:
-        """Every admissible q in 0..m, ascending."""
-        return [q for q in range(self.ctx.m + 1) if is_admissible(self.ctx, q)]
+        """Every admissible q in 0..m, ascending: the q of m's parity, 2 left
+        out for so."""
+        return [q for q in range(self.ctx.m % 2, self.ctx.m + 1, 2) if q != 2 or self.ctx.epsilon]
 
     def in_image(self, q: int) -> bool:
         """Image test for the Spaltenstein map at admissible q.

@@ -3,7 +3,8 @@
 A report bundles everything the package can say about one orbit: profile
 statistics, dimension, Picard group, factoriality, polarization witnesses,
 the per-q Hesselink records, and the cross-checked resolution verdict.
-The JSON form round-trips losslessly and is the schema the CLI emits.
+The JSON form round-trips losslessly and is the schema the CLI emits;
+``json_text`` writes it, and every other JSON output of the CLI.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .hesselink import HesselinkReport, admissible_reports
 from .orbits import ClassicalOrbit, PartitionProfile, orbit_dimension, profile
@@ -95,6 +97,66 @@ def report_json(report: OrbitReport) -> dict:
         "hesselink": [h.to_json_dict() for h in report.hesselink],
         "resolution": report.resolution.to_json_dict(),
     }
+
+
+def json_text(obj, nl: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    ``nl`` is a newline followed by the indentation ``obj`` sits at, so an
+    item of an enclosing array can be rendered and written on its own.
+    ``obj`` is a tree of dict (str keys), list, str, int, bool and None,
+    exact types only; anything else, tuples and floats included, raises
+    TypeError.  Scalars are rendered in their parent's loop, a list of
+    plain ints with one join, and each such list once per call at each
+    indentation: the per-q Hesselink records of an orbit all repeat the
+    same J and B lists.
+    """
+    return _item_texts([obj], nl, {})[0]
+
+
+def _item_texts(values, nl: str, memo: dict) -> list[str]:
+    """The text of each value at the indentation of ``nl``."""
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            texts.append(encode_basestring_ascii(value))
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        elif value is None:
+            texts.append("null")
+        elif value is True:
+            texts.append("true")
+        elif value is False:
+            texts.append("false")
+        elif kind is dict or kind is list:
+            texts.append(_container_text(value, nl, memo))
+        else:
+            raise TypeError(f"the JSON writer does not take {kind.__name__}")
+    return texts
+
+
+def _container_text(obj: dict | list, nl: str, memo: dict) -> str:
+    """One dict or list at the indentation of ``nl``.  ``memo`` maps the
+    indentation and values of an all-int list to its text."""
+    inner = nl + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise TypeError("the JSON writer takes str object keys only")
+        texts = _item_texts(obj.values(), inner, memo)
+        items = (encode_basestring_ascii(key) + ": " + text for key, text in zip(obj, texts))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not obj:
+        return "[]"
+    if set(map(type, obj)) == {int}:  # bools are not ints here
+        key = (nl, *obj)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+        return text
+    return "[" + inner + ("," + inner).join(_item_texts(obj, inner, memo)) + nl + "]"
 
 
 def _witness_text(report: OrbitReport) -> str:

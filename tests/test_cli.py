@@ -9,8 +9,20 @@ import pytest
 
 import orbitres.cli as cli
 import orbitres.resolution as resolution
-from orbitres import Family, LieType, Verdict, count_orbits
+from orbitres import (
+    Family,
+    LieType,
+    Verdict,
+    build_report,
+    count_orbits,
+    enumerate_orbits,
+    parse_algebra,
+    parse_partition,
+    validate_orbit,
+)
 from orbitres.cli import main
+from orbitres.report import report_json
+from orbitres.resolution import exceptional_table_json
 
 
 def run(capsys, *argv):
@@ -133,6 +145,28 @@ class TestAtlas:
             assert code == 2
             assert out == ""
             assert "ORBITRES_MAX_M must be a non-negative integer" in err
+
+
+class TestJsonBytes:
+    """Every JSON output is the text json.dumps(..., indent=2) would print."""
+
+    @pytest.mark.parametrize("algebra", ["sp10", "so9", "so8", "sl6"])
+    def test_atlas(self, capsys, algebra):
+        dicts = [report_json(build_report(o)) for o in enumerate_orbits(parse_algebra(algebra))]
+        code, out, _ = run(capsys, "atlas", algebra, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(dicts, indent=2) + "\n"
+
+    def test_report(self, capsys):
+        orbit = validate_orbit(parse_algebra("sp64"), parse_partition("1^64"))
+        code, out, _ = run(capsys, "report", "sp64", "1^64", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(report_json(build_report(orbit)), indent=2) + "\n"
+
+    def test_exceptional_export(self, capsys):
+        code, out, _ = run(capsys, "exceptional", "--export")
+        assert code == 0
+        assert out == json.dumps(exceptional_table_json(), indent=2) + "\n"
 
 
 class TestSelfcheck:

@@ -77,6 +77,14 @@ class TestAdmissible:
     def test_negative(self):
         assert is_admissible(CTX_SP6, -2) is False
 
+    def test_admissible_qs_is_the_admissible_filter(self):
+        contexts = [HesselinkContext(m, 1) for m in range(2, 65, 2)]
+        contexts += [HesselinkContext(m, 0) for m in range(1, 65)]
+        for ctx in contexts:
+            analysis = HesselinkAnalysis.of(ctx, parse_partition(f"1^{ctx.m}"))
+            expected = [q for q in range(ctx.m + 1) if is_admissible(ctx, q)]
+            assert analysis.admissible_qs() == expected, ctx
+
 
 class TestMarkedSets:
     """Frozen values, each verified by hand against the set definitions.

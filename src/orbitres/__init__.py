@@ -4,145 +4,29 @@ Computes, purely from partition data, the Picard group of a nilpotent
 orbit, (Q-)factoriality of its normalized closure, polarizability, and
 whether the closure admits a symplectic resolution, with two independent
 algorithms cross-validating every resolution verdict.
+
+The package exports what the README and the command line use; everything
+else is imported from its own module (``orbitres.orbits``,
+``orbitres.picard``, ``orbitres.hesselink``, ``orbitres.resolution``,
+``orbitres.enumeration``, ``orbitres.report``, ``orbitres.errors``).
 """
 
-from .enumeration import count_orbits, enumerate_orbits, partitions_desc
-from .errors import (
-    CrossCheckMismatch,
-    InadmissibleQ,
-    InvalidLabel,
-    InvalidLieType,
-    NonIntegralExponent,
-    NonPositivePart,
-    NotInDatabase,
-    NotInImage,
-    NotWeaklyDecreasing,
-    OrbitresError,
-    ParityMultiplicityViolation,
-    ParseError,
-    PartitionError,
-    RankTooSmall,
-    UnknownAlgebra,
-    WrongFamily,
-    WrongSum,
-    ZeroOrbit,
-)
-from .hesselink import (
-    HesselinkAnalysis,
-    HesselinkContext,
-    HesselinkReport,
-    PolarizabilityResult,
-    PolarizationWitness,
-    admissible_reports,
-    is_admissible,
-    polarizable,
-    resolution_by_search,
-)
-from .orbits import (
-    ClassicalOrbit,
-    Family,
-    LieType,
-    Partition,
-    PartitionProfile,
-    VeryEvenLabel,
-    is_even_orbit,
-    minimal_orbit,
-    orbit_dimension,
-    parse_algebra,
-    parse_partition,
-    profile,
-    validate_orbit,
-)
-from .picard import (
-    AbelianGroupDescriptor,
-    QFactorialCertificate,
-    UnresolvedExtension,
-    is_factorial,
-    picard,
-    q_factorial_certificate,
-)
-from .report import OrbitReport, build_report, report_json, report_text
-from .resolution import (
-    EXCEPTIONAL_TABLE,
-    ExceptionalAlgebra,
-    ExceptionalRecord,
-    ResolutionVerdict,
-    ResolutionWitness,
-    Route,
-    Verdict,
-    admits_symplectic_resolution,
-    closed_form_verdict,
-    exceptional_table_json,
-    exceptional_verdict,
-    lookup_exceptional,
-)
+from types import ModuleType as _ModuleType
+
+from .enumeration import count_orbits, enumerate_orbits
+from .errors import OrbitresError
+from .hesselink import HesselinkAnalysis, admissible_reports, polarizable, resolution_by_search
+from .orbits import Family, LieType, orbit_dimension, parse_algebra, parse_partition, validate_orbit
+from .picard import picard
+from .report import build_report
+from .resolution import Verdict, admits_symplectic_resolution
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupDescriptor",
-    "ClassicalOrbit",
-    "CrossCheckMismatch",
-    "EXCEPTIONAL_TABLE",
-    "ExceptionalAlgebra",
-    "ExceptionalRecord",
-    "Family",
-    "HesselinkAnalysis",
-    "HesselinkContext",
-    "HesselinkReport",
-    "InadmissibleQ",
-    "InvalidLabel",
-    "InvalidLieType",
-    "LieType",
-    "NonIntegralExponent",
-    "NonPositivePart",
-    "NotInDatabase",
-    "NotInImage",
-    "NotWeaklyDecreasing",
-    "OrbitReport",
-    "OrbitresError",
-    "ParityMultiplicityViolation",
-    "ParseError",
-    "Partition",
-    "PartitionError",
-    "PartitionProfile",
-    "PolarizabilityResult",
-    "PolarizationWitness",
-    "QFactorialCertificate",
-    "RankTooSmall",
-    "ResolutionVerdict",
-    "ResolutionWitness",
-    "Route",
-    "UnknownAlgebra",
-    "UnresolvedExtension",
-    "Verdict",
-    "VeryEvenLabel",
-    "WrongFamily",
-    "WrongSum",
-    "ZeroOrbit",
-    "admissible_reports",
-    "admits_symplectic_resolution",
-    "build_report",
-    "closed_form_verdict",
-    "count_orbits",
-    "enumerate_orbits",
-    "exceptional_table_json",
-    "exceptional_verdict",
-    "is_admissible",
-    "is_even_orbit",
-    "is_factorial",
-    "lookup_exceptional",
-    "minimal_orbit",
-    "orbit_dimension",
-    "parse_algebra",
-    "parse_partition",
-    "partitions_desc",
-    "picard",
-    "polarizable",
-    "profile",
-    "q_factorial_certificate",
-    "report_json",
-    "report_text",
-    "resolution_by_search",
-    "validate_orbit",
-]
+# The names imported above, each written once; the submodules that importing
+# them binds on the package are not exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

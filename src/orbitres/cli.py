@@ -72,7 +72,7 @@ def _check_cap(m: int) -> None:
 
 def _cmd_report(args) -> int:
     lie_type = parse_algebra(args.algebra)
-    partition = parse_partition(args.partition)
+    partition = parse_partition(args.partition, lie_type.m)
     label = VeryEvenLabel(args.label) if args.label else None
     orbit = validate_orbit(lie_type, partition, label)
     report = build_report(orbit)

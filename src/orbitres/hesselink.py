@@ -13,7 +13,7 @@ decided by a purely combinatorial test on the partition d:
   resolution exists iff some admissible q yields degree 1.
 
 None of the sets behind these tests depends on q.  HesselinkAnalysis is the
-one API for them: it is built once per partition, in O(N) time for its N
+one API for them: it is built once per orbit, in O(N) time for its N
 parts, and holds the marked set J, the interval bounds j1 and j0 (j1 is None
 when no marked position carries an odd part, printed as -inf), the drop set
 B, the adjacent-pair parity check and the number of odd parts.  Every
@@ -40,38 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissibleQ, NonIntegralExponent, NotInImage, WrongFamily
-from .orbits import ClassicalOrbit, Family, LieType, Partition
-
-
-@dataclass(frozen=True)
-class HesselinkContext:
-    """Matrix size and the constrained parity (1 for sp_m, 0 for so_m)."""
-
-    m: int
-    epsilon: int
-
-    def __post_init__(self):
-        if self.epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.epsilon == 1 and self.m % 2 != 0:
-            raise ValueError("epsilon = 1 (symplectic) requires even m")
-
-    @classmethod
-    def for_lie_type(cls, lie_type: LieType) -> "HesselinkContext":
-        if lie_type.family is Family.SL:
-            raise WrongFamily("Hesselink machinery applies to sp and so only")
-        return cls(m=lie_type.m, epsilon=1 if lie_type.family is Family.SP else 0)
-
-    @classmethod
-    def for_orbit(cls, orbit: ClassicalOrbit) -> "HesselinkContext":
-        return cls.for_lie_type(orbit.lie_type)
-
-
-def is_admissible(ctx: HesselinkContext, q: int) -> bool:
-    """q must be non-negative, congruent to m mod 2, and not 2 when so."""
-    return q >= 0 and (q - ctx.m) % 2 == 0 and not (ctx.epsilon == 0 and q == 2)
+from .orbits import ClassicalOrbit, Family
 
 
 @dataclass(frozen=True)
@@ -93,10 +62,12 @@ class HesselinkAnalysis:
     j in 1..N where d_j > d_{j+1} with d_j of the unconstrained parity (odd
     parts for so, even parts for sp).  pairing_ok says d_j and d_{j+1}
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
-    beyond N pass trivially), and n_odd counts odd parts.
+    beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
+    size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
     """
 
-    ctx: HesselinkContext
+    m: int
+    epsilon: int
     J: tuple[int, ...]
     j1: int | None
     j0: int
@@ -105,24 +76,30 @@ class HesselinkAnalysis:
     n_odd: int
 
     @classmethod
-    def of(cls, ctx: HesselinkContext, d: Partition) -> "HesselinkAnalysis":
-        parts = d.parts
+    def of(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
+        """The analysis of an sp or so orbit; raises WrongFamily for sl."""
+        if orbit.family is Family.SL:
+            raise WrongFamily("Hesselink machinery applies to sp and so only")
+        m = orbit.m
+        epsilon = 1 if orbit.family is Family.SP else 0
+        parts = orbit.partition.parts
         n = len(parts)
-        marked = [p % 2 == ctx.epsilon for p in parts]  # marked[j - 1]: j in J
+        marked = [p % 2 == epsilon for p in parts]  # marked[j - 1]: j in J
         pairing_ok = True
         drops = []
         for j, (p, nxt) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
-            if (j - ctx.m) % 2 == 0:
+            if (j - m) % 2 == 0:
                 if p == nxt:
                     marked[j - 1] = marked[j] = True
             elif (p - nxt) % 2:
                 pairing_ok = False
-            if p > nxt and p % 2 != ctx.epsilon:
+            if p > nxt and p % 2 != epsilon:
                 drops.append(j)
         J = tuple(j for j in range(1, n + 1) if marked[j - 1])
-        tail = n + 1 if ctx.epsilon == 0 or n % 2 else n + 2  # first marked padded position
+        tail = n + 1 if epsilon == 0 or n % 2 else n + 2  # first marked padded position
         return cls(
-            ctx=ctx,
+            m=m,
+            epsilon=epsilon,
             J=J,
             j1=max((j for j in J if parts[j - 1] % 2), default=None),
             j0=min((j for j in J if parts[j - 1] % 2 == 0), default=tail),
@@ -131,14 +108,14 @@ class HesselinkAnalysis:
             n_odd=sum(p % 2 for p in parts),
         )
 
-    @classmethod
-    def for_orbit(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
-        return cls.of(HesselinkContext.for_orbit(orbit), orbit.partition)
+    def is_admissible(self, q: int) -> bool:
+        """q must be non-negative, congruent to m mod 2, and not 2 when so."""
+        return q >= 0 and (q - self.m) % 2 == 0 and not (self.epsilon == 0 and q == 2)
 
     def admissible_qs(self) -> list[int]:
         """Every admissible q in 0..m, ascending: the q of m's parity, 2 left
         out for so."""
-        return [q for q in range(self.ctx.m % 2, self.ctx.m + 1, 2) if q != 2 or self.ctx.epsilon]
+        return [q for q in range(self.m % 2, self.m + 1, 2) if q != 2 or self.epsilon]
 
     def in_image(self, q: int) -> bool:
         """Image test for the Spaltenstein map at admissible q.
@@ -147,9 +124,9 @@ class HesselinkAnalysis:
         when j1 is None) and the adjacent parity-pairing condition holds.
         Only the interval depends on q.
         """
-        if not is_admissible(self.ctx, q):
+        if not self.is_admissible(q):
             raise InadmissibleQ(
-                f"q = {q} is not admissible for m = {self.ctx.m}, epsilon = {self.ctx.epsilon}"
+                f"q = {q} is not admissible for m = {self.m}, epsilon = {self.epsilon}"
             )
         return (self.j1 is None or self.j1 <= q) and q < self.j0 and self.pairing_ok
 
@@ -160,7 +137,7 @@ class HesselinkAnalysis:
         only after validation, so a convention error can never be silently
         truncated away.
         """
-        sign = -1 if self.ctx.epsilon == 1 else 1
+        sign = -1 if self.epsilon == 1 else 1
         return Fraction(sign * (self.n_odd - q), 2)
 
     def N_P(self, q: int) -> int:
@@ -178,11 +155,15 @@ class HesselinkAnalysis:
                 f"[{_lower_bound(self.j1)}, {self.j0}), "
                 f"pairing {'holds' if self.pairing_ok else 'fails'}"
             )
+        return self._degree(q)
+
+    def _degree(self, q: int) -> int:
+        """N_P for a q already known to pass the image test."""
         u = self.u(q)
-        exponent = u if q + self.ctx.epsilon >= 1 or not self.B else u - 1
+        exponent = u if q + self.epsilon >= 1 or not self.B else u - 1
         if exponent.denominator != 1 or exponent < 0:
             raise NonIntegralExponent(
-                f"degree exponent {exponent} for q = {q}, epsilon = {self.ctx.epsilon}, "
+                f"degree exponent {exponent} for q = {q}, epsilon = {self.epsilon}, "
                 f"{self.n_odd} odd parts"
             )
         return 2 ** int(exponent)
@@ -198,7 +179,7 @@ class HesselinkAnalysis:
             B=self.B,
             u=self.u(q),
             in_image=in_image,
-            N_P=self.N_P(q) if in_image else None,
+            N_P=self._degree(q) if in_image else None,
         )
 
 
@@ -231,9 +212,9 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     """
     if orbit.family is Family.SL:
         return PolarizabilityResult(polarizable=True, witnesses=(), analysis=None)
-    analysis = HesselinkAnalysis.for_orbit(orbit)
+    analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple(
-        PolarizationWitness(q, analysis.N_P(q))
+        PolarizationWitness(q, analysis._degree(q))
         for q in analysis.admissible_qs()
         if analysis.in_image(q)
     )

@@ -367,11 +367,14 @@ def parse_algebra(text: str) -> LieType:
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str, total: int | None = None) -> Partition:
     """Parse comma-separated parts with exponent shorthand, e.g. '2^2,1^4'.
 
     Shape violations (unsorted, non-positive) surface as the corresponding
-    partition errors; malformed syntax raises ParseError.
+    partition errors; malformed syntax raises ParseError.  With ``total``
+    (the algebra's m), parts that already sum past it raise WrongSum
+    before the term that overshoots is expanded, so no list longer than m
+    is ever built.
     """
     cleaned = text.strip()
     if cleaned.startswith("[") and cleaned.endswith("]"):
@@ -379,13 +382,20 @@ def parse_partition(text: str) -> Partition:
     if not cleaned:
         raise ParseError("empty partition text")
     parts: list[int] = []
+    running = 0
     for token in cleaned.split(","):
         match = _TERM_RE.match(token.strip())
         if not match:
             raise ParseError(f"cannot parse partition term {token.strip()!r}")
-        value = int(match.group(1))
-        count = int(match.group(2)) if match.group(2) else 1
+        try:
+            value = int(match.group(1))
+            count = int(match.group(2)) if match.group(2) else 1
+        except ValueError:  # more digits than int() accepts
+            raise ParseError(f"partition term {token.strip()[:40]!r}... is too long") from None
         if count < 1:
             raise ParseError(f"exponent must be at least 1 in {token.strip()!r}")
+        running += value * count
+        if total is not None and running > total:
+            raise WrongSum(f"parts sum to at least {running}, expected m = {total}")
         parts.extend([value] * count)
     return Partition(tuple(parts))

@@ -11,8 +11,8 @@ form from the partition profile:
   whose isomorphism type is not pinned down by the formulas.
 
 The unresolved extension in the rather-odd case is represented faithfully
-rather than guessed: triviality and total order are still well defined, and
-those are the only queries the factoriality criteria need.
+rather than guessed: it is never trivial, and triviality is the only query
+the factoriality checks put to the group.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class UnresolvedExtension:
     def __post_init__(self):
         if self.kernel_exponent < 0:
             raise ValueError("kernel exponent must be non-negative")
-
-    @property
-    def quotient_order(self) -> int:
-        return 2
-
-    @property
-    def order(self) -> int:
-        return 2 ** (self.kernel_exponent + 1)
 
 
 @dataclass(frozen=True)
@@ -73,18 +65,6 @@ class AbelianGroupDescriptor:
             and not self.torsion
             and self.unresolved_extension is None
         )
-
-    @property
-    def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        if self.free_rank > 0:
-            return None
-        if self.unresolved_extension is not None:
-            return self.unresolved_extension.order
-        result = 1
-        for t in self.torsion:
-            result *= t
-        return result
 
     def to_json_dict(self) -> dict:
         return {

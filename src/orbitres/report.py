@@ -30,7 +30,6 @@ from .resolution import ResolutionVerdict, Verdict, admits_symplectic_resolution
 class OrbitReport:
     orbit: ClassicalOrbit
     profile: PartitionProfile
-    even_orbit: bool
     dimension: int
     picard: AbelianGroupDescriptor
     q_factorial: QFactorialCertificate
@@ -51,7 +50,6 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     return OrbitReport(
         orbit=orbit,
         profile=prof,
-        even_orbit=prof.all_same_parity,
         dimension=orbit_dimension(orbit),
         picard=picard(orbit, prof),
         q_factorial=q_factorial_certificate(orbit, prof),
@@ -85,7 +83,7 @@ def report_json(report: OrbitReport) -> dict:
             "r": {str(i): count for i, count in sorted(prof.r.items())},
             "s": {str(i): count for i, count in sorted(prof.s.items())},
         },
-        "even_orbit": report.even_orbit,
+        "even_orbit": prof.all_same_parity,
         "dimension": report.dimension,
         "picard": report.picard.to_json_dict(),
         "q_factorial_certificate": report.q_factorial.value,
@@ -188,7 +186,7 @@ def report_text(report: OrbitReport) -> str:
         + (f"  (very even, label {orbit.very_even_label.value})" if orbit.is_very_even else ""),
         f"  cartan type    {orbit.lie_type.cartan_label}",
         f"  dimension      {report.dimension}",
-        f"  even orbit     {'yes' if report.even_orbit else 'no'}",
+        f"  even orbit     {'yes' if prof.all_same_parity else 'no'}",
         f"  profile        k={prof.k} c={prof.c} a={prof.a} b={prof.b} l={prof.l}"
         f" rather_odd={'yes' if prof.rather_odd else 'no'}",
         f"  picard         {report.picard}",
@@ -233,7 +231,7 @@ def _atlas_row(report: OrbitReport) -> dict[str, str]:
         "partition": orbit.partition.compact_str(),
         "label": orbit.very_even_label.value if orbit.very_even_label else "",
         "dim": str(report.dimension),
-        "even": "yes" if report.even_orbit else "no",
+        "even": "yes" if prof.all_same_parity else "no",
         "k": str(prof.k),
         "c": str(prof.c),
         "a": str(prof.a),

@@ -23,7 +23,7 @@ lookup miss with guidance, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
@@ -40,7 +40,6 @@ class Verdict(Enum):
 class Route(Enum):
     CLOSED_FORM = "closed_form"
     ALWAYS_SLN = "always_sln"
-    EXCEPTIONAL_LOOKUP = "exceptional_lookup"
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class ResolutionVerdict:
 
     ``polarizability`` is the Hesselink result the dispatcher checked the
     answer against (sl's trivial result for sl orbits), None for a bare
-    closed form and for exceptional lookups; it stays out of the JSON form.
+    closed form; it stays out of the JSON form.
     """
 
     answer: Verdict
@@ -143,16 +142,17 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     CrossCheckMismatch instead of preferring either route.  The verdict
     carries the orbit's polarizability, which the search read.
     """
-    verdict = replace(closed_form_verdict(orbit), polarizability=polarizable(orbit))
+    closed = closed_form_verdict(orbit)
+    pol = polarizable(orbit)
     if orbit.family is Family.SL:
-        return verdict
-    search_says_yes = resolution_by_search(verdict.polarizability)
-    if (verdict.answer is Verdict.YES) != search_says_yes:
+        return ResolutionVerdict(closed.answer, closed.route, None, pol, cross_checked=False)
+    search_says_yes = resolution_by_search(pol)
+    if (closed.answer is Verdict.YES) != search_says_yes:
         raise CrossCheckMismatch(
-            f"closed form says {verdict.answer.value} but the degree search says "
+            f"closed form says {closed.answer.value} but the degree search says "
             f"{'yes' if search_says_yes else 'no'} for {orbit}"
         )
-    return replace(verdict, cross_checked=True)
+    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol, cross_checked=True)
 
 
 class ExceptionalAlgebra(Enum):
@@ -241,18 +241,6 @@ def lookup_exceptional(algebra, label: str) -> ExceptionalRecord:
         if record.algebra is alg and _normalize_label(record.label) == wanted:
             return record
     raise NotInDatabase(f"{alg.value} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
-
-
-def exceptional_verdict(algebra, label: str) -> ResolutionVerdict:
-    """Verdict for an exceptional-type orbit from the embedded table."""
-    record = lookup_exceptional(algebra, label)
-    return ResolutionVerdict(
-        record.verdict,
-        Route.EXCEPTIONAL_LOOKUP,
-        witness=None,
-        polarizability=None,
-        cross_checked=False,
-    )
 
 
 def exceptional_table_json() -> list[dict]:

@@ -12,7 +12,9 @@ from collections import Counter
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from orbitres import Family, InvalidLieType, LieType, Partition, validate_orbit
+from orbitres import Family, LieType, validate_orbit
+from orbitres.errors import InvalidLieType
+from orbitres.orbits import Partition
 
 ALL_FAMILIES = (Family.SL, Family.SP, Family.SO_ODD, Family.SO_EVEN)
 BCD_FAMILIES = (Family.SP, Family.SO_ODD, Family.SO_EVEN)

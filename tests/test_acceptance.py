@@ -13,27 +13,24 @@ from dataclasses import dataclass
 import pytest
 
 from orbitres import (
-    EXCEPTIONAL_TABLE,
-    ExceptionalAlgebra,
     Family,
     HesselinkAnalysis,
     LieType,
-    NotInDatabase,
-    QFactorialCertificate,
-    UnknownAlgebra,
     Verdict,
     admits_symplectic_resolution,
-    closed_form_verdict,
     enumerate_orbits,
-    is_even_orbit,
-    is_factorial,
-    lookup_exceptional,
-    minimal_orbit,
     picard,
     polarizable,
-    profile,
-    q_factorial_certificate,
     validate_orbit,
+)
+from orbitres.errors import NotInDatabase, UnknownAlgebra
+from orbitres.orbits import is_even_orbit, minimal_orbit, profile
+from orbitres.picard import QFactorialCertificate, is_factorial, q_factorial_certificate
+from orbitres.resolution import (
+    EXCEPTIONAL_TABLE,
+    ExceptionalAlgebra,
+    closed_form_verdict,
+    lookup_exceptional,
 )
 
 MAX_SWEEP_M = 24
@@ -77,7 +74,7 @@ def sweep():
     start = time.monotonic()
     for lie_type in _bcd_lie_types(MAX_SWEEP_M):
         for orbit in enumerate_orbits(lie_type):
-            analysis = HesselinkAnalysis.for_orbit(orbit)
+            analysis = HesselinkAnalysis.of(orbit)
             degree_one = False
             for q in analysis.admissible_qs():
                 if not analysis.in_image(q):

@@ -79,6 +79,14 @@ class TestReport:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("partition", ["1^1000000000000", "4,2^1000000000000", "1^" + "9" * 5000])
+    def test_oversized_partition_exits_2(self, capsys, partition):
+        # rejected while parsing, before the shorthand is expanded past m
+        code, out, err = run(capsys, "report", "sp6", partition)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_cartan_name_accepted(self, capsys):
         code, out, _ = run(capsys, "report", "D4", "5,3", "--format", "json")
         assert code == 0

@@ -3,14 +3,9 @@ from __future__ import annotations
 import pytest
 
 from common import BCD_FAMILIES, accel_asc, brute_force_valid
-from orbitres import (
-    Family,
-    LieType,
-    VeryEvenLabel,
-    count_orbits,
-    enumerate_orbits,
-    partitions_desc,
-)
+from orbitres import Family, LieType, count_orbits, enumerate_orbits
+from orbitres.enumeration import partitions_desc
+from orbitres.orbits import VeryEvenLabel
 
 
 def test_partitions_desc_order_and_count():

@@ -13,77 +13,81 @@ from common import bcd_orbits
 from orbitres import (
     Family,
     HesselinkAnalysis,
-    HesselinkContext,
-    InadmissibleQ,
     LieType,
-    NotInImage,
-    WrongFamily,
+    Verdict,
     admissible_reports,
     build_report,
-    closed_form_verdict,
     enumerate_orbits,
-    is_admissible,
     parse_partition,
     polarizable,
     resolution_by_search,
     validate_orbit,
-    Verdict,
 )
 from orbitres.cli import _selfcheck_lie_types, run_selfcheck
+from orbitres.errors import InadmissibleQ, NotInImage, WrongFamily
+from orbitres.resolution import closed_form_verdict
 
 SP6 = LieType(Family.SP, 6)
 SO7 = LieType(Family.SO_ODD, 7)
 SO8 = LieType(Family.SO_EVEN, 8)
-
-CTX_SP6 = HesselinkContext(6, 1)
-CTX_SO7 = HesselinkContext(7, 0)
-CTX_SO8 = HesselinkContext(8, 0)
+SO10 = LieType(Family.SO_EVEN, 10)
 
 
 def d(text):
     return parse_partition(text)
 
 
-def analysis(ctx, text):
-    return HesselinkAnalysis.of(ctx, d(text))
+def analysis(lie_type, text):
+    return HesselinkAnalysis.of(validate_orbit(lie_type, d(text)))
+
+
+def zero_orbit_analysis(lie_type):
+    return analysis(lie_type, f"1^{lie_type.m}")
 
 
 class TestContext:
+    """m and epsilon, which the analysis takes from its orbit's algebra."""
+
     def test_from_orbit(self):
-        assert HesselinkContext.for_orbit(validate_orbit(SP6, (3, 3))) == CTX_SP6
-        assert HesselinkContext.for_orbit(validate_orbit(SO7, (7,))) == CTX_SO7
+        a = HesselinkAnalysis.of(validate_orbit(SP6, (3, 3)))
+        assert (a.m, a.epsilon) == (6, 1)
+        a = HesselinkAnalysis.of(validate_orbit(SO7, (7,)))
+        assert (a.m, a.epsilon) == (7, 0)
 
     def test_sl_rejected(self):
         with pytest.raises(WrongFamily):
-            HesselinkContext.for_lie_type(LieType(Family.SL, 4))
+            HesselinkAnalysis.of(validate_orbit(LieType(Family.SL, 4), (2, 2)))
 
     def test_symplectic_needs_even_m(self):
+        # the algebra rejects an odd symplectic size before any analysis exists
         with pytest.raises(ValueError):
-            HesselinkContext(7, 1)
+            LieType(Family.SP, 7)
 
 
 class TestAdmissible:
     def test_orthogonal_excludes_two(self):
-        assert is_admissible(CTX_SO8, 2) is False
-        assert is_admissible(CTX_SO8, 0) is True
-        assert is_admissible(CTX_SO8, 4) is True
+        a = zero_orbit_analysis(SO8)
+        assert a.is_admissible(2) is False
+        assert a.is_admissible(0) is True
+        assert a.is_admissible(4) is True
 
     def test_parity(self):
-        assert is_admissible(CTX_SO7, 1) is True
-        assert is_admissible(CTX_SO7, 2) is False  # wrong parity anyway
-        assert is_admissible(CTX_SP6, 2) is True  # epsilon = 1 exempts q = 2
-        assert is_admissible(CTX_SP6, 3) is False
+        assert zero_orbit_analysis(SO7).is_admissible(1) is True
+        assert zero_orbit_analysis(SO7).is_admissible(2) is False  # wrong parity anyway
+        assert zero_orbit_analysis(SP6).is_admissible(2) is True  # epsilon = 1 exempts q = 2
+        assert zero_orbit_analysis(SP6).is_admissible(3) is False
 
     def test_negative(self):
-        assert is_admissible(CTX_SP6, -2) is False
+        assert zero_orbit_analysis(SP6).is_admissible(-2) is False
 
     def test_admissible_qs_is_the_admissible_filter(self):
-        contexts = [HesselinkContext(m, 1) for m in range(2, 65, 2)]
-        contexts += [HesselinkContext(m, 0) for m in range(1, 65)]
-        for ctx in contexts:
-            analysis = HesselinkAnalysis.of(ctx, parse_partition(f"1^{ctx.m}"))
-            expected = [q for q in range(ctx.m + 1) if is_admissible(ctx, q)]
-            assert analysis.admissible_qs() == expected, ctx
+        lie_types = [LieType(Family.SP, m) for m in range(2, 65, 2)]
+        lie_types += [LieType(Family.SO_ODD, m) for m in range(3, 65, 2)]
+        lie_types += [LieType(Family.SO_EVEN, m) for m in range(4, 65, 2)]
+        for lie_type in lie_types:
+            a = zero_orbit_analysis(lie_type)
+            expected = [q for q in range(lie_type.m + 1) if a.is_admissible(q)]
+            assert a.admissible_qs() == expected, lie_type
 
 
 class TestMarkedSets:
@@ -94,30 +98,30 @@ class TestMarkedSets:
     """
 
     def test_so7_322(self):
-        a = analysis(CTX_SO7, "3,2,2")
+        a = analysis(SO7, "3,2,2")
         assert a.J == (2, 3)
         assert (a.j1, a.j0) == (None, 2)
         assert a.B == (1,)
 
     def test_sp6_minimal(self):
-        a = analysis(CTX_SP6, "2,1,1,1,1")
+        a = analysis(SP6, "2,1,1,1,1")
         assert a.J == (2, 3, 4, 5)
         # no even part is marked within 1..N; the padded tail caps j0 at 6
         assert (a.j1, a.j0) == (5, 6)
 
     def test_so8_minimal(self):
-        a = analysis(CTX_SO8, "2,2,1,1,1,1")
+        a = analysis(SO8, "2,2,1,1,1,1")
         assert a.J == (1, 2, 4, 5)
         assert (a.j1, a.j0) == (5, 1)
 
     def test_all_odd_so8(self):
-        a = analysis(CTX_SO8, "5,3")
+        a = analysis(SO8, "5,3")
         assert a.J == ()
         # padding enters at N+1 = 3 for the orthogonal case
         assert (a.j1, a.j0) == (None, 3)
 
     def test_all_odd_sp6(self):
-        a = analysis(CTX_SP6, "3,3")
+        a = analysis(SP6, "3,3")
         assert a.J == (1, 2)
         # N even, so the first padded pair sits at N+2 = 4
         assert (a.j1, a.j0) == (2, 4)
@@ -125,65 +129,65 @@ class TestMarkedSets:
 
 class TestImageTest:
     def test_so7_322_at_q1(self):
-        assert analysis(CTX_SO7, "3,2,2").in_image(1) is True
+        assert analysis(SO7, "3,2,2").in_image(1) is True
 
     def test_sp6_minimal_never(self):
-        a = analysis(CTX_SP6, "2,1,1,1,1")
+        a = analysis(SP6, "2,1,1,1,1")
         for q in range(7):
-            if is_admissible(CTX_SP6, q):
+            if a.is_admissible(q):
                 assert a.in_image(q) is False
 
     def test_sp6_411_never(self):
-        a = analysis(CTX_SP6, "4,1,1")
+        a = analysis(SP6, "4,1,1")
         for q in range(7):
-            if is_admissible(CTX_SP6, q):
+            if a.is_admissible(q):
                 assert a.in_image(q) is False
 
     def test_inadmissible_q_raises(self):
         with pytest.raises(InadmissibleQ):
-            analysis(CTX_SO8, "5,3").in_image(2)
+            analysis(SO8, "5,3").in_image(2)
         with pytest.raises(InadmissibleQ):
-            analysis(CTX_SO7, "3,2,2").in_image(0)
+            analysis(SO7, "3,2,2").in_image(0)
 
     def test_padded_cap_blocks_large_q(self):
         # without the padded tail in J this would pass and give u = -1
-        assert analysis(CTX_SO8, "5,3").in_image(4) is False
-        assert analysis(CTX_SO8, "5,3").in_image(0) is True
+        assert analysis(SO8, "5,3").in_image(4) is False
+        assert analysis(SO8, "5,3").in_image(0) is True
 
 
 class TestDegreeExponent:
     def test_values(self):
-        assert analysis(CTX_SO7, "3,2,2").u(1) == Fraction(0)
-        assert analysis(CTX_SP6, "3,3").u(2) == Fraction(0)
-        assert analysis(HesselinkContext(8, 0), "3,3,1,1").u(4) == Fraction(0)
-        assert analysis(CTX_SO8, "3,3,1,1").u(0) == Fraction(2)
+        assert analysis(SO7, "3,2,2").u(1) == Fraction(0)
+        assert analysis(SP6, "3,3").u(2) == Fraction(0)
+        assert analysis(SO8, "3,3,1,1").u(4) == Fraction(0)
+        assert analysis(SO8, "3,3,1,1").u(0) == Fraction(2)
         # the sign flips for the symplectic family
-        assert analysis(CTX_SP6, "3,3").u(4) == Fraction(1)
-        assert analysis(CTX_SO8, "5,3").u(4) == Fraction(-1)
+        assert analysis(SP6, "3,3").u(4) == Fraction(1)
+        assert analysis(SO8, "5,3").u(4) == Fraction(-1)
 
 
 class TestCollapseDegree:
     def test_degree_one_witnesses(self):
-        assert analysis(CTX_SO7, "3,2,2").N_P(1) == 1
-        assert analysis(CTX_SP6, "3,3").N_P(2) == 1
-        assert analysis(CTX_SO8, "4,4").N_P(0) == 1
+        assert analysis(SO7, "3,2,2").N_P(1) == 1
+        assert analysis(SP6, "3,3").N_P(2) == 1
+        assert analysis(SO8, "4,4").N_P(0) == 1
 
     def test_halved_branch_at_q_zero(self):
         # q = epsilon = 0 with a strict odd drop: degree 2^(u-1)
-        assert analysis(CTX_SO8, "7,1").N_P(0) == 1
-        assert analysis(CTX_SO8, "3,3,1,1").N_P(0) == 2
-        assert analysis(HesselinkContext(10, 0), "2,2,2,2,1,1").N_P(0) == 1
+        assert analysis(SO8, "7,1").N_P(0) == 1
+        assert analysis(SO8, "3,3,1,1").N_P(0) == 2
+        assert analysis(SO10, "2,2,2,2,1,1").N_P(0) == 1
 
     def test_unhalved_when_q_positive(self):
-        assert analysis(CTX_SO8, "3,3,1,1").N_P(4) == 1
-        assert analysis(CTX_SO7, "5,1,1").N_P(1) == 2
-        assert analysis(CTX_SO7, "5,1,1").N_P(3) == 1
+        assert analysis(SO8, "3,3,1,1").N_P(4) == 1
+        assert analysis(SO7, "5,1,1").N_P(1) == 2
+        assert analysis(SO7, "5,1,1").N_P(3) == 1
 
     def test_not_in_image_raises(self):
         with pytest.raises(NotInImage):
-            analysis(CTX_SP6, "4,1,1").N_P(0)
+            analysis(SP6, "4,1,1").N_P(0)
         with pytest.raises(NotInImage, match=r"interval \[-inf, 3\), pairing holds"):
-            analysis(CTX_SO8, "5,3").N_P(4)
+            analysis(SO8, "5,3").N_P(4)
 
 
 class TestPolarizable:
@@ -218,7 +222,7 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_exponent_is_non_negative_integer(self, orbit):
-        a = HesselinkAnalysis.for_orbit(orbit)
+        a = HesselinkAnalysis.of(orbit)
         for q in a.admissible_qs():
             if not a.in_image(q):
                 continue
@@ -228,11 +232,11 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_interval_is_contiguous(self, orbit):
-        a = HesselinkAnalysis.for_orbit(orbit)
+        a = HesselinkAnalysis.of(orbit)
         passing = [q for q in a.admissible_qs() if a.in_image(q)]
         for low, high in zip(passing, passing[1:]):
             for q in range(low, high + 1):
-                if is_admissible(a.ctx, q):
+                if a.is_admissible(q):
                     assert a.in_image(q)
 
     @given(bcd_orbits())
@@ -251,7 +255,7 @@ class TestProperties:
 
 class TestReports:
     def test_report_fields(self):
-        report = analysis(CTX_SO7, "3,2,2").record(1)
+        report = analysis(SO7, "3,2,2").record(1)
         assert report.q == 1
         assert report.in_image is True
         assert report.N_P == 1
@@ -259,10 +263,10 @@ class TestReports:
 
     def test_inadmissible_report_rejected(self):
         with pytest.raises(InadmissibleQ):
-            analysis(CTX_SO7, "3,2,2").record(2)
+            analysis(SO7, "3,2,2").record(2)
 
     def test_json_sentinels(self):
-        report = analysis(CTX_SO7, "3,2,2").record(1)
+        report = analysis(SO7, "3,2,2").record(1)
         payload = report.to_json_dict()
         assert payload["j1"] == "-inf"
         assert payload["j0"] == 2
@@ -350,9 +354,9 @@ class TestAnalysis:
         original_of = HesselinkAnalysis.of.__func__
         original_polarizable = hesselink_module.polarizable
 
-        def counted_of(cls, ctx, part):
-            analyses.append((ctx, part))
-            return original_of(cls, ctx, part)
+        def counted_of(cls, orbit):
+            analyses.append(orbit)
+            return original_of(cls, orbit)
 
         def counted_polarizable(orbit):
             polarized.append(orbit)
@@ -367,7 +371,7 @@ class TestAnalysis:
                         monkeypatch.setattr(module, attr, counted_polarizable)
 
         def expected_analyses(orbits):
-            return [(HesselinkContext.for_orbit(o), o.partition) for o in orbits if o.family.is_bcd]
+            return [o for o in orbits if o.family.is_bcd]
 
         for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
             for orbit in enumerate_orbits(LieType(family, m)):
@@ -383,3 +387,30 @@ class TestAnalysis:
         swept = [o for lie_type in _selfcheck_lie_types(8) for o in enumerate_orbits(lie_type)]
         assert polarized == swept
         assert analyses == expected_analyses(swept)
+
+    def test_image_test_runs_once_per_q(self, monkeypatch):
+        """polarizable and the per-q records each run the image test once per
+        admissible q; N_P, the public entry, keeps its own NotInImage guard."""
+        calls = []
+        original = HesselinkAnalysis.in_image
+
+        def counted(self, q):
+            calls.append(q)
+            return original(self, q)
+
+        monkeypatch.setattr(HesselinkAnalysis, "in_image", counted)
+        in_image = 0
+        for orbit in bcd_orbits_up_to(12):
+            calls.clear()
+            pol = polarizable(orbit)
+            qs = pol.analysis.admissible_qs()
+            assert calls == qs, orbit
+            calls.clear()
+            records = admissible_reports(pol)
+            assert calls == qs, orbit
+            in_image += sum(r.in_image for r in records)
+        assert in_image > 100
+        calls.clear()
+        with pytest.raises(NotInImage):
+            analysis(SP6, "4,1,1").N_P(0)
+        assert calls == [0]

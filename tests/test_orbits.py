@@ -5,27 +5,24 @@ from hypothesis import given
 
 from common import ALL_FAMILIES, partitions, valid_orbits
 from orbitres import (
-    ClassicalOrbit,
     Family,
+    LieType,
+    orbit_dimension,
+    parse_algebra,
+    parse_partition,
+    validate_orbit,
+)
+from orbitres.errors import (
     InvalidLabel,
     InvalidLieType,
-    LieType,
     NonPositivePart,
     NotWeaklyDecreasing,
     ParityMultiplicityViolation,
     ParseError,
-    Partition,
     RankTooSmall,
-    VeryEvenLabel,
     WrongSum,
-    is_even_orbit,
-    minimal_orbit,
-    orbit_dimension,
-    parse_algebra,
-    parse_partition,
-    profile,
-    validate_orbit,
 )
+from orbitres.orbits import Partition, VeryEvenLabel, is_even_orbit, minimal_orbit, profile
 
 SL3 = LieType(Family.SL, 3)
 SL4 = LieType(Family.SL, 4)

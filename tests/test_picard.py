@@ -1,22 +1,20 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 
 from common import bcd_orbits, valid_orbits
-from orbitres import (
+from orbitres import Family, LieType, picard, validate_orbit
+from orbitres.errors import ZeroOrbit
+from orbitres.orbits import VeryEvenLabel, profile
+from orbitres.picard import (
     AbelianGroupDescriptor,
-    Family,
-    LieType,
     QFactorialCertificate,
     UnresolvedExtension,
-    VeryEvenLabel,
-    ZeroOrbit,
     is_factorial,
-    picard,
-    profile,
     q_factorial_certificate,
-    validate_orbit,
 )
 
 SL3 = LieType(Family.SL, 3)
@@ -44,10 +42,16 @@ class TestDescriptor:
             AbelianGroupDescriptor(torsion=(2,), unresolved_extension=UnresolvedExtension(1))
 
     def test_order(self):
-        assert AbelianGroupDescriptor().order == 1
-        assert AbelianGroupDescriptor(torsion=(2, 2, 3)).order == 12
-        assert AbelianGroupDescriptor(free_rank=2).order is None
-        assert AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(2)).order == 8
+        # the order is read off the fields and the printed form
+        trivial = AbelianGroupDescriptor()
+        assert (trivial.free_rank, trivial.torsion, str(trivial)) == (0, (), "trivial")
+        finite = AbelianGroupDescriptor(torsion=(2, 2, 3))
+        assert finite.free_rank == 0 and math.prod(finite.torsion) == 12
+        assert str(finite) == "Z/3 x (Z/2)^2"
+        assert str(AbelianGroupDescriptor(free_rank=2)) == "Z^2"
+        extension = AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(2))
+        assert 2 ** (extension.unresolved_extension.kernel_exponent + 1) == 8
+        assert str(extension) == "extension of Z/2 by (Z/2)^2 (order 8)"
 
     def test_json_schema(self):
         d = AbelianGroupDescriptor(free_rank=1, torsion=(2,))
@@ -96,7 +100,7 @@ class TestPicardBCD:
     def test_so7_rather_odd_extension(self):
         group = picard(validate_orbit(SO7, (3, 2, 2)))
         assert group.unresolved_extension == UnresolvedExtension(0)
-        assert group.order == 2
+        assert str(group) == "Z/2"
         assert not group.is_trivial
 
     def test_so_even_rank_one_family(self):
@@ -114,7 +118,7 @@ class TestPicardBCD:
     def test_so8_two_rather_odd_parts(self):
         group = picard(validate_orbit(SO8, (5, 3)))
         assert group.unresolved_extension == UnresolvedExtension(1)
-        assert group.order == 4
+        assert str(group) == "extension of Z/2 by (Z/2)^1 (order 4)"
 
     def test_picard_independent_of_label(self):
         one = picard(validate_orbit(SO8, (4, 4), VeryEvenLabel.I))

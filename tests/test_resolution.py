@@ -6,26 +6,19 @@ import pytest
 from hypothesis import given
 
 from common import valid_orbits
-from orbitres import (
-    CrossCheckMismatch,
+import orbitres.resolution as resolution_module
+from orbitres import Family, LieType, Verdict, admits_symplectic_resolution, validate_orbit
+from orbitres.errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
+from orbitres.orbits import VeryEvenLabel, is_even_orbit
+from orbitres.resolution import (
     EXCEPTIONAL_TABLE,
     ExceptionalAlgebra,
-    Family,
-    LieType,
-    NotInDatabase,
     ResolutionWitness,
     Route,
-    UnknownAlgebra,
-    Verdict,
-    admits_symplectic_resolution,
     closed_form_verdict,
     exceptional_table_json,
-    exceptional_verdict,
-    is_even_orbit,
     lookup_exceptional,
-    validate_orbit,
 )
-import orbitres.resolution as resolution_module
 
 SL9 = LieType(Family.SL, 9)
 SP6 = LieType(Family.SP, 6)
@@ -109,8 +102,6 @@ class TestDispatcher:
             admits_symplectic_resolution(orbit)
 
     def test_verdict_independent_of_label(self):
-        from orbitres import VeryEvenLabel
-
         for parts in ((4, 4), (2, 2, 2, 2)):
             one = admits_symplectic_resolution(validate_orbit(SO8, parts, VeryEvenLabel.I))
             two = admits_symplectic_resolution(validate_orbit(SO8, parts, VeryEvenLabel.II))
@@ -172,18 +163,16 @@ class TestExceptional:
         assert len(keys) == len(set(keys))
 
     def test_lookups(self):
-        assert exceptional_verdict("E6", "A3").answer is Verdict.YES
-        assert exceptional_verdict("E8", "D7(a2)").answer is Verdict.UNKNOWN
-        assert exceptional_verdict("E7", "D4(a1)+A1").answer is Verdict.UNKNOWN
-        assert exceptional_verdict("E8", "E7(a1)").answer is Verdict.YES
-        assert exceptional_verdict("F4", "C3").answer is Verdict.YES
+        assert lookup_exceptional("E6", "A3").verdict is Verdict.YES
+        assert lookup_exceptional("E8", "D7(a2)").verdict is Verdict.UNKNOWN
+        assert lookup_exceptional("E7", "D4(a1)+A1").verdict is Verdict.UNKNOWN
+        assert lookup_exceptional("E8", "E7(a1)").verdict is Verdict.YES
+        assert lookup_exceptional("F4", "C3").verdict is Verdict.YES
+        assert lookup_exceptional("E6", "2A1").verdict is Verdict.YES
 
     def test_lookup_normalizes_spacing_and_case(self):
         assert lookup_exceptional("e6", "a4 + a1").verdict is Verdict.YES
         assert lookup_exceptional(ExceptionalAlgebra.E8, "E6(A1)+A1").verdict is Verdict.UNKNOWN
-
-    def test_route(self):
-        assert exceptional_verdict("E6", "2A1").route is Route.EXCEPTIONAL_LOOKUP
 
     def test_misses(self):
         with pytest.raises(NotInDatabase):

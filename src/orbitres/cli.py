@@ -25,6 +25,7 @@ import sys
 from .enumeration import enumerate_orbits
 from .errors import InternalInvariantError, NotInDatabase, OrbitresError
 from .orbits import (
+    _MIN_M,
     Family,
     LieType,
     VeryEvenLabel,
@@ -106,14 +107,10 @@ def _cmd_atlas(args) -> int:
 
 
 def _selfcheck_lie_types(max_m: int):
-    for m in range(1, max_m + 1):
-        yield LieType(Family.SL, m)
-    for m in range(2, max_m + 1, 2):
-        yield LieType(Family.SP, m)
-    for m in range(3, max_m + 1, 2):
-        yield LieType(Family.SO_ODD, m)
-    for m in range(4, max_m + 1, 2):
-        yield LieType(Family.SO_EVEN, m)
+    for family in Family:
+        step = 1 if family is Family.SL else 2  # sp and so fix the parity of m
+        for m in range(_MIN_M[family], max_m + 1, step):
+            yield LieType(family, m)
 
 
 def run_selfcheck(max_m: int, out=None) -> int:
@@ -154,7 +151,7 @@ def run_selfcheck(max_m: int, out=None) -> int:
             if resolved and not verdict.polarizability.polarizable:
                 failures.append(f"{orbit}: resolvable but not polarizable")
             tallies["resolvable implies polarizable"] += 1
-            if orbit.family.is_bcd:
+            if orbit.family is not Family.SL:
                 prof = profile(orbit)
                 group = picard(orbit, prof)
                 if not orbit.is_zero and is_factorial(orbit) != group.is_trivial:

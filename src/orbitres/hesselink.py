@@ -29,9 +29,9 @@ from position N+1 (orthogonal case) or N+1/N+2 (symplectic case) onwards,
 which caps j0 and thereby the usable range of q.  Dropping the padding would
 admit (d, q) pairs with a negative degree exponent.
 
-epsilon is 1 for sp_m and 0 for so_m: it is the parity whose parts must
-occur with even multiplicity in a valid partition, and it drives every set
-definition below.
+epsilon is the family's ``Family.constrained_parity``, 1 for sp_m and 0
+for so_m: the parity whose parts must occur with even multiplicity in a
+valid partition.  It drives every set definition below.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class HesselinkAnalysis:
     @classmethod
     def of(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
         """The analysis of an sp or so orbit; raises WrongFamily for sl."""
-        if orbit.family is Family.SL:
+        epsilon = orbit.family.constrained_parity
+        if epsilon is None:
             raise WrongFamily("Hesselink machinery applies to sp and so only")
         m = orbit.m
-        epsilon = 1 if orbit.family is Family.SP else 0
         parts = orbit.partition.parts
         n = len(parts)
         marked = [p % 2 == epsilon for p in parts]  # marked[j - 1]: j in J

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .errors import (
     NotWeaklyDecreasing,
     ParityMultiplicityViolation,
     ParseError,
+    PartitionError,
     RankTooSmall,
     WrongSum,
 )
@@ -48,11 +50,15 @@ class Family(Enum):
     SO_EVEN = "so_even"
 
     @property
-    def is_bcd(self) -> bool:
-        """True for sp and so, the families with a parity constraint."""
-        return self is not Family.SL
+    def constrained_parity(self) -> int | None:
+        """The parity whose parts must occur with even multiplicity: 1 for
+        sp, 0 for so, None for sl, which constrains nothing."""
+        if self is Family.SP:
+            return 1
+        return None if self is Family.SL else 0
 
 
+# The smallest m of each family; sp and so take exactly the m of its parity.
 # sl_1 is the zero algebra with a single (zero) orbit; allowing it keeps the
 # enumeration total for every m >= 1.
 _MIN_M = {Family.SL: 1, Family.SP: 2, Family.SO_ODD: 3, Family.SO_EVEN: 4}
@@ -73,12 +79,9 @@ class LieType:
         low = _MIN_M[self.family]
         if self.m < low:
             raise InvalidLieType(f"{self.family.value} requires m >= {low}, got {self.m}")
-        if self.family is Family.SP and self.m % 2 != 0:
-            raise InvalidLieType(f"sp requires even matrix size, got {self.m}")
-        if self.family is Family.SO_ODD and self.m % 2 != 1:
-            raise InvalidLieType(f"so_odd requires odd matrix size, got {self.m}")
-        if self.family is Family.SO_EVEN and self.m % 2 != 0:
-            raise InvalidLieType(f"so_even requires even matrix size, got {self.m}")
+        if self.family is not Family.SL and (self.m - low) % 2:
+            parity = "odd" if low % 2 else "even"
+            raise InvalidLieType(f"{self.family.value} requires {parity} matrix size, got {self.m}")
 
     @property
     def rank(self) -> int:
@@ -114,9 +117,12 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
+        except TypeError:
+            raise PartitionError(f"parts must be integers, got {self.parts!r}") from None
         if not self.parts:
             raise NonPositivePart("a partition needs at least one part")
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
         for p in self.parts:
             if p <= 0:
                 raise NonPositivePart(f"parts must be positive, got {p}")
@@ -163,14 +169,11 @@ class VeryEvenLabel(Enum):
 
 
 def parity_violation(family: Family, parts: tuple[int, ...]) -> tuple[int, int] | None:
-    """First (part, multiplicity) breaking the family's parity constraint.
-
-    Returns None when the partition is admissible for the family.  sp
-    constrains odd parts, so constrains even parts, sl constrains nothing.
-    """
-    if family is Family.SL:
+    """First (part, multiplicity) breaking the family's parity constraint
+    (``Family.constrained_parity``), None when the family admits the parts."""
+    constrained = family.constrained_parity
+    if constrained is None:
         return None
-    constrained = 1 if family is Family.SP else 0
     for value, count in sorted(Counter(parts).items(), reverse=True):
         if value % 2 == constrained and count % 2 != 0:
             return value, count
@@ -233,10 +236,11 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
     """Validate raw partition data against an algebra and build the orbit.
 
     ``parts`` may be any iterable of integers (or a Partition).  Raises
+    PartitionError unless the parts are an iterable of integers, and
     NotWeaklyDecreasing, NonPositivePart, WrongSum or
     ParityMultiplicityViolation when the data is inadmissible.
     """
-    partition = parts if isinstance(parts, Partition) else Partition(tuple(parts))
+    partition = parts if isinstance(parts, Partition) else Partition(parts)
     return ClassicalOrbit(lie_type, partition, very_even_label)
 
 
@@ -270,23 +274,19 @@ def profile(orbit: ClassicalOrbit) -> PartitionProfile:
     r = dict(Counter(parts))
     s = {i: count for i, count in enumerate(orbit.partition.dual(), start=1)}
     odd_values = [v for v in r if v % 2 == 1]
-    even_values = [v for v in r if v % 2 == 0]
-    if orbit.family is Family.SL:
-        l = 0
-    elif orbit.family is Family.SP:
-        l = sum(1 for v in even_values if r[v] == 2)
-    else:
-        l = sum(1 for v in odd_values if r[v] == 2)
+    constrained = orbit.family.constrained_parity
+    l = 0 if constrained is None else sum(
+        1 for v, count in r.items() if v % 2 != constrained and count == 2)
     return PartitionProfile(
         r=r,
         s=s,
         k=len(r),
         c=math.gcd(*parts),
         a=len(odd_values),
-        b=len(even_values),
+        b=len(r) - len(odd_values),
         l=l,
         rather_odd=all(r[v] == 1 for v in odd_values),
-        all_same_parity=len({p % 2 for p in parts}) == 1,
+        all_same_parity=is_even_orbit(orbit),
     )
 
 

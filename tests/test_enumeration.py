@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from common import BCD_FAMILIES, accel_asc, brute_force_valid
+from common import ALL_FAMILIES, BCD_FAMILIES, accel_asc, brute_force_valid
 from orbitres import Family, LieType, count_orbits, enumerate_orbits
 from orbitres.enumeration import partitions_desc
+from orbitres.errors import InvalidLieType
 from orbitres.orbits import VeryEvenLabel
 
 
@@ -17,8 +18,16 @@ def test_partitions_desc_order_and_count():
 
 
 def test_partitions_desc_against_independent_generator():
+    # ordered lists: the atlas bytes depend on the order, not just the set
     for n in (1, 4, 9, 12):
-        assert sorted(partitions_desc(n)) == sorted(accel_asc(n))
+        assert list(partitions_desc(n)) == sorted(accel_asc(n), reverse=True)
+    # parts of parity `paired` in pairs; an odd total has none with odd pairs
+    for paired, family in ((1, Family.SP), (0, Family.SO_ODD)):
+        for n in (1, 2, 5, 9, 12, 13):
+            expected = sorted(
+                (p for p in accel_asc(n) if brute_force_valid(family, p)), reverse=True
+            )
+            assert list(partitions_desc(n, paired=paired)) == expected
 
 
 def test_sl4_orbits_frozen():
@@ -47,22 +56,24 @@ def test_so8_very_even_duplication():
     ]
 
 
-@pytest.mark.parametrize("family,m", [
-    (Family.SP, 10),
-    (Family.SO_ODD, 11),
-    (Family.SO_EVEN, 12),
-    (Family.SL, 9),
-])
-def test_matches_brute_force_filter(family, m):
-    lie_type = LieType(family, m)
-    partitions = [o.partition.parts for o in enumerate_orbits(lie_type)]
-    expected = [p for p in accel_asc(m) if brute_force_valid(family, p)]
-    assert sorted(set(partitions)) == sorted(expected)
-    doubled = sum(
-        1 for p in expected
-        if family is Family.SO_EVEN and all(x % 2 == 0 for x in p)
-    )
-    assert len(partitions) == len(expected) + doubled
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_matches_brute_force_filter(family):
+    # ordered lists: a generator yielding the right set in another order
+    # would reorder every atlas, so it must fail here
+    for m in range(1, 21):
+        try:
+            lie_type = LieType(family, m)
+        except InvalidLieType:
+            continue
+        expected = []
+        valid = (p for p in accel_asc(m) if brute_force_valid(family, p))
+        for p in sorted(valid, reverse=True):
+            if family is Family.SO_EVEN and all(x % 2 == 0 for x in p):
+                expected += [(p, VeryEvenLabel.I), (p, VeryEvenLabel.II)]
+            else:
+                expected.append((p, None))
+        orbits = [(o.partition.parts, o.very_even_label) for o in enumerate_orbits(lie_type)]
+        assert orbits == expected, lie_type
 
 
 def test_no_duplicate_orbits():

@@ -19,6 +19,7 @@ from orbitres.errors import (
     NotWeaklyDecreasing,
     ParityMultiplicityViolation,
     ParseError,
+    PartitionError,
     RankTooSmall,
     WrongSum,
 )
@@ -62,6 +63,12 @@ class TestPartition:
             Partition((2, 0))
         with pytest.raises(NonPositivePart):
             Partition(())
+
+    def test_non_integer_parts_rejected(self):
+        # floats are not truncated, strings are not read digit by digit
+        for parts in ((2.9, 1), "21", (2, "x"), 3):
+            with pytest.raises(PartitionError):
+                validate_orbit(SL3, parts)
 
     def test_dual(self):
         assert Partition((3, 1)).dual().parts == (2, 1, 1)

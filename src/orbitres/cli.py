@@ -36,12 +36,19 @@ from .orbits import (
     validate_orbit,
 )
 from .picard import is_factorial, picard
-from .report import atlas_csv, atlas_markdown, build_report, json_text, report_json, report_text
+from .report import (
+    atlas_csv,
+    atlas_markdown,
+    build_report,
+    exceptional_json,
+    json_text,
+    report_json,
+    report_text,
+)
 from .resolution import (
     Verdict,
-    _coerce_algebra,
     admits_symplectic_resolution,
-    exceptional_table_json,
+    exceptional_records,
     lookup_exceptional,
 )
 
@@ -113,6 +120,13 @@ def _selfcheck_lie_types(max_m: int):
             yield LieType(family, m)
 
 
+_ROUTES = "route equivalence (closed form vs degree search)"
+_EVEN = "even orbit implies resolvable"
+_POLARIZABLE = "resolvable implies polarizable"
+_FACTORIAL = "factorial iff trivial picard (non-zero sp/so)"
+_FREE_RANK = "l = 0 implies picard free rank 0 (sp/so)"
+
+
 def run_selfcheck(max_m: int, out=None) -> int:
     """Sweep every orbit with m <= max_m and assert the cross-invariants.
 
@@ -123,49 +137,49 @@ def run_selfcheck(max_m: int, out=None) -> int:
     Picard free rank 0.  The degree-exponent integrality guard is active
     throughout because every in-image degree is actually computed.
 
-    Returns the number of failures; prints one line per check.
+    Returns the number of failures; prints one line per check, "ok" or
+    "FAILED (k of N)", then one line per failure.
     """
     out = out if out is not None else sys.stdout
-    failures: list[str] = []
+    failures: list[tuple[str, str]] = []  # (check, what failed)
     checked = 0
-    tallies = {
-        "route equivalence (closed form vs degree search)": 0,
-        "even orbit implies resolvable": 0,
-        "resolvable implies polarizable": 0,
-        "factorial iff trivial picard (non-zero sp/so)": 0,
-        "l = 0 implies picard free rank 0 (sp/so)": 0,
-    }
+    tallies = dict.fromkeys((_ROUTES, _EVEN, _POLARIZABLE, _FACTORIAL, _FREE_RANK), 0)
     for lie_type in _selfcheck_lie_types(max_m):
         for orbit in enumerate_orbits(lie_type):
             checked += 1
+            tallies[_ROUTES] += 1
             try:
                 verdict = admits_symplectic_resolution(orbit)
             except OrbitresError as exc:
-                failures.append(f"{orbit}: {exc}")
+                failures.append((_ROUTES, f"{orbit}: {exc}"))
                 continue
-            tallies["route equivalence (closed form vs degree search)"] += 1
             resolved = verdict.answer is Verdict.YES
             if is_even_orbit(orbit) and not resolved:
-                failures.append(f"{orbit}: even orbit judged non-resolvable")
-            tallies["even orbit implies resolvable"] += 1
+                failures.append((_EVEN, f"{orbit}: even orbit judged non-resolvable"))
+            tallies[_EVEN] += 1
             if resolved and not verdict.polarizability.polarizable:
-                failures.append(f"{orbit}: resolvable but not polarizable")
-            tallies["resolvable implies polarizable"] += 1
+                failures.append((_POLARIZABLE, f"{orbit}: resolvable but not polarizable"))
+            tallies[_POLARIZABLE] += 1
             if orbit.family is not Family.SL:
                 prof = profile(orbit)
                 group = picard(orbit, prof)
                 if not orbit.is_zero and is_factorial(orbit) != group.is_trivial:
-                    failures.append(f"{orbit}: factoriality and picard triviality disagree")
-                tallies["factorial iff trivial picard (non-zero sp/so)"] += 1
+                    failures.append(
+                        (_FACTORIAL, f"{orbit}: factoriality and picard triviality disagree")
+                    )
+                tallies[_FACTORIAL] += 1
                 if prof.l == 0 and group.free_rank != 0:
-                    failures.append(f"{orbit}: l = 0 but picard free rank {group.free_rank}")
-                tallies["l = 0 implies picard free rank 0 (sp/so)"] += 1
+                    failures.append(
+                        (_FREE_RANK, f"{orbit}: l = 0 but picard free rank {group.free_rank}")
+                    )
+                tallies[_FREE_RANK] += 1
     print(f"selfcheck over all classical orbits with m <= {max_m} ({checked} orbits)", file=out)
     for name, count in tallies.items():
-        print(f"  {name}: ok ({count} checked)", file=out)
-    if failures:
-        for failure in failures:
-            print(f"  FAILURE {failure}", file=out)
+        failed = sum(check == name for check, _ in failures)
+        status = f"FAILED ({failed} of {count})" if failed else f"ok ({count} checked)"
+        print(f"  {name}: {status}", file=out)
+    for _, failure in failures:
+        print(f"  FAILURE {failure}", file=out)
     print(f"{len(failures)} failures", file=out)
     return len(failures)
 
@@ -179,11 +193,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_exceptional(args) -> int:
     if args.export:
-        table = exceptional_table_json()
-        if args.algebra is not None:
-            wanted = _coerce_algebra(args.algebra).value
-            table = [row for row in table if row["algebra"] == wanted]
-        print(json_text(table))
+        print(json_text(exceptional_json(exceptional_records(args.algebra))))
         return 0
     if args.algebra is None or args.label is None:
         raise OrbitresError("provide ALGEBRA and LABEL, or --export for the stored table")

@@ -19,9 +19,12 @@ when no marked position carries an odd part, printed as -inf), the drop set
 B, the adjacent-pair parity check and the number of odd parts.  Every
 q-dependent answer (image test, degree exponent, collapsing degree, per-q
 record) is then read off the analysis in constant time, so walking all
-admissible q costs O(N + m) rather than O(m * N).  ``polarizable`` builds
-the analysis of an orbit and keeps it in its result; the degree search and
-the per-q records read that result instead of building their own.
+admissible q costs O(N + m) rather than O(m * N).  A per-q record,
+HesselinkReport, holds only what depends on q: q, u, the image test and
+N_P.  ``polarizable`` keeps the analysis in its result, with the records of
+the q in the image as witnesses; the degree search reads them, and
+``admissible_reports`` builds every admissible q's record for the JSON
+report alone.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -152,56 +155,56 @@ class HesselinkAnalysis:
         if not self.in_image(q):
             raise NotInImage(
                 f"not in the image of the Spaltenstein map at q = {q}: interval "
-                f"[{_lower_bound(self.j1)}, {self.j0}), "
+                f"[{'-inf' if self.j1 is None else self.j1}, {self.j0}), "
                 f"pairing {'holds' if self.pairing_ok else 'fails'}"
             )
-        return self._degree(q)
+        return self._record(q, True).N_P
 
-    def _degree(self, q: int) -> int:
-        """N_P for a q already known to pass the image test."""
+    def record(self, q: int) -> HesselinkReport:
+        """The per-q record; q must be admissible."""
+        return self._record(q, self.in_image(q))
+
+    def _record(self, q: int, in_image: bool) -> HesselinkReport:
+        """The record of q, given the outcome of its image test."""
         u = self.u(q)
+        if not in_image:
+            return HesselinkReport(q, u, False, None)
         exponent = u if q + self.epsilon >= 1 or not self.B else u - 1
         if exponent.denominator != 1 or exponent < 0:
             raise NonIntegralExponent(
                 f"degree exponent {exponent} for q = {q}, epsilon = {self.epsilon}, "
                 f"{self.n_odd} odd parts"
             )
-        return 2 ** int(exponent)
-
-    def record(self, q: int) -> HesselinkReport:
-        """The per-q record; q must be admissible."""
-        in_image = self.in_image(q)
-        return HesselinkReport(
-            q=q,
-            J=self.J,
-            j1=self.j1,
-            j0=self.j0,
-            B=self.B,
-            u=self.u(q),
-            in_image=in_image,
-            N_P=self._degree(q) if in_image else None,
-        )
+        return HesselinkReport(q, u, True, 2 ** int(exponent))
 
 
 @dataclass(frozen=True)
-class PolarizationWitness:
-    """An admissible q passing the image test, with its collapsing degree."""
+class HesselinkReport:
+    """One admissible q: its degree exponent u, whether it passes the image
+    test, and the collapsing degree N_P there (None off the image)."""
 
     q: int
-    N_P: int
+    u: Fraction
+    in_image: bool
+    N_P: int | None
 
 
 @dataclass(frozen=True)
 class PolarizabilityResult:
     """The polarizing q of one orbit, read off its analysis.
 
-    ``analysis`` is the HesselinkAnalysis the witnesses came from, None
-    for sl orbits, where the q-machinery does not apply.
+    ``witnesses`` are the records of the admissible q in the image;
+    ``analysis`` is the HesselinkAnalysis they came from, None for sl
+    orbits, where the q-machinery does not apply.
     """
 
-    polarizable: bool
-    witnesses: tuple[PolarizationWitness, ...]
+    witnesses: tuple[HesselinkReport, ...]
     analysis: HesselinkAnalysis | None
+
+    @property
+    def polarizable(self) -> bool:
+        """Every sl orbit is; an sp/so orbit is when some q is a witness."""
+        return self.analysis is None or bool(self.witnesses)
 
 
 def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
@@ -211,16 +214,12 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     and no analysis.
     """
     if orbit.family is Family.SL:
-        return PolarizabilityResult(polarizable=True, witnesses=(), analysis=None)
+        return PolarizabilityResult(witnesses=(), analysis=None)
     analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple(
-        PolarizationWitness(q, analysis._degree(q))
-        for q in analysis.admissible_qs()
-        if analysis.in_image(q)
+        analysis._record(q, True) for q in analysis.admissible_qs() if analysis.in_image(q)
     )
-    return PolarizabilityResult(
-        polarizable=bool(witnesses), witnesses=witnesses, analysis=analysis
-    )
+    return PolarizabilityResult(witnesses=witnesses, analysis=analysis)
 
 
 def resolution_by_search(pol: PolarizabilityResult) -> bool:
@@ -228,37 +227,6 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
     if pol.analysis is None:
         raise WrongFamily("the search route applies to sp and so orbits only")
     return any(w.N_P == 1 for w in pol.witnesses)
-
-
-@dataclass(frozen=True)
-class HesselinkReport:
-    """Everything the image test and degree formula saw for one q."""
-
-    q: int
-    J: tuple[int, ...]
-    j1: int | None
-    j0: int
-    B: tuple[int, ...]
-    u: Fraction
-    in_image: bool
-    N_P: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "J": list(self.J),
-            "j1": _lower_bound(self.j1),
-            "j0": self.j0,
-            "B": list(self.B),
-            "u": str(self.u),
-            "in_image": self.in_image,
-            "N_P": self.N_P,
-        }
-
-
-def _lower_bound(j1: int | None) -> int | str:
-    """j1 as printed: -inf when no marked position carries an odd part."""
-    return "-inf" if j1 is None else j1
 
 
 def admissible_reports(pol: PolarizabilityResult) -> tuple[HesselinkReport, ...]:

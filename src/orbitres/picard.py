@@ -66,18 +66,6 @@ class AbelianGroupDescriptor:
             and self.unresolved_extension is None
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "free_rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "unresolved_extension": (
-                None
-                if self.unresolved_extension is None
-                else {"kernel_exponent": self.unresolved_extension.kernel_exponent}
-            ),
-            "trivial": self.is_trivial,
-        }
-
     def __str__(self) -> str:
         if self.is_trivial:
             return "trivial"

@@ -1,10 +1,11 @@
 """Assembly of full per-orbit reports and their text/JSON/table renderings.
 
 A report bundles everything the package can say about one orbit: profile
-statistics, dimension, Picard group, factoriality, polarization witnesses,
-the per-q Hesselink records, and the cross-checked resolution verdict.
-The JSON form round-trips losslessly and is the schema the CLI emits;
-``json_text`` writes it, and every other JSON output of the CLI.
+statistics, dimension, Picard group, factoriality, and the cross-checked
+resolution verdict with the polarizability it checked.  Every JSON layout
+of the CLI is written here alone: ``report_json`` for an orbit, with the
+per-q Hesselink records it alone builds, and ``exceptional_json`` for the
+exceptional table.  ``json_text`` writes them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .hesselink import HesselinkReport, admissible_reports
+from .hesselink import PolarizabilityResult, admissible_reports
 from .orbits import ClassicalOrbit, PartitionProfile, orbit_dimension, profile
 from .picard import (
     AbelianGroupDescriptor,
@@ -23,7 +24,7 @@ from .picard import (
     picard,
     q_factorial_certificate,
 )
-from .resolution import ResolutionVerdict, Verdict, admits_symplectic_resolution
+from .resolution import ExceptionalRecord, ResolutionVerdict, Verdict, admits_symplectic_resolution
 
 
 @dataclass(frozen=True)
@@ -34,19 +35,15 @@ class OrbitReport:
     picard: AbelianGroupDescriptor
     q_factorial: QFactorialCertificate
     factorial: bool | None  # None for the zero orbit, which the criterion excludes
-    hesselink: tuple[HesselinkReport, ...]
     resolution: ResolutionVerdict
 
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     """Run every analysis on one orbit and bundle the results.
 
-    The profile is computed once and handed to every formula that reads it;
-    the per-q records are read off the polarizability that the resolution
-    verdict carries.
+    The profile is computed once and handed to every formula that reads it.
     """
     prof = profile(orbit)
-    resolution = admits_symplectic_resolution(orbit)
     return OrbitReport(
         orbit=orbit,
         profile=prof,
@@ -54,8 +51,7 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
         picard=picard(orbit, prof),
         q_factorial=q_factorial_certificate(orbit, prof),
         factorial=None if orbit.is_zero else is_factorial(orbit),
-        hesselink=admissible_reports(resolution.polarizability),
-        resolution=resolution,
+        resolution=admits_symplectic_resolution(orbit),
     )
 
 
@@ -63,7 +59,10 @@ def report_json(report: OrbitReport) -> dict:
     """JSON-ready dict; every value is a native JSON type."""
     orbit = report.orbit
     prof = report.profile
-    pol = report.resolution.polarizability
+    group = report.picard
+    extension = group.unresolved_extension
+    verdict = report.resolution
+    pol = verdict.polarizability
     return {
         "algebra": orbit.lie_type.name,
         "cartan_type": orbit.lie_type.cartan_label,
@@ -85,16 +84,63 @@ def report_json(report: OrbitReport) -> dict:
         },
         "even_orbit": prof.all_same_parity,
         "dimension": report.dimension,
-        "picard": report.picard.to_json_dict(),
+        "picard": {
+            "free_rank": group.free_rank,
+            "torsion": list(group.torsion),
+            "unresolved_extension": (
+                None if extension is None else {"kernel_exponent": extension.kernel_exponent}
+            ),
+            "trivial": group.is_trivial,
+        },
         "q_factorial_certificate": report.q_factorial.value,
         "factorial": report.factorial,
         "polarizable": {
             "polarizable": pol.polarizable,
             "witnesses": [{"q": w.q, "N_P": w.N_P} for w in pol.witnesses],
         },
-        "hesselink": [h.to_json_dict() for h in report.hesselink],
-        "resolution": report.resolution.to_json_dict(),
+        "hesselink": _hesselink_json(pol),
+        "resolution": {
+            "answer": verdict.answer.value,
+            "route": verdict.route.value,
+            "witness": _witness_json(verdict),
+            "cross_checked": verdict.cross_checked,
+        },
     }
+
+
+def _witness_json(verdict: ResolutionVerdict) -> dict | None:
+    witness = verdict.witness
+    if witness is None:
+        return None
+    if witness.q is not None:
+        return {"q": witness.q}
+    return {"pair_position": witness.pair_position}
+
+
+def _hesselink_json(pol: PolarizabilityResult) -> list[dict]:
+    """One dict per admissible q; each repeats the analysis's J, j1, j0, B."""
+    analysis = pol.analysis
+    return [
+        {
+            "q": record.q,
+            "J": list(analysis.J),
+            "j1": "-inf" if analysis.j1 is None else analysis.j1,
+            "j0": analysis.j0,
+            "B": list(analysis.B),
+            "u": str(record.u),
+            "in_image": record.in_image,
+            "N_P": record.N_P,
+        }
+        for record in admissible_reports(pol)
+    ]
+
+
+def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
+    """The exported exceptional table, one dict per record."""
+    return [
+        {"algebra": r.algebra.value, "label": r.label, "verdict": r.verdict.value, "note": r.note}
+        for r in records
+    ]
 
 
 def json_text(obj, nl: str = "\n") -> str:

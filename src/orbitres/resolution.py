@@ -53,11 +53,6 @@ class ResolutionWitness:
         if (self.q is None) == (self.pair_position is None):
             raise ValueError("exactly one of q and pair_position must be set")
 
-    def to_json_dict(self) -> dict:
-        if self.q is not None:
-            return {"q": self.q}
-        return {"pair_position": self.pair_position}
-
 
 @dataclass(frozen=True)
 class ResolutionVerdict:
@@ -73,14 +68,6 @@ class ResolutionVerdict:
     witness: ResolutionWitness | None
     polarizability: PolarizabilityResult | None
     cross_checked: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "answer": self.answer.value,
-            "route": self.route.value,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "cross_checked": self.cross_checked,
-        }
 
 
 def _odd_prefix_length(parts: tuple[int, ...]) -> int | None:
@@ -172,14 +159,6 @@ class ExceptionalRecord:
     verdict: Verdict
     note: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra.value,
-            "label": self.label,
-            "verdict": self.verdict.value,
-            "note": self.note,
-        }
-
 
 _SIMPLY_CONNECTED = "non-even Richardson orbit, simply connected; any polarization collapses with degree one"
 _TRIVIAL_COMPONENT = "non-even Richardson orbit with trivial component group; any polarization collapses with degree one"
@@ -243,6 +222,12 @@ def lookup_exceptional(algebra, label: str) -> ExceptionalRecord:
     raise NotInDatabase(f"{alg.value} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
 
 
-def exceptional_table_json() -> list[dict]:
-    """The full embedded table, exportable for audit."""
-    return [record.to_json_dict() for record in EXCEPTIONAL_TABLE]
+def exceptional_records(algebra=None) -> tuple[ExceptionalRecord, ...]:
+    """The embedded table, or the records of one algebra, for audit.
+
+    Raises UnknownAlgebra for an algebra outside G2/F4/E6/E7/E8.
+    """
+    if algebra is None:
+        return EXCEPTIONAL_TABLE
+    alg = _coerce_algebra(algebra)
+    return tuple(record for record in EXCEPTIONAL_TABLE if record.algebra is alg)

@@ -21,8 +21,9 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.cli import main
-from orbitres.report import report_json
-from orbitres.resolution import exceptional_table_json
+from orbitres.errors import CrossCheckMismatch
+from orbitres.report import exceptional_json, report_json
+from orbitres.resolution import exceptional_records
 
 
 def run(capsys, *argv):
@@ -174,7 +175,7 @@ class TestJsonBytes:
     def test_exceptional_export(self, capsys):
         code, out, _ = run(capsys, "exceptional", "--export")
         assert code == 0
-        assert out == json.dumps(exceptional_table_json(), indent=2) + "\n"
+        assert out == json.dumps(exceptional_json(exceptional_records()), indent=2) + "\n"
 
 
 class TestSelfcheck:
@@ -200,6 +201,32 @@ class TestSelfcheck:
         code, _, err = run(capsys, "selfcheck", "1")
         assert code == 2
         assert "max_m" in err
+
+    def test_failed_checks_are_reported_failed(self, monkeypatch):
+        """A check with failures prints FAILED (k of N), never ok."""
+        monkeypatch.setattr(cli, "is_even_orbit", lambda orbit: True)
+        original = cli.admits_symplectic_resolution
+        broken = validate_orbit(LieType(Family.SO_EVEN, 6), (3, 3))
+
+        def dispatch(orbit):
+            if orbit == broken:
+                raise CrossCheckMismatch("routes disagree")
+            return original(orbit)
+
+        monkeypatch.setattr(cli, "admits_symplectic_resolution", dispatch)
+        out = io.StringIO()
+        assert cli.run_selfcheck(6, out=out) == 6
+        lines = out.getvalue().splitlines()
+        assert lines[1:6] == [
+            "  route equivalence (closed form vs degree search): FAILED (1 of 58)",
+            "  even orbit implies resolvable: FAILED (5 of 57)",
+            "  resolvable implies polarizable: ok (57 checked)",
+            "  factorial iff trivial picard (non-zero sp/so): ok (28 checked)",
+            "  l = 0 implies picard free rank 0 (sp/so): ok (28 checked)",
+        ]
+        assert "  FAILURE so6 [3^2]: routes disagree" in lines
+        assert sum(line.endswith("even orbit judged non-resolvable") for line in lines) == 5
+        assert lines[-1] == "6 failures"
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_selfcheck", lambda max_m: 1)

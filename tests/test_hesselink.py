@@ -25,6 +25,7 @@ from orbitres import (
 )
 from orbitres.cli import _selfcheck_lie_types, run_selfcheck
 from orbitres.errors import InadmissibleQ, NotInImage, WrongFamily
+from orbitres.report import report_json
 from orbitres.resolution import closed_form_verdict
 
 SP6 = LieType(Family.SP, 6)
@@ -266,8 +267,8 @@ class TestReports:
             analysis(SO7, "3,2,2").record(2)
 
     def test_json_sentinels(self):
-        report = analysis(SO7, "3,2,2").record(1)
-        payload = report.to_json_dict()
+        records = report_json(build_report(validate_orbit(SO7, d("3,2,2"))))["hesselink"]
+        payload = next(record for record in records if record["q"] == 1)
         assert payload["j1"] == "-inf"
         assert payload["j0"] == 2
         assert payload["u"] == "0"
@@ -336,8 +337,9 @@ class TestAnalysis:
         for orbit in bcd_orbits_up_to(16):
             expected = plain_records(orbit)
             pol = polarizable(orbit)
+            a = pol.analysis
             got = [
-                (r.q, r.J, r.j1, r.j0, r.B, r.u, r.in_image, r.N_P)
+                (r.q, a.J, a.j1, a.j0, a.B, r.u, r.in_image, r.N_P)
                 for r in admissible_reports(pol)
             ]
             assert got == expected, orbit

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 
 from common import bcd_orbits, valid_orbits
-from orbitres import Family, LieType, picard, validate_orbit
+from orbitres import Family, LieType, build_report, picard, validate_orbit
 from orbitres.errors import ZeroOrbit
 from orbitres.orbits import VeryEvenLabel, profile
 from orbitres.picard import (
@@ -16,6 +17,7 @@ from orbitres.picard import (
     is_factorial,
     q_factorial_certificate,
 )
+from orbitres.report import report_json
 
 SL3 = LieType(Family.SL, 3)
 SP6 = LieType(Family.SP, 6)
@@ -54,15 +56,20 @@ class TestDescriptor:
         assert str(extension) == "extension of Z/2 by (Z/2)^2 (order 8)"
 
     def test_json_schema(self):
+        report = build_report(validate_orbit(SO7, (3, 2, 2)))
+
+        def picard_json(group):
+            return report_json(replace(report, picard=group))["picard"]
+
         d = AbelianGroupDescriptor(free_rank=1, torsion=(2,))
-        assert d.to_json_dict() == {
+        assert picard_json(d) == {
             "free_rank": 1,
             "torsion": [2],
             "unresolved_extension": None,
             "trivial": False,
         }
         e = AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(3))
-        assert e.to_json_dict()["unresolved_extension"] == {"kernel_exponent": 3}
+        assert picard_json(e)["unresolved_extension"] == {"kernel_exponent": 3}
 
     def test_str(self):
         assert str(AbelianGroupDescriptor()) == "trivial"

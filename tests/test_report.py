@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import orbitres.orbits as orbits
 from orbitres import Family, LieType, build_report, enumerate_orbits
-from orbitres.report import json_text
+from orbitres.hesselink import HesselinkReport
+from orbitres.report import atlas_csv, atlas_markdown, json_text, report_json, report_text
 
 # Text that json.dumps has to escape: quotes, backslashes, control and
 # non-ASCII characters (the BMP, the astral planes and a lone surrogate).
@@ -46,6 +47,33 @@ def test_profile_computed_once_per_report(monkeypatch):
             calls.clear()
             build_report(orbit)
             assert calls == [orbit]
+
+
+@pytest.mark.parametrize(
+    "lie_type", [LieType(Family.SP, 8), LieType(Family.SO_ODD, 9), LieType(Family.SO_EVEN, 8)]
+)
+def test_records_built_only_where_rendered(monkeypatch, lie_type):
+    """A report and its text and table renderings build one Hesselink record
+    per witness; the JSON rendering builds one more per admissible q."""
+    built = []
+    original = HesselinkReport.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(HesselinkReport, "__init__", counted)
+    for orbit in enumerate_orbits(lie_type):
+        built.clear()
+        report = build_report(orbit)
+        report_text(report)
+        atlas_markdown([report], "atlas")
+        atlas_csv([report])
+        pol = report.resolution.polarizability
+        assert built == list(pol.witnesses), orbit
+        built.clear()
+        report_json(report)
+        assert [record.q for record in built] == pol.analysis.admissible_qs(), orbit
 
 
 @given(JSON_TREES)

@@ -1,22 +1,31 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 
 from common import valid_orbits
 import orbitres.resolution as resolution_module
-from orbitres import Family, LieType, Verdict, admits_symplectic_resolution, validate_orbit
+from orbitres import (
+    Family,
+    LieType,
+    Verdict,
+    admits_symplectic_resolution,
+    build_report,
+    validate_orbit,
+)
 from orbitres.errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
 from orbitres.orbits import VeryEvenLabel, is_even_orbit
+from orbitres.report import exceptional_json, report_json
 from orbitres.resolution import (
     EXCEPTIONAL_TABLE,
     ExceptionalAlgebra,
     ResolutionWitness,
     Route,
     closed_form_verdict,
-    exceptional_table_json,
+    exceptional_records,
     lookup_exceptional,
 )
 
@@ -108,8 +117,7 @@ class TestDispatcher:
             assert one == two
 
     def test_verdict_json(self):
-        verdict = admits_symplectic_resolution(validate_orbit(SO7, (3, 2, 2)))
-        payload = verdict.to_json_dict()
+        payload = report_json(build_report(validate_orbit(SO7, (3, 2, 2))))["resolution"]
         assert payload == {
             "answer": "yes",
             "route": "closed_form",
@@ -125,8 +133,14 @@ class TestWitness:
             ResolutionWitness()
         with pytest.raises(ValueError):
             ResolutionWitness(q=1, pair_position=2)
-        assert ResolutionWitness(q=0).to_json_dict() == {"q": 0}
-        assert ResolutionWitness(pair_position=2).to_json_dict() == {"pair_position": 2}
+        report = build_report(validate_orbit(SO7, (3, 2, 2)))
+
+        def witness_json(witness):
+            verdict = replace(report.resolution, witness=witness)
+            return report_json(replace(report, resolution=verdict))["resolution"]["witness"]
+
+        assert witness_json(ResolutionWitness(q=0)) == {"q": 0}
+        assert witness_json(ResolutionWitness(pair_position=2)) == {"pair_position": 2}
 
 
 class TestSpringerConsistency:
@@ -188,8 +202,16 @@ class TestExceptional:
         assert "Springer" in str(info.value)
 
     def test_export_round_trips(self):
-        payload = exceptional_table_json()
+        payload = exceptional_json(exceptional_records())
         assert len(payload) == len(EXCEPTIONAL_TABLE)
         parsed = json.loads(json.dumps(payload))
         assert parsed == payload
         assert {"algebra", "label", "verdict", "note"} == set(parsed[0])
+
+    def test_records_of_one_algebra(self):
+        e7 = exceptional_records(" e7 ")
+        assert [r.label for r in e7] == ["D5+A1", "D6(a1)", "D4(a1)+A1", "A4+A1", "D5(a1)"]
+        assert exceptional_records(ExceptionalAlgebra.E7) == e7
+        assert exceptional_records("G2") == ()
+        with pytest.raises(UnknownAlgebra):
+            exceptional_records("E9")

@@ -12,13 +12,17 @@ error (a bug: the two resolution routes disagree, or a degree exponent is
 not a non-negative integer).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
+An orbit's JSON is the text ``report.report_json`` renders from its report;
 ``atlas --format json`` writes its array one orbit at a time, so after an
-internal error (exit 4) stdout may hold a truncated array.
+internal error (exit 4) stdout may hold a truncated array.  The argument
+parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 
@@ -41,7 +45,6 @@ from .report import (
     atlas_markdown,
     build_report,
     exceptional_json,
-    json_text,
     report_json,
     report_text,
 )
@@ -85,7 +88,7 @@ def _cmd_report(args) -> int:
     orbit = validate_orbit(lie_type, partition, label)
     report = build_report(orbit)
     if args.format == "json":
-        print(json_text(report_json(report)))
+        print(report_json(report))
     else:
         print(report_text(report))
     return 0
@@ -101,7 +104,7 @@ def _cmd_atlas(args) -> int:
         out = sys.stdout
         separator = "["
         for orbit in enumerate_orbits(lie_type):
-            out.write(separator + "\n  " + json_text(report_json(build_report(orbit)), "\n  "))
+            out.write(separator + "\n  " + report_json(build_report(orbit), "\n  "))
             separator = ","
         out.write("\n]\n")
         return 0
@@ -193,7 +196,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_exceptional(args) -> int:
     if args.export:
-        print(json_text(exceptional_json(exceptional_records(args.algebra))))
+        print(json.dumps(exceptional_json(exceptional_records(args.algebra)), indent=2))
         return 0
     if args.algebra is None or args.label is None:
         raise OrbitresError("provide ALGEBRA and LABEL, or --export for the stored table")
@@ -207,7 +210,9 @@ def _cmd_exceptional(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="orbitres",
         description=(
@@ -248,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

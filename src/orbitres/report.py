@@ -3,9 +3,11 @@
 A report bundles everything the package can say about one orbit: profile
 statistics, dimension, Picard group, factoriality, and the cross-checked
 resolution verdict with the polarizability it checked.  Every JSON layout
-of the CLI is written here alone: ``report_json`` for an orbit, with the
-per-q Hesselink records it alone builds, and ``exceptional_json`` for the
-exceptional table.  ``json_text`` writes them.
+of the CLI is written here alone.  ``report_json`` renders an orbit's JSON
+text straight from its report, one template byte-identical to
+``json.dumps(indent=2)``, and alone builds the per-q Hesselink records.
+``exceptional_json`` gives the exceptional table as dicts for
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -55,84 +57,113 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     )
 
 
-def report_json(report: OrbitReport) -> dict:
-    """JSON-ready dict; every value is a native JSON type."""
+def report_json(report: OrbitReport, nl: str = "\n") -> str:
+    """The text of ``json.dumps(<the report as a JSON object>, indent=2)``,
+    written straight from the report.
+
+    ``nl`` is a newline followed by the indentation the object sits at, so
+    an atlas can write each orbit as an item of its array.  Strings go
+    through the stdlib's ASCII encoder; every other value is an int, a bool
+    or None, written in place.  The per-q Hesselink records are built here
+    alone, by ``admissible_reports``.
+    """
     orbit = report.orbit
+    label = orbit.very_even_label
     prof = report.profile
     group = report.picard
     extension = group.unresolved_extension
     verdict = report.resolution
-    pol = verdict.polarizability
-    return {
-        "algebra": orbit.lie_type.name,
-        "cartan_type": orbit.lie_type.cartan_label,
-        "family": orbit.family.value,
-        "m": orbit.m,
-        "partition": list(orbit.partition.parts),
-        "partition_compact": orbit.partition.compact_str(),
-        "very_even_label": None if orbit.very_even_label is None else orbit.very_even_label.value,
-        "profile": {
-            "k": prof.k,
-            "c": prof.c,
-            "a": prof.a,
-            "b": prof.b,
-            "l": prof.l,
-            "rather_odd": prof.rather_odd,
-            "all_same_parity": prof.all_same_parity,
-            "r": {str(i): count for i, count in sorted(prof.r.items())},
-            "s": {str(i): count for i, count in sorted(prof.s.items())},
-        },
-        "even_orbit": prof.all_same_parity,
-        "dimension": report.dimension,
-        "picard": {
-            "free_rank": group.free_rank,
-            "torsion": list(group.torsion),
-            "unresolved_extension": (
-                None if extension is None else {"kernel_exponent": extension.kernel_exponent}
-            ),
-            "trivial": group.is_trivial,
-        },
-        "q_factorial_certificate": report.q_factorial.value,
-        "factorial": report.factorial,
-        "polarizable": {
-            "polarizable": pol.polarizable,
-            "witnesses": [{"q": w.q, "N_P": w.N_P} for w in pol.witnesses],
-        },
-        "hesselink": _hesselink_json(pol),
-        "resolution": {
-            "answer": verdict.answer.value,
-            "route": verdict.route.value,
-            "witness": _witness_json(verdict),
-            "cross_checked": verdict.cross_checked,
-        },
-    }
-
-
-def _witness_json(verdict: ResolutionVerdict) -> dict | None:
     witness = verdict.witness
+    pol = verdict.polarizability
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    if extension is None:
+        extension_text = "null"
+    else:
+        extension_text = f'{{{i3}"kernel_exponent": {extension.kernel_exponent}{i2}}}'
+    if pol.witnesses:
+        witnesses = ("," + i3).join(
+            f'{{{i4}"q": {w.q},{i4}"N_P": {w.N_P}{i3}}}' for w in pol.witnesses)
+        witnesses = f"[{i3}{witnesses}{i2}]"
+    else:
+        witnesses = "[]"
     if witness is None:
-        return None
-    if witness.q is not None:
-        return {"q": witness.q}
-    return {"pair_position": witness.pair_position}
+        witness_text = "null"
+    elif witness.q is not None:
+        witness_text = f'{{{i3}"q": {witness.q}{i2}}}'
+    else:
+        witness_text = f'{{{i3}"pair_position": {witness.pair_position}{i2}}}'
+    return (
+        f'{{{i1}"algebra": {_str(orbit.lie_type.name)}'
+        f',{i1}"cartan_type": {_str(orbit.lie_type.cartan_label)}'
+        f',{i1}"family": {_str(orbit.family.value)}'
+        f',{i1}"m": {orbit.m}'
+        f',{i1}"partition": {_ints(orbit.partition.parts, i1)}'
+        f',{i1}"partition_compact": {_str(orbit.partition.compact_str())}'
+        f',{i1}"very_even_label": {"null" if label is None else _str(label.value)}'
+        f',{i1}"profile": {{{i2}"k": {prof.k},{i2}"c": {prof.c},{i2}"a": {prof.a}'
+        f',{i2}"b": {prof.b},{i2}"l": {prof.l},{i2}"rather_odd": {_LITERAL[prof.rather_odd]}'
+        f',{i2}"all_same_parity": {_LITERAL[prof.all_same_parity]}'
+        f',{i2}"r": {_int_map(prof.r, i2)},{i2}"s": {_int_map(prof.s, i2)}{i1}}}'
+        f',{i1}"even_orbit": {_LITERAL[prof.all_same_parity]}'
+        f',{i1}"dimension": {report.dimension}'
+        f',{i1}"picard": {{{i2}"free_rank": {group.free_rank}'
+        f',{i2}"torsion": {_ints(group.torsion, i2)},{i2}"unresolved_extension": {extension_text}'
+        f',{i2}"trivial": {_LITERAL[group.is_trivial]}{i1}}}'
+        f',{i1}"q_factorial_certificate": {_str(report.q_factorial.value)}'
+        f',{i1}"factorial": {_LITERAL[report.factorial]}'
+        f',{i1}"polarizable": {{{i2}"polarizable": {_LITERAL[pol.polarizable]}'
+        f',{i2}"witnesses": {witnesses}{i1}}}'
+        f',{i1}"hesselink": {_hesselink_json(pol, i1)}'
+        f',{i1}"resolution": {{{i2}"answer": {_str(verdict.answer.value)}'
+        f',{i2}"route": {_str(verdict.route.value)},{i2}"witness": {witness_text}'
+        f',{i2}"cross_checked": {_LITERAL[verdict.cross_checked]}{i1}}}'
+        f"{nl}}}"
+    )
 
 
-def _hesselink_json(pol: PolarizabilityResult) -> list[dict]:
-    """One dict per admissible q; each repeats the analysis's J, j1, j0, B."""
+def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
+    """The array of per-q records, one per admissible q, at the indentation
+    of ``nl``.  Every record repeats the analysis's J, j1, j0 and B, so that
+    stretch of text is written once per orbit."""
+    records = admissible_reports(pol)
+    if not records:
+        return "[]"
     analysis = pol.analysis
-    return [
-        {
-            "q": record.q,
-            "J": list(analysis.J),
-            "j1": "-inf" if analysis.j1 is None else analysis.j1,
-            "j0": analysis.j0,
-            "B": list(analysis.B),
-            "u": str(record.u),
-            "in_image": record.in_image,
-            "N_P": record.N_P,
-        }
-        for record in admissible_reports(pol)
-    ]
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    j1 = '"-inf"' if analysis.j1 is None else analysis.j1
+    shared = (
+        f',{i2}"J": {_ints(analysis.J, i2)},{i2}"j1": {j1},{i2}"j0": {analysis.j0}'
+        f',{i2}"B": {_ints(analysis.B, i2)},{i2}"u": "'
+    )
+    texts = ("," + i1).join(
+        f'{{{i2}"q": {r.q}{shared}{r.u!s}",{i2}"in_image": {_LITERAL[r.in_image]}'
+        f',{i2}"N_P": {"null" if r.N_P is None else r.N_P}{i1}}}'
+        for r in records
+    )
+    return f"[{i1}{texts}{nl}]"
+
+
+_str = encode_basestring_ascii
+_LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
+
+
+def _ints(values, nl: str) -> str:
+    """An array of ints at the indentation of ``nl``."""
+    if not values:
+        return "[]"
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(map(int.__repr__, values))}{nl}]"
+
+
+def _int_map(counts: dict[int, int], nl: str) -> str:
+    """An object from int keys, sorted and written as strings, to int counts."""
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join(
+        f'"{key}": {count}' for key, count in sorted(counts.items())) + nl + "}"
 
 
 def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
@@ -141,66 +172,6 @@ def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
         {"algebra": r.algebra.value, "label": r.label, "verdict": r.verdict.value, "note": r.note}
         for r in records
     ]
-
-
-def json_text(obj, nl: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
-
-    ``nl`` is a newline followed by the indentation ``obj`` sits at, so an
-    item of an enclosing array can be rendered and written on its own.
-    ``obj`` is a tree of dict (str keys), list, str, int, bool and None,
-    exact types only; anything else, tuples and floats included, raises
-    TypeError.  Scalars are rendered in their parent's loop, a list of
-    plain ints with one join, and each such list once per call at each
-    indentation: the per-q Hesselink records of an orbit all repeat the
-    same J and B lists.
-    """
-    return _item_texts([obj], nl, {})[0]
-
-
-def _item_texts(values, nl: str, memo: dict) -> list[str]:
-    """The text of each value at the indentation of ``nl``."""
-    texts = []
-    for value in values:
-        kind = type(value)
-        if kind is str:
-            texts.append(encode_basestring_ascii(value))
-        elif kind is int:
-            texts.append(int.__repr__(value))
-        elif value is None:
-            texts.append("null")
-        elif value is True:
-            texts.append("true")
-        elif value is False:
-            texts.append("false")
-        elif kind is dict or kind is list:
-            texts.append(_container_text(value, nl, memo))
-        else:
-            raise TypeError(f"the JSON writer does not take {kind.__name__}")
-    return texts
-
-
-def _container_text(obj: dict | list, nl: str, memo: dict) -> str:
-    """One dict or list at the indentation of ``nl``.  ``memo`` maps the
-    indentation and values of an all-int list to its text."""
-    inner = nl + "  "
-    if type(obj) is dict:
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:
-            raise TypeError("the JSON writer takes str object keys only")
-        texts = _item_texts(obj.values(), inner, memo)
-        items = (encode_basestring_ascii(key) + ": " + text for key, text in zip(obj, texts))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if not obj:
-        return "[]"
-    if set(map(type, obj)) == {int}:  # bools are not ints here
-        key = (nl, *obj)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
-        return text
-    return "[" + inner + ("," + inner).join(_item_texts(obj, inner, memo)) + nl + "]"
 
 
 def _witness_text(report: OrbitReport) -> str:

@@ -2,7 +2,8 @@
 
 The orbit strategies construct valid partitions directly (constrained-parity
 parts are drawn in pairs), so hypothesis spends its budget on interesting
-cases rather than on rejection sampling.
+cases rather than on rejection sampling.  ``expected_report_dict`` is the
+reference JSON layout of one report, built as a dict for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from orbitres import Family, LieType, validate_orbit
 from orbitres.errors import InvalidLieType
-from orbitres.orbits import Partition
+from orbitres.hesselink import admissible_reports
+from orbitres.orbits import Partition, VeryEvenLabel
 
 ALL_FAMILIES = (Family.SL, Family.SP, Family.SO_ODD, Family.SO_EVEN)
 BCD_FAMILIES = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
@@ -83,3 +85,109 @@ def valid_orbits(draw, families=ALL_FAMILIES):
 
 def bcd_orbits():
     return valid_orbits(families=BCD_FAMILIES)
+
+
+@st.composite
+def orbits_up_to(draw, max_m: int = 40):
+    """A validated orbit of any family with m <= max_m: zero orbits and very
+    even orbits of either label included."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    constrained = family.constrained_parity
+    scale = 2 if draw(st.booleans()) else 1  # all parts even: very even in so_even
+    parts: list[int] = []
+    for value in draw(st.lists(st.integers(1, max_m // scale), max_size=12)):
+        value *= scale
+        count = 2 if value % 2 == constrained else 1
+        if sum(parts) + count * value <= max_m:
+            parts += [value] * count
+    assume(parts)
+    if draw(st.integers(0, 4)) == 0:
+        parts = [1] * sum(parts)  # the zero orbit
+    try:
+        lie_type = LieType(family, sum(parts))
+    except InvalidLieType:
+        assume(False)
+    orbit = validate_orbit(lie_type, sorted(parts, reverse=True))
+    if orbit.is_very_even:
+        orbit = validate_orbit(lie_type, orbit.partition, draw(st.sampled_from(VeryEvenLabel)))
+    return orbit
+
+
+def expected_report_dict(report) -> dict:
+    """One report in the JSON layout, as the dict json.dumps would write."""
+    orbit = report.orbit
+    prof = report.profile
+    group = report.picard
+    extension = group.unresolved_extension
+    verdict = report.resolution
+    pol = verdict.polarizability
+    return {
+        "algebra": orbit.lie_type.name,
+        "cartan_type": orbit.lie_type.cartan_label,
+        "family": orbit.family.value,
+        "m": orbit.m,
+        "partition": list(orbit.partition.parts),
+        "partition_compact": orbit.partition.compact_str(),
+        "very_even_label": None if orbit.very_even_label is None else orbit.very_even_label.value,
+        "profile": {
+            "k": prof.k,
+            "c": prof.c,
+            "a": prof.a,
+            "b": prof.b,
+            "l": prof.l,
+            "rather_odd": prof.rather_odd,
+            "all_same_parity": prof.all_same_parity,
+            "r": {str(i): count for i, count in sorted(prof.r.items())},
+            "s": {str(i): count for i, count in sorted(prof.s.items())},
+        },
+        "even_orbit": prof.all_same_parity,
+        "dimension": report.dimension,
+        "picard": {
+            "free_rank": group.free_rank,
+            "torsion": list(group.torsion),
+            "unresolved_extension": (
+                None if extension is None else {"kernel_exponent": extension.kernel_exponent}
+            ),
+            "trivial": group.is_trivial,
+        },
+        "q_factorial_certificate": report.q_factorial.value,
+        "factorial": report.factorial,
+        "polarizable": {
+            "polarizable": pol.polarizable,
+            "witnesses": [{"q": w.q, "N_P": w.N_P} for w in pol.witnesses],
+        },
+        "hesselink": _expected_hesselink(pol),
+        "resolution": {
+            "answer": verdict.answer.value,
+            "route": verdict.route.value,
+            "witness": _expected_witness(verdict),
+            "cross_checked": verdict.cross_checked,
+        },
+    }
+
+
+def _expected_witness(verdict) -> dict | None:
+    witness = verdict.witness
+    if witness is None:
+        return None
+    if witness.q is not None:
+        return {"q": witness.q}
+    return {"pair_position": witness.pair_position}
+
+
+def _expected_hesselink(pol) -> list[dict]:
+    """One dict per admissible q; each repeats the analysis's J, j1, j0, B."""
+    analysis = pol.analysis
+    return [
+        {
+            "q": record.q,
+            "J": list(analysis.J),
+            "j1": "-inf" if analysis.j1 is None else analysis.j1,
+            "j0": analysis.j0,
+            "B": list(analysis.B),
+            "u": str(record.u),
+            "in_image": record.in_image,
+            "N_P": record.N_P,
+        }
+        for record in admissible_reports(pol)
+    ]

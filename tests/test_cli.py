@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from common import expected_report_dict
 import orbitres.cli as cli
 import orbitres.resolution as resolution
 from orbitres import (
@@ -22,7 +23,8 @@ from orbitres import (
 )
 from orbitres.cli import main
 from orbitres.errors import CrossCheckMismatch
-from orbitres.report import exceptional_json, report_json
+from orbitres.orbits import VeryEvenLabel
+from orbitres.report import exceptional_json, report_text
 from orbitres.resolution import exceptional_records
 
 
@@ -157,11 +159,13 @@ class TestAtlas:
 
 
 class TestJsonBytes:
-    """Every JSON output is the text json.dumps(..., indent=2) would print."""
+    """Every JSON output is the text json.dumps(..., indent=2) would print for
+    the reference layout."""
 
     @pytest.mark.parametrize("algebra", ["sp10", "so9", "so8", "sl6"])
     def test_atlas(self, capsys, algebra):
-        dicts = [report_json(build_report(o)) for o in enumerate_orbits(parse_algebra(algebra))]
+        orbits = enumerate_orbits(parse_algebra(algebra))
+        dicts = [expected_report_dict(build_report(orbit)) for orbit in orbits]
         code, out, _ = run(capsys, "atlas", algebra, "--format", "json")
         assert code == 0
         assert out == json.dumps(dicts, indent=2) + "\n"
@@ -170,7 +174,16 @@ class TestJsonBytes:
         orbit = validate_orbit(parse_algebra("sp64"), parse_partition("1^64"))
         code, out, _ = run(capsys, "report", "sp64", "1^64", "--format", "json")
         assert code == 0
-        assert out == json.dumps(report_json(build_report(orbit)), indent=2) + "\n"
+        assert out == json.dumps(expected_report_dict(build_report(orbit)), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [("so8", "4,4", "--label", "II"), ("sl6", "3,2,1")])
+    def test_report_of_labelled_and_sl_orbits(self, capsys, argv):
+        algebra, partition, *label = argv
+        label = VeryEvenLabel(label[1]) if label else None
+        orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition), label)
+        code, out, _ = run(capsys, "report", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(expected_report_dict(build_report(orbit)), indent=2) + "\n"
 
     def test_exceptional_export(self, capsys):
         code, out, _ = run(capsys, "exceptional", "--export")
@@ -277,3 +290,28 @@ class TestExceptional:
         code, _, err = run(capsys, "exceptional", "E8")
         assert code == 2
         assert "LABEL" in err
+
+
+class TestOneParser:
+    """main reuses one parser for the process, and no call leaves state behind."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_share_no_state(self, capsys):
+        _, as_json, _ = run(capsys, "report", "so8", "4,4", "--label", "II", "--format", "json")
+        _, as_text, _ = run(capsys, "report", "so8", "4,4")
+        assert json.loads(as_json)["very_even_label"] == "II"
+        orbit = validate_orbit(parse_algebra("so8"), (4, 4))
+        assert as_text == report_text(build_report(orbit)) + "\n"
+        assert "label I)" in as_text
+        _, atlas_json, _ = run(capsys, "atlas", "sl4", "--format", "json")
+        _, atlas_md, _ = run(capsys, "atlas", "sl4")
+        assert len(json.loads(atlas_json)) == 5
+        assert atlas_md.startswith("# nilpotent orbits of sl4\n")
+        _, export, _ = run(capsys, "exceptional", "--export")
+        code, lookup, _ = run(capsys, "exceptional", "E7", "D4(a1)+A1")
+        assert len(json.loads(export)) == 18
+        assert code == 0
+        assert lookup.startswith("E7 D4(a1)+A1: unknown  (")
+        assert lookup.count("\n") == 1

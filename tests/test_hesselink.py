@@ -267,7 +267,8 @@ class TestReports:
             analysis(SO7, "3,2,2").record(2)
 
     def test_json_sentinels(self):
-        records = report_json(build_report(validate_orbit(SO7, d("3,2,2"))))["hesselink"]
+        report = build_report(validate_orbit(SO7, d("3,2,2")))
+        records = json.loads(report_json(report))["hesselink"]
         payload = next(record for record in records if record["q"] == 1)
         assert payload["j1"] == "-inf"
         assert payload["j0"] == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -59,7 +60,7 @@ class TestDescriptor:
         report = build_report(validate_orbit(SO7, (3, 2, 2)))
 
         def picard_json(group):
-            return report_json(replace(report, picard=group))["picard"]
+            return json.loads(report_json(replace(report, picard=group)))["picard"]
 
         d = AbelianGroupDescriptor(free_rank=1, torsion=(2,))
         assert picard_json(d) == {

@@ -4,28 +4,22 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
+from common import expected_report_dict, orbits_up_to
 import orbitres.orbits as orbits
-from orbitres import Family, LieType, build_report, enumerate_orbits
-from orbitres.hesselink import HesselinkReport
-from orbitres.report import atlas_csv, atlas_markdown, json_text, report_json, report_text
-
-# Text that json.dumps has to escape: quotes, backslashes, control and
-# non-ASCII characters (the BMP, the astral planes and a lone surrogate).
-TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600ab') | st.characters())
-INTS = st.integers() | st.integers(-(10**40), 10**40) | st.integers(0, 3)
-SCALARS = st.none() | st.booleans() | INTS | TEXT
-JSON_TREES = st.recursive(
-    SCALARS,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(st.integers(0, 3) | st.booleans(), max_size=4)
-        | st.dictionaries(TEXT, children, max_size=4)
-    ),
-    max_leaves=40,
+from orbitres import (
+    Family,
+    LieType,
+    build_report,
+    enumerate_orbits,
+    parse_algebra,
+    parse_partition,
+    validate_orbit,
 )
+from orbitres.hesselink import HesselinkReport
+from orbitres.orbits import VeryEvenLabel
+from orbitres.report import atlas_csv, atlas_markdown, report_json, report_text
 
 
 def test_profile_computed_once_per_report(monkeypatch):
@@ -76,22 +70,26 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
         assert [record.q for record in built] == pol.analysis.admissible_qs(), orbit
 
 
-@given(JSON_TREES)
-def test_json_text_is_json_dumps(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+@settings(max_examples=300, deadline=None)
+@given(orbits_up_to(40))
+def test_json_text_is_json_dumps(orbit):
+    """An orbit's JSON text is what json.dumps writes for the reference dict,
+    on its own and as an item of an atlas array."""
+    report = build_report(orbit)
+    expected = expected_report_dict(report)
+    assert report_json(report) == json.dumps(expected, indent=2)
+    assert "[\n  " + report_json(report, "\n  ") + "\n]" == json.dumps([expected], indent=2)
 
 
 @pytest.mark.parametrize("obj", [
-    {"a": [1, 2], "b": [[1, 2], {"c": [1, 2]}], "d": [1, 2]},  # one int list at three depths
-    [[1, 1], [True, True], [1, True], [1, 1]],  # equal values, different types
-    [{}, [], [[]], {"e": {}}, [{}]],
-    [0, -1, 2**100, -(2**100)],
+    ("sp8", "1^8", None),  # the zero orbit: a q witness, j1 a number
+    ("so8", "4,4", VeryEvenLabel.II),  # very even; j1 missing, an unresolved extension
+    ("sl6", "3,2,1", None),  # no Hesselink records, no witnesses, a null witness
+    ("sp10", "4,2,2,1,1", None),  # not polarizable: empty witnesses, torsion [2, 2]
+    ("so8", "5,3", None),  # an adjacent-pair witness, J empty
 ])
 def test_json_text_fixed_cases(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [(1, 2), [1.5], {"a": {1: "b"}}, [{"a": (1,)}]])
-def test_json_text_rejects_non_native_input(obj):
-    with pytest.raises(TypeError):
-        json_text(obj)
+    algebra, partition, label = obj
+    orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition), label)
+    report = build_report(orbit)
+    assert report_json(report) == json.dumps(expected_report_dict(report), indent=2)

@@ -117,7 +117,8 @@ class TestDispatcher:
             assert one == two
 
     def test_verdict_json(self):
-        payload = report_json(build_report(validate_orbit(SO7, (3, 2, 2))))["resolution"]
+        report = build_report(validate_orbit(SO7, (3, 2, 2)))
+        payload = json.loads(report_json(report))["resolution"]
         assert payload == {
             "answer": "yes",
             "route": "closed_form",
@@ -137,7 +138,8 @@ class TestWitness:
 
         def witness_json(witness):
             verdict = replace(report.resolution, witness=witness)
-            return report_json(replace(report, resolution=verdict))["resolution"]["witness"]
+            text = report_json(replace(report, resolution=verdict))
+            return json.loads(text)["resolution"]["witness"]
 
         assert witness_json(ResolutionWitness(q=0)) == {"q": 0}
         assert witness_json(ResolutionWitness(pair_position=2)) == {"pair_position": 2}

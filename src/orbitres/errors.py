@@ -55,16 +55,8 @@ class WrongFamily(OrbitresError, TypeError):
     """Operation applied to an orbit of an unsupported family."""
 
 
-class ZeroOrbit(OrbitresError, ValueError):
-    """The zero orbit was passed where a non-zero orbit is required."""
-
-
 class InadmissibleQ(OrbitresError, ValueError):
-    """q fails the admissibility test (parity, or the excluded value 2)."""
-
-
-class NotInImage(OrbitresError, ValueError):
-    """Degree requested for a (partition, q) pair outside the image test."""
+    """q is not admissible: outside 0..m, of the wrong parity, or 2 for so."""
 
 
 class InternalInvariantError(OrbitresError):

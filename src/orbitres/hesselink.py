@@ -4,27 +4,27 @@ For sp_m and so_m the Richardson (polarizable) orbits, and among them those
 whose cotangent-bundle collapsing T*(G/P) -> closure is birational, are
 decided by a purely combinatorial test on the partition d:
 
-* a parameter q >= 0 is admissible when q = m (mod 2), with q = 2 excluded
-  in the orthogonal case;
+* a parameter q is admissible when 0 <= q <= m and q = m (mod 2), with
+  q = 2 excluded in the orthogonal case;
 * the orbit is polarizable iff for some admissible q the partition passes
   the image test of the Spaltenstein map attached to q;
 * when it does, the collapsing degree of the associated polarization is a
-  power of 2 whose exponent is computed from the count of odd parts; a
-  resolution exists iff some admissible q yields degree 1.
+  power of 2 whose exponent u is half of +-(#odd parts - q), an integer
+  since both have the parity of m; a resolution exists iff some admissible
+  q yields degree 1.
 
 None of the sets behind these tests depends on q.  HesselinkAnalysis is the
 one API for them: it is built once per orbit, in O(N) time for its N
 parts, and holds the marked set J, the interval bounds j1 and j0 (j1 is None
 when no marked position carries an odd part, printed as -inf), the drop set
-B, the adjacent-pair parity check and the number of odd parts.  Every
-q-dependent answer (image test, degree exponent, collapsing degree, per-q
-record) is then read off the analysis in constant time, so walking all
-admissible q costs O(N + m) rather than O(m * N).  A per-q record,
-HesselinkReport, holds only what depends on q: q, u, the image test and
-N_P.  ``polarizable`` keeps the analysis in its result, with the records of
-the q in the image as witnesses; the degree search reads them, and
-``admissible_reports`` builds every admissible q's record for the JSON
-report alone.
+B, the adjacent-pair parity check and the number of odd parts.  The per-q
+record, HesselinkReport (q, the integer u, the image test, N_P), is the one
+q-dependent answer, read off the analysis in constant time, so walking all
+admissible q costs O(N + m) rather than O(m * N).  ``record(q)`` is the
+public per-q query and rejects any q outside ``admissible_qs``;
+``polarizable`` (whose witnesses are the records of the q in the image) and
+``admissible_reports`` (every admissible q's record, for the JSON report
+alone) walk ``admissible_qs`` and so check nothing.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -40,9 +40,8 @@ valid partition.  It drives every set definition below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InadmissibleQ, NonIntegralExponent, NotInImage, WrongFamily
+from .errors import InadmissibleQ, NonIntegralExponent, WrongFamily
 from .orbits import ClassicalOrbit, Family
 
 
@@ -67,6 +66,7 @@ class HesselinkAnalysis:
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
     beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
     size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
+    Besides ``of``, the public methods are ``admissible_qs`` and ``record``.
     """
 
     m: int
@@ -111,80 +111,57 @@ class HesselinkAnalysis:
             n_odd=sum(p % 2 for p in parts),
         )
 
-    def is_admissible(self, q: int) -> bool:
-        """q must be non-negative, congruent to m mod 2, and not 2 when so."""
-        return q >= 0 and (q - self.m) % 2 == 0 and not (self.epsilon == 0 and q == 2)
-
     def admissible_qs(self) -> list[int]:
-        """Every admissible q in 0..m, ascending: the q of m's parity, 2 left
-        out for so."""
+        """Every admissible q, ascending: the q in 0..m congruent to m mod 2,
+        with 2 left out for so.  This is the one admissibility rule."""
         return [q for q in range(self.m % 2, self.m + 1, 2) if q != 2 or self.epsilon]
 
-    def in_image(self, q: int) -> bool:
-        """Image test for the Spaltenstein map at admissible q.
-
-        The partition lies in the image iff j1 <= q < j0 (no lower bound
-        when j1 is None) and the adjacent parity-pairing condition holds.
-        Only the interval depends on q.
-        """
-        if not self.is_admissible(q):
+    def record(self, q: int) -> HesselinkReport:
+        """The record of q; raises InadmissibleQ unless q is an int in
+        admissible_qs()."""
+        if type(q) is not int or q not in self.admissible_qs():
             raise InadmissibleQ(
-                f"q = {q} is not admissible for m = {self.m}, epsilon = {self.epsilon}"
+                f"q = {q!r} is not admissible for m = {self.m}, epsilon = {self.epsilon}"
             )
+        return self._record(q, self._in_image(q))
+
+    def _in_image(self, q: int) -> bool:
+        """Image test for the Spaltenstein map at an admissible q: j1 <= q < j0
+        (no lower bound when j1 is None) and the parity pairing holds."""
         return (self.j1 is None or self.j1 <= q) and q < self.j0 and self.pairing_ok
 
-    def u(self, q: int) -> Fraction:
-        """Exact degree exponent: half of (-1)^epsilon times (#odd parts - q).
-
-        Kept as a rational on purpose; it is converted to an integer exponent
-        only after validation, so a convention error can never be silently
-        truncated away.
-        """
-        sign = -1 if self.epsilon == 1 else 1
-        return Fraction(sign * (self.n_odd - q), 2)
-
-    def N_P(self, q: int) -> int:
-        """Collapsing degree of the polarization attached to q.
-
-        2^u in general, 2^(u-1) when q = epsilon = 0 with a strict drop at an
-        odd part.  Defined only on the image of the Spaltenstein map; raises
-        NonIntegralExponent if the exponent fails to be a non-negative
-        integer (empirically impossible for valid classical data, kept as a
-        guard).
-        """
-        if not self.in_image(q):
-            raise NotInImage(
-                f"not in the image of the Spaltenstein map at q = {q}: interval "
-                f"[{'-inf' if self.j1 is None else self.j1}, {self.j0}), "
-                f"pairing {'holds' if self.pairing_ok else 'fails'}"
-            )
-        return self._record(q, True).N_P
-
-    def record(self, q: int) -> HesselinkReport:
-        """The per-q record; q must be admissible."""
-        return self._record(q, self.in_image(q))
-
     def _record(self, q: int, in_image: bool) -> HesselinkReport:
-        """The record of q, given the outcome of its image test."""
-        u = self.u(q)
+        """The record of an admissible q, given the outcome of its image test.
+
+        2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2).  On
+        the image N_P = 2^u, or 2^(u-1) when q = epsilon = 0 and B is not
+        empty, and the padded tail keeps that exponent non-negative.  Either
+        failing is a convention bug, raised as NonIntegralExponent."""
+        twice_u = q - self.n_odd if self.epsilon else self.n_odd - q
+        if twice_u % 2:
+            raise NonIntegralExponent(
+                f"degree exponent {twice_u}/2 is not an integer for q = {q}, "
+                f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
+            )
+        u = twice_u // 2
         if not in_image:
             return HesselinkReport(q, u, False, None)
         exponent = u if q + self.epsilon >= 1 or not self.B else u - 1
-        if exponent.denominator != 1 or exponent < 0:
+        if exponent < 0:
             raise NonIntegralExponent(
-                f"degree exponent {exponent} for q = {q}, epsilon = {self.epsilon}, "
-                f"{self.n_odd} odd parts"
+                f"degree exponent {exponent} is negative for q = {q}, "
+                f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
             )
-        return HesselinkReport(q, u, True, 2 ** int(exponent))
+        return HesselinkReport(q, u, True, 2 ** exponent)
 
 
 @dataclass(frozen=True)
 class HesselinkReport:
-    """One admissible q: its degree exponent u, whether it passes the image
-    test, and the collapsing degree N_P there (None off the image)."""
+    """One admissible q: its integer degree exponent u, whether it passes the
+    image test, and the collapsing degree N_P there (None off the image)."""
 
     q: int
-    u: Fraction
+    u: int
     in_image: bool
     N_P: int | None
 
@@ -217,7 +194,7 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
         return PolarizabilityResult(witnesses=(), analysis=None)
     analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple(
-        analysis._record(q, True) for q in analysis.admissible_qs() if analysis.in_image(q)
+        analysis._record(q, True) for q in analysis.admissible_qs() if analysis._in_image(q)
     )
     return PolarizabilityResult(witnesses=witnesses, analysis=analysis)
 
@@ -231,6 +208,7 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
 
 def admissible_reports(pol: PolarizabilityResult) -> tuple[HesselinkReport, ...]:
     """Reports for every admissible q in 0..m; empty for sl orbits."""
-    if pol.analysis is None:
+    analysis = pol.analysis
+    if analysis is None:
         return ()
-    return tuple(pol.analysis.record(q) for q in pol.analysis.admissible_qs())
+    return tuple(analysis._record(q, analysis._in_image(q)) for q in analysis.admissible_qs())

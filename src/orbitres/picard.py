@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ZeroOrbit
 from .orbits import ClassicalOrbit, Family, PartitionProfile, profile
 
 
@@ -130,16 +129,17 @@ def q_factorial_certificate(
     return QFactorialCertificate.CERTIFIED if certified else QFactorialCertificate.NOT_CERTIFIED
 
 
-def is_factorial(orbit: ClassicalOrbit) -> bool:
+def is_factorial(orbit: ClassicalOrbit) -> bool | None:
     """Whether the normalized closure of a non-zero orbit is factorial.
 
     sl: never.  sp: iff every part is odd.  so_{2n}: iff there is exactly
     one distinct odd part and it has multiplicity at least 4.  so_{2n+1}:
     the same with multiplicity at least 3.  The zero orbit is outside the
-    statement and is rejected.
+    statement, so the answer for it is None; this is the one place that
+    excludes it.
     """
     if orbit.is_zero:
-        raise ZeroOrbit(f"factoriality criterion excludes the zero orbit {orbit}")
+        return None
     parts = orbit.partition.parts
     if orbit.family is Family.SL:
         return False

@@ -52,7 +52,7 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
         dimension=orbit_dimension(orbit),
         picard=picard(orbit, prof),
         q_factorial=q_factorial_certificate(orbit, prof),
-        factorial=None if orbit.is_zero else is_factorial(orbit),
+        factorial=is_factorial(orbit),
         resolution=admits_symplectic_resolution(orbit),
     )
 

@@ -131,15 +131,15 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     """
     closed = closed_form_verdict(orbit)
     pol = polarizable(orbit)
-    if orbit.family is Family.SL:
-        return ResolutionVerdict(closed.answer, closed.route, None, pol, cross_checked=False)
-    search_says_yes = resolution_by_search(pol)
-    if (closed.answer is Verdict.YES) != search_says_yes:
-        raise CrossCheckMismatch(
-            f"closed form says {closed.answer.value} but the degree search says "
-            f"{'yes' if search_says_yes else 'no'} for {orbit}"
-        )
-    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol, cross_checked=True)
+    cross_checked = orbit.family is not Family.SL
+    if cross_checked:
+        search_says_yes = resolution_by_search(pol)
+        if (closed.answer is Verdict.YES) != search_says_yes:
+            raise CrossCheckMismatch(
+                f"closed form says {closed.answer.value} but the degree search says "
+                f"{'yes' if search_says_yes else 'no'} for {orbit}"
+            )
+    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol, cross_checked)
 
 
 class ExceptionalAlgebra(Enum):

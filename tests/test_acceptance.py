@@ -77,13 +77,14 @@ def sweep():
             analysis = HesselinkAnalysis.of(orbit)
             degree_one = False
             for q in analysis.admissible_qs():
-                if not analysis.in_image(q):
-                    continue
-                in_image_pairs += 1
                 try:
-                    degree_one = degree_one or analysis.N_P(q) == 1
+                    record = analysis.record(q)
                 except Exception:
                     violations += 1
+                    continue
+                if record.in_image:
+                    in_image_pairs += 1
+                    degree_one = degree_one or record.N_P == 1
             prof = profile(orbit)
             group = picard(orbit)
             records.append(
@@ -94,7 +95,7 @@ def sweep():
                     even=is_even_orbit(orbit),
                     polarizable=polarizable(orbit).polarizable,
                     pic_trivial=group.is_trivial,
-                    factorial=None if orbit.is_zero else is_factorial(orbit),
+                    factorial=is_factorial(orbit),
                     l=prof.l,
                     free_rank=group.free_rank,
                 )

@@ -12,6 +12,7 @@ import orbitres.cli as cli
 import orbitres.resolution as resolution
 from orbitres import (
     Family,
+    HesselinkAnalysis,
     LieType,
     Verdict,
     build_report,
@@ -107,6 +108,19 @@ class TestReport:
         assert code == 4
         assert out == ""
         assert "internal error, this is a bug" in err
+
+    def test_non_integral_exponent_is_an_internal_error(self, capsys, monkeypatch):
+        original = HesselinkAnalysis.of.__func__
+
+        def off_by_one(cls, orbit):
+            analysis = original(cls, orbit)
+            return replace(analysis, n_odd=analysis.n_odd + 1)
+
+        monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(off_by_one))
+        code, out, err = run(capsys, "report", "so7", "3,2,2")
+        assert code == 4
+        assert out == ""
+        assert "internal error, this is a bug: degree exponent" in err
 
 
 class TestAtlas:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.cli import _selfcheck_lie_types, run_selfcheck
-from orbitres.errors import InadmissibleQ, NotInImage, WrongFamily
+from orbitres.errors import InadmissibleQ, NonIntegralExponent, WrongFamily
+from orbitres.hesselink import HesselinkReport
 from orbitres.report import report_json
 from orbitres.resolution import closed_form_verdict
 
@@ -68,27 +70,37 @@ class TestContext:
 class TestAdmissible:
     def test_orthogonal_excludes_two(self):
         a = zero_orbit_analysis(SO8)
-        assert a.is_admissible(2) is False
-        assert a.is_admissible(0) is True
-        assert a.is_admissible(4) is True
+        assert a.admissible_qs() == [0, 4, 6, 8]
+        with pytest.raises(InadmissibleQ):
+            a.record(2)
 
     def test_parity(self):
-        assert zero_orbit_analysis(SO7).is_admissible(1) is True
-        assert zero_orbit_analysis(SO7).is_admissible(2) is False  # wrong parity anyway
-        assert zero_orbit_analysis(SP6).is_admissible(2) is True  # epsilon = 1 exempts q = 2
-        assert zero_orbit_analysis(SP6).is_admissible(3) is False
+        assert zero_orbit_analysis(SO7).admissible_qs() == [1, 3, 5, 7]
+        assert zero_orbit_analysis(SP6).admissible_qs() == [0, 2, 4, 6]  # epsilon = 1 keeps q = 2
+        with pytest.raises(InadmissibleQ):
+            zero_orbit_analysis(SP6).record(3)
 
     def test_negative(self):
-        assert zero_orbit_analysis(SP6).is_admissible(-2) is False
+        with pytest.raises(InadmissibleQ):
+            zero_orbit_analysis(SP6).record(-2)
 
     def test_admissible_qs_is_the_admissible_filter(self):
+        """admissible_qs is the parity-and-2 filter on 0..m, and record takes
+        exactly those q: no negative q, none of the wrong parity, none past m."""
         lie_types = [LieType(Family.SP, m) for m in range(2, 65, 2)]
         lie_types += [LieType(Family.SO_ODD, m) for m in range(3, 65, 2)]
         lie_types += [LieType(Family.SO_EVEN, m) for m in range(4, 65, 2)]
         for lie_type in lie_types:
             a = zero_orbit_analysis(lie_type)
-            expected = [q for q in range(lie_type.m + 1) if a.is_admissible(q)]
+            m, orthogonal = lie_type.m, lie_type.family is not Family.SP
+            expected = [q for q in range(m + 1) if q % 2 == m % 2 and not (orthogonal and q == 2)]
             assert a.admissible_qs() == expected, lie_type
+            for q in range(-3, m + 4):
+                if q in expected:
+                    assert a.record(q).q == q
+                else:
+                    with pytest.raises(InadmissibleQ):
+                        a.record(q)
 
 
 class TestMarkedSets:
@@ -128,67 +140,85 @@ class TestMarkedSets:
         assert (a.j1, a.j0) == (2, 4)
 
 
+def in_image(a, q):
+    return a.record(q).in_image
+
+
 class TestImageTest:
     def test_so7_322_at_q1(self):
-        assert analysis(SO7, "3,2,2").in_image(1) is True
+        assert in_image(analysis(SO7, "3,2,2"), 1) is True
 
     def test_sp6_minimal_never(self):
         a = analysis(SP6, "2,1,1,1,1")
-        for q in range(7):
-            if a.is_admissible(q):
-                assert a.in_image(q) is False
+        for q in a.admissible_qs():
+            assert in_image(a, q) is False
 
     def test_sp6_411_never(self):
         a = analysis(SP6, "4,1,1")
-        for q in range(7):
-            if a.is_admissible(q):
-                assert a.in_image(q) is False
-
-    def test_inadmissible_q_raises(self):
-        with pytest.raises(InadmissibleQ):
-            analysis(SO8, "5,3").in_image(2)
-        with pytest.raises(InadmissibleQ):
-            analysis(SO7, "3,2,2").in_image(0)
+        for q in a.admissible_qs():
+            assert in_image(a, q) is False
 
     def test_padded_cap_blocks_large_q(self):
         # without the padded tail in J this would pass and give u = -1
-        assert analysis(SO8, "5,3").in_image(4) is False
-        assert analysis(SO8, "5,3").in_image(0) is True
+        assert in_image(analysis(SO8, "5,3"), 4) is False
+        assert in_image(analysis(SO8, "5,3"), 0) is True
 
 
 class TestDegreeExponent:
     def test_values(self):
-        assert analysis(SO7, "3,2,2").u(1) == Fraction(0)
-        assert analysis(SP6, "3,3").u(2) == Fraction(0)
-        assert analysis(SO8, "3,3,1,1").u(4) == Fraction(0)
-        assert analysis(SO8, "3,3,1,1").u(0) == Fraction(2)
+        u = lambda a, q: a.record(q).u
+        assert u(analysis(SO7, "3,2,2"), 1) == 0
+        assert u(analysis(SP6, "3,3"), 2) == 0
+        assert u(analysis(SO8, "3,3,1,1"), 4) == 0
+        assert u(analysis(SO8, "3,3,1,1"), 0) == 2
         # the sign flips for the symplectic family
-        assert analysis(SP6, "3,3").u(4) == Fraction(1)
-        assert analysis(SO8, "5,3").u(4) == Fraction(-1)
+        assert u(analysis(SP6, "3,3"), 4) == 1
+        assert u(analysis(SO8, "5,3"), 4) == -1
+        assert type(u(analysis(SO8, "5,3"), 4)) is int
+
+
+def degree(a, q):
+    return a.record(q).N_P
 
 
 class TestCollapseDegree:
     def test_degree_one_witnesses(self):
-        assert analysis(SO7, "3,2,2").N_P(1) == 1
-        assert analysis(SP6, "3,3").N_P(2) == 1
-        assert analysis(SO8, "4,4").N_P(0) == 1
+        assert degree(analysis(SO7, "3,2,2"), 1) == 1
+        assert degree(analysis(SP6, "3,3"), 2) == 1
+        assert degree(analysis(SO8, "4,4"), 0) == 1
 
     def test_halved_branch_at_q_zero(self):
         # q = epsilon = 0 with a strict odd drop: degree 2^(u-1)
-        assert analysis(SO8, "7,1").N_P(0) == 1
-        assert analysis(SO8, "3,3,1,1").N_P(0) == 2
-        assert analysis(SO10, "2,2,2,2,1,1").N_P(0) == 1
+        assert degree(analysis(SO8, "7,1"), 0) == 1
+        assert degree(analysis(SO8, "3,3,1,1"), 0) == 2
+        assert degree(analysis(SO10, "2,2,2,2,1,1"), 0) == 1
 
     def test_unhalved_when_q_positive(self):
-        assert analysis(SO8, "3,3,1,1").N_P(4) == 1
-        assert analysis(SO7, "5,1,1").N_P(1) == 2
-        assert analysis(SO7, "5,1,1").N_P(3) == 1
+        assert degree(analysis(SO8, "3,3,1,1"), 4) == 1
+        assert degree(analysis(SO7, "5,1,1"), 1) == 2
+        assert degree(analysis(SO7, "5,1,1"), 3) == 1
 
-    def test_not_in_image_raises(self):
-        with pytest.raises(NotInImage):
-            analysis(SP6, "4,1,1").N_P(0)
-        with pytest.raises(NotInImage, match=r"interval \[-inf, 3\), pairing holds"):
-            analysis(SO8, "5,3").N_P(4)
+    def test_no_degree_off_the_image(self):
+        assert analysis(SP6, "4,1,1").record(0) == HesselinkReport(0, -1, False, None)
+        assert analysis(SO8, "5,3").record(4) == HesselinkReport(4, -1, False, None)
+
+
+class TestIntegralityGuard:
+    """NonIntegralExponent fires on an analysis no orbit produces: valid data
+    never reaches it, so each test corrupts one field of a real analysis."""
+
+    def test_odd_count_off_by_one_raises_at_every_q(self):
+        for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "3,2,2")):
+            corrupted = replace(a, n_odd=a.n_odd + 1)
+            for q in a.admissible_qs():  # in the image or not
+                with pytest.raises(NonIntegralExponent, match="is not an integer"):
+                    corrupted.record(q)
+
+    def test_negative_exponent_raises(self):
+        # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
+        corrupted = replace(analysis(SO8, "5,3"), j0=9)
+        with pytest.raises(NonIntegralExponent, match="degree exponent -1 is negative"):
+            corrupted.record(4)
 
 
 class TestPolarizable:
@@ -223,22 +253,20 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_exponent_is_non_negative_integer(self, orbit):
-        a = HesselinkAnalysis.of(orbit)
-        for q in a.admissible_qs():
-            if not a.in_image(q):
-                continue
-            degree = a.N_P(q)  # would raise NonIntegralExponent
-            assert degree > 0 and degree & (degree - 1) == 0  # power of two
+        for r in admissible_reports(polarizable(orbit)):  # would raise NonIntegralExponent
+            assert type(r.u) is int
+            if r.in_image:
+                assert r.N_P > 0 and r.N_P & (r.N_P - 1) == 0  # power of two
+            else:
+                assert r.N_P is None
 
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_interval_is_contiguous(self, orbit):
-        a = HesselinkAnalysis.of(orbit)
-        passing = [q for q in a.admissible_qs() if a.in_image(q)]
-        for low, high in zip(passing, passing[1:]):
-            for q in range(low, high + 1):
-                if a.is_admissible(q):
-                    assert a.in_image(q)
+        records = admissible_reports(polarizable(orbit))
+        passing = [r.q for r in records if r.in_image]
+        if passing:
+            assert all(r.in_image for r in records if passing[0] <= r.q <= passing[-1])
 
     @given(bcd_orbits())
     @settings(max_examples=200)
@@ -260,11 +288,20 @@ class TestReports:
         assert report.q == 1
         assert report.in_image is True
         assert report.N_P == 1
-        assert report.u == Fraction(0)
+        assert report.u == 0 and type(report.u) is int
 
     def test_inadmissible_report_rejected(self):
         with pytest.raises(InadmissibleQ):
             analysis(SO7, "3,2,2").record(2)
+        with pytest.raises(InadmissibleQ):
+            analysis(SO7, "3,2,2").record(0)
+        with pytest.raises(InadmissibleQ):
+            analysis(SO8, "5,3").record(2)
+        with pytest.raises(InadmissibleQ):
+            analysis(SO8, "5,3").record(10)  # past m
+        for q in (1.0, True, "1"):  # u and N_P are ints only for an int q
+            with pytest.raises(InadmissibleQ):
+                analysis(SO7, "3,2,2").record(q)
 
     def test_json_sentinels(self):
         report = build_report(validate_orbit(SO7, d("3,2,2")))
@@ -392,16 +429,16 @@ class TestAnalysis:
         assert analyses == expected_analyses(swept)
 
     def test_image_test_runs_once_per_q(self, monkeypatch):
-        """polarizable and the per-q records each run the image test once per
-        admissible q; N_P, the public entry, keeps its own NotInImage guard."""
+        """polarizable, the per-q records and record(q) each run the image
+        test once per admissible q they answer for."""
         calls = []
-        original = HesselinkAnalysis.in_image
+        original = HesselinkAnalysis._in_image
 
         def counted(self, q):
             calls.append(q)
             return original(self, q)
 
-        monkeypatch.setattr(HesselinkAnalysis, "in_image", counted)
+        monkeypatch.setattr(HesselinkAnalysis, "_in_image", counted)
         in_image = 0
         for orbit in bcd_orbits_up_to(12):
             calls.clear()
@@ -414,6 +451,5 @@ class TestAnalysis:
             in_image += sum(r.in_image for r in records)
         assert in_image > 100
         calls.clear()
-        with pytest.raises(NotInImage):
-            analysis(SP6, "4,1,1").N_P(0)
+        assert analysis(SP6, "4,1,1").record(0).N_P is None
         assert calls == [0]

@@ -9,7 +9,6 @@ from hypothesis import given
 
 from common import bcd_orbits, valid_orbits
 from orbitres import Family, LieType, build_report, picard, validate_orbit
-from orbitres.errors import ZeroOrbit
 from orbitres.orbits import VeryEvenLabel, profile
 from orbitres.picard import (
     AbelianGroupDescriptor,
@@ -178,11 +177,10 @@ class TestFactorial:
         assert is_factorial(validate_orbit(SO8, (2, 2, 1, 1, 1, 1))) is True
         assert is_factorial(validate_orbit(SO8, (3, 3, 1, 1))) is False
 
-    def test_zero_orbit_rejected(self):
-        with pytest.raises(ZeroOrbit):
-            is_factorial(validate_orbit(SL3, (1, 1, 1)))
-        with pytest.raises(ZeroOrbit):
-            is_factorial(validate_orbit(SO8, (1,) * 8))
+    def test_zero_orbit_excluded(self):
+        assert is_factorial(validate_orbit(SL3, (1, 1, 1))) is None
+        assert is_factorial(validate_orbit(SO8, (1,) * 8)) is None
+        assert is_factorial(validate_orbit(SP6, (1,) * 6)) is None
 
     @given(bcd_orbits())
     def test_factorial_iff_trivial_picard(self, orbit):

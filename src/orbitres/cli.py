@@ -36,7 +36,6 @@ from .orbits import (
     is_even_orbit,
     parse_algebra,
     parse_partition,
-    profile,
     validate_orbit,
 )
 from .picard import is_factorial, picard
@@ -164,14 +163,13 @@ def run_selfcheck(max_m: int, out=None) -> int:
                 failures.append((_POLARIZABLE, f"{orbit}: resolvable but not polarizable"))
             tallies[_POLARIZABLE] += 1
             if orbit.family is not Family.SL:
-                prof = profile(orbit)
-                group = picard(orbit, prof)
+                group = picard(orbit)
                 if is_factorial(orbit) not in (None, group.is_trivial):
                     failures.append(
                         (_FACTORIAL, f"{orbit}: factoriality and picard triviality disagree")
                     )
                 tallies[_FACTORIAL] += 1
-                if prof.l == 0 and group.free_rank != 0:
+                if orbit.profile.l == 0 and group.free_rank != 0:
                     failures.append(
                         (_FREE_RANK, f"{orbit}: l = 0 but picard free rank {group.free_rank}")
                     )

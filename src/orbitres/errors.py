@@ -47,10 +47,6 @@ class InvalidLabel(OrbitresError, ValueError):
     """A very-even label supplied where none is allowed, or vice versa."""
 
 
-class RankTooSmall(OrbitresError, ValueError):
-    """The algebra is below the rank where the requested orbit exists."""
-
-
 class WrongFamily(OrbitresError, TypeError):
     """Operation applied to an orbit of an unsupported family."""
 

@@ -7,7 +7,11 @@ the same of every even part, and sl_m is unconstrained.  Every verdict the
 package produces (Picard group, factoriality, polarizability, existence of a
 symplectic resolution) is a function of the partition alone, so this module
 owns the validation gate and all the partition statistics the formulas
-consume.
+consume.  A partition counts its parts once (``Partition.counts``) and an
+orbit builds its profile once (``ClassicalOrbit.profile``); the gate, the
+exponent shorthand, the Picard formulas and the factoriality rule all read
+those.  The two resolution routes read neither: each works from the parts
+alone, so a wrong shared statistic could not hide from their cross-check.
 
 Conventions used throughout the package:
 
@@ -27,6 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     InvalidLabel,
@@ -36,7 +41,6 @@ from .errors import (
     ParityMultiplicityViolation,
     ParseError,
     PartitionError,
-    RankTooSmall,
     WrongSum,
 )
 
@@ -152,12 +156,17 @@ class Partition:
             counts.append(j)
         return Partition(tuple(counts))
 
+    @cached_property
+    def counts(self) -> dict[int, int]:
+        """Part value -> multiplicity, keys in decreasing order: the one map
+        built from the parts, on first use, and kept."""
+        return dict(Counter(self.parts))  # parts descend, so the keys do too
+
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
-        pieces = []
-        for value, count in sorted(Counter(self.parts).items(), reverse=True):
-            pieces.append(f"{value}^{count}" if count > 1 else f"{value}")
-        return ",".join(pieces)
+        return ",".join(
+            f"{value}^{count}" if count > 1 else f"{value}" for value, count in self.counts.items()
+        )
 
     def __str__(self) -> str:
         return f"[{self.compact_str()}]"
@@ -168,13 +177,13 @@ class VeryEvenLabel(Enum):
     II = "II"
 
 
-def parity_violation(family: Family, parts: tuple[int, ...]) -> tuple[int, int] | None:
+def parity_violation(family: Family, partition: Partition) -> tuple[int, int] | None:
     """First (part, multiplicity) breaking the family's parity constraint
     (``Family.constrained_parity``), None when the family admits the parts."""
     constrained = family.constrained_parity
     if constrained is None:
         return None
-    for value, count in sorted(Counter(parts).items(), reverse=True):
+    for value, count in partition.counts.items():
         if value % 2 == constrained and count % 2 != 0:
             return value, count
     return None
@@ -199,7 +208,7 @@ class ClassicalOrbit:
                 f"parts sum to {self.partition.total}, expected m = {self.lie_type.m} "
                 f"for {self.lie_type.name}"
             )
-        offender = parity_violation(self.family, self.partition.parts)
+        offender = parity_violation(self.family, self.partition)
         if offender is not None:
             raise ParityMultiplicityViolation(self.lie_type.name, *offender)
         eligible = self.family is Family.SO_EVEN and all(p % 2 == 0 for p in self.partition)
@@ -227,6 +236,11 @@ class ClassicalOrbit:
         """True for the zero orbit, partition [1^m]."""
         return self.partition.parts[0] == 1
 
+    @cached_property
+    def profile(self) -> PartitionProfile:
+        """The orbit's statistics, built by ``profile`` on first use and kept."""
+        return profile(self)
+
     def __str__(self) -> str:
         suffix = f" ({self.very_even_label.value})" if self.very_even_label else ""
         return f"{self.lie_type.name} {self.partition}{suffix}"
@@ -248,17 +262,18 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
 class PartitionProfile:
     """All the partition statistics the downstream formulas consume.
 
-    r maps a part value to its multiplicity, s is the dual partition
-    (s_i = #{j : d_j >= i}), k counts distinct parts, c is the gcd of the
-    parts, a and b count distinct odd and even parts, and l counts the
-    distinct part values of the family's unconstrained parity that occur
-    exactly twice (even values for sp, odd values for so; 0 for sl where no
-    formula consumes it).  rather_odd means every odd part has multiplicity
-    one, vacuously true when there is no odd part.
+    r maps a part value to its multiplicity (the partition's ``counts``), k
+    counts distinct parts, c is the gcd of the parts, a and b count distinct
+    odd and even parts, and l counts the distinct part values of the
+    family's unconstrained parity that occur exactly twice (even values for
+    sp, odd values for so; 0 for sl where no formula consumes it).
+    rather_odd means every odd part has multiplicity one, vacuously true
+    when there is no odd part.  The dual partition is not a statistic here:
+    only the JSON rendering shows it, and it builds it from
+    ``Partition.dual``.
     """
 
     r: dict[int, int]
-    s: dict[int, int]
     k: int
     c: int
     a: int
@@ -269,19 +284,17 @@ class PartitionProfile:
 
 
 def profile(orbit: ClassicalOrbit) -> PartitionProfile:
-    """Compute the full statistics profile of a validated orbit."""
-    parts = orbit.partition.parts
-    r = dict(Counter(parts))
-    s = {i: count for i, count in enumerate(orbit.partition.dual(), start=1)}
+    """Compute the full statistics profile of a validated orbit; read it as
+    ``orbit.profile``, which calls this once per orbit."""
+    r = orbit.partition.counts
     odd_values = [v for v in r if v % 2 == 1]
     constrained = orbit.family.constrained_parity
     l = 0 if constrained is None else sum(
         1 for v, count in r.items() if v % 2 != constrained and count == 2)
     return PartitionProfile(
         r=r,
-        s=s,
         k=len(r),
-        c=math.gcd(*parts),
+        c=math.gcd(*r),
         a=len(odd_values),
         b=len(r) - len(odd_values),
         l=l,
@@ -314,24 +327,6 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
     if orbit.family is Family.SP:
         return (m * m + m) // 2 - (sum_sq + n_odd) // 2
     return (m * m - m) // 2 - (sum_sq - n_odd) // 2
-
-
-def minimal_orbit(lie_type: LieType) -> ClassicalOrbit:
-    """The minimal non-zero nilpotent orbit of the algebra.
-
-    [2, 1^{m-2}] for sl and sp, [2^2, 1^{m-4}] for both so families.  The
-    ranks below which the statement is not made (sl_n n < 2, sp_2n n < 3,
-    so_{2n+1} n < 2, so_{2n} n < 4) are rejected.
-    """
-    family, m = lie_type.family, lie_type.m
-    floor = {Family.SL: 2, Family.SP: 6, Family.SO_ODD: 5, Family.SO_EVEN: 8}[family]
-    if m < floor:
-        raise RankTooSmall(f"no minimal orbit tracked for {lie_type.name} (need m >= {floor})")
-    if family in (Family.SL, Family.SP):
-        parts = (2,) + (1,) * (m - 2)
-    else:
-        parts = (2, 2) + (1,) * (m - 4)
-    return validate_orbit(lie_type, parts)
 
 
 _ALGEBRA_RE = re.compile(r"^(sl|sp|so)\s*(\d+)$", re.IGNORECASE)
@@ -373,8 +368,9 @@ def parse_partition(text: str, total: int | None = None) -> Partition:
     Shape violations (unsorted, non-positive) surface as the corresponding
     partition errors; malformed syntax raises ParseError.  With ``total``
     (the algebra's m), parts that already sum past it raise WrongSum
-    before the term that overshoots is expanded, so no list longer than m
-    is ever built.
+    before the term that overshoots is expanded, and a zero term raises
+    NonPositivePart before it is expanded, so no list longer than m is
+    ever built.
     """
     cleaned = text.strip()
     if cleaned.startswith("[") and cleaned.endswith("]"):
@@ -394,6 +390,8 @@ def parse_partition(text: str, total: int | None = None) -> Partition:
             raise ParseError(f"partition term {token.strip()[:40]!r}... is too long") from None
         if count < 1:
             raise ParseError(f"exponent must be at least 1 in {token.strip()!r}")
+        if value < 1:  # a zero term never moves the running sum, so stop it here
+            raise NonPositivePart(f"parts must be positive, got {value}")
         running += value * count
         if total is not None and running > total:
             raise WrongSum(f"parts sum to at least {running}, expected m = {total}")

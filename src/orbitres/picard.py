@@ -2,7 +2,7 @@
 
 The Picard group of the orbit (equivalently the divisor class group of the
 normalized closure) is a finitely generated abelian group computed in closed
-form from the partition profile:
+form from the orbit's profile (``orbit.profile``, built once per orbit):
 
 * sl_n:  Z^{k-1} + Z/c, with k the number of distinct parts and c their gcd;
 * sp_2n: (Z/2)^b + Z^l;
@@ -12,7 +12,8 @@ form from the partition profile:
 
 The unresolved extension in the rather-odd case is represented faithfully
 rather than guessed: it is never trivial, and triviality is the only query
-the factoriality checks put to the group.
+the factoriality checks put to the group.  Factoriality reads the parts'
+multiplicities (``orbit.partition.counts``), not the profile.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .orbits import ClassicalOrbit, Family, PartitionProfile, profile
+from .orbits import ClassicalOrbit, Family
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,9 @@ class AbelianGroupDescriptor:
         return " x ".join(pieces)
 
 
-def picard(orbit: ClassicalOrbit, prof: PartitionProfile | None = None) -> AbelianGroupDescriptor:
-    """Pic of the orbit from its profile, by the family's formula.
-
-    ``prof`` is the orbit's profile when the caller already has it.
-    """
-    prof = profile(orbit) if prof is None else prof
+def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
+    """Pic of the orbit from its profile, by the family's formula."""
+    prof = orbit.profile
     if orbit.family is Family.SL:
         torsion = (prof.c,) if prof.c >= 2 else ()
         return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
@@ -111,17 +109,14 @@ class QFactorialCertificate(Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-def q_factorial_certificate(
-    orbit: ClassicalOrbit, prof: PartitionProfile | None = None
-) -> QFactorialCertificate:
+def q_factorial_certificate(orbit: ClassicalOrbit) -> QFactorialCertificate:
     """Certify Q-factoriality when the sufficient condition applies.
 
     For sp/so the condition is l = 0 (torsion Picard group), for sl it is
     k = 1 (a rectangular partition).  Orbits with l > 0 can genuinely fail
     to be Q-factorial, so NOT_CERTIFIED must not be read as a refutation.
-    ``prof`` is the orbit's profile when the caller already has it.
     """
-    prof = profile(orbit) if prof is None else prof
+    prof = orbit.profile
     if orbit.family is Family.SL:
         certified = prof.k == 1
     else:
@@ -140,11 +135,11 @@ def is_factorial(orbit: ClassicalOrbit) -> bool | None:
     """
     if orbit.is_zero:
         return None
-    parts = orbit.partition.parts
     if orbit.family is Family.SL:
         return False
+    counts = orbit.partition.counts
     if orbit.family is Family.SP:
-        return all(p % 2 == 1 for p in parts)
-    odd_mults = [count for value, count in Counter(parts).items() if value % 2 == 1]
+        return all(value % 2 == 1 for value in counts)
+    odd_mults = [count for value, count in counts.items() if value % 2 == 1]
     floor = 4 if orbit.family is Family.SO_EVEN else 3
     return len(odd_mults) == 1 and odd_mults[0] >= floor

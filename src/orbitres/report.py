@@ -1,11 +1,13 @@
 """Assembly of full per-orbit reports and their text/JSON/table renderings.
 
-A report bundles everything the package can say about one orbit: profile
-statistics, dimension, Picard group, factoriality, and the cross-checked
-resolution verdict with the polarizability it checked.  Every JSON layout
-of the CLI is written here alone.  ``report_json`` renders an orbit's JSON
-text straight from its report, one template byte-identical to
-``json.dumps(indent=2)``, and alone builds the per-q Hesselink records.
+A report bundles everything the package can say about one orbit: dimension,
+Picard group, factoriality, and the cross-checked resolution verdict with
+the polarizability it checked.  The profile statistics are the orbit's own
+(``report.orbit.profile``).  Every JSON layout of the CLI is written here
+alone.  ``report_json`` renders an orbit's JSON text straight from its
+report, one template byte-identical to ``json.dumps(indent=2)``, and alone
+builds the per-q Hesselink records and the dual partition; the text and
+table renderings build neither.
 ``exceptional_json`` gives the exceptional table as dicts for
 ``json.dumps``.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .hesselink import PolarizabilityResult, admissible_reports
-from .orbits import ClassicalOrbit, PartitionProfile, orbit_dimension, profile
+from .orbits import ClassicalOrbit, orbit_dimension
 from .picard import (
     AbelianGroupDescriptor,
     QFactorialCertificate,
@@ -32,7 +34,6 @@ from .resolution import ExceptionalRecord, ResolutionVerdict, Verdict, admits_sy
 @dataclass(frozen=True)
 class OrbitReport:
     orbit: ClassicalOrbit
-    profile: PartitionProfile
     dimension: int
     picard: AbelianGroupDescriptor
     q_factorial: QFactorialCertificate
@@ -41,17 +42,12 @@ class OrbitReport:
 
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
-    """Run every analysis on one orbit and bundle the results.
-
-    The profile is computed once and handed to every formula that reads it.
-    """
-    prof = profile(orbit)
+    """Run every analysis on one orbit and bundle the results."""
     return OrbitReport(
         orbit=orbit,
-        profile=prof,
         dimension=orbit_dimension(orbit),
-        picard=picard(orbit, prof),
-        q_factorial=q_factorial_certificate(orbit, prof),
+        picard=picard(orbit),
+        q_factorial=q_factorial_certificate(orbit),
         factorial=is_factorial(orbit),
         resolution=admits_symplectic_resolution(orbit),
     )
@@ -65,11 +61,11 @@ def report_json(report: OrbitReport, nl: str = "\n") -> str:
     an atlas can write each orbit as an item of its array.  Strings go
     through the stdlib's ASCII encoder; every other value is an int, a bool
     or None, written in place.  The per-q Hesselink records are built here
-    alone, by ``admissible_reports``.
+    alone, by ``admissible_reports``, and so is the dual partition ``s``.
     """
     orbit = report.orbit
     label = orbit.very_even_label
-    prof = report.profile
+    prof = orbit.profile
     group = report.picard
     extension = group.unresolved_extension
     verdict = report.resolution
@@ -106,7 +102,8 @@ def report_json(report: OrbitReport, nl: str = "\n") -> str:
         f',{i1}"profile": {{{i2}"k": {prof.k},{i2}"c": {prof.c},{i2}"a": {prof.a}'
         f',{i2}"b": {prof.b},{i2}"l": {prof.l},{i2}"rather_odd": {_LITERAL[prof.rather_odd]}'
         f',{i2}"all_same_parity": {_LITERAL[prof.all_same_parity]}'
-        f',{i2}"r": {_int_map(prof.r, i2)},{i2}"s": {_int_map(prof.s, i2)}{i1}}}'
+        f',{i2}"r": {_int_map(reversed(prof.r.items()), i2)}'
+        f',{i2}"s": {_int_map(enumerate(orbit.partition.dual(), start=1), i2)}{i1}}}'
         f',{i1}"even_orbit": {_LITERAL[prof.all_same_parity]}'
         f',{i1}"dimension": {report.dimension}'
         f',{i1}"picard": {{{i2}"free_rank": {group.free_rank}'
@@ -159,11 +156,12 @@ def _ints(values, nl: str) -> str:
     return f"[{inner}{(',' + inner).join(map(int.__repr__, values))}{nl}]"
 
 
-def _int_map(counts: dict[int, int], nl: str) -> str:
-    """An object from int keys, sorted and written as strings, to int counts."""
+def _int_map(pairs, nl: str) -> str:
+    """An object from (int key, int count) pairs, keys ascending, each key
+    written as a string."""
     inner = nl + "  "
     return "{" + inner + ("," + inner).join(
-        f'"{key}": {count}' for key, count in sorted(counts.items())) + nl + "}"
+        f'"{key}": {count}' for key, count in pairs) + nl + "}"
 
 
 def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
@@ -196,7 +194,7 @@ def _polarizable_text(report: OrbitReport) -> str:
 def report_text(report: OrbitReport) -> str:
     """Human-readable multi-line rendering of one report."""
     orbit = report.orbit
-    prof = report.profile
+    prof = orbit.profile
     verdict = report.resolution
     lines = [
         f"{orbit.lie_type.name} {orbit.partition}"
@@ -242,7 +240,7 @@ _ATLAS_COLUMNS = (
 
 def _atlas_row(report: OrbitReport) -> dict[str, str]:
     orbit = report.orbit
-    prof = report.profile
+    prof = orbit.profile
     pol = report.resolution.polarizability
     return {
         "partition": orbit.partition.compact_str(),

@@ -116,7 +116,8 @@ def orbits_up_to(draw, max_m: int = 40):
 def expected_report_dict(report) -> dict:
     """One report in the JSON layout, as the dict json.dumps would write."""
     orbit = report.orbit
-    prof = report.profile
+    parts = orbit.partition.parts
+    prof = orbit.profile
     group = report.picard
     extension = group.unresolved_extension
     verdict = report.resolution
@@ -138,7 +139,8 @@ def expected_report_dict(report) -> dict:
             "rather_odd": prof.rather_odd,
             "all_same_parity": prof.all_same_parity,
             "r": {str(i): count for i, count in sorted(prof.r.items())},
-            "s": {str(i): count for i, count in sorted(prof.s.items())},
+            # the dual partition, counted straight off the parts
+            "s": {str(i): sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)},
         },
         "even_orbit": prof.all_same_parity,
         "dimension": report.dimension,

@@ -24,7 +24,7 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.errors import NotInDatabase, UnknownAlgebra
-from orbitres.orbits import is_even_orbit, minimal_orbit, profile
+from orbitres.orbits import is_even_orbit
 from orbitres.picard import QFactorialCertificate, is_factorial, q_factorial_certificate
 from orbitres.resolution import (
     EXCEPTIONAL_TABLE,
@@ -85,7 +85,6 @@ def sweep():
                 if record.in_image:
                     in_image_pairs += 1
                     degree_one = degree_one or record.N_P == 1
-            prof = profile(orbit)
             group = picard(orbit)
             records.append(
                 SweepRecord(
@@ -96,7 +95,7 @@ def sweep():
                     polarizable=polarizable(orbit).polarizable,
                     pic_trivial=group.is_trivial,
                     factorial=is_factorial(orbit),
-                    l=prof.l,
+                    l=orbit.profile.l,
                     free_rank=group.free_rank,
                 )
             )
@@ -175,17 +174,21 @@ def test_criterion_6_picard_factoriality_coherence(sweep):
 
 
 def test_criterion_7_minimal_orbit_sweep():
+    # the minimal orbit is [2, 1^(m-2)] for sl and sp, [2^2, 1^(m-4)] for so
     for n in range(2, 9):
-        orbit = minimal_orbit(LieType(Family.SO_ODD, 2 * n + 1))
+        m = 2 * n + 1
+        orbit = validate_orbit(LieType(Family.SO_ODD, m), (2, 2) + (1,) * (m - 4))
         assert admits_symplectic_resolution(orbit).answer is Verdict.NO
     for n in range(3, 9):
-        orbit = minimal_orbit(LieType(Family.SP, 2 * n))
+        m = 2 * n
+        orbit = validate_orbit(LieType(Family.SP, m), (2,) + (1,) * (m - 2))
         assert admits_symplectic_resolution(orbit).answer is Verdict.NO
     for n in range(4, 9):
-        orbit = minimal_orbit(LieType(Family.SO_EVEN, 2 * n))
+        m = 2 * n
+        orbit = validate_orbit(LieType(Family.SO_EVEN, m), (2, 2) + (1,) * (m - 4))
         assert admits_symplectic_resolution(orbit).answer is Verdict.NO
     for m in range(2, 11):
-        orbit = minimal_orbit(LieType(Family.SL, m))
+        orbit = validate_orbit(LieType(Family.SL, m), (2,) + (1,) * (m - 2))
         assert admits_symplectic_resolution(orbit).answer is Verdict.YES
     print("criterion 7 (minimal orbits: No across sp/so ranks, Yes across sl): PASS")
 

@@ -83,9 +83,13 @@ class TestReport:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("partition", ["1^1000000000000", "4,2^1000000000000", "1^" + "9" * 5000])
+    @pytest.mark.parametrize("partition", [
+        "1^1000000000000", "4,2^1000000000000", "1^" + "9" * 5000,
+        "0^1000000000000", "2,0^1000000000000",
+    ])
     def test_oversized_partition_exits_2(self, capsys, partition):
-        # rejected while parsing, before the shorthand is expanded past m
+        # rejected while parsing, before the shorthand is expanded past m;
+        # a zero term, which never moves the running sum, before it is expanded
         code, out, err = run(capsys, "report", "sp6", partition)
         assert code == 2
         assert out == ""

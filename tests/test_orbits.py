@@ -7,6 +7,7 @@ from common import ALL_FAMILIES, partitions, valid_orbits
 from orbitres import (
     Family,
     LieType,
+    enumerate_orbits,
     orbit_dimension,
     parse_algebra,
     parse_partition,
@@ -20,10 +21,9 @@ from orbitres.errors import (
     ParityMultiplicityViolation,
     ParseError,
     PartitionError,
-    RankTooSmall,
     WrongSum,
 )
-from orbitres.orbits import Partition, VeryEvenLabel, is_even_orbit, minimal_orbit, profile
+from orbitres.orbits import Partition, VeryEvenLabel, is_even_orbit, profile
 
 SL3 = LieType(Family.SL, 3)
 SL4 = LieType(Family.SL, 4)
@@ -89,6 +89,13 @@ class TestPartition:
         assert Partition((3, 2, 2, 1)).compact_str() == "3,2^2,1"
         assert Partition((5,)).compact_str() == "5"
 
+    @given(partitions())
+    def test_counts_decreasing_and_kept(self, d):
+        # oracle: direct count over the parts, values in decreasing order
+        expected = [(v, d.parts.count(v)) for v in sorted(set(d.parts), reverse=True)]
+        assert list(d.counts.items()) == expected
+        assert d.counts is d.counts
+
 
 class TestValidateOrbit:
     def test_sp6_411_is_valid(self):
@@ -134,7 +141,6 @@ class TestProfile:
         prof = profile(validate_orbit(SL4, (2, 2)))
         assert prof.k == 1 and prof.c == 2
         assert prof.r == {2: 2}
-        assert prof.s == {1: 2, 2: 2}
 
     def test_so8_3221(self):
         prof = profile(validate_orbit(SO8, (3, 2, 2, 1)))
@@ -155,10 +161,16 @@ class TestProfile:
         parts = orbit.partition.parts
         assert sum(i * count for i, count in prof.r.items()) == orbit.m
         assert prof.a + prof.b == prof.k
-        assert prof.s == {i: sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)}
+        assert prof.r == {v: parts.count(v) for v in set(parts)}
         assert prof.rather_odd == all(
             count == 1 for v, count in prof.r.items() if v % 2 == 1
         )
+
+    @given(valid_orbits())
+    def test_orbit_profile_built_once_from_counts(self, orbit):
+        assert orbit.profile is orbit.profile
+        assert orbit.profile == profile(orbit)
+        assert orbit.profile.r is orbit.partition.counts
 
     def test_profile_independent_of_label(self):
         one = profile(validate_orbit(SO8, (4, 4), VeryEvenLabel.I))
@@ -177,9 +189,9 @@ class TestProfile:
             prof = profile(orbit)
             assert sum(i * count for i, count in prof.r.items()) == m
             assert prof.r == {v: parts.count(v) for v in set(parts)}
-            assert prof.s == {
-                i: sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)
-            }
+            assert list(orbit.partition.dual()) == [
+                sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)
+            ]
             dim = orbit_dimension(orbit)
             assert dim % 2 == 0
             assert (dim == 0) == (parts == (1,) * m)
@@ -216,22 +228,20 @@ class TestOrbitDimension:
         assert (dim == 0) == orbit.is_zero
 
 
+def minimal_parts(lie_type: LieType) -> tuple[int, ...]:
+    """[2, 1^(m-2)] for sl and sp, [2^2, 1^(m-4)] for both so families."""
+    if lie_type.family in (Family.SL, Family.SP):
+        return (2,) + (1,) * (lie_type.m - 2)
+    return (2, 2) + (1,) * (lie_type.m - 4)
+
+
 class TestMinimalOrbit:
     def test_known_partitions(self):
-        assert minimal_orbit(SO7).partition.parts == (2, 2, 1, 1, 1)
-        assert minimal_orbit(SP6).partition.parts == (2, 1, 1, 1, 1)
-        assert minimal_orbit(SO8).partition.parts == (2, 2, 1, 1, 1, 1)
-        assert minimal_orbit(SL3).partition.parts == (2, 1)
-
-    def test_rank_bounds(self):
-        with pytest.raises(RankTooSmall):
-            minimal_orbit(LieType(Family.SP, 4))
-        with pytest.raises(RankTooSmall):
-            minimal_orbit(LieType(Family.SO_EVEN, 6))
-        with pytest.raises(RankTooSmall):
-            minimal_orbit(LieType(Family.SO_ODD, 3))
-        with pytest.raises(RankTooSmall):
-            minimal_orbit(LieType(Family.SL, 1))
+        # oracle: the minimal orbit is the one non-zero orbit of least dimension
+        for lie_type in (SO7, SP6, SO8, SL3):
+            dims = {o.partition.parts: orbit_dimension(o) for o in enumerate_orbits(lie_type)}
+            least = min(d for d in dims.values() if d > 0)
+            assert [parts for parts, d in dims.items() if d == least] == [minimal_parts(lie_type)]
 
     @pytest.mark.parametrize("family,ms", [
         (Family.SL, range(2, 11)),
@@ -241,7 +251,8 @@ class TestMinimalOrbit:
     ])
     def test_minimal_orbits_validate(self, family, ms):
         for m in ms:
-            orbit = minimal_orbit(LieType(family, m))
+            lie_type = LieType(family, m)
+            orbit = validate_orbit(lie_type, minimal_parts(lie_type))
             assert orbit.partition.total == m
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 
 from common import bcd_orbits, valid_orbits
-from orbitres import Family, LieType, build_report, picard, validate_orbit
-from orbitres.orbits import VeryEvenLabel, profile
+from orbitres import Family, LieType, build_report, enumerate_orbits, picard, validate_orbit
+from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import (
     AbelianGroupDescriptor,
     QFactorialCertificate,
@@ -138,11 +138,11 @@ class TestPicardBCD:
 
     @given(bcd_orbits())
     def test_free_rank_equals_l(self, orbit):
-        assert picard(orbit).free_rank == profile(orbit).l
+        assert picard(orbit).free_rank == orbit.profile.l
 
     @given(bcd_orbits())
     def test_branch_structure(self, orbit):
-        prof = profile(orbit)
+        prof = orbit.profile
         group = picard(orbit)
         if orbit.family is Family.SP:
             assert group.torsion == (2,) * prof.b
@@ -162,7 +162,7 @@ class TestQFactorial:
 
     @given(bcd_orbits())
     def test_certificate_tracks_l(self, orbit):
-        expected = profile(orbit).l == 0
+        expected = orbit.profile.l == 0
         assert (q_factorial_certificate(orbit) is QFactorialCertificate.CERTIFIED) == expected
 
 
@@ -181,6 +181,27 @@ class TestFactorial:
         assert is_factorial(validate_orbit(SL3, (1, 1, 1))) is None
         assert is_factorial(validate_orbit(SO8, (1,) * 8)) is None
         assert is_factorial(validate_orbit(SP6, (1,) * 6)) is None
+
+    @pytest.mark.parametrize("family,low", [
+        (Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4),
+    ])
+    def test_rule_restated_from_the_parts(self, family, low):
+        # oracle: the factoriality rule read off the raw parts, every orbit with m <= 20
+        step = 1 if family is Family.SL else 2
+        for m in range(low, 21, step):
+            for orbit in enumerate_orbits(LieType(family, m)):
+                parts = orbit.partition.parts
+                odd = {p for p in parts if p % 2 == 1}
+                if parts == (1,) * m:
+                    expected = None
+                elif family is Family.SL:
+                    expected = False
+                elif family is Family.SP:
+                    expected = all(p % 2 == 1 for p in parts)
+                else:
+                    floor = 4 if family is Family.SO_EVEN else 3
+                    expected = len(odd) == 1 and parts.count(min(odd)) >= floor
+                assert is_factorial(orbit) is expected, orbit
 
     @given(bcd_orbits())
     def test_factorial_iff_trivial_picard(self, orbit):

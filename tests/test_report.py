@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
 import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from common import expected_report_dict, orbits_up_to
+import orbitres.cli as cli
 import orbitres.orbits as orbits
+import orbitres.report as report_module
 from orbitres import (
     Family,
     LieType,
@@ -22,25 +27,69 @@ from orbitres.orbits import VeryEvenLabel
 from orbitres.report import atlas_csv, atlas_markdown, report_json, report_text
 
 
-def test_profile_computed_once_per_report(monkeypatch):
+def _count_calls(monkeypatch, original) -> list:
+    """Rebind every orbitres module-level name bound to ``original``,
+    wherever it was imported, to a wrapper that records its first argument."""
     calls = []
-    original = orbits.profile
 
-    def counted(orbit):
-        calls.append(orbit)
-        return original(orbit)
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
 
-    # rebind every module-level name bound to profile, wherever it was imported
     for name, module in list(sys.modules.items()):
         if name == "orbitres" or name.startswith("orbitres."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_profile_computed_once_per_report(monkeypatch):
+    """A report and every rendering of it build the orbit's profile once and
+    count its parts once: the validation gate, the profile, the Picard and
+    factoriality formulas and the exponent shorthand share one map."""
+    calls = _count_calls(monkeypatch, orbits.profile)
+    maps = _count_calls(monkeypatch, Counter)
     for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
         for orbit in enumerate_orbits(LieType(family, m)):
             calls.clear()
-            build_report(orbit)
+            report = build_report(orbit)
+            report_json(report)
+            report_text(report)
+            report_module._atlas_row(report)
             assert calls == [orbit]
+            assert sum(arg is orbit.partition.parts for arg in maps) == 1, orbit
+
+
+def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
+    """sl orbits need no profile in the sweep, and so count no parts."""
+    calls = _count_calls(monkeypatch, orbits.profile)
+    maps = _count_calls(monkeypatch, Counter)
+    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    swept = [id(arg) for arg in maps]
+    bcd = [
+        orbit
+        for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4))
+        for m in range(low, 11, 2)
+        for orbit in enumerate_orbits(LieType(family, m))
+    ]
+    assert calls == bcd
+    # one map per sp/so partition (a very even one serves both its orbits)
+    assert swept == list(dict.fromkeys(id(o.partition.parts) for o in calls))
+
+
+def test_text_report_builds_no_dual_partition():
+    """The text of sl_1000000 [1000000] needs no O(d_1) object: the dual
+    partition is built for JSON alone."""
+    lie_type = LieType(Family.SL, 1_000_000)
+    tracemalloc.start()
+    try:
+        text = report_text(build_report(validate_orbit(lie_type, (1_000_000,))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("sl1000000 [1000000]")
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize(

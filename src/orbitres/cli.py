@@ -13,8 +13,8 @@ not a non-negative integer).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
 An orbit's JSON is the text ``report.report_json`` renders from its report;
-``atlas --format json`` writes its array one orbit at a time, so after an
-internal error (exit 4) stdout may hold a truncated array.  The argument
+``atlas --format json`` streams its array (``report.atlas_json``), so after
+an internal error (exit 4) stdout may hold a truncated array.  The argument
 parser is built once per process and reused by every ``main`` call.
 """
 
@@ -29,7 +29,6 @@ import sys
 from .enumeration import enumerate_orbits
 from .errors import InternalInvariantError, NotInDatabase, OrbitresError
 from .orbits import (
-    _MIN_M,
     Family,
     LieType,
     VeryEvenLabel,
@@ -41,6 +40,7 @@ from .orbits import (
 from .picard import is_factorial, picard
 from .report import (
     atlas_csv,
+    atlas_json,
     atlas_markdown,
     build_report,
     exceptional_json,
@@ -97,15 +97,7 @@ def _cmd_atlas(args) -> int:
     lie_type = parse_algebra(args.algebra)
     _check_cap(lie_type.m)
     if args.format == "json":
-        # The text of json.dumps(<list of reports>, indent=2), written one
-        # orbit at a time; every algebra has an orbit, so the list is never
-        # empty.
-        out = sys.stdout
-        separator = "["
-        for orbit in enumerate_orbits(lie_type):
-            out.write(separator + "\n  " + report_json(build_report(orbit), "\n  "))
-            separator = ","
-        out.write("\n]\n")
+        atlas_json(map(build_report, enumerate_orbits(lie_type)), sys.stdout)
         return 0
     reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
     if args.format == "csv":
@@ -118,7 +110,7 @@ def _cmd_atlas(args) -> int:
 def _selfcheck_lie_types(max_m: int):
     for family in Family:
         step = 1 if family is Family.SL else 2  # sp and so fix the parity of m
-        for m in range(_MIN_M[family], max_m + 1, step):
+        for m in range(family.min_m, max_m + 1, step):
             yield LieType(family, m)
 
 

@@ -46,12 +46,21 @@ from .errors import (
 
 
 class Family(Enum):
-    """The four classical families, keyed by matrix size parity for so."""
+    """The four classical families, each named in its row alone: JSON value,
+    algebra-name prefix, Cartan letter and smallest m (sp and so take every
+    m of its parity).  sl_1 is the zero algebra with a single (zero) orbit;
+    allowing it keeps the enumeration total for every m >= 1."""
 
-    SL = "sl"
-    SP = "sp"
-    SO_ODD = "so_odd"
-    SO_EVEN = "so_even"
+    SL = "sl", "sl", "A", 1
+    SP = "sp", "sp", "C", 2
+    SO_ODD = "so_odd", "so", "B", 3
+    SO_EVEN = "so_even", "so", "D", 4
+
+    def __new__(cls, value: str, prefix: str, letter: str, min_m: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.prefix, member.letter, member.min_m = prefix, letter, min_m
+        return member
 
     @property
     def constrained_parity(self) -> int | None:
@@ -62,25 +71,24 @@ class Family(Enum):
         return None if self is Family.SL else 0
 
 
-# The smallest m of each family; sp and so take exactly the m of its parity.
-# sl_1 is the zero algebra with a single (zero) orbit; allowing it keeps the
-# enumeration total for every m >= 1.
-_MIN_M = {Family.SL: 1, Family.SP: 2, Family.SO_ODD: 3, Family.SO_EVEN: 4}
-
-
 @dataclass(frozen=True)
 class LieType:
     """A classical simple Lie algebra identified by family and matrix size.
 
-    ``m`` is the size of the defining matrices: n for sl_n, 2n for sp_2n,
-    2n+1 for so_{2n+1} and 2n for so_{2n}.
+    ``m`` is the size of the defining matrices, an integer (taken through
+    ``operator.index``): n for sl_n, 2n for sp_2n, 2n+1 for so_{2n+1} and
+    2n for so_{2n}.
     """
 
     family: Family
     m: int
 
     def __post_init__(self):
-        low = _MIN_M[self.family]
+        try:
+            object.__setattr__(self, "m", operator.index(self.m))
+        except TypeError:
+            raise InvalidLieType(f"matrix size must be an integer, got {self.m!r}") from None
+        low = self.family.min_m
         if self.m < low:
             raise InvalidLieType(f"{self.family.value} requires m >= {low}, got {self.m}")
         if self.family is not Family.SL and (self.m - low) % 2:
@@ -89,26 +97,15 @@ class LieType:
 
     @property
     def rank(self) -> int:
-        if self.family is Family.SL:
-            return self.m - 1
-        if self.family is Family.SO_ODD:
-            return (self.m - 1) // 2
-        return self.m // 2
+        return self.m - 1 if self.family is Family.SL else self.m // 2
 
     @property
     def name(self) -> str:
-        prefix = "sl" if self.family is Family.SL else ("sp" if self.family is Family.SP else "so")
-        return f"{prefix}{self.m}"
+        return f"{self.family.prefix}{self.m}"
 
     @property
     def cartan_label(self) -> str:
-        letter = {
-            Family.SL: "A",
-            Family.SO_ODD: "B",
-            Family.SP: "C",
-            Family.SO_EVEN: "D",
-        }[self.family]
-        return f"{letter}{self.rank}"
+        return f"{self.family.letter}{self.rank}"
 
     def __str__(self) -> str:
         return self.name
@@ -260,27 +257,24 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
 
 @dataclass(frozen=True)
 class PartitionProfile:
-    """All the partition statistics the downstream formulas consume.
+    """The partition statistics the Picard formulas and the renderings read.
 
-    r maps a part value to its multiplicity (the partition's ``counts``), k
-    counts distinct parts, c is the gcd of the parts, a and b count distinct
-    odd and even parts, and l counts the distinct part values of the
-    family's unconstrained parity that occur exactly twice (even values for
-    sp, odd values for so; 0 for sl where no formula consumes it).
+    k counts distinct parts, c is the gcd of the parts, a and b count
+    distinct odd and even parts, and l counts the distinct part values of
+    the family's unconstrained parity that occur exactly twice (even values
+    for sp, odd values for so; 0 for sl where no formula consumes it).
     rather_odd means every odd part has multiplicity one, vacuously true
-    when there is no odd part.  The dual partition is not a statistic here:
-    only the JSON rendering shows it, and it builds it from
-    ``Partition.dual``.
+    when there is no odd part.  The profile keeps no copy of another
+    owner's fact: the multiplicities are ``Partition.counts``, evenness is
+    ``is_even_orbit``, and the dual partition is ``Partition.dual``.
     """
 
-    r: dict[int, int]
     k: int
     c: int
     a: int
     b: int
     l: int
     rather_odd: bool
-    all_same_parity: bool
 
 
 def profile(orbit: ClassicalOrbit) -> PartitionProfile:
@@ -292,14 +286,12 @@ def profile(orbit: ClassicalOrbit) -> PartitionProfile:
     l = 0 if constrained is None else sum(
         1 for v, count in r.items() if v % 2 != constrained and count == 2)
     return PartitionProfile(
-        r=r,
         k=len(r),
         c=math.gcd(*r),
         a=len(odd_values),
         b=len(r) - len(odd_values),
         l=l,
         rather_odd=all(r[v] == 1 for v in odd_values),
-        all_same_parity=is_even_orbit(orbit),
     )
 
 
@@ -329,34 +321,26 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
     return (m * m - m) // 2 - (sum_sq - n_odd) // 2
 
 
-_ALGEBRA_RE = re.compile(r"^(sl|sp|so)\s*(\d+)$", re.IGNORECASE)
-_CARTAN_RE = re.compile(r"^([abcd])\s*(\d+)$", re.IGNORECASE)
+_ALGEBRA_RE = re.compile(r"^([a-z]+)\s*(\d+)$", re.IGNORECASE)
 
 
 def parse_algebra(text: str) -> LieType:
-    """Parse 'so8', 'sp6', 'sl5' or the Cartan form 'D4', 'C3', 'B3', 'A4'."""
-    cleaned = text.strip()
-    match = _ALGEBRA_RE.match(cleaned)
-    if match:
-        prefix, m = match.group(1).lower(), int(match.group(2))
-        if prefix == "sl":
-            family = Family.SL
-        elif prefix == "sp":
-            family = Family.SP
-        else:
-            family = Family.SO_ODD if m % 2 == 1 else Family.SO_EVEN
-        return LieType(family, m)
-    match = _CARTAN_RE.match(cleaned)
-    if match:
-        letter, n = match.group(1).upper(), int(match.group(2))
-        if letter == "A":
-            return LieType(Family.SL, n + 1)
-        if letter == "B":
-            return LieType(Family.SO_ODD, 2 * n + 1)
-        if letter == "C":
-            return LieType(Family.SP, 2 * n)
-        return LieType(Family.SO_EVEN, 2 * n)
-    raise ParseError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
+    """Parse 'so8', 'sp6', 'sl5' or the Cartan form 'D4', 'C3', 'B3', 'A4';
+    so names the orthogonal family of m's parity."""
+    match = _ALGEBRA_RE.match(text.strip())
+    word = match.group(1) if match else ""
+    by_letter = [f for f in Family if f.letter == word.upper()]
+    by_prefix = [f for f in Family if f.prefix == word.lower()]
+    if not (by_letter or by_prefix):
+        raise ParseError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
+    try:
+        n = int(match.group(2))
+    except ValueError:  # more digits than int() accepts
+        raise ParseError(f"algebra name {text.strip()[:40]!r}... is too long") from None
+    if by_letter:  # n is the rank: invert LieType.rank
+        family = by_letter[0]
+        return LieType(family, n + 1 if family is Family.SL else 2 * n + family.min_m % 2)
+    return LieType(next((f for f in by_prefix if (n - f.min_m) % 2 == 0), by_prefix[0]), n)
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")

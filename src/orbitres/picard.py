@@ -11,9 +11,10 @@ form from the orbit's profile (``orbit.profile``, built once per orbit):
   whose isomorphism type is not pinned down by the formulas.
 
 The unresolved extension in the rather-odd case is represented faithfully
-rather than guessed: it is never trivial, and triviality is the only query
-the factoriality checks put to the group.  Factoriality reads the parts'
-multiplicities (``orbit.partition.counts``), not the profile.
+rather than guessed: it is never trivial and has free rank 0.
+``q_factorial_certificate`` reads the group's free rank alone, with no rule
+per family.  Factoriality reads the parts' multiplicities
+(``orbit.partition.counts``), not the profile.
 """
 
 from __future__ import annotations
@@ -109,18 +110,12 @@ class QFactorialCertificate(Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-def q_factorial_certificate(orbit: ClassicalOrbit) -> QFactorialCertificate:
-    """Certify Q-factoriality when the sufficient condition applies.
-
-    For sp/so the condition is l = 0 (torsion Picard group), for sl it is
-    k = 1 (a rectangular partition).  Orbits with l > 0 can genuinely fail
-    to be Q-factorial, so NOT_CERTIFIED must not be read as a refutation.
+def q_factorial_certificate(group: AbelianGroupDescriptor) -> QFactorialCertificate:
+    """Certify Q-factoriality of the normalized closure from the orbit's
+    Picard group (``picard``): CERTIFIED exactly when the group is finite,
+    that is of free rank 0.  NOT_CERTIFIED must not be read as a refutation.
     """
-    prof = orbit.profile
-    if orbit.family is Family.SL:
-        certified = prof.k == 1
-    else:
-        certified = prof.l == 0
+    certified = group.free_rank == 0
     return QFactorialCertificate.CERTIFIED if certified else QFactorialCertificate.NOT_CERTIFIED
 
 

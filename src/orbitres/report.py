@@ -1,15 +1,16 @@
 """Assembly of full per-orbit reports and their text/JSON/table renderings.
 
 A report bundles everything the package can say about one orbit: dimension,
-Picard group, factoriality, and the cross-checked resolution verdict with
-the polarizability it checked.  The profile statistics are the orbit's own
-(``report.orbit.profile``).  Every JSON layout of the CLI is written here
-alone.  ``report_json`` renders an orbit's JSON text straight from its
-report, one template byte-identical to ``json.dumps(indent=2)``, and alone
-builds the per-q Hesselink records and the dual partition; the text and
-table renderings build neither.
-``exceptional_json`` gives the exceptional table as dicts for
-``json.dumps``.
+Picard group, the Q-factoriality certificate read off it, factoriality,
+and the cross-checked resolution verdict with the polarizability it
+checked.  The renderings read the orbit's own profile, multiplicities
+(``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
+layout of the CLI is written here alone.  ``report_json`` renders an
+orbit's JSON text straight from its report, one template byte-identical to
+``json.dumps(indent=2)``, and alone builds the per-q Hesselink records and
+the dual partition; the text and table renderings build neither.
+``atlas_json`` streams an atlas's array of them, and ``exceptional_json``
+gives the exceptional table as dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .hesselink import PolarizabilityResult, admissible_reports
-from .orbits import ClassicalOrbit, orbit_dimension
+from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
 from .picard import (
     AbelianGroupDescriptor,
     QFactorialCertificate,
@@ -43,11 +44,12 @@ class OrbitReport:
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     """Run every analysis on one orbit and bundle the results."""
+    group = picard(orbit)
     return OrbitReport(
         orbit=orbit,
         dimension=orbit_dimension(orbit),
-        picard=picard(orbit),
-        q_factorial=q_factorial_certificate(orbit),
+        picard=group,
+        q_factorial=q_factorial_certificate(group),
         factorial=is_factorial(orbit),
         resolution=admits_symplectic_resolution(orbit),
     )
@@ -66,6 +68,7 @@ def report_json(report: OrbitReport, nl: str = "\n") -> str:
     orbit = report.orbit
     label = orbit.very_even_label
     prof = orbit.profile
+    even = _LITERAL[is_even_orbit(orbit)]
     group = report.picard
     extension = group.unresolved_extension
     verdict = report.resolution
@@ -101,10 +104,10 @@ def report_json(report: OrbitReport, nl: str = "\n") -> str:
         f',{i1}"very_even_label": {"null" if label is None else _str(label.value)}'
         f',{i1}"profile": {{{i2}"k": {prof.k},{i2}"c": {prof.c},{i2}"a": {prof.a}'
         f',{i2}"b": {prof.b},{i2}"l": {prof.l},{i2}"rather_odd": {_LITERAL[prof.rather_odd]}'
-        f',{i2}"all_same_parity": {_LITERAL[prof.all_same_parity]}'
-        f',{i2}"r": {_int_map(reversed(prof.r.items()), i2)}'
+        f',{i2}"all_same_parity": {even}'
+        f',{i2}"r": {_int_map(reversed(orbit.partition.counts.items()), i2)}'
         f',{i2}"s": {_int_map(enumerate(orbit.partition.dual(), start=1), i2)}{i1}}}'
-        f',{i1}"even_orbit": {_LITERAL[prof.all_same_parity]}'
+        f',{i1}"even_orbit": {even}'
         f',{i1}"dimension": {report.dimension}'
         f',{i1}"picard": {{{i2}"free_rank": {group.free_rank}'
         f',{i2}"torsion": {_ints(group.torsion, i2)},{i2}"unresolved_extension": {extension_text}'
@@ -119,6 +122,18 @@ def report_json(report: OrbitReport, nl: str = "\n") -> str:
         f',{i2}"cross_checked": {_LITERAL[verdict.cross_checked]}{i1}}}'
         f"{nl}}}"
     )
+
+
+def atlas_json(reports, out) -> None:
+    """Write an iterable of reports to the text stream ``out`` as the text
+    of ``json.dumps(<their list>, indent=2)`` and a newline, one report at a
+    time as the iterable yields it: when producing a report raises, ``out``
+    holds the array so far, unclosed."""
+    separator = "["
+    for report in reports:
+        out.write(separator + "\n  " + report_json(report, "\n  "))
+        separator = ","
+    out.write("[]\n" if separator == "[" else "\n]\n")
 
 
 def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
@@ -201,7 +216,7 @@ def report_text(report: OrbitReport) -> str:
         + (f"  (very even, label {orbit.very_even_label.value})" if orbit.is_very_even else ""),
         f"  cartan type    {orbit.lie_type.cartan_label}",
         f"  dimension      {report.dimension}",
-        f"  even orbit     {'yes' if prof.all_same_parity else 'no'}",
+        f"  even orbit     {'yes' if is_even_orbit(orbit) else 'no'}",
         f"  profile        k={prof.k} c={prof.c} a={prof.a} b={prof.b} l={prof.l}"
         f" rather_odd={'yes' if prof.rather_odd else 'no'}",
         f"  picard         {report.picard}",
@@ -246,7 +261,7 @@ def _atlas_row(report: OrbitReport) -> dict[str, str]:
         "partition": orbit.partition.compact_str(),
         "label": orbit.very_even_label.value if orbit.very_even_label else "",
         "dim": str(report.dimension),
-        "even": "yes" if prof.all_same_parity else "no",
+        "even": "yes" if is_even_orbit(orbit) else "no",
         "k": str(prof.k),
         "c": str(prof.c),
         "a": str(prof.a),

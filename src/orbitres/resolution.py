@@ -67,7 +67,12 @@ class ResolutionVerdict:
     route: Route
     witness: ResolutionWitness | None
     polarizability: PolarizabilityResult | None
-    cross_checked: bool
+
+    @property
+    def cross_checked(self) -> bool:
+        """Whether the Hesselink degree search confirmed the answer: exactly
+        when the verdict carries a Hesselink analysis (sp and so)."""
+        return self.polarizability is not None and self.polarizability.analysis is not None
 
 
 def _odd_prefix_length(parts: tuple[int, ...]) -> int | None:
@@ -108,16 +113,13 @@ def _closed_form_witness(orbit: ClassicalOrbit) -> ResolutionWitness | None:
 def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
     """Resolution verdict from the family's closed-form criterion."""
     if orbit.family is Family.SL:
-        return ResolutionVerdict(
-            Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None, cross_checked=False
-        )
+        return ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
     witness = _closed_form_witness(orbit)
     return ResolutionVerdict(
         Verdict.NO if witness is None else Verdict.YES,
         Route.CLOSED_FORM,
         witness=witness,
         polarizability=None,
-        cross_checked=False,
     )
 
 
@@ -131,15 +133,14 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     """
     closed = closed_form_verdict(orbit)
     pol = polarizable(orbit)
-    cross_checked = orbit.family is not Family.SL
-    if cross_checked:
+    if pol.analysis is not None:
         search_says_yes = resolution_by_search(pol)
         if (closed.answer is Verdict.YES) != search_says_yes:
             raise CrossCheckMismatch(
                 f"closed form says {closed.answer.value} but the degree search says "
                 f"{'yes' if search_says_yes else 'no'} for {orbit}"
             )
-    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol, cross_checked)
+    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol)
 
 
 class ExceptionalAlgebra(Enum):

@@ -118,6 +118,7 @@ def expected_report_dict(report) -> dict:
     orbit = report.orbit
     parts = orbit.partition.parts
     prof = orbit.profile
+    even = len({p % 2 for p in parts}) == 1  # evenness and multiplicities straight off the parts
     group = report.picard
     extension = group.unresolved_extension
     verdict = report.resolution
@@ -137,12 +138,12 @@ def expected_report_dict(report) -> dict:
             "b": prof.b,
             "l": prof.l,
             "rather_odd": prof.rather_odd,
-            "all_same_parity": prof.all_same_parity,
-            "r": {str(i): count for i, count in sorted(prof.r.items())},
+            "all_same_parity": even,
+            "r": {str(i): count for i, count in sorted(Counter(parts).items())},
             # the dual partition, counted straight off the parts
             "s": {str(i): sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)},
         },
-        "even_orbit": prof.all_same_parity,
+        "even_orbit": even,
         "dimension": report.dimension,
         "picard": {
             "free_rank": group.free_rank,

@@ -202,7 +202,7 @@ def test_criterion_8_rank_one_family():
         assert verdict.witness.pair_position == (n + 1) // 2
         group = picard(orbit)
         assert group.free_rank == 1
-        assert q_factorial_certificate(orbit) is QFactorialCertificate.NOT_CERTIFIED
+        assert q_factorial_certificate(group) is QFactorialCertificate.NOT_CERTIFIED
     print("criterion 8 ([2^(n-1),1^2] family: Yes via pair clause, Pic rank 1, not certified): PASS")
 
 

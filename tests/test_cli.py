@@ -83,6 +83,12 @@ class TestReport:
         assert code == 2
         assert "error" in err
 
+    def test_oversized_algebra_exits_2(self, capsys):
+        # more digits than int() reads is bad input, not a crash
+        code, out, err = run(capsys, "report", "sl" + "9" * 5000, "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("partition", [
         "1^1000000000000", "4,2^1000000000000", "1^" + "9" * 5000,
         "0^1000000000000", "2,0^1000000000000",
@@ -152,6 +158,24 @@ class TestAtlas:
         assert len(payload) == 7
         nos = [r["partition_compact"] for r in payload if r["resolution"]["answer"] == "no"]
         assert nos == ["2^2,1^3"]
+
+    def test_internal_error_leaves_a_truncated_array(self, capsys, monkeypatch):
+        original = resolution.closed_form_verdict
+        broken = validate_orbit(LieType(Family.SO_ODD, 7), (3, 3, 1))
+
+        def flipped(orbit):
+            verdict = original(orbit)
+            if orbit != broken:
+                return verdict
+            return replace(verdict, answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
+
+        monkeypatch.setattr(resolution, "closed_form_verdict", flipped)
+        code, out, err = run(capsys, "atlas", "so7", "--format", "json")
+        assert code == 4
+        assert "internal error, this is a bug" in err
+        assert out.startswith("[\n  {") and not out.endswith("]\n")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
 
     def test_sl4_all_yes(self, capsys):
         code, out, _ = run(capsys, "atlas", "sl4", "--format", "json")

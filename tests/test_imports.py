@@ -72,3 +72,15 @@ def test_closed_form_reads_nothing_from_hesselink():
         names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
         assert not names & from_hesselink, name
         todo.extend(names & functions.keys())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    """A name with a leading underscore stays in its module: no module
+    imports one from a sibling."""
+    private = [
+        f"{dotted}.{name}"
+        for level, dotted, name in imports(ast.parse(path.read_text()))
+        if level and name and name.startswith("_")
+    ]
+    assert private == []

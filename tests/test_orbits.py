@@ -27,6 +27,7 @@ from orbitres.orbits import Partition, VeryEvenLabel, is_even_orbit, profile
 
 SL3 = LieType(Family.SL, 3)
 SL4 = LieType(Family.SL, 4)
+SP4 = LieType(Family.SP, 4)
 SP6 = LieType(Family.SP, 6)
 SO7 = LieType(Family.SO_ODD, 7)
 SO8 = LieType(Family.SO_EVEN, 8)
@@ -53,6 +54,21 @@ class TestLieType:
         assert SO7.cartan_label == "B3"
         assert SP6.cartan_label == "C3"
         assert LieType(Family.SL, 5).cartan_label == "A4"
+
+    @pytest.mark.parametrize("m", [4.0, 4.5, "4", None, (4,)])
+    def test_non_integer_m_rejected(self, m):
+        # floats are not kept as sp4.0, strings are not compared with ints
+        with pytest.raises(InvalidLieType):
+            LieType(Family.SP, m)
+
+    def test_integer_like_m_coerced(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        lie_type = LieType(Family.SP, Four())
+        assert lie_type == SP4 and type(lie_type.m) is int
+        assert lie_type.name == "sp4" and lie_type.cartan_label == "C2"
 
 
 class TestPartition:
@@ -138,9 +154,10 @@ class TestValidateOrbit:
 
 class TestProfile:
     def test_sl4_square(self):
-        prof = profile(validate_orbit(SL4, (2, 2)))
+        orbit = validate_orbit(SL4, (2, 2))
+        prof = profile(orbit)
         assert prof.k == 1 and prof.c == 2
-        assert prof.r == {2: 2}
+        assert orbit.partition.counts == {2: 2}
 
     def test_so8_3221(self):
         prof = profile(validate_orbit(SO8, (3, 2, 2, 1)))
@@ -159,18 +176,19 @@ class TestProfile:
         prof = profile(orbit)
         # oracle: brute-force counts straight off the parts
         parts = orbit.partition.parts
-        assert sum(i * count for i, count in prof.r.items()) == orbit.m
-        assert prof.a + prof.b == prof.k
-        assert prof.r == {v: parts.count(v) for v in set(parts)}
+        counts = orbit.partition.counts
+        assert sum(i * count for i, count in counts.items()) == orbit.m
+        assert prof.a + prof.b == prof.k == len(counts)
+        assert counts == {v: parts.count(v) for v in set(parts)}
         assert prof.rather_odd == all(
-            count == 1 for v, count in prof.r.items() if v % 2 == 1
+            count == 1 for v, count in counts.items() if v % 2 == 1
         )
 
     @given(valid_orbits())
     def test_orbit_profile_built_once_from_counts(self, orbit):
         assert orbit.profile is orbit.profile
         assert orbit.profile == profile(orbit)
-        assert orbit.profile.r is orbit.partition.counts
+        assert orbit.partition.counts is orbit.partition.counts
 
     def test_profile_independent_of_label(self):
         one = profile(validate_orbit(SO8, (4, 4), VeryEvenLabel.I))
@@ -186,9 +204,10 @@ class TestProfile:
         lie_type = LieType(Family.SL, m)
         for parts in accel_asc(m):
             orbit = validate_orbit(lie_type, parts)
-            prof = profile(orbit)
-            assert sum(i * count for i, count in prof.r.items()) == m
-            assert prof.r == {v: parts.count(v) for v in set(parts)}
+            counts = orbit.partition.counts
+            assert sum(i * count for i, count in counts.items()) == m
+            assert counts == {v: parts.count(v) for v in set(parts)}
+            assert profile(orbit).k == len(counts)
             assert list(orbit.partition.dual()) == [
                 sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)
             ]
@@ -287,10 +306,24 @@ class TestParsing:
         assert parse_algebra("C3") == SP6
         assert parse_algebra("A4") == LieType(Family.SL, 5)
 
+    def test_every_name_parses_back(self):
+        # both names of every algebra with m <= 30 name that algebra
+        for family in Family:
+            for m in range(family.min_m, 31, 1 if family is Family.SL else 2):
+                lie_type = LieType(family, m)
+                assert parse_algebra(lie_type.name) == lie_type == parse_algebra(lie_type.cartan_label)
+                assert parse_algebra(lie_type.cartan_label.lower()) == lie_type
+
     def test_parse_algebra_errors(self):
         with pytest.raises(ParseError):
             parse_algebra("e8")
         with pytest.raises(ParseError):
             parse_algebra("so")
+        with pytest.raises(ParseError):
+            parse_algebra("slx5")
+        with pytest.raises(ParseError):
+            parse_algebra("\u017fl5")  # a long s folds to s under IGNORECASE, but is no prefix
+        with pytest.raises(ParseError):
+            parse_algebra("sl" + "9" * 5000)  # more digits than int() reads
         with pytest.raises(InvalidLieType):
             parse_algebra("sp7")

@@ -155,15 +155,37 @@ class TestPicardBCD:
 
 class TestQFactorial:
     def test_examples(self):
-        assert q_factorial_certificate(validate_orbit(SP6, (2, 1, 1, 1, 1))) is QFactorialCertificate.CERTIFIED
-        assert q_factorial_certificate(validate_orbit(SO10, (2, 2, 2, 2, 1, 1))) is QFactorialCertificate.NOT_CERTIFIED
-        assert q_factorial_certificate(validate_orbit(LieType(Family.SL, 4), (2, 2))) is QFactorialCertificate.CERTIFIED
-        assert q_factorial_certificate(validate_orbit(LieType(Family.SL, 4), (2, 1, 1))) is QFactorialCertificate.NOT_CERTIFIED
+        def certificate(lie_type, parts):
+            return q_factorial_certificate(picard(validate_orbit(lie_type, parts)))
+
+        assert certificate(SP6, (2, 1, 1, 1, 1)) is QFactorialCertificate.CERTIFIED
+        assert certificate(SO10, (2, 2, 2, 2, 1, 1)) is QFactorialCertificate.NOT_CERTIFIED
+        assert certificate(LieType(Family.SL, 4), (2, 2)) is QFactorialCertificate.CERTIFIED
+        assert certificate(LieType(Family.SL, 4), (2, 1, 1)) is QFactorialCertificate.NOT_CERTIFIED
 
     @given(bcd_orbits())
     def test_certificate_tracks_l(self, orbit):
         expected = orbit.profile.l == 0
-        assert (q_factorial_certificate(orbit) is QFactorialCertificate.CERTIFIED) == expected
+        certified = q_factorial_certificate(picard(orbit)) is QFactorialCertificate.CERTIFIED
+        assert certified == expected
+
+    @pytest.mark.parametrize("family,low", [
+        (Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4),
+    ])
+    def test_certificate_restated_from_the_parts(self, family, low):
+        # oracle: the certificate read off the raw parts, every orbit with m <= 20
+        step = 1 if family is Family.SL else 2
+        for m in range(low, 21, step):
+            for orbit in enumerate_orbits(LieType(family, m)):
+                parts = orbit.partition.parts
+                if family is Family.SL:
+                    expected = len(set(parts)) == 1
+                else:
+                    free = 0 if family is Family.SP else 1  # the unconstrained parity
+                    expected = not any(
+                        p % 2 == free and parts.count(p) == 2 for p in set(parts))
+                certified = q_factorial_certificate(picard(orbit)) is QFactorialCertificate.CERTIFIED
+                assert certified is expected, orbit
 
 
 class TestFactorial:

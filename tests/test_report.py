@@ -24,7 +24,7 @@ from orbitres import (
 )
 from orbitres.hesselink import HesselinkReport
 from orbitres.orbits import VeryEvenLabel
-from orbitres.report import atlas_csv, atlas_markdown, report_json, report_text
+from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_json, report_text
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -142,3 +142,38 @@ def test_json_text_fixed_cases(obj):
     orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition), label)
     report = build_report(orbit)
     assert report_json(report) == json.dumps(expected_report_dict(report), indent=2)
+
+
+def test_atlas_json_is_json_dumps_written_as_it_goes():
+    """An atlas is the json.dumps text of its reports' array; a report that
+    fails leaves the array so far, unclosed."""
+    reports = [build_report(orbit) for orbit in enumerate_orbits(LieType(Family.SO_ODD, 7))]
+    out = io.StringIO()
+    atlas_json(iter(reports), out)
+    assert out.getvalue() == json.dumps([expected_report_dict(r) for r in reports], indent=2) + "\n"
+    out = io.StringIO()
+    atlas_json([], out)
+    assert out.getvalue() == json.dumps([], indent=2) + "\n"
+
+    def first_then_fail():
+        yield reports[0]
+        raise RuntimeError("report failed")
+
+    out = io.StringIO()
+    with pytest.raises(RuntimeError):
+        atlas_json(first_then_fail(), out)
+    assert out.getvalue() == "[\n  " + report_json(reports[0], "\n  ")
+
+
+def test_selfcheck_tests_evenness_once_per_orbit(monkeypatch):
+    """The sweep asks ``is_even_orbit`` once per orbit, through any binding,
+    and the profile asks it nothing."""
+    calls = _count_calls(monkeypatch, orbits.is_even_orbit)
+    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    swept = [
+        orbit
+        for family in Family
+        for m in range(family.min_m, 11, 1 if family is Family.SL else 2)
+        for orbit in enumerate_orbits(LieType(family, m))
+    ]
+    assert calls == swept

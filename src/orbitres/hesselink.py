@@ -14,17 +14,18 @@ decided by a purely combinatorial test on the partition d:
   q yields degree 1.
 
 None of the sets behind these tests depends on q.  HesselinkAnalysis is the
-one API for them: it is built once per orbit, in O(N) time for its N
-parts, and holds the marked set J, the interval bounds j1 and j0 (j1 is None
-when no marked position carries an odd part, printed as -inf), the drop set
-B, the adjacent-pair parity check and the number of odd parts.  The per-q
-record, HesselinkReport (q, the integer u, the image test, N_P), is the one
-q-dependent answer, read off the analysis in constant time, so walking all
-admissible q costs O(N + m) rather than O(m * N).  ``record(q)`` is the
-public per-q query and rejects any q outside ``admissible_qs``;
-``polarizable`` (whose witnesses are the records of the q in the image) and
-``admissible_reports`` (every admissible q's record, for the JSON report
-alone) walk ``admissible_qs`` and so check nothing.
+one API for them: it is built once per orbit, with one step per run of
+equal parts, and holds the marked set J, the interval bounds j1 and j0 (j1
+is None when no marked position carries an odd part, printed as -inf), the
+drop set B, the adjacent-pair parity check and the number of odd parts.
+The image is the admissible q in [j1, j0) when the pairing holds, and j0 is
+at most N+2 for N parts, so the witnesses of ``polarizable`` are read off
+that interval in O(N), however large m is.  The per-q record,
+HesselinkReport (q, the integer u, the image test, N_P), is the one
+q-dependent answer, read off the analysis in constant time: only
+``admissible_reports``, which the JSON report alone calls, pays O(m), one
+record per admissible q.  ``record(q)`` is the public per-q query and
+rejects any q outside ``admissible_qs``.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -40,6 +41,8 @@ valid partition.  It drives every set definition below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple
 
 from .errors import InadmissibleQ, NonIntegralExponent, WrongFamily
 from .orbits import ClassicalOrbit, Family
@@ -80,55 +83,80 @@ class HesselinkAnalysis:
 
     @classmethod
     def of(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
-        """The analysis of an sp or so orbit; raises WrongFamily for sl."""
+        """The analysis of an sp or so orbit; raises WrongFamily for sl.
+
+        It takes one step per run of equal parts d_start = ... = d_end.  A
+        run of the constrained parity is marked whole; any other run has
+        its pairs (j, j+1) with j = m (mod 2) marked, one block from the
+        first such j.  Only a run's end can break the pairing or drop."""
         epsilon = orbit.family.constrained_parity
         if epsilon is None:
             raise WrongFamily("Hesselink machinery applies to sp and so only")
         m = orbit.m
-        parts = orbit.partition.parts
-        n = len(parts)
-        marked = [p % 2 == epsilon for p in parts]  # marked[j - 1]: j in J
+        runs = [(value, len(list(run))) for value, run in groupby(orbit.partition.parts)]
+        marked, drops = [], []
+        j1 = j0 = None
         pairing_ok = True
-        drops = []
-        for j, (p, nxt) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
-            if (j - m) % 2 == 0:
-                if p == nxt:
-                    marked[j - 1] = marked[j] = True
-            elif (p - nxt) % 2:
+        n_odd = end = 0
+        for (value, count), (nxt, _) in zip(runs, runs[1:] + [(0, 0)]):
+            start, end = end + 1, end + count
+            odd = value % 2
+            if odd == epsilon:
+                first, stop = start, end + 1
+            else:
+                first = start + (start - m) % 2
+                stop = first + (end + 1 - first) // 2 * 2
+                drops.append(end)
+            if first < stop:
+                marked.extend(range(first, stop))
+                if odd:
+                    j1 = stop - 1
+                elif j0 is None:
+                    j0 = first
+            if (end - m) % 2 and (value - nxt) % 2:
                 pairing_ok = False
-            if p > nxt and p % 2 != epsilon:
-                drops.append(j)
-        J = tuple(j for j in range(1, n + 1) if marked[j - 1])
-        tail = n + 1 if epsilon == 0 or n % 2 else n + 2  # first marked padded position
+            n_odd += odd * count
+        if j0 is None:  # the first marked padded position
+            j0 = end + 1 if epsilon == 0 or end % 2 else end + 2
         return cls(
             m=m,
             epsilon=epsilon,
-            J=J,
-            j1=max((j for j in J if parts[j - 1] % 2), default=None),
-            j0=min((j for j in J if parts[j - 1] % 2 == 0), default=tail),
+            J=tuple(marked),
+            j1=j1,
+            j0=j0,
             B=tuple(drops),
             pairing_ok=pairing_ok,
-            n_odd=sum(p % 2 for p in parts),
+            n_odd=n_odd,
         )
 
     def admissible_qs(self) -> list[int]:
-        """Every admissible q, ascending: the q in 0..m congruent to m mod 2,
-        with 2 left out for so.  This is the one admissibility rule."""
-        return [q for q in range(self.m % 2, self.m + 1, 2) if q != 2 or self.epsilon]
+        """Every admissible q, ascending."""
+        return self._admissible(0, self.m + 1)
+
+    def _admissible(self, low: int, high: int) -> list[int]:
+        """The admissible q with low <= q < high, ascending: the q in 0..m
+        congruent to m mod 2, with 2 left out for so.  This is the one
+        admissibility rule."""
+        low = max(low, 0)
+        low += (low - self.m) % 2
+        return [q for q in range(low, min(high, self.m + 1), 2) if q != 2 or self.epsilon]
+
+    def _image(self) -> list[int]:
+        """The admissible q passing the image test of the Spaltenstein map:
+        j1 <= q < j0 (no lower bound when j1 is None) when the parity
+        pairing holds, and none when it fails."""
+        if not self.pairing_ok:
+            return []
+        return self._admissible(0 if self.j1 is None else self.j1, self.j0)
 
     def record(self, q: int) -> HesselinkReport:
         """The record of q; raises InadmissibleQ unless q is an int in
         admissible_qs()."""
-        if type(q) is not int or q not in self.admissible_qs():
+        if type(q) is not int or not self._admissible(q, q + 1):
             raise InadmissibleQ(
                 f"q = {q!r} is not admissible for m = {self.m}, epsilon = {self.epsilon}"
             )
-        return self._record(q, self._in_image(q))
-
-    def _in_image(self, q: int) -> bool:
-        """Image test for the Spaltenstein map at an admissible q: j1 <= q < j0
-        (no lower bound when j1 is None) and the parity pairing holds."""
-        return (self.j1 is None or self.j1 <= q) and q < self.j0 and self.pairing_ok
+        return self._record(q, q in self._image())
 
     def _record(self, q: int, in_image: bool) -> HesselinkReport:
         """The record of an admissible q, given the outcome of its image test.
@@ -155,8 +183,7 @@ class HesselinkAnalysis:
         return HesselinkReport(q, u, True, 2 ** exponent)
 
 
-@dataclass(frozen=True)
-class HesselinkReport:
+class HesselinkReport(NamedTuple):
     """One admissible q: its integer degree exponent u, whether it passes the
     image test, and the collapsing degree N_P there (None off the image)."""
 
@@ -185,7 +212,8 @@ class PolarizabilityResult:
 
 
 def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
-    """All admissible q in 0..m passing the image test, with degrees.
+    """The admissible q in 0..m passing the image test, with degrees, read
+    off the image interval.
 
     Every sl orbit is polarizable; the result for sl carries no witnesses
     and no analysis.
@@ -193,9 +221,7 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     if orbit.family is Family.SL:
         return PolarizabilityResult(witnesses=(), analysis=None)
     analysis = HesselinkAnalysis.of(orbit)
-    witnesses = tuple(
-        analysis._record(q, True) for q in analysis.admissible_qs() if analysis._in_image(q)
-    )
+    witnesses = tuple([analysis._record(q, True) for q in analysis._image()])
     return PolarizabilityResult(witnesses=witnesses, analysis=analysis)
 
 
@@ -211,4 +237,6 @@ def admissible_reports(pol: PolarizabilityResult) -> tuple[HesselinkReport, ...]
     analysis = pol.analysis
     if analysis is None:
         return ()
-    return tuple(analysis._record(q, analysis._in_image(q)) for q in analysis.admissible_qs())
+    image = set(analysis._image())
+    record = analysis._record
+    return tuple([record(q, q in image) for q in analysis.admissible_qs()])

@@ -122,12 +122,15 @@ class Partition:
             object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
         except TypeError:
             raise PartitionError(f"parts must be integers, got {self.parts!r}") from None
-        if not self.parts:
+        parts = self.parts
+        if parts and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])):
+            return  # weakly decreasing down to a positive last part
+        if not parts:
             raise NonPositivePart("a partition needs at least one part")
-        for p in self.parts:
+        for p in parts:
             if p <= 0:
                 raise NonPositivePart(f"parts must be positive, got {p}")
-        for left, right in zip(self.parts, self.parts[1:]):
+        for left, right in zip(parts, parts[1:]):
             if left < right:
                 raise NotWeaklyDecreasing(
                     f"parts must be weakly decreasing, got {right} after {left}"
@@ -144,14 +147,15 @@ class Partition:
         return sum(self.parts)
 
     def dual(self) -> "Partition":
-        """The transposed Young diagram: dual_i = #{j : d_j >= i}."""
-        counts = []
-        j = len(self.parts)  # parts descend, so #{j : d_j >= i} only falls as i grows
-        for i in range(1, self.parts[0] + 1):
-            while self.parts[j - 1] < i:
-                j -= 1
-            counts.append(j)
-        return Partition(tuple(counts))
+        """The transposed Young diagram: dual_i = #{j : d_j >= i}, which is
+        the same for every i between two consecutive part values."""
+        dual = []
+        at_least, below = len(self.parts), 0
+        for value, count in reversed(self.counts.items()):  # values ascending
+            dual += [at_least] * (value - below)
+            at_least -= count
+            below = value
+        return Partition(tuple(dual))
 
     @cached_property
     def counts(self) -> dict[int, int]:
@@ -309,11 +313,16 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
 
     They need the sum of the squared dual parts, taken here as
     sum_j (2j - 1) d_j: s_i^2 is the sum of 2j - 1 over the rows j <= s_i,
-    which are the j with d_j >= i, and row j has d_j such columns i.
+    which are the j with d_j >= i, and row j has d_j such columns i.  The
+    sum goes one run of equal parts at a time: over the rows start+1..end
+    of a run, 2j - 1 adds up to end^2 - start^2.
     """
     m = orbit.m
-    sum_sq = sum((2 * j - 1) * p for j, p in enumerate(orbit.partition.parts, start=1))
-    n_odd = sum(1 for p in orbit.partition if p % 2 == 1)
+    sum_sq = n_odd = end = 0
+    for value, count in orbit.partition.counts.items():  # values descend, so rows ascend
+        start, end = end, end + count
+        sum_sq += value * (end * end - start * start)
+        n_odd += value % 2 * count
     if orbit.family is Family.SL:
         return m * m - sum_sq
     if orbit.family is Family.SP:

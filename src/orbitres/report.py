@@ -138,8 +138,10 @@ def atlas_json(reports, out) -> None:
 
 def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
     """The array of per-q records, one per admissible q, at the indentation
-    of ``nl``.  Every record repeats the analysis's J, j1, j0 and B, so that
-    stretch of text is written once per orbit."""
+    of ``nl``.  Every record repeats the analysis's J, j1, j0 and B between
+    its q and its u.  That text is written once per orbit and joined in
+    between the pieces around it: one record's tail with the next one's
+    head, both written from texts made once per orbit."""
     records = admissible_reports(pol)
     if not records:
         return "[]"
@@ -151,12 +153,20 @@ def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
         f',{i2}"J": {_ints(analysis.J, i2)},{i2}"j1": {j1},{i2}"j0": {analysis.j0}'
         f',{i2}"B": {_ints(analysis.B, i2)},{i2}"u": "'
     )
-    texts = ("," + i1).join(
-        f'{{{i2}"q": {r.q}{shared}{r.u!s}",{i2}"in_image": {_LITERAL[r.in_image]}'
-        f',{i2}"N_P": {"null" if r.N_P is None else r.N_P}{i1}}}'
-        for r in records
-    )
-    return f"[{i1}{texts}{nl}]"
+    head = f'{{{i2}"q": '
+    in_image = f'",{i2}"in_image": true,{i2}"N_P": '
+    off_image = f'",{i2}"in_image": false,{i2}"N_P": null'
+    between = f"{i1}}},{i1}{head}"  # closes one record and opens the next, up to its q
+    pieces = [f"[{i1}{head}{records[0].q}"]
+    pieces += [
+        f"{r.u}{in_image}{r.N_P}{between}{nxt.q}" if r.in_image
+        else f"{r.u}{off_image}{between}{nxt.q}"
+        for r, nxt in zip(records, records[1:])
+    ]
+    last = records[-1]
+    tail = f"{last.u}{in_image}{last.N_P}" if last.in_image else f"{last.u}{off_image}"
+    pieces.append(f"{tail}{i1}}}{nl}]")
+    return shared.join(pieces)
 
 
 _str = encode_basestring_ascii

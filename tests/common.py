@@ -3,7 +3,8 @@
 The orbit strategies construct valid partitions directly (constrained-parity
 parts are drawn in pairs), so hypothesis spends its budget on interesting
 cases rather than on rejection sampling.  ``expected_report_dict`` is the
-reference JSON layout of one report, built as a dict for ``json.dumps``.
+reference JSON layout of one report, built as a dict for ``json.dumps``, and
+``reference_analysis`` the Hesselink analysis taken one position at a time.
 """
 
 from __future__ import annotations
@@ -85,6 +86,68 @@ def valid_orbits(draw, families=ALL_FAMILIES):
 
 def bcd_orbits():
     return valid_orbits(families=BCD_FAMILIES)
+
+
+@st.composite
+def many_parts_orbits(draw, max_m: int = 600):
+    """An sp/so orbit with many parts and few runs, m up to about max_m: the
+    zero orbit [1^m], [2^k,1^(m-2k)], or distinct values repeated up to 60
+    times each (constrained-parity values an even number of times)."""
+    family = draw(st.sampled_from(BCD_FAMILIES))
+    shape = draw(st.sampled_from(("zero", "twos", "runs")))
+    if shape == "runs":
+        parts: list[int] = []
+        for value in draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True)):
+            count = draw(st.integers(1, 60))
+            if value % 2 == family.constrained_parity:
+                count += count % 2
+            if sum(parts) + value * count <= max_m:
+                parts += [value] * count
+        assume(parts)
+        m = sum(parts)
+        if family is not Family.SP:  # the parity of m picks the orthogonal family
+            family = Family.SO_ODD if m % 2 else Family.SO_EVEN
+        assume(m >= family.min_m)
+    else:
+        m = family.min_m + 2 * draw(st.integers(0, (max_m - family.min_m) // 2))
+        k = draw(st.integers(0, m // 2)) if shape == "twos" else 0
+        if family is not Family.SP:
+            k -= k % 2  # so takes the even part 2 in pairs
+        parts = [2] * k + [1] * (m - 2 * k)
+    return validate_orbit(LieType(family, m), sorted(parts, reverse=True))
+
+
+def reference_analysis(orbit) -> dict:
+    """The fields of an sp/so orbit's HesselinkAnalysis, one position at a
+    time: the marked set, the pairing check and the drops are taken at every
+    j in 1..N against the zero-padded d_{j+1}."""
+    epsilon = orbit.family.constrained_parity
+    m = orbit.m
+    parts = orbit.partition.parts
+    n = len(parts)
+    marked = [p % 2 == epsilon for p in parts]  # marked[j - 1]: j in J
+    pairing_ok = True
+    drops = []
+    for j, (p, nxt) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
+        if (j - m) % 2 == 0:
+            if p == nxt:
+                marked[j - 1] = marked[j] = True
+        elif (p - nxt) % 2:
+            pairing_ok = False
+        if p > nxt and p % 2 != epsilon:
+            drops.append(j)
+    J = tuple(j for j in range(1, n + 1) if marked[j - 1])
+    tail = n + 1 if epsilon == 0 or n % 2 else n + 2  # first marked padded position
+    return {
+        "m": m,
+        "epsilon": epsilon,
+        "J": J,
+        "j1": max((j for j in J if parts[j - 1] % 2), default=None),
+        "j0": min((j for j in J if parts[j - 1] % 2 == 0), default=tail),
+        "B": tuple(drops),
+        "pairing_ok": pairing_ok,
+        "n_odd": sum(p % 2 for p in parts),
+    }
 
 
 @st.composite

@@ -3,14 +3,15 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 
 import orbitres.hesselink as hesselink_module
-from common import bcd_orbits
+from common import bcd_orbits, many_parts_orbits, reference_analysis
 from orbitres import (
     Family,
     HesselinkAnalysis,
@@ -24,10 +25,10 @@ from orbitres import (
     resolution_by_search,
     validate_orbit,
 )
-from orbitres.cli import _selfcheck_lie_types, run_selfcheck
+from orbitres.cli import _selfcheck_lie_types, main, run_selfcheck
 from orbitres.errors import InadmissibleQ, NonIntegralExponent, WrongFamily
 from orbitres.hesselink import HesselinkReport
-from orbitres.report import report_json
+from orbitres.report import report_json, report_text
 from orbitres.resolution import closed_form_verdict
 
 SP6 = LieType(Family.SP, 6)
@@ -428,28 +429,77 @@ class TestAnalysis:
         assert polarized == swept
         assert analyses == expected_analyses(swept)
 
-    def test_image_test_runs_once_per_q(self, monkeypatch):
-        """polarizable, the per-q records and record(q) each run the image
-        test once per admissible q they answer for."""
-        calls = []
-        original = HesselinkAnalysis._in_image
+    def test_polarizable_examines_only_its_image(self, monkeypatch):
+        """polarizable builds a record for each q in its image and for no
+        other q; the per-q records still come one per admissible q."""
+        built = []
+        original = HesselinkAnalysis._record
 
-        def counted(self, q):
-            calls.append(q)
-            return original(self, q)
+        def counted(self, q, in_image):
+            built.append((q, in_image))
+            return original(self, q, in_image)
 
-        monkeypatch.setattr(HesselinkAnalysis, "_in_image", counted)
+        monkeypatch.setattr(HesselinkAnalysis, "_record", counted)
         in_image = 0
         for orbit in bcd_orbits_up_to(12):
-            calls.clear()
+            built.clear()
             pol = polarizable(orbit)
-            qs = pol.analysis.admissible_qs()
-            assert calls == qs, orbit
-            calls.clear()
+            image = image_by_definition(pol.analysis)
+            assert built == [(q, True) for q in image], orbit
+            built.clear()
             records = admissible_reports(pol)
-            assert calls == qs, orbit
-            in_image += sum(r.in_image for r in records)
+            assert [q for q, _ in built] == pol.analysis.admissible_qs(), orbit
+            assert built == [(r.q, r.in_image) for r in records], orbit
+            in_image += len(image)
         assert in_image > 100
-        calls.clear()
+        built.clear()
         assert analysis(SP6, "4,1,1").record(0).N_P is None
-        assert calls == [0]
+        assert built == [(0, False)]
+
+
+def image_by_definition(a):
+    """The admissible q passing the image test, each tested on its own."""
+    return [
+        q for q in a.admissible_qs()
+        if (a.j1 is None or a.j1 <= q) and q < a.j0 and a.pairing_ok
+    ]
+
+
+@lru_cache(maxsize=None)
+def bcd_orbits_to_30():
+    return tuple(bcd_orbits_up_to(30))
+
+
+class TestRuns:
+    """The analysis steps over runs of equal parts and reads its witnesses
+    off the image interval; both agree with the per-position definitions."""
+
+    def test_runs_match_the_per_position_loop(self):
+        orbits = bcd_orbits_to_30()
+        assert len(orbits) > 9000
+        for orbit in orbits:
+            assert asdict(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit), orbit
+
+    @given(many_parts_orbits())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_the_per_position_loop_on_many_parts(self, orbit):
+        assert asdict(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit)
+
+    def test_witnesses_are_the_image_interval(self):
+        for orbit in bcd_orbits_to_30():
+            pol = polarizable(orbit)
+            assert [w.q for w in pol.witnesses] == image_by_definition(pol.analysis), orbit
+
+    def test_witnesses_and_text_list_no_admissible_q(self, monkeypatch, capsys):
+        """The witnesses and the text report of sp_2000000 [1000000^2] come
+        from the image interval alone; only the JSON lists every q."""
+
+        def refuse(self):
+            raise AssertionError("admissible_qs listed")
+
+        monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
+        orbit = validate_orbit(LieType(Family.SP, 2_000_000), (1_000_000, 1_000_000))
+        assert [(w.q, w.N_P) for w in polarizable(orbit).witnesses] == [(0, 1), (2, 2)]
+        text = report_text(build_report(orbit))
+        assert main(["report", "sp2000000", "1000000^2"]) == 0
+        assert capsys.readouterr().out == text + "\n"

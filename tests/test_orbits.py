@@ -80,6 +80,18 @@ class TestPartition:
         with pytest.raises(NonPositivePart):
             Partition(())
 
+    @pytest.mark.parametrize("parts, error, message", [
+        ((2, 0, 3), NonPositivePart, "parts must be positive, got 0"),
+        ((1, 2), NotWeaklyDecreasing, "parts must be weakly decreasing, got 2 after 1"),
+        ((3, -1), NonPositivePart, "parts must be positive, got -1"),
+        ((0,), NonPositivePart, "parts must be positive, got 0"),
+    ])
+    def test_gate_names_the_first_offence(self, parts, error, message):
+        # positivity is checked before the order, whichever comes first
+        with pytest.raises(error) as raised:
+            Partition(parts)
+        assert type(raised.value) is error and str(raised.value) == message
+
     def test_non_integer_parts_rejected(self):
         # floats are not truncated, strings are not read digit by digit
         for parts in ((2.9, 1), "21", (2, "x"), 3):
@@ -89,6 +101,11 @@ class TestPartition:
     def test_dual(self):
         assert Partition((3, 1)).dual().parts == (2, 1, 1)
         assert Partition((2, 2)).dual().parts == (2, 2)
+
+    def test_dual_of_large_parts(self):
+        parts = (374, 69, 69)
+        expected = tuple(sum(1 for p in parts if p >= i) for i in range(1, 375))
+        assert Partition(parts).dual().parts == expected == (3,) * 69 + (1,) * 305
 
     @given(partitions())
     def test_dual_is_an_involution(self, d):
@@ -229,6 +246,22 @@ class TestOrbitDimension:
         assert orbit_dimension(validate_orbit(SP6, (2, 1, 1, 1, 1))) == 6
         assert orbit_dimension(validate_orbit(SO8, (2, 2, 1, 1, 1, 1))) == 10
         assert orbit_dimension(validate_orbit(SO7, (2, 2, 1, 1, 1))) == 8
+
+    def test_dual_partition_formulas(self):
+        # oracle: Collingwood-McGovern 6.1.3 with s the dual partition,
+        # counted straight off the parts
+        for family in ALL_FAMILIES:
+            for m in range(family.min_m, 15, 1 if family is Family.SL else 2):
+                for orbit in enumerate_orbits(LieType(family, m)):
+                    parts = orbit.partition.parts
+                    squares = sum(
+                        sum(1 for p in parts if p >= i) ** 2 for i in range(1, parts[0] + 1))
+                    odd = sum(1 for p in parts if p % 2)
+                    expected = {
+                        Family.SL: m * m - squares,
+                        Family.SP: (m * m + m - squares - odd) // 2,
+                    }.get(family, (m * m - m - squares + odd) // 2)
+                    assert orbit_dimension(orbit) == expected, orbit
 
     def test_zero_orbit_dimension(self):
         assert orbit_dimension(validate_orbit(SL3, (1, 1, 1))) == 0

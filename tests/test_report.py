@@ -22,7 +22,7 @@ from orbitres import (
     parse_partition,
     validate_orbit,
 )
-from orbitres.hesselink import HesselinkReport
+from orbitres.hesselink import HesselinkAnalysis
 from orbitres.orbits import VeryEvenLabel
 from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_json, report_text
 
@@ -97,15 +97,17 @@ def test_text_report_builds_no_dual_partition():
 )
 def test_records_built_only_where_rendered(monkeypatch, lie_type):
     """A report and its text and table renderings build one Hesselink record
-    per witness; the JSON rendering builds one more per admissible q."""
+    per witness; the JSON rendering builds one more per admissible q.  Every
+    record is built by HesselinkAnalysis._record."""
     built = []
-    original = HesselinkReport.__init__
+    original = HesselinkAnalysis._record
 
-    def counted(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append(self)
+    def counted(self, q, in_image):
+        record = original(self, q, in_image)
+        built.append(record)
+        return record
 
-    monkeypatch.setattr(HesselinkReport, "__init__", counted)
+    monkeypatch.setattr(HesselinkAnalysis, "_record", counted)
     for orbit in enumerate_orbits(lie_type):
         built.clear()
         report = build_report(orbit)

@@ -136,11 +136,9 @@ def run_selfcheck(max_m: int, out=None) -> int:
     """
     out = out if out is not None else sys.stdout
     failures: list[tuple[str, str]] = []  # (check, what failed)
-    checked = 0
     tallies = dict.fromkeys((_ROUTES, _EVEN, _POLARIZABLE, _FACTORIAL, _FREE_RANK), 0)
     for lie_type in _selfcheck_lie_types(max_m):
         for orbit in enumerate_orbits(lie_type):
-            checked += 1
             tallies[_ROUTES] += 1
             try:
                 verdict = admits_symplectic_resolution(orbit)
@@ -166,7 +164,7 @@ def run_selfcheck(max_m: int, out=None) -> int:
                         (_FREE_RANK, f"{orbit}: l = 0 but picard free rank {group.free_rank}")
                     )
                 tallies[_FREE_RANK] += 1
-    print(f"selfcheck over all classical orbits with m <= {max_m} ({checked} orbits)", file=out)
+    print(f"selfcheck over all classical orbits with m <= {max_m} ({tallies[_ROUTES]} orbits)", file=out)
     for name, count in tallies.items():
         failed = sum(check == name for check, _ in failures)
         status = f"FAILED ({failed} of {count})" if failed else f"ok ({count} checked)"

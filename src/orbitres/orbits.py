@@ -146,16 +146,18 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def dual(self) -> "Partition":
-        """The transposed Young diagram: dual_i = #{j : d_j >= i}, which is
-        the same for every i between two consecutive part values."""
+    def dual(self) -> tuple[int, ...]:
+        """The parts of the transposed Young diagram: dual_i = #{j : d_j >= i},
+        which is the same for every i between two consecutive part values.
+        A plain tuple: it is built in order, so it skips the ``Partition``
+        gate."""
         dual = []
         at_least, below = len(self.parts), 0
         for value, count in reversed(self.counts.items()):  # values ascending
             dual += [at_least] * (value - below)
             at_least -= count
             below = value
-        return Partition(tuple(dual))
+        return tuple(dual)
 
     @cached_property
     def counts(self) -> dict[int, int]:

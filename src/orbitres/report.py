@@ -243,49 +243,35 @@ def report_text(report: OrbitReport) -> str:
 
 
 _ATLAS_COLUMNS = (
-    "partition",
-    "label",
-    "dim",
-    "even",
-    "k",
-    "c",
-    "a",
-    "b",
-    "l",
-    "rather_odd",
-    "picard",
-    "q_factorial",
-    "factorial",
-    "polarizable",
-    "witnesses",
-    "resolution",
-    "witness",
+    "partition", "label", "dim", "even", "k", "c", "a", "b", "l", "rather_odd",
+    "picard", "q_factorial", "factorial", "polarizable", "witnesses", "resolution", "witness",
 )
 
 
-def _atlas_row(report: OrbitReport) -> dict[str, str]:
+def _atlas_row(report: OrbitReport) -> tuple[str, ...]:
+    """One atlas row, its cells in ``_ATLAS_COLUMNS`` order."""
     orbit = report.orbit
     prof = orbit.profile
     pol = report.resolution.polarizability
-    return {
-        "partition": orbit.partition.compact_str(),
-        "label": orbit.very_even_label.value if orbit.very_even_label else "",
-        "dim": str(report.dimension),
-        "even": "yes" if is_even_orbit(orbit) else "no",
-        "k": str(prof.k),
-        "c": str(prof.c),
-        "a": str(prof.a),
-        "b": str(prof.b),
-        "l": str(prof.l),
-        "rather_odd": "yes" if prof.rather_odd else "no",
-        "picard": str(report.picard),
-        "q_factorial": report.q_factorial.value,
-        "factorial": "n/a" if report.factorial is None else ("yes" if report.factorial else "no"),
-        "polarizable": "yes" if pol.polarizable else "no",
-        "witnesses": ";".join(f"{w.q}:{w.N_P}" for w in pol.witnesses),
-        "resolution": report.resolution.answer.value,
-        "witness": _witness_text(report),
-    }
+    return (
+        orbit.partition.compact_str(),
+        orbit.very_even_label.value if orbit.very_even_label else "",
+        str(report.dimension),
+        "yes" if is_even_orbit(orbit) else "no",
+        str(prof.k),
+        str(prof.c),
+        str(prof.a),
+        str(prof.b),
+        str(prof.l),
+        "yes" if prof.rather_odd else "no",
+        str(report.picard),
+        report.q_factorial.value,
+        "n/a" if report.factorial is None else ("yes" if report.factorial else "no"),
+        "yes" if pol.polarizable else "no",
+        ";".join(f"{w.q}:{w.N_P}" for w in pol.witnesses),
+        report.resolution.answer.value,
+        _witness_text(report),
+    )
 
 
 def atlas_markdown(reports: list[OrbitReport], title: str) -> str:
@@ -293,8 +279,7 @@ def atlas_markdown(reports: list[OrbitReport], title: str) -> str:
     lines.append("| " + " | ".join(_ATLAS_COLUMNS) + " |")
     lines.append("|" + "|".join("---" for _ in _ATLAS_COLUMNS) + "|")
     for report in reports:
-        row = _atlas_row(report)
-        lines.append("| " + " | ".join(row[c] for c in _ATLAS_COLUMNS) + " |")
+        lines.append("| " + " | ".join(_atlas_row(report)) + " |")
     yes = sum(1 for r in reports if r.resolution.answer is Verdict.YES)
     lines.append("")
     lines.append(f"{len(reports)} orbits, {yes} admit a symplectic resolution, {len(reports) - yes} do not.")
@@ -303,8 +288,7 @@ def atlas_markdown(reports: list[OrbitReport], title: str) -> str:
 
 def atlas_csv(reports: list[OrbitReport]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_ATLAS_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for report in reports:
-        writer.writerow(_atlas_row(report))
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(_ATLAS_COLUMNS)
+    writer.writerows(map(_atlas_row, reports))
     return buffer.getvalue()

@@ -11,6 +11,10 @@ orbit closure admits a symplectic resolution:
 * so_{2n}: the prefix form with even q != 2, or exactly two odd parts
   sitting at positions 2k-1 and 2k.
 
+Both clauses ask the odd parts to fill one block of consecutive positions,
+so the closed form reads the parts in one pass over the runs of equal
+parts, and reads neither ``Partition.counts``, the profile nor Hesselink.
+
 The dispatcher runs both this closed form and the independent Hesselink
 degree search and refuses to return anything if they disagree: the
 equivalence of the two routes is a theorem, so a mismatch can only be an
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
 from .hesselink import PolarizabilityResult, polarizable, resolution_by_search
@@ -75,52 +80,32 @@ class ResolutionVerdict:
         return self.polarizability is not None and self.polarizability.analysis is not None
 
 
-def _odd_prefix_length(parts: tuple[int, ...]) -> int | None:
-    """q such that parts 1..q are odd and the rest even, or None.
-
-    When it exists, q equals the number of odd parts, so there is at most
-    one candidate to examine.
-    """
-    n_odd = sum(1 for p in parts if p % 2 == 1)
-    if all(parts[j] % 2 == 1 for j in range(n_odd)):
-        return n_odd
-    return None
-
-
-def _adjacent_odd_pair(parts: tuple[int, ...]) -> int | None:
-    """k when exactly two parts are odd and they occupy positions 2k-1, 2k."""
-    positions = [j for j, p in enumerate(parts, start=1) if p % 2 == 1]
-    if len(positions) == 2 and positions[0] % 2 == 1 and positions[1] == positions[0] + 1:
-        return (positions[0] + 1) // 2
-    return None
-
-
-def _closed_form_witness(orbit: ClassicalOrbit) -> ResolutionWitness | None:
-    """The clause of the sp/so closed form that holds, or None."""
-    parts = orbit.partition.parts
-    q = _odd_prefix_length(parts)
-    if orbit.family is Family.SP:
-        return ResolutionWitness(q=q) if q is not None and q % 2 == 0 else None
-    if orbit.family is Family.SO_ODD:
-        return ResolutionWitness(q=q) if q is not None and q % 2 == 1 else None
-    # so_{2n}: the even prefix with q = 2 excluded, then the adjacent pair
-    if q is not None and q % 2 == 0 and q != 2:
-        return ResolutionWitness(q=q)
-    k = _adjacent_odd_pair(parts)
-    return None if k is None else ResolutionWitness(pair_position=k)
-
-
 def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
-    """Resolution verdict from the family's closed-form criterion."""
-    if orbit.family is Family.SL:
+    """Resolution verdict from the family's closed-form criterion.
+
+    For sp/so one pass over the runs of equal parts finds the block of odd
+    parts at positions start..start+q-1 (start = q = 0 when none is odd),
+    and stops where a second block starts, since no clause then holds."""
+    family = orbit.family
+    if family is Family.SL:
         return ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
-    witness = _closed_form_witness(orbit)
-    return ResolutionVerdict(
-        Verdict.NO if witness is None else Verdict.YES,
-        Route.CLOSED_FORM,
-        witness=witness,
-        polarizability=None,
-    )
+    witness = None
+    start = q = read = 0  # read: the parts before the current run
+    for value, run in groupby(orbit.partition.parts):
+        count = len(list(run))
+        if value % 2:
+            if q and start + q <= read:  # an even part sits between: a second block
+                break
+            start, q = start or read + 1, q + count
+        read += count
+    else:  # one block at most: the prefix clause, then so_{2n}'s pair clause
+        pair = family is Family.SO_EVEN and q == 2
+        if start <= 1 and q % 2 == (family is Family.SO_ODD) and not pair:
+            witness = ResolutionWitness(q=q)
+        elif pair and start % 2:
+            witness = ResolutionWitness(pair_position=(start + 1) // 2)
+    answer = Verdict.NO if witness is None else Verdict.YES
+    return ResolutionVerdict(answer, Route.CLOSED_FORM, witness, polarizability=None)
 
 
 def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:

@@ -3,8 +3,9 @@
 The orbit strategies construct valid partitions directly (constrained-parity
 parts are drawn in pairs), so hypothesis spends its budget on interesting
 cases rather than on rejection sampling.  ``expected_report_dict`` is the
-reference JSON layout of one report, built as a dict for ``json.dumps``, and
-``reference_analysis`` the Hesselink analysis taken one position at a time.
+reference JSON layout of one report, built as a dict for ``json.dumps``;
+``reference_analysis`` is the Hesselink analysis and ``reference_closed_form``
+the closed-form witness, each taken one position at a time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from collections import Counter
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from orbitres import Family, LieType, validate_orbit
+from orbitres import Family, LieType, enumerate_orbits, validate_orbit
 from orbitres.errors import InvalidLieType
 from orbitres.hesselink import admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
+from orbitres.resolution import ResolutionWitness
 
 ALL_FAMILIES = (Family.SL, Family.SP, Family.SO_ODD, Family.SO_EVEN)
 BCD_FAMILIES = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
@@ -148,6 +150,29 @@ def reference_analysis(orbit) -> dict:
         "pairing_ok": pairing_ok,
         "n_odd": sum(p % 2 for p in parts),
     }
+
+
+def reference_closed_form(orbit) -> ResolutionWitness | None:
+    """The clause of the sp/so closed form that holds, as the resolution
+    module's docstring states it, from the positions of the odd parts:
+    they are 1..q for the prefix clause, 2k-1 and 2k for the pair clause."""
+    family = orbit.family
+    odd = [j for j, p in enumerate(orbit.partition.parts, start=1) if p % 2]
+    q = len(odd)
+    parity = 1 if family is Family.SO_ODD else 0
+    if odd == list(range(1, q + 1)) and q % 2 == parity:
+        if family is not Family.SO_EVEN or q != 2:
+            return ResolutionWitness(q=q)
+    if family is Family.SO_EVEN and q == 2 and odd[0] % 2 == 1 and odd[1] == odd[0] + 1:
+        return ResolutionWitness(pair_position=(odd[0] + 1) // 2)
+    return None
+
+
+def bcd_orbits_up_to(max_m: int):
+    """Every sp/so orbit with m <= max_m, algebra by algebra."""
+    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
+        for m in range(low, max_m + 1, 2):
+            yield from enumerate_orbits(LieType(family, m))
 
 
 @st.composite

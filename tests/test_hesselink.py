@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import orbitres.hesselink as hesselink_module
-from common import bcd_orbits, many_parts_orbits, reference_analysis
+from common import bcd_orbits, bcd_orbits_up_to, many_parts_orbits, reference_analysis
 from orbitres import (
     Family,
     HesselinkAnalysis,
@@ -362,12 +362,6 @@ def plain_records(orbit):
         J = tuple(sorted(j for j in marked if j <= n))
         records.append((q, J, j1, j0, B, u, in_image, degree))
     return records
-
-
-def bcd_orbits_up_to(max_m):
-    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
-        for m in range(low, max_m + 1, 2):
-            yield from enumerate_orbits(LieType(family, m))
 
 
 class TestAnalysis:

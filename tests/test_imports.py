@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbitres"
-CLOSED_FORM = ("_odd_prefix_length", "_adjacent_odd_pair", "_closed_form_witness", "closed_form_verdict")
+CLOSED_FORM = ("closed_form_verdict",)
 
 
 def tree(name: str) -> ast.Module:

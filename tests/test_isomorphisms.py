@@ -1,0 +1,77 @@
+"""The exceptional isomorphisms of small classical algebras as a second
+oracle: sl2 = sp2 = so3, sp4 = so5, sl4 = so6 and the triality of so8.
+
+Corresponding orbits must agree on every invariant that does not depend on
+how the algebra is written: dimension, factoriality, polarizability and
+the resolution answer.  The Picard group is left out on purpose: sl4 [4]
+is Z/4 while so6 [5,1] is left as an unresolved extension, and sp and so
+share the free rank they give, so comparing them could not catch an error
+in it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from orbitres import (
+    Family,
+    LieType,
+    admits_symplectic_resolution,
+    enumerate_orbits,
+    orbit_dimension,
+    polarizable,
+    validate_orbit,
+)
+from orbitres.orbits import VeryEvenLabel
+from orbitres.picard import is_factorial
+
+SO8 = LieType(Family.SO_EVEN, 8)
+
+
+def invariants(orbit) -> tuple:
+    return (
+        orbit_dimension(orbit),
+        is_factorial(orbit),
+        polarizable(orbit).polarizable,
+        admits_symplectic_resolution(orbit).answer,
+    )
+
+
+def by_dimension(lie_type: LieType) -> dict:
+    """The orbits of one algebra keyed by dimension, which tells them apart
+    in each of the small algebras checked here."""
+    orbits = list(enumerate_orbits(lie_type))
+    keyed = {orbit_dimension(orbit): orbit for orbit in orbits}
+    assert len(keyed) == len(orbits), lie_type
+    return keyed
+
+
+@pytest.mark.parametrize(
+    "lie_types",
+    [
+        ((Family.SL, 2), (Family.SP, 2), (Family.SO_ODD, 3)),
+        ((Family.SP, 4), (Family.SO_ODD, 5)),
+        ((Family.SL, 4), (Family.SO_EVEN, 6)),
+    ],
+    ids=["sl2=sp2=so3", "sp4=so5", "sl4=so6"],
+)
+def test_isomorphic_algebras_agree_orbit_by_orbit(lie_types):
+    first, *others = [by_dimension(LieType(family, m)) for family, m in lie_types]
+    for other in others:
+        assert other.keys() == first.keys()
+        for dim, orbit in first.items():
+            assert invariants(other[dim]) == invariants(orbit), (orbit, other[dim])
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ((2, 2, 2, 2), (2, 2, 2, 2), (3, 1, 1, 1, 1, 1)),
+        ((4, 4), (4, 4), (5, 1, 1, 1)),
+    ],
+    ids=["[2^4] I, II, [3,1^5]", "[4^2] I, II, [5,1^3]"],
+)
+def test_so8_triality_permutes_three_orbits(triple):
+    labels = (VeryEvenLabel.I, VeryEvenLabel.II, None)
+    orbits = [validate_orbit(SO8, parts, label) for parts, label in zip(triple, labels)]
+    assert len({invariants(orbit) for orbit in orbits}) == 1, orbits

@@ -4,9 +4,9 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from common import valid_orbits
+from common import bcd_orbits_up_to, many_parts_orbits, reference_closed_form, valid_orbits
 import orbitres.resolution as resolution_module
 from orbitres import (
     Family,
@@ -79,6 +79,36 @@ class TestClosedForm:
         # four odd parts: neither clause applies
         orbit = validate_orbit(LieType(Family.SO_EVEN, 12), (3, 3, 2, 2, 1, 1))
         assert closed_form_verdict(orbit).answer is Verdict.NO
+
+    def test_matches_the_per_position_statement(self):
+        orbits = list(bcd_orbits_up_to(30))
+        assert len(orbits) == 10756
+        for orbit in orbits:
+            verdict = closed_form_verdict(orbit)
+            assert verdict.witness == reference_closed_form(orbit), orbit
+            assert (verdict.answer is Verdict.YES) == (verdict.witness is not None), orbit
+
+    @given(many_parts_orbits())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_position_statement_on_many_parts(self, orbit):
+        assert closed_form_verdict(orbit).witness == reference_closed_form(orbit)
+
+    @pytest.mark.parametrize(
+        "lie_type, parts",
+        [
+            # two separated odd blocks: the one pass stops at the second
+            (LieType(Family.SO_ODD, 9), (3, 2, 2, 1, 1)),
+            (SO8, (3, 2, 2, 1)),
+            # a block of two odd parts starting at position 2: no prefix, and
+            # the pair clause is so_{2n}'s alone
+            (LieType(Family.SP, 4), (2, 1, 1)),
+        ],
+    )
+    def test_fixed_cases_against_the_per_position_statement(self, lie_type, parts):
+        orbit = validate_orbit(lie_type, parts)
+        verdict = closed_form_verdict(orbit)
+        assert reference_closed_form(orbit) is None
+        assert verdict.answer is Verdict.NO and verdict.witness is None
 
 
 class TestDispatcher:

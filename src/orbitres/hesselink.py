@@ -40,7 +40,6 @@ valid partition.  It drives every set definition below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ from .errors import InadmissibleQ, NonIntegralExponent, WrongFamily
 from .orbits import ClassicalOrbit, Family
 
 
-@dataclass(frozen=True)
-class HesselinkAnalysis:
+class HesselinkAnalysis(NamedTuple):
     """The q-independent facts about one partition d_1 >= ... >= d_N.
 
     J holds the marked positions within 1..N: j is marked when d_j has the
@@ -193,8 +191,7 @@ class HesselinkReport(NamedTuple):
     N_P: int | None
 
 
-@dataclass(frozen=True)
-class PolarizabilityResult:
+class PolarizabilityResult(NamedTuple):
     """The polarizing q of one orbit, read off its analysis.
 
     ``witnesses`` are the records of the admissible q in the image;

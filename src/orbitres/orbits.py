@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     InvalidLabel,
@@ -71,8 +71,7 @@ class Family(Enum):
         return None if self is Family.SL else 0
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family m")):
     """A classical simple Lie algebra identified by family and matrix size.
 
     ``m`` is the size of the defining matrices, an integer (taken through
@@ -80,20 +79,22 @@ class LieType:
     2n for so_{2n}.
     """
 
-    family: Family
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, family: Family, m: int):
         try:
-            object.__setattr__(self, "m", operator.index(self.m))
+            m = operator.index(m)
         except TypeError:
-            raise InvalidLieType(f"matrix size must be an integer, got {self.m!r}") from None
-        low = self.family.min_m
-        if self.m < low:
-            raise InvalidLieType(f"{self.family.value} requires m >= {low}, got {self.m}")
-        if self.family is not Family.SL and (self.m - low) % 2:
+            raise InvalidLieType(f"matrix size must be an integer, got {m!r}") from None
+        low = family.min_m
+        if m < low:
+            raise InvalidLieType(f"{family.value} requires m >= {low}, got {m}")
+        if family is not Family.SL and (m - low) % 2:
             parity = "odd" if low % 2 else "even"
-            raise InvalidLieType(f"{self.family.value} requires {parity} matrix size, got {self.m}")
+            raise InvalidLieType(f"{family.value} requires {parity} matrix size, got {m}")
+        return super().__new__(cls, family, m)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
     @property
     def rank(self) -> int:
@@ -111,20 +112,32 @@ class LieType:
         return self.name
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the types that cache a fact:
+    neither a field, a cached fact nor a new attribute can be set."""
+    raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+
 class Partition:
-    """A weakly decreasing tuple of positive integers, zero padded beyond N."""
+    """A weakly decreasing tuple of positive integers, zero padded beyond N.
 
-    parts: tuple[int, ...]
+    Immutable, compared and hashed by its parts; the instance dict holds
+    the cached ``counts`` alone, and a copy or a pickle rebuilds the
+    partition through the gate from its parts.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("parts", "__dict__")
+    __setattr__ = __delattr__ = _frozen
+
+    def __new__(cls, parts: tuple[int, ...]):
         try:
-            object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
+            parts = tuple(map(operator.index, parts))
         except TypeError:
-            raise PartitionError(f"parts must be integers, got {self.parts!r}") from None
-        parts = self.parts
+            raise PartitionError(f"parts must be integers, got {parts!r}") from None
         if parts and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])):
-            return  # weakly decreasing down to a positive last part
+            self = object.__new__(cls)  # weakly decreasing down to a positive last part
+            object.__setattr__(self, "parts", parts)
+            return self
         if not parts:
             raise NonPositivePart("a partition needs at least one part")
         for p in parts:
@@ -135,6 +148,18 @@ class Partition:
                 raise NotWeaklyDecreasing(
                     f"parts must be weakly decreasing, got {right} after {left}"
                 )
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
 
     def __iter__(self):
         return iter(self.parts)
@@ -192,35 +217,35 @@ def parity_violation(family: Family, partition: Partition) -> tuple[int, int] | 
     return None
 
 
-@dataclass(frozen=True)
-class ClassicalOrbit:
+class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_label")):
     """A validated nilpotent orbit: algebra, partition, optional D-label.
 
     Construction is the validation gate; an instance of this class always
     satisfies the sum and parity-multiplicity constraints of its family.
-    For very even type-D partitions the label defaults to I.
+    For very even type-D partitions the label defaults to I.  The instance
+    dict holds the cached ``profile`` alone.
     """
 
-    lie_type: LieType
-    partition: Partition
-    very_even_label: VeryEvenLabel | None = None
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.partition.total != self.lie_type.m:
+    def __new__(cls, lie_type: LieType, partition: Partition,
+                very_even_label: VeryEvenLabel | None = None):
+        if partition.total != lie_type.m:
             raise WrongSum(
-                f"parts sum to {self.partition.total}, expected m = {self.lie_type.m} "
-                f"for {self.lie_type.name}"
+                f"parts sum to {partition.total}, expected m = {lie_type.m} "
+                f"for {lie_type.name}"
             )
-        offender = parity_violation(self.family, self.partition)
+        offender = parity_violation(lie_type.family, partition)
         if offender is not None:
-            raise ParityMultiplicityViolation(self.lie_type.name, *offender)
-        eligible = self.family is Family.SO_EVEN and all(p % 2 == 0 for p in self.partition)
-        if eligible and self.very_even_label is None:
-            object.__setattr__(self, "very_even_label", VeryEvenLabel.I)
-        elif not eligible and self.very_even_label is not None:
-            raise InvalidLabel(
-                f"{self.lie_type.name} {self.partition} is not very even; no label allowed"
-            )
+            raise ParityMultiplicityViolation(lie_type.name, *offender)
+        eligible = lie_type.family is Family.SO_EVEN and all(p % 2 == 0 for p in partition)
+        if eligible and very_even_label is None:
+            very_even_label = VeryEvenLabel.I
+        elif not eligible and very_even_label is not None:
+            raise InvalidLabel(f"{lie_type.name} {partition} is not very even; no label allowed")
+        return super().__new__(cls, lie_type, partition, very_even_label)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
     @property
     def family(self) -> Family:
@@ -261,8 +286,7 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
     return ClassicalOrbit(lie_type, partition, very_even_label)
 
 
-@dataclass(frozen=True)
-class PartitionProfile:
+class PartitionProfile(NamedTuple):
     """The partition statistics the Picard formulas and the renderings read.
 
     k counts distinct parts, c is the gcd of the parts, a and b count

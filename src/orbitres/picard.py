@@ -19,26 +19,28 @@ per family.  Factoriality reads the parts' multiplicities
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 
 from .orbits import ClassicalOrbit, Family
 
 
-@dataclass(frozen=True)
-class UnresolvedExtension:
+class UnresolvedExtension(namedtuple("UnresolvedExtension", "kernel_exponent")):
     """An extension of Z/2 by (Z/2)^kernel_exponent of undetermined type."""
 
-    kernel_exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kernel_exponent < 0:
+    def __new__(cls, kernel_exponent: int):
+        if kernel_exponent < 0:
             raise ValueError("kernel exponent must be non-negative")
+        return super().__new__(cls, kernel_exponent)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
+class AbelianGroupDescriptor(
+    namedtuple("AbelianGroupDescriptor", "free_rank torsion unresolved_extension")
+):
     """Free rank plus torsion cyclic factors, or an unresolved 2-group.
 
     ``torsion`` and ``unresolved_extension`` are mutually exclusive; an
@@ -46,18 +48,20 @@ class AbelianGroupDescriptor:
     trivial.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
-    unresolved_extension: UnresolvedExtension | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int = 0, torsion: tuple[int, ...] = (),
+                unresolved_extension: UnresolvedExtension | None = None):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion factors must be at least 2")
-        if self.torsion and self.unresolved_extension is not None:
+        if torsion and unresolved_extension is not None:
             raise ValueError("torsion and unresolved extension are mutually exclusive")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion, reverse=True)))
+        torsion = tuple(sorted(torsion, reverse=True))
+        return super().__new__(cls, free_rank, torsion, unresolved_extension)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
     @property
     def is_trivial(self) -> bool:

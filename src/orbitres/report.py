@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .hesselink import PolarizabilityResult, admissible_reports
 from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
@@ -32,8 +32,7 @@ from .picard import (
 from .resolution import ExceptionalRecord, ResolutionVerdict, Verdict, admits_symplectic_resolution
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     orbit: ClassicalOrbit
     dimension: int
     picard: AbelianGroupDescriptor

@@ -27,9 +27,10 @@ lookup miss with guidance, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
 from .hesselink import PolarizabilityResult, polarizable, resolution_by_search
@@ -47,20 +48,20 @@ class Route(Enum):
     ALWAYS_SLN = "always_sln"
 
 
-@dataclass(frozen=True)
-class ResolutionWitness:
+class ResolutionWitness(namedtuple("ResolutionWitness", "q pair_position")):
     """Either the prefix length q or the pair index k of the closed form."""
 
-    q: int | None = None
-    pair_position: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.q is None) == (self.pair_position is None):
+    def __new__(cls, q: int | None = None, pair_position: int | None = None):
+        if (q is None) == (pair_position is None):
             raise ValueError("exactly one of q and pair_position must be set")
+        return super().__new__(cls, q, pair_position)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
 
-@dataclass(frozen=True)
-class ResolutionVerdict:
+class ResolutionVerdict(NamedTuple):
     """An answer, its route and its closed-form witness.
 
     ``polarizability`` is the Hesselink result the dispatcher checked the
@@ -85,7 +86,10 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
 
     For sp/so one pass over the runs of equal parts finds the block of odd
     parts at positions start..start+q-1 (start = q = 0 when none is odd),
-    and stops where a second block starts, since no clause then holds."""
+    and stops where a second block starts, since no clause then holds.  The
+    orbit's validation gate already forces q to the family's parity and a
+    lone so_{2n} pair of odd parts to an odd start; both checks stay, as
+    they restate the paper's clauses."""
     family = orbit.family
     if family is Family.SL:
         return ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
@@ -136,8 +140,7 @@ class ExceptionalAlgebra(Enum):
     E8 = "E8"
 
 
-@dataclass(frozen=True)
-class ExceptionalRecord:
+class ExceptionalRecord(NamedTuple):
     """One Bala-Carter labelled orbit with its stored verdict."""
 
     algebra: ExceptionalAlgebra

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -111,7 +110,7 @@ class TestReport:
 
         def flipped(orbit):
             verdict = original(orbit)
-            return replace(verdict, answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
+            return verdict._replace(answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
 
         monkeypatch.setattr(resolution, "closed_form_verdict", flipped)
         code, out, err = run(capsys, "report", "so7", "3,2,2")
@@ -124,7 +123,7 @@ class TestReport:
 
         def off_by_one(cls, orbit):
             analysis = original(cls, orbit)
-            return replace(analysis, n_odd=analysis.n_odd + 1)
+            return analysis._replace(n_odd=analysis.n_odd + 1)
 
         monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(off_by_one))
         code, out, err = run(capsys, "report", "so7", "3,2,2")
@@ -167,7 +166,7 @@ class TestAtlas:
             verdict = original(orbit)
             if orbit != broken:
                 return verdict
-            return replace(verdict, answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
+            return verdict._replace(answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
 
         monkeypatch.setattr(resolution, "closed_form_verdict", flipped)
         code, out, err = run(capsys, "atlas", "so7", "--format", "json")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -210,14 +209,14 @@ class TestIntegralityGuard:
 
     def test_odd_count_off_by_one_raises_at_every_q(self):
         for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "3,2,2")):
-            corrupted = replace(a, n_odd=a.n_odd + 1)
+            corrupted = a._replace(n_odd=a.n_odd + 1)
             for q in a.admissible_qs():  # in the image or not
                 with pytest.raises(NonIntegralExponent, match="is not an integer"):
                     corrupted.record(q)
 
     def test_negative_exponent_raises(self):
         # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
-        corrupted = replace(analysis(SO8, "5,3"), j0=9)
+        corrupted = analysis(SO8, "5,3")._replace(j0=9)
         with pytest.raises(NonIntegralExponent, match="degree exponent -1 is negative"):
             corrupted.record(4)
 
@@ -472,12 +471,12 @@ class TestRuns:
         orbits = bcd_orbits_to_30()
         assert len(orbits) > 9000
         for orbit in orbits:
-            assert asdict(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit), orbit
+            assert HesselinkAnalysis.of(orbit)._asdict() == reference_analysis(orbit), orbit
 
     @given(many_parts_orbits())
     @settings(max_examples=300, deadline=None)
     def test_runs_match_the_per_position_loop_on_many_parts(self, orbit):
-        assert asdict(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit)
+        assert HesselinkAnalysis.of(orbit)._asdict() == reference_analysis(orbit)
 
     def test_witnesses_are_the_image_interval(self):
         for orbit in bcd_orbits_to_30():

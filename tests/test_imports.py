@@ -2,12 +2,15 @@
 
 The runtime is pure standard library, and the two resolution routes stay
 independent: the Hesselink search reads neither the closed form nor the
-report, and the closed form reads nothing of the Hesselink module.
+report, and the closed form reads nothing of the Hesselink module.  Start-up
+stays light: importing the CLI pulls in neither ``dataclasses`` nor the
+``inspect`` machinery it imports.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +43,26 @@ def test_runtime_imports_only_the_standard_library(path):
         if level == 0 and dotted.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in {
+        dotted.split(".")[0] for level, dotted, _ in imports(ast.parse(path.read_text())) if not level
+    }
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, without the site hooks (-S) whose .pth files
+    could import either, imports the CLI and builds its parser."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import orbitres.cli; "
+        "orbitres.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_hesselink_reads_neither_resolution_nor_report():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +87,22 @@ class TestClosedForm:
             assert verdict.witness == reference_closed_form(orbit), orbit
             assert (verdict.answer is Verdict.YES) == (verdict.witness is not None), orbit
 
+    def test_gate_implies_the_parity_and_pair_start_checks(self):
+        """The closed form's parity check on q and the pair clause's odd
+        start restate the paper but cannot fail on a validated orbit: the
+        gate gives the number of odd parts the family's parity (odd parts
+        paired in sp, m's parity in so), and in so_{2n} the even parts
+        before the first odd one come in pairs, so a lone block of two odd
+        parts starts at an odd position."""
+        pairs = 0
+        for orbit in bcd_orbits_up_to(30):
+            odd = [j for j, p in enumerate(orbit.partition.parts, start=1) if p % 2]
+            assert len(odd) % 2 == (orbit.family is Family.SO_ODD), orbit
+            if orbit.family is Family.SO_EVEN and len(odd) == 2 and odd[1] == odd[0] + 1:
+                assert odd[0] % 2 == 1, orbit
+                pairs += 1
+        assert pairs > 100
+
     @given(many_parts_orbits())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_position_statement_on_many_parts(self, orbit):
@@ -167,8 +182,8 @@ class TestWitness:
         report = build_report(validate_orbit(SO7, (3, 2, 2)))
 
         def witness_json(witness):
-            verdict = replace(report.resolution, witness=witness)
-            text = report_json(replace(report, resolution=verdict))
+            verdict = report.resolution._replace(witness=witness)
+            text = report_json(report._replace(resolution=verdict))
             return json.loads(text)["resolution"]["witness"]
 
         assert witness_json(ResolutionWitness(q=0)) == {"q": 0}

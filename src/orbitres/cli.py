@@ -7,9 +7,11 @@ Subcommands:
 * ``selfcheck [MAX_M]``          cross-route and consistency sweep;
 * ``exceptional ALGEBRA LABEL``  embedded exceptional-type table.
 
-Exit codes: 0 success, 2 invalid input, 3 self-check failure, 4 internal
-error (a bug: the two resolution routes disagree, or a degree exponent is
-not a non-negative integer).  The environment variable ORBITRES_MAX_M
+Exit codes: 0 success (an exceptional-table miss included, answered with
+guidance), 2 invalid input (OrbitresError), 3 self-check failure, 4
+internal error (InternalInvariantError, a bug: the two resolution routes
+disagree, a degree exponent is not a non-negative integer, or a computed
+value fails its type's gate).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
 An orbit's JSON is the text ``report.report_json`` renders from its report;
@@ -125,10 +127,10 @@ def run_selfcheck(max_m: int, out=None) -> int:
     """Sweep every orbit with m <= max_m and assert the cross-invariants.
 
     Checks per orbit: the closed form and the degree search agree (raised
-    as CrossCheckMismatch inside the dispatcher otherwise), even orbits are
-    resolvable, resolvable orbits are polarizable, for non-zero sp/so
-    orbits factoriality coincides with Picard triviality, and l = 0 forces
-    Picard free rank 0.  The degree-exponent integrality guard is active
+    as InternalInvariantError inside the dispatcher otherwise), even
+    orbits are resolvable, resolvable orbits are polarizable, for non-zero
+    sp/so orbits factoriality coincides with Picard triviality, and l = 0
+    forces Picard free rank 0.  The degree-exponent integrality guard is active
     throughout because every in-image degree is actually computed.
 
     Returns the number of failures; prints one line per check, "ok" or
@@ -194,7 +196,7 @@ def _cmd_exceptional(args) -> int:
         print(f"{args.algebra.strip().upper()} {args.label}: not in database")
         print(str(exc))
         return 0
-    print(f"{record.algebra.value} {record.label}: {record.verdict.value}  ({record.note})")
+    print(f"{record.algebra} {record.label}: {record.verdict.value}  ({record.note})")
     return 0
 
 

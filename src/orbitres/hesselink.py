@@ -22,10 +22,9 @@ The image is the admissible q in [j1, j0) when the pairing holds, and j0 is
 at most N+2 for N parts, so the witnesses of ``polarizable`` are read off
 that interval in O(N), however large m is.  The per-q record,
 HesselinkReport (q, the integer u, the image test, N_P), is the one
-q-dependent answer, read off the analysis in constant time: only
-``admissible_reports``, which the JSON report alone calls, pays O(m), one
-record per admissible q.  ``record(q)`` is the public per-q query and
-rejects any q outside ``admissible_qs``.
+q-dependent answer, read off the analysis in constant time.  Records
+come out of ``polarizable`` (the image) and ``admissible_reports`` (every
+admissible q), which the JSON report alone calls: only it pays O(m).
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -43,7 +42,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple
 
-from .errors import InadmissibleQ, NonIntegralExponent, WrongFamily
+from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
 
 
@@ -67,7 +66,7 @@ class HesselinkAnalysis(NamedTuple):
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
     beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
     size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
-    Besides ``of``, the public methods are ``admissible_qs`` and ``record``.
+    Besides ``of``, the public method is ``admissible_qs``.
     """
 
     m: int
@@ -81,7 +80,7 @@ class HesselinkAnalysis(NamedTuple):
 
     @classmethod
     def of(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
-        """The analysis of an sp or so orbit; raises WrongFamily for sl.
+        """The analysis of an sp or so orbit; raises OrbitresError for sl.
 
         It takes one step per run of equal parts d_start = ... = d_end.  A
         run of the constrained parity is marked whole; any other run has
@@ -89,7 +88,7 @@ class HesselinkAnalysis(NamedTuple):
         first such j.  Only a run's end can break the pairing or drop."""
         epsilon = orbit.family.constrained_parity
         if epsilon is None:
-            raise WrongFamily("Hesselink machinery applies to sp and so only")
+            raise OrbitresError("Hesselink machinery applies to sp and so only")
         m = orbit.m
         runs = [(value, len(list(run))) for value, run in groupby(orbit.partition.parts)]
         marked, drops = [], []
@@ -147,25 +146,16 @@ class HesselinkAnalysis(NamedTuple):
             return []
         return self._admissible(0 if self.j1 is None else self.j1, self.j0)
 
-    def record(self, q: int) -> HesselinkReport:
-        """The record of q; raises InadmissibleQ unless q is an int in
-        admissible_qs()."""
-        if type(q) is not int or not self._admissible(q, q + 1):
-            raise InadmissibleQ(
-                f"q = {q!r} is not admissible for m = {self.m}, epsilon = {self.epsilon}"
-            )
-        return self._record(q, q in self._image())
-
     def _record(self, q: int, in_image: bool) -> HesselinkReport:
         """The record of an admissible q, given the outcome of its image test.
 
         2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2).  On
         the image N_P = 2^u, or 2^(u-1) when q = epsilon = 0 and B is not
         empty, and the padded tail keeps that exponent non-negative.  Either
-        failing is a convention bug, raised as NonIntegralExponent."""
+        failing is a convention bug, raised as InternalInvariantError."""
         twice_u = q - self.n_odd if self.epsilon else self.n_odd - q
         if twice_u % 2:
-            raise NonIntegralExponent(
+            raise InternalInvariantError(
                 f"degree exponent {twice_u}/2 is not an integer for q = {q}, "
                 f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
             )
@@ -174,7 +164,7 @@ class HesselinkAnalysis(NamedTuple):
             return HesselinkReport(q, u, False, None)
         exponent = u if q + self.epsilon >= 1 or not self.B else u - 1
         if exponent < 0:
-            raise NonIntegralExponent(
+            raise InternalInvariantError(
                 f"degree exponent {exponent} is negative for q = {q}, "
                 f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
             )
@@ -225,7 +215,7 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
 def resolution_by_search(pol: PolarizabilityResult) -> bool:
     """Search verdict: some polarization collapses with degree 1."""
     if pol.analysis is None:
-        raise WrongFamily("the search route applies to sp and so orbits only")
+        raise OrbitresError("the search route applies to sp and so orbits only")
     return any(w.N_P == 1 for w in pol.witnesses)
 
 

@@ -33,16 +33,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    InvalidLabel,
-    InvalidLieType,
-    NonPositivePart,
-    NotWeaklyDecreasing,
-    ParityMultiplicityViolation,
-    ParseError,
-    PartitionError,
-    WrongSum,
-)
+from .errors import OrbitresError
 
 
 class Family(Enum):
@@ -85,13 +76,13 @@ class LieType(namedtuple("LieType", "family m")):
         try:
             m = operator.index(m)
         except TypeError:
-            raise InvalidLieType(f"matrix size must be an integer, got {m!r}") from None
+            raise OrbitresError(f"matrix size must be an integer, got {m!r}") from None
         low = family.min_m
         if m < low:
-            raise InvalidLieType(f"{family.value} requires m >= {low}, got {m}")
+            raise OrbitresError(f"{family.value} requires m >= {low}, got {m}")
         if family is not Family.SL and (m - low) % 2:
             parity = "odd" if low % 2 else "even"
-            raise InvalidLieType(f"{family.value} requires {parity} matrix size, got {m}")
+            raise OrbitresError(f"{family.value} requires {parity} matrix size, got {m}")
         return super().__new__(cls, family, m)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
@@ -133,19 +124,19 @@ class Partition:
         try:
             parts = tuple(map(operator.index, parts))
         except TypeError:
-            raise PartitionError(f"parts must be integers, got {parts!r}") from None
+            raise OrbitresError(f"parts must be integers, got {parts!r}") from None
         if parts and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])):
             self = object.__new__(cls)  # weakly decreasing down to a positive last part
             object.__setattr__(self, "parts", parts)
             return self
         if not parts:
-            raise NonPositivePart("a partition needs at least one part")
+            raise OrbitresError("a partition needs at least one part")
         for p in parts:
             if p <= 0:
-                raise NonPositivePart(f"parts must be positive, got {p}")
+                raise OrbitresError(f"parts must be positive, got {p}")
         for left, right in zip(parts, parts[1:]):
             if left < right:
-                raise NotWeaklyDecreasing(
+                raise OrbitresError(
                     f"parts must be weakly decreasing, got {right} after {left}"
                 )
 
@@ -205,18 +196,6 @@ class VeryEvenLabel(Enum):
     II = "II"
 
 
-def parity_violation(family: Family, partition: Partition) -> tuple[int, int] | None:
-    """First (part, multiplicity) breaking the family's parity constraint
-    (``Family.constrained_parity``), None when the family admits the parts."""
-    constrained = family.constrained_parity
-    if constrained is None:
-        return None
-    for value, count in partition.counts.items():
-        if value % 2 == constrained and count % 2 != 0:
-            return value, count
-    return None
-
-
 class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_label")):
     """A validated nilpotent orbit: algebra, partition, optional D-label.
 
@@ -231,18 +210,23 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
     def __new__(cls, lie_type: LieType, partition: Partition,
                 very_even_label: VeryEvenLabel | None = None):
         if partition.total != lie_type.m:
-            raise WrongSum(
+            raise OrbitresError(
                 f"parts sum to {partition.total}, expected m = {lie_type.m} "
                 f"for {lie_type.name}"
             )
-        offender = parity_violation(lie_type.family, partition)
-        if offender is not None:
-            raise ParityMultiplicityViolation(lie_type.name, *offender)
+        constrained = lie_type.family.constrained_parity
+        if constrained is not None:  # sl constrains nothing
+            for value, count in partition.counts.items():
+                if value % 2 == constrained and count % 2:
+                    raise OrbitresError(
+                        f"{lie_type.name} requires the part {value} to have even "
+                        f"multiplicity, found multiplicity {count}"
+                    )
         eligible = lie_type.family is Family.SO_EVEN and all(p % 2 == 0 for p in partition)
         if eligible and very_even_label is None:
             very_even_label = VeryEvenLabel.I
         elif not eligible and very_even_label is not None:
-            raise InvalidLabel(f"{lie_type.name} {partition} is not very even; no label allowed")
+            raise OrbitresError(f"{lie_type.name} {partition} is not very even; no label allowed")
         return super().__new__(cls, lie_type, partition, very_even_label)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
@@ -278,9 +262,9 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
     """Validate raw partition data against an algebra and build the orbit.
 
     ``parts`` may be any iterable of integers (or a Partition).  Raises
-    PartitionError unless the parts are an iterable of integers, and
-    NotWeaklyDecreasing, NonPositivePart, WrongSum or
-    ParityMultiplicityViolation when the data is inadmissible.
+    OrbitresError, with a message naming the broken rule, unless the parts
+    are integers, positive, weakly decreasing, sum to m and meet the
+    family's parity constraint.
     """
     partition = parts if isinstance(parts, Partition) else Partition(parts)
     return ClassicalOrbit(lie_type, partition, very_even_label)
@@ -367,11 +351,11 @@ def parse_algebra(text: str) -> LieType:
     by_letter = [f for f in Family if f.letter == word.upper()]
     by_prefix = [f for f in Family if f.prefix == word.lower()]
     if not (by_letter or by_prefix):
-        raise ParseError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
+        raise OrbitresError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
     try:
         n = int(match.group(2))
     except ValueError:  # more digits than int() accepts
-        raise ParseError(f"algebra name {text.strip()[:40]!r}... is too long") from None
+        raise OrbitresError(f"algebra name {text.strip()[:40]!r}... is too long") from None
     if by_letter:  # n is the rank: invert LieType.rank
         family = by_letter[0]
         return LieType(family, n + 1 if family is Family.SL else 2 * n + family.min_m % 2)
@@ -384,35 +368,33 @@ _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 def parse_partition(text: str, total: int | None = None) -> Partition:
     """Parse comma-separated parts with exponent shorthand, e.g. '2^2,1^4'.
 
-    Shape violations (unsorted, non-positive) surface as the corresponding
-    partition errors; malformed syntax raises ParseError.  With ``total``
-    (the algebra's m), parts that already sum past it raise WrongSum
-    before the term that overshoots is expanded, and a zero term raises
-    NonPositivePart before it is expanded, so no list longer than m is
-    ever built.
+    Malformed syntax and shape violations (unsorted, non-positive) raise
+    OrbitresError.  With ``total`` (the algebra's m), parts that already sum
+    past it are rejected before the term that overshoots is expanded, and a
+    zero term before it is expanded, so no list longer than m is ever built.
     """
     cleaned = text.strip()
     if cleaned.startswith("[") and cleaned.endswith("]"):
         cleaned = cleaned[1:-1]
     if not cleaned:
-        raise ParseError("empty partition text")
+        raise OrbitresError("empty partition text")
     parts: list[int] = []
     running = 0
     for token in cleaned.split(","):
         match = _TERM_RE.match(token.strip())
         if not match:
-            raise ParseError(f"cannot parse partition term {token.strip()!r}")
+            raise OrbitresError(f"cannot parse partition term {token.strip()!r}")
         try:
             value = int(match.group(1))
             count = int(match.group(2)) if match.group(2) else 1
         except ValueError:  # more digits than int() accepts
-            raise ParseError(f"partition term {token.strip()[:40]!r}... is too long") from None
+            raise OrbitresError(f"partition term {token.strip()[:40]!r}... is too long") from None
         if count < 1:
-            raise ParseError(f"exponent must be at least 1 in {token.strip()!r}")
+            raise OrbitresError(f"exponent must be at least 1 in {token.strip()!r}")
         if value < 1:  # a zero term never moves the running sum, so stop it here
-            raise NonPositivePart(f"parts must be positive, got {value}")
+            raise OrbitresError(f"parts must be positive, got {value}")
         running += value * count
         if total is not None and running > total:
-            raise WrongSum(f"parts sum to at least {running}, expected m = {total}")
+            raise OrbitresError(f"parts sum to at least {running}, expected m = {total}")
         parts.extend([value] * count)
     return Partition(tuple(parts))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from enum import Enum
 
+from .errors import InternalInvariantError
 from .orbits import ClassicalOrbit, Family
 
 
@@ -32,7 +33,7 @@ class UnresolvedExtension(namedtuple("UnresolvedExtension", "kernel_exponent")):
 
     def __new__(cls, kernel_exponent: int):
         if kernel_exponent < 0:
-            raise ValueError("kernel exponent must be non-negative")
+            raise InternalInvariantError("kernel exponent must be non-negative")
         return super().__new__(cls, kernel_exponent)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
@@ -53,11 +54,11 @@ class AbelianGroupDescriptor(
     def __new__(cls, free_rank: int = 0, torsion: tuple[int, ...] = (),
                 unresolved_extension: UnresolvedExtension | None = None):
         if free_rank < 0:
-            raise ValueError("free rank must be non-negative")
+            raise InternalInvariantError("free rank must be non-negative")
         if any(t < 2 for t in torsion):
-            raise ValueError("torsion factors must be at least 2")
+            raise InternalInvariantError("torsion factors must be at least 2")
         if torsion and unresolved_extension is not None:
-            raise ValueError("torsion and unresolved extension are mutually exclusive")
+            raise InternalInvariantError("torsion and unresolved extension are mutually exclusive")
         torsion = tuple(sorted(torsion, reverse=True))
         return super().__new__(cls, free_rank, torsion, unresolved_extension)
 

@@ -191,7 +191,7 @@ def _int_map(pairs, nl: str) -> str:
 def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
     """The exported exceptional table, one dict per record."""
     return [
-        {"algebra": r.algebra.value, "label": r.label, "verdict": r.verdict.value, "note": r.note}
+        {"algebra": r.algebra, "label": r.label, "verdict": r.verdict.value, "note": r.note}
         for r in records
     ]
 

@@ -22,7 +22,9 @@ implementation or convention bug.
 
 Exceptional types are served from an embedded table restricted to the
 orbits with a settled or explicitly open status; everything else is a
-lookup miss with guidance, never a guess.
+lookup miss with guidance (NotInDatabase), never a guess.  An algebra is
+named by its string in EXCEPTIONAL_ALGEBRAS, and any other name is bad
+input (OrbitresError).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .errors import CrossCheckMismatch, NotInDatabase, UnknownAlgebra
+from .errors import InternalInvariantError, NotInDatabase, OrbitresError
 from .hesselink import PolarizabilityResult, polarizable, resolution_by_search
 from .orbits import ClassicalOrbit, Family
 
@@ -55,7 +57,7 @@ class ResolutionWitness(namedtuple("ResolutionWitness", "q pair_position")):
 
     def __new__(cls, q: int | None = None, pair_position: int | None = None):
         if (q is None) == (pair_position is None):
-            raise ValueError("exactly one of q and pair_position must be set")
+            raise InternalInvariantError("exactly one of q and pair_position must be set")
         return super().__new__(cls, q, pair_position)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
@@ -117,7 +119,7 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
 
     For sl the closed form stands alone.  For sp/so the closed form and
     the Hesselink degree search must agree; a mismatch raises
-    CrossCheckMismatch instead of preferring either route.  The verdict
+    InternalInvariantError instead of preferring either route.  The verdict
     carries the orbit's polarizability, which the search read.
     """
     closed = closed_form_verdict(orbit)
@@ -125,25 +127,20 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     if pol.analysis is not None:
         search_says_yes = resolution_by_search(pol)
         if (closed.answer is Verdict.YES) != search_says_yes:
-            raise CrossCheckMismatch(
+            raise InternalInvariantError(
                 f"closed form says {closed.answer.value} but the degree search says "
                 f"{'yes' if search_says_yes else 'no'} for {orbit}"
             )
     return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol)
 
 
-class ExceptionalAlgebra(Enum):
-    G2 = "G2"
-    F4 = "F4"
-    E6 = "E6"
-    E7 = "E7"
-    E8 = "E8"
+EXCEPTIONAL_ALGEBRAS = ("G2", "F4", "E6", "E7", "E8")
 
 
 class ExceptionalRecord(NamedTuple):
     """One Bala-Carter labelled orbit with its stored verdict."""
 
-    algebra: ExceptionalAlgebra
+    algebra: str  # one of EXCEPTIONAL_ALGEBRAS
     label: str
     verdict: Verdict
     note: str
@@ -154,24 +151,24 @@ _TRIVIAL_COMPONENT = "non-even Richardson orbit with trivial component group; an
 _ORDER_TWO_OPEN = "non-even Richardson orbit with component group of order 2; no degree-one polarization is known and none is ruled out"
 
 EXCEPTIONAL_TABLE: tuple[ExceptionalRecord, ...] = (
-    ExceptionalRecord(ExceptionalAlgebra.F4, "C3", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E6, "2A1", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E6, "A2+2A1", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E6, "A3", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E6, "A4+A1", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E6, "D5(a1)", Verdict.YES, _SIMPLY_CONNECTED),
-    ExceptionalRecord(ExceptionalAlgebra.E7, "D5+A1", Verdict.YES, _TRIVIAL_COMPONENT),
-    ExceptionalRecord(ExceptionalAlgebra.E7, "D6(a1)", Verdict.YES, _TRIVIAL_COMPONENT),
-    ExceptionalRecord(ExceptionalAlgebra.E7, "D4(a1)+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E7, "A4+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E7, "D5(a1)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "A4+A2+A1", Verdict.YES, _TRIVIAL_COMPONENT),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "A6+A1", Verdict.YES, _TRIVIAL_COMPONENT),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "E7(a1)", Verdict.YES, _TRIVIAL_COMPONENT),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "D6(a1)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "D7(a2)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "E6(a1)+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
-    ExceptionalRecord(ExceptionalAlgebra.E8, "E7(a3)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("F4", "C3", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E6", "2A1", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E6", "A2+2A1", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E6", "A3", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E6", "A4+A1", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E6", "D5(a1)", Verdict.YES, _SIMPLY_CONNECTED),
+    ExceptionalRecord("E7", "D5+A1", Verdict.YES, _TRIVIAL_COMPONENT),
+    ExceptionalRecord("E7", "D6(a1)", Verdict.YES, _TRIVIAL_COMPONENT),
+    ExceptionalRecord("E7", "D4(a1)+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E7", "A4+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E7", "D5(a1)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E8", "A4+A2+A1", Verdict.YES, _TRIVIAL_COMPONENT),
+    ExceptionalRecord("E8", "A6+A1", Verdict.YES, _TRIVIAL_COMPONENT),
+    ExceptionalRecord("E8", "E7(a1)", Verdict.YES, _TRIVIAL_COMPONENT),
+    ExceptionalRecord("E8", "D6(a1)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E8", "D7(a2)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E8", "E6(a1)+A1", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
+    ExceptionalRecord("E8", "E7(a3)", Verdict.UNKNOWN, _ORDER_TWO_OPEN),
 )
 
 NOT_IN_DATABASE_GUIDANCE = (
@@ -186,37 +183,33 @@ def _normalize_label(label: str) -> str:
     return "".join(label.split()).casefold()
 
 
-def _coerce_algebra(algebra) -> ExceptionalAlgebra:
-    if isinstance(algebra, ExceptionalAlgebra):
-        return algebra
-    try:
-        return ExceptionalAlgebra(str(algebra).strip().upper())
-    except ValueError:
-        raise UnknownAlgebra(
-            f"unknown exceptional algebra {algebra!r} (expected G2, F4, E6, E7 or E8)"
-        ) from None
+def _coerce_algebra(algebra: str) -> str:
+    name = algebra.strip().upper()
+    if name not in EXCEPTIONAL_ALGEBRAS:
+        raise OrbitresError(f"unknown exceptional algebra {algebra!r} (expected G2, F4, E6, E7 or E8)")
+    return name
 
 
-def lookup_exceptional(algebra, label: str) -> ExceptionalRecord:
+def lookup_exceptional(algebra: str, label: str) -> ExceptionalRecord:
     """Find the stored record for a Bala-Carter label, or raise.
 
-    Raises UnknownAlgebra for algebras outside G2/F4/E6/E7/E8 and
+    Raises OrbitresError for algebras outside G2/F4/E6/E7/E8 and
     NotInDatabase (with guidance) for labels the table does not cover.
     """
     alg = _coerce_algebra(algebra)
     wanted = _normalize_label(label)
     for record in EXCEPTIONAL_TABLE:
-        if record.algebra is alg and _normalize_label(record.label) == wanted:
+        if record.algebra == alg and _normalize_label(record.label) == wanted:
             return record
-    raise NotInDatabase(f"{alg.value} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
+    raise NotInDatabase(f"{alg} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
 
 
-def exceptional_records(algebra=None) -> tuple[ExceptionalRecord, ...]:
+def exceptional_records(algebra: str | None = None) -> tuple[ExceptionalRecord, ...]:
     """The embedded table, or the records of one algebra, for audit.
 
-    Raises UnknownAlgebra for an algebra outside G2/F4/E6/E7/E8.
+    Raises OrbitresError for an algebra outside G2/F4/E6/E7/E8.
     """
     if algebra is None:
         return EXCEPTIONAL_TABLE
     alg = _coerce_algebra(algebra)
-    return tuple(record for record in EXCEPTIONAL_TABLE if record.algebra is alg)
+    return tuple(record for record in EXCEPTIONAL_TABLE if record.algebra == alg)

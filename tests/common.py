@@ -16,7 +16,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from orbitres import Family, LieType, enumerate_orbits, validate_orbit
-from orbitres.errors import InvalidLieType
+from orbitres.errors import OrbitresError
 from orbitres.hesselink import admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
 from orbitres.resolution import ResolutionWitness
@@ -81,7 +81,7 @@ def valid_orbits(draw, families=ALL_FAMILIES):
         assume(parts)
     try:
         lie_type = LieType(family, sum(parts))
-    except InvalidLieType:
+    except OrbitresError:
         assume(False)
     return validate_orbit(lie_type, parts)
 
@@ -193,7 +193,7 @@ def orbits_up_to(draw, max_m: int = 40):
         parts = [1] * sum(parts)  # the zero orbit
     try:
         lie_type = LieType(family, sum(parts))
-    except InvalidLieType:
+    except OrbitresError:
         assume(False)
     orbit = validate_orbit(lie_type, sorted(parts, reverse=True))
     if orbit.is_very_even:

@@ -8,6 +8,7 @@ import pytest
 
 from common import expected_report_dict
 import orbitres.cli as cli
+import orbitres.report as report_module
 import orbitres.resolution as resolution
 from orbitres import (
     Family,
@@ -22,16 +23,60 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.cli import main
-from orbitres.errors import CrossCheckMismatch
+from orbitres.errors import InternalInvariantError
 from orbitres.orbits import VeryEvenLabel
+from orbitres.picard import AbelianGroupDescriptor
 from orbitres.report import exceptional_json, report_text
-from orbitres.resolution import exceptional_records
+from orbitres.resolution import NOT_IN_DATABASE_GUIDANCE, exceptional_records
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+MISS = "orbit 'B3' is not in the database: " + NOT_IN_DATABASE_GUIDANCE
+
+# argv, ORBITRES_MAX_M (None: unset), exit code, exact stdout, exact stderr.
+# Bad input exits 2 with one "error: " line, whichever check rejected it; the
+# message alone tells the checks apart.
+EXIT_CONTRACT = [
+    (("report", "sp6", "1,2,3"), None, 2, "",
+     "error: parts must be weakly decreasing, got 2 after 1\n"),
+    (("report", "sp6", "2,0"), None, 2, "", "error: parts must be positive, got 0\n"),
+    (("report", "sp6", "2,2"), None, 2, "", "error: parts sum to 4, expected m = 6 for sp6\n"),
+    (("report", "sp6", "4,4"), None, 2, "", "error: parts sum to at least 8, expected m = 6\n"),
+    (("report", "so8", "4,2,1,1"), None, 2, "",
+     "error: so8 requires the part 4 to have even multiplicity, found multiplicity 1\n"),
+    (("report", "sp7", "1"), None, 2, "", "error: sp requires even matrix size, got 7\n"),
+    (("report", "so8", "3,2,2,1", "--label", "I"), None, 2, "",
+     "error: so8 [3,2^2,1] is not very even; no label allowed\n"),
+    (("report", "sp6", "x"), None, 2, "", "error: cannot parse partition term 'x'\n"),
+    (("report", "zz9", "1,1"), None, 2, "",
+     "error: cannot parse algebra name 'zz9' (try 'so8', 'sp6', 'sl5' or 'D4')\n"),
+    (("exceptional", "E9", "A1"), None, 2, "",
+     "error: unknown exceptional algebra 'E9' (expected G2, F4, E6, E7 or E8)\n"),
+    (("atlas", "so8"), "abc", 2, "",
+     "error: ORBITRES_MAX_M must be a non-negative integer, got 'abc'\n"),
+    (("atlas", "so8"), "6", 2, "",
+     "error: m = 8 exceeds the enumeration cap ORBITRES_MAX_M = 6; "
+     "raise the environment variable to allow larger sweeps\n"),
+    (("exceptional", " e6", "B3"), None, 0, f"E6 B3: not in database\nE6 {MISS}\n", ""),
+    (("exceptional", "e7", "d5(a1)"), None, 0,
+     "E7 D5(a1): unknown  (non-even Richardson orbit with component group of order 2; "
+     "no degree-one polarization is known and none is ruled out)\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, max_m, code, out, err", EXIT_CONTRACT,
+                         ids=[" ".join(row[0]) for row in EXIT_CONTRACT])
+def test_exit_contract(capsys, monkeypatch, argv, max_m, code, out, err):
+    if max_m is None:
+        monkeypatch.delenv("ORBITRES_MAX_M", raising=False)
+    else:
+        monkeypatch.setenv("ORBITRES_MAX_M", max_m)
+    assert run(capsys, *argv) == (code, out, err)
 
 
 class TestReport:
@@ -117,6 +162,13 @@ class TestReport:
         assert code == 4
         assert out == ""
         assert "internal error, this is a bug" in err
+
+    def test_tripped_value_gate_is_an_internal_error(self, capsys, monkeypatch):
+        # a computed value that fails its type's gate is a bug, not bad input
+        monkeypatch.setattr(report_module, "picard", lambda orbit: AbelianGroupDescriptor(free_rank=-1))
+        code, out, err = run(capsys, "report", "so7", "3,2,2")
+        assert (code, out) == (4, "")
+        assert err == "internal error, this is a bug: free rank must be non-negative\n"
 
     def test_non_integral_exponent_is_an_internal_error(self, capsys, monkeypatch):
         original = HesselinkAnalysis.of.__func__
@@ -264,7 +316,7 @@ class TestSelfcheck:
 
         def dispatch(orbit):
             if orbit == broken:
-                raise CrossCheckMismatch("routes disagree")
+                raise InternalInvariantError("routes disagree")
             return original(orbit)
 
         monkeypatch.setattr(cli, "admits_symplectic_resolution", dispatch)

@@ -5,7 +5,7 @@ import pytest
 from common import ALL_FAMILIES, BCD_FAMILIES, accel_asc, brute_force_valid
 from orbitres import Family, LieType, count_orbits, enumerate_orbits
 from orbitres.enumeration import partitions_desc
-from orbitres.errors import InvalidLieType
+from orbitres.errors import OrbitresError
 from orbitres.orbits import VeryEvenLabel
 
 
@@ -63,7 +63,7 @@ def test_matches_brute_force_filter(family):
     for m in range(1, 21):
         try:
             lie_type = LieType(family, m)
-        except InvalidLieType:
+        except OrbitresError:
             continue
         expected = []
         valid = (p for p in accel_asc(m) if brute_force_valid(family, p))

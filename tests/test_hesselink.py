@@ -25,7 +25,7 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.cli import _selfcheck_lie_types, main, run_selfcheck
-from orbitres.errors import InadmissibleQ, NonIntegralExponent, WrongFamily
+from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.hesselink import HesselinkReport
 from orbitres.report import report_json, report_text
 from orbitres.resolution import closed_form_verdict
@@ -44,6 +44,12 @@ def analysis(lie_type, text):
     return HesselinkAnalysis.of(validate_orbit(lie_type, d(text)))
 
 
+def records(lie_type, text):
+    """q -> record for every admissible q, read as the report reads them."""
+    reports = admissible_reports(polarizable(validate_orbit(lie_type, d(text))))
+    return {r.q: r for r in reports}
+
+
 def zero_orbit_analysis(lie_type):
     return analysis(lie_type, f"1^{lie_type.m}")
 
@@ -58,35 +64,27 @@ class TestContext:
         assert (a.m, a.epsilon) == (7, 0)
 
     def test_sl_rejected(self):
-        with pytest.raises(WrongFamily):
+        with pytest.raises(OrbitresError, match="^Hesselink machinery applies to sp and so only$"):
             HesselinkAnalysis.of(validate_orbit(LieType(Family.SL, 4), (2, 2)))
 
     def test_symplectic_needs_even_m(self):
         # the algebra rejects an odd symplectic size before any analysis exists
-        with pytest.raises(ValueError):
+        with pytest.raises(OrbitresError, match="^sp requires even matrix size"):
             LieType(Family.SP, 7)
 
 
 class TestAdmissible:
     def test_orthogonal_excludes_two(self):
-        a = zero_orbit_analysis(SO8)
-        assert a.admissible_qs() == [0, 4, 6, 8]
-        with pytest.raises(InadmissibleQ):
-            a.record(2)
+        assert zero_orbit_analysis(SO8).admissible_qs() == [0, 4, 6, 8]
 
     def test_parity(self):
         assert zero_orbit_analysis(SO7).admissible_qs() == [1, 3, 5, 7]
         assert zero_orbit_analysis(SP6).admissible_qs() == [0, 2, 4, 6]  # epsilon = 1 keeps q = 2
-        with pytest.raises(InadmissibleQ):
-            zero_orbit_analysis(SP6).record(3)
-
-    def test_negative(self):
-        with pytest.raises(InadmissibleQ):
-            zero_orbit_analysis(SP6).record(-2)
 
     def test_admissible_qs_is_the_admissible_filter(self):
-        """admissible_qs is the parity-and-2 filter on 0..m, and record takes
-        exactly those q: no negative q, none of the wrong parity, none past m."""
+        """admissible_qs is the parity-and-2 filter on 0..m, and the records
+        come for exactly those q: no negative q, none of the wrong parity,
+        none past m."""
         lie_types = [LieType(Family.SP, m) for m in range(2, 65, 2)]
         lie_types += [LieType(Family.SO_ODD, m) for m in range(3, 65, 2)]
         lie_types += [LieType(Family.SO_EVEN, m) for m in range(4, 65, 2)]
@@ -95,12 +93,7 @@ class TestAdmissible:
             m, orthogonal = lie_type.m, lie_type.family is not Family.SP
             expected = [q for q in range(m + 1) if q % 2 == m % 2 and not (orthogonal and q == 2)]
             assert a.admissible_qs() == expected, lie_type
-            for q in range(-3, m + 4):
-                if q in expected:
-                    assert a.record(q).q == q
-                else:
-                    with pytest.raises(InadmissibleQ):
-                        a.record(q)
+            assert list(records(lie_type, f"1^{m}")) == expected, lie_type
 
 
 class TestMarkedSets:
@@ -140,85 +133,83 @@ class TestMarkedSets:
         assert (a.j1, a.j0) == (2, 4)
 
 
-def in_image(a, q):
-    return a.record(q).in_image
-
-
 class TestImageTest:
     def test_so7_322_at_q1(self):
-        assert in_image(analysis(SO7, "3,2,2"), 1) is True
+        assert records(SO7, "3,2,2")[1].in_image is True
 
     def test_sp6_minimal_never(self):
-        a = analysis(SP6, "2,1,1,1,1")
-        for q in a.admissible_qs():
-            assert in_image(a, q) is False
+        assert not any(r.in_image for r in records(SP6, "2,1,1,1,1").values())
 
     def test_sp6_411_never(self):
-        a = analysis(SP6, "4,1,1")
-        for q in a.admissible_qs():
-            assert in_image(a, q) is False
+        assert not any(r.in_image for r in records(SP6, "4,1,1").values())
 
     def test_padded_cap_blocks_large_q(self):
         # without the padded tail in J this would pass and give u = -1
-        assert in_image(analysis(SO8, "5,3"), 4) is False
-        assert in_image(analysis(SO8, "5,3"), 0) is True
+        assert records(SO8, "5,3")[4].in_image is False
+        assert records(SO8, "5,3")[0].in_image is True
 
 
 class TestDegreeExponent:
     def test_values(self):
-        u = lambda a, q: a.record(q).u
-        assert u(analysis(SO7, "3,2,2"), 1) == 0
-        assert u(analysis(SP6, "3,3"), 2) == 0
-        assert u(analysis(SO8, "3,3,1,1"), 4) == 0
-        assert u(analysis(SO8, "3,3,1,1"), 0) == 2
+        u = lambda lie_type, text, q: records(lie_type, text)[q].u
+        assert u(SO7, "3,2,2", 1) == 0
+        assert u(SP6, "3,3", 2) == 0
+        assert u(SO8, "3,3,1,1", 4) == 0
+        assert u(SO8, "3,3,1,1", 0) == 2
         # the sign flips for the symplectic family
-        assert u(analysis(SP6, "3,3"), 4) == 1
-        assert u(analysis(SO8, "5,3"), 4) == -1
-        assert type(u(analysis(SO8, "5,3"), 4)) is int
+        assert u(SP6, "3,3", 4) == 1
+        assert u(SO8, "5,3", 4) == -1
+        assert type(u(SO8, "5,3", 4)) is int
 
 
-def degree(a, q):
-    return a.record(q).N_P
+def degree(lie_type, text, q):
+    return records(lie_type, text)[q].N_P
 
 
 class TestCollapseDegree:
     def test_degree_one_witnesses(self):
-        assert degree(analysis(SO7, "3,2,2"), 1) == 1
-        assert degree(analysis(SP6, "3,3"), 2) == 1
-        assert degree(analysis(SO8, "4,4"), 0) == 1
+        assert degree(SO7, "3,2,2", 1) == 1
+        assert degree(SP6, "3,3", 2) == 1
+        assert degree(SO8, "4,4", 0) == 1
 
     def test_halved_branch_at_q_zero(self):
         # q = epsilon = 0 with a strict odd drop: degree 2^(u-1)
-        assert degree(analysis(SO8, "7,1"), 0) == 1
-        assert degree(analysis(SO8, "3,3,1,1"), 0) == 2
-        assert degree(analysis(SO10, "2,2,2,2,1,1"), 0) == 1
+        assert degree(SO8, "7,1", 0) == 1
+        assert degree(SO8, "3,3,1,1", 0) == 2
+        assert degree(SO10, "2,2,2,2,1,1", 0) == 1
 
     def test_unhalved_when_q_positive(self):
-        assert degree(analysis(SO8, "3,3,1,1"), 4) == 1
-        assert degree(analysis(SO7, "5,1,1"), 1) == 2
-        assert degree(analysis(SO7, "5,1,1"), 3) == 1
+        assert degree(SO8, "3,3,1,1", 4) == 1
+        assert degree(SO7, "5,1,1", 1) == 2
+        assert degree(SO7, "5,1,1", 3) == 1
 
     def test_no_degree_off_the_image(self):
-        assert analysis(SP6, "4,1,1").record(0) == HesselinkReport(0, -1, False, None)
-        assert analysis(SO8, "5,3").record(4) == HesselinkReport(4, -1, False, None)
+        assert records(SP6, "4,1,1")[0] == HesselinkReport(0, -1, False, None)
+        assert records(SO8, "5,3")[4] == HesselinkReport(4, -1, False, None)
+
+
+def guarded_record(a, q):
+    """The record of q off a (corrupted) analysis, through the guarded step."""
+    return a._record(q, q in a._image())
 
 
 class TestIntegralityGuard:
-    """NonIntegralExponent fires on an analysis no orbit produces: valid data
-    never reaches it, so each test corrupts one field of a real analysis."""
+    """The integrality guard fires on an analysis no orbit produces: valid
+    data never reaches it, so each test corrupts one field of a real
+    analysis."""
 
     def test_odd_count_off_by_one_raises_at_every_q(self):
         for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "3,2,2")):
             corrupted = a._replace(n_odd=a.n_odd + 1)
             for q in a.admissible_qs():  # in the image or not
-                with pytest.raises(NonIntegralExponent, match="is not an integer"):
-                    corrupted.record(q)
+                with pytest.raises(InternalInvariantError, match="is not an integer"):
+                    guarded_record(corrupted, q)
 
     def test_negative_exponent_raises(self):
         # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
         corrupted = analysis(SO8, "5,3")._replace(j0=9)
-        with pytest.raises(NonIntegralExponent, match="degree exponent -1 is negative"):
-            corrupted.record(4)
+        with pytest.raises(InternalInvariantError, match="degree exponent -1 is negative"):
+            guarded_record(corrupted, 4)
 
 
 class TestPolarizable:
@@ -245,7 +236,7 @@ class TestPolarizable:
         assert search(validate_orbit(SP6, (2, 2, 1, 1))) is False
 
     def test_search_rejects_sl(self):
-        with pytest.raises(WrongFamily):
+        with pytest.raises(OrbitresError, match="^the search route applies to sp and so"):
             resolution_by_search(polarizable(validate_orbit(LieType(Family.SL, 4), (2, 2))))
 
 
@@ -253,7 +244,7 @@ class TestProperties:
     @given(bcd_orbits())
     @settings(max_examples=200)
     def test_in_image_exponent_is_non_negative_integer(self, orbit):
-        for r in admissible_reports(polarizable(orbit)):  # would raise NonIntegralExponent
+        for r in admissible_reports(polarizable(orbit)):  # the guard would raise here
             assert type(r.u) is int
             if r.in_image:
                 assert r.N_P > 0 and r.N_P & (r.N_P - 1) == 0  # power of two
@@ -284,24 +275,11 @@ class TestProperties:
 
 class TestReports:
     def test_report_fields(self):
-        report = analysis(SO7, "3,2,2").record(1)
+        report = records(SO7, "3,2,2")[1]
         assert report.q == 1
         assert report.in_image is True
         assert report.N_P == 1
         assert report.u == 0 and type(report.u) is int
-
-    def test_inadmissible_report_rejected(self):
-        with pytest.raises(InadmissibleQ):
-            analysis(SO7, "3,2,2").record(2)
-        with pytest.raises(InadmissibleQ):
-            analysis(SO7, "3,2,2").record(0)
-        with pytest.raises(InadmissibleQ):
-            analysis(SO8, "5,3").record(2)
-        with pytest.raises(InadmissibleQ):
-            analysis(SO8, "5,3").record(10)  # past m
-        for q in (1.0, True, "1"):  # u and N_P are ints only for an int q
-            with pytest.raises(InadmissibleQ):
-                analysis(SO7, "3,2,2").record(q)
 
     def test_json_sentinels(self):
         report = build_report(validate_orbit(SO7, d("3,2,2")))
@@ -445,9 +423,6 @@ class TestAnalysis:
             assert built == [(r.q, r.in_image) for r in records], orbit
             in_image += len(image)
         assert in_image > 100
-        built.clear()
-        assert analysis(SP6, "4,1,1").record(0).N_P is None
-        assert built == [(0, False)]
 
 
 def image_by_definition(a):

@@ -1,15 +1,17 @@
-"""What the package source may import, checked on its syntax tree.
+"""What the package source may import and define, checked on its syntax tree.
 
 The runtime is pure standard library, and the two resolution routes stay
 independent: the Hesselink search reads neither the closed form nor the
 report, and the closed form reads nothing of the Hesselink module.  Start-up
 stays light: importing the CLI pulls in neither ``dataclasses`` nor the
-``inspect`` machinery it imports.
+``inspect`` machinery it imports.  An exception class exists only where some
+code handles it apart from the others.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +109,26 @@ def test_no_private_name_crosses_modules(path):
         if level and name and name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_exception_class_is_caught_somewhere():
+    """errors.py holds classes alone, exactly the ones that some except
+    clause in the package names, and no other module subclasses an
+    exception: a class no code handles apart from its base tells the caller
+    nothing its message does not."""
+    module = tree("errors")
+    body = [node for node in module.body if not isinstance(node, ast.Expr)]  # the docstring
+    assert all(isinstance(node, ast.ClassDef) for node in body)
+    defined = {node.name for node in body}
+    exceptions = defined | {name for name, value in vars(builtins).items()
+                            if isinstance(value, type) and issubclass(value, BaseException)}
+    caught = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(n.id for n in names if isinstance(n, ast.Name))
+            elif isinstance(node, ast.ClassDef) and path.name != "errors.py":
+                bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+                assert not bases & exceptions, f"{path.name}: {node.name}"
+    assert defined == caught - set(dir(builtins))

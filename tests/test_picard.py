@@ -8,6 +8,7 @@ from hypothesis import given
 
 from common import bcd_orbits, valid_orbits
 from orbitres import Family, LieType, build_report, enumerate_orbits, picard, validate_orbit
+from orbitres.errors import InternalInvariantError
 from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import (
     AbelianGroupDescriptor,
@@ -35,11 +36,11 @@ class TestDescriptor:
         ).is_trivial
 
     def test_torsion_entries_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInvariantError, match="^torsion factors must be at least 2$"):
             AbelianGroupDescriptor(torsion=(1,))
 
     def test_torsion_and_extension_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInvariantError, match="^torsion and unresolved extension are"):
             AbelianGroupDescriptor(torsion=(2,), unresolved_extension=UnresolvedExtension(1))
 
     def test_order(self):

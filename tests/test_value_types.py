@@ -9,8 +9,8 @@ import pickle
 import pytest
 
 from orbitres import Family, LieType, build_report, validate_orbit
-from orbitres.errors import InvalidLabel, InvalidLieType, NotWeaklyDecreasing, WrongSum
-from orbitres.hesselink import HesselinkAnalysis, polarizable
+from orbitres.errors import InternalInvariantError, OrbitresError
+from orbitres.hesselink import HesselinkAnalysis, admissible_reports, polarizable
 from orbitres.orbits import ClassicalOrbit, Partition, VeryEvenLabel
 from orbitres.picard import AbelianGroupDescriptor, UnresolvedExtension
 from orbitres.resolution import EXCEPTIONAL_TABLE, ResolutionWitness, admits_symplectic_resolution
@@ -26,7 +26,7 @@ VALUES = {
     "ClassicalOrbit": (ORBIT, "partition"),
     "PartitionProfile": (ORBIT.profile, "k"),
     "HesselinkAnalysis": (ANALYSIS, "j0"),
-    "HesselinkReport": (ANALYSIS.record(ANALYSIS.admissible_qs()[-1]), "q"),
+    "HesselinkReport": (admissible_reports(polarizable(ORBIT))[-1], "q"),
     "PolarizabilityResult": (polarizable(ORBIT), "witnesses"),
     "UnresolvedExtension": (UnresolvedExtension(1), "kernel_exponent"),
     "AbelianGroupDescriptor": (AbelianGroupDescriptor(free_rank=1, torsion=(2, 4)), "torsion"),
@@ -39,24 +39,24 @@ VALUES = {
 # (instance, bad field changes, the constructor call those changes amount
 # to, and the exception that call raises)
 GATED = {
-    "LieType": (SO8, {"m": -3}, lambda: LieType(Family.SO_EVEN, -3), InvalidLieType),
+    "LieType": (SO8, {"m": -3}, lambda: LieType(Family.SO_EVEN, -3), OrbitresError),
     "Partition": (
-        ORBIT.partition, {"parts": (1, 2)}, lambda: Partition((1, 2)), NotWeaklyDecreasing),
+        ORBIT.partition, {"parts": (1, 2)}, lambda: Partition((1, 2)), OrbitresError),
     "ClassicalOrbit": (
         ORBIT, {"partition": Partition((3,))}, lambda: ClassicalOrbit(SO8, Partition((3,))),
-        WrongSum),
+        OrbitresError),
     "ClassicalOrbit-label": (
         ORBIT, {"very_even_label": VeryEvenLabel.II},
-        lambda: ClassicalOrbit(SO8, ORBIT.partition, VeryEvenLabel.II), InvalidLabel),
+        lambda: ClassicalOrbit(SO8, ORBIT.partition, VeryEvenLabel.II), OrbitresError),
     "UnresolvedExtension": (
         UnresolvedExtension(1), {"kernel_exponent": -1}, lambda: UnresolvedExtension(-1),
-        ValueError),
+        InternalInvariantError),
     "AbelianGroupDescriptor": (
         AbelianGroupDescriptor(free_rank=1), {"torsion": (1,)},
-        lambda: AbelianGroupDescriptor(free_rank=1, torsion=(1,)), ValueError),
+        lambda: AbelianGroupDescriptor(free_rank=1, torsion=(1,)), InternalInvariantError),
     "ResolutionWitness": (
         ResolutionWitness(q=2), {"pair_position": 1},
-        lambda: ResolutionWitness(q=2, pair_position=1), ValueError),
+        lambda: ResolutionWitness(q=2, pair_position=1), InternalInvariantError),
 }
 
 

@@ -200,10 +200,18 @@ def _cmd_exceptional(args) -> int:
     return 0
 
 
+# Help and usage text at the width argparse falls back to when stdout is no
+# terminal and COLUMNS is unset (80 columns less 2): given no width, every
+# formatter argparse makes, one per added argument, imports shutil to ask.
+_PARSER = functools.partial(
+    argparse.ArgumentParser, formatter_class=functools.partial(argparse.HelpFormatter, width=78)
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _PARSER(
         prog="orbitres",
         description=(
             "Decision engine for classical nilpotent orbits: Picard groups, "
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
             "from partition data with two independent cross-checking routes."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_PARSER)
 
     report = sub.add_parser("report", help="full analysis of one orbit")
     report.add_argument("algebra", help="algebra name, e.g. so8, sp6, sl5, D4")

@@ -8,36 +8,63 @@ passes the ClassicalOrbit validation gate.  A very even type-D partition
 corresponds to two distinct orbits and is emitted twice, with labels I
 then II, so downstream counts are orbit counts rather than partition
 counts.
+
+``partitions_desc`` keeps one list of parts and edits it in place.  A
+part of the paired parity is one unit with its equal twin, any other part
+a unit alone.  To step to the next partition it pops the trailing 1s,
+which cannot be lowered, then the last unit left, the rightmost part
+greater than 1; the weight popped is refilled greedily, below that part,
+with as many of the largest allowed part as fit, then the next largest.
+The refill never gets stuck: a pair of 1s (sp) or a single 1 (so, sl)
+completes any weight left, since every sp unit has even weight and so
+leaves an even weight behind.  An odd sp total, the one case with no
+partition at all, yields nothing.  A step deletes the trailing 1s as one
+slice, pops one unit and appends one slice per run of equal parts it
+refills, so it never touches the parts it keeps; the partition it yields
+costs one ``tuple`` copy of the list.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .orbits import ClassicalOrbit, LieType, Partition, VeryEvenLabel
 
 
-def partitions_desc(
-    total: int, max_part: int | None = None, paired: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def partitions_desc(total: int, paired: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of ``total`` in decreasing lexicographic order.
 
     With ``paired`` set to 0 or 1, only those in which every part of that
     parity occurs with even multiplicity: such parts are taken in pairs.
     """
-    if max_part is None or max_part > total:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        if first % 2 == paired:
-            if 2 * first <= total:
-                for rest in partitions_desc(total - 2 * first, first, paired):
-                    yield (first, first, *rest)
-        else:
-            for rest in partitions_desc(total - first, first, paired):
-                yield (first, *rest)
+    if paired == 1 and total % 2:
+        return  # every sp unit has even weight
+    parts: list[int] = []
+    rest = part = total  # the weight still to place, the largest part allowed
+    while True:
+        while rest:
+            if part > rest:
+                part = rest
+            count = rest // part
+            if part % 2 == paired:
+                count &= -2  # an even number of copies
+                if not count:  # no pair fits, so one smaller part does
+                    part -= 1
+                    count = rest // part
+            parts += [part] * count
+            rest -= part * count
+        yield tuple(parts)
+        if part == 1:  # the last run placed is the trailing 1s
+            del parts[-count:]
+            rest = count
+        if not parts:
+            return
+        part = parts.pop()
+        rest += part
+        if part % 2 == paired:  # its twin goes with it
+            del parts[-1]
+            rest += part
+        part -= 1
 
 
 def enumerate_orbits(lie_type: LieType) -> Iterator[ClassicalOrbit]:

@@ -39,14 +39,16 @@ valid partition.  It drives every set definition below.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
 
 from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
 
 
-class HesselinkAnalysis(NamedTuple):
+class HesselinkAnalysis(
+    namedtuple("HesselinkAnalysis", "m epsilon J j1 j0 B pairing_ok n_odd")
+):
     """The q-independent facts about one partition d_1 >= ... >= d_N.
 
     J holds the marked positions within 1..N: j is marked when d_j has the
@@ -69,14 +71,7 @@ class HesselinkAnalysis(NamedTuple):
     Besides ``of``, the public method is ``admissible_qs``.
     """
 
-    m: int
-    epsilon: int
-    J: tuple[int, ...]
-    j1: int | None
-    j0: int
-    B: tuple[int, ...]
-    pairing_ok: bool
-    n_odd: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, orbit: ClassicalOrbit) -> "HesselinkAnalysis":
@@ -171,17 +166,14 @@ class HesselinkAnalysis(NamedTuple):
         return HesselinkReport(q, u, True, 2 ** exponent)
 
 
-class HesselinkReport(NamedTuple):
+class HesselinkReport(namedtuple("HesselinkReport", "q u in_image N_P")):
     """One admissible q: its integer degree exponent u, whether it passes the
     image test, and the collapsing degree N_P there (None off the image)."""
 
-    q: int
-    u: int
-    in_image: bool
-    N_P: int | None
+    __slots__ = ()
 
 
-class PolarizabilityResult(NamedTuple):
+class PolarizabilityResult(namedtuple("PolarizabilityResult", "witnesses analysis")):
     """The polarizing q of one orbit, read off its analysis.
 
     ``witnesses`` are the records of the admissible q in the image;
@@ -189,8 +181,7 @@ class PolarizabilityResult(NamedTuple):
     orbits, where the q-machinery does not apply.
     """
 
-    witnesses: tuple[HesselinkReport, ...]
-    analysis: HesselinkAnalysis | None
+    __slots__ = ()
 
     @property
     def polarizable(self) -> bool:
@@ -198,15 +189,19 @@ class PolarizabilityResult(NamedTuple):
         return self.analysis is None or bool(self.witnesses)
 
 
+# The result of every sl orbit: no witnesses and no analysis.  It is
+# immutable, so all sl orbits share this one instance.
+SL_POLARIZABILITY = PolarizabilityResult(witnesses=(), analysis=None)
+
+
 def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     """The admissible q in 0..m passing the image test, with degrees, read
     off the image interval.
 
-    Every sl orbit is polarizable; the result for sl carries no witnesses
-    and no analysis.
+    Every sl orbit is polarizable; its result is ``SL_POLARIZABILITY``.
     """
     if orbit.family is Family.SL:
-        return PolarizabilityResult(witnesses=(), analysis=None)
+        return SL_POLARIZABILITY
     analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple([analysis._record(q, True) for q in analysis._image()])
     return PolarizabilityResult(witnesses=witnesses, analysis=analysis)

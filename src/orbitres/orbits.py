@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from itertools import groupby
 
 from .errors import OrbitresError
 
@@ -178,8 +178,9 @@ class Partition:
     @cached_property
     def counts(self) -> dict[int, int]:
         """Part value -> multiplicity, keys in decreasing order: the one map
-        built from the parts, on first use, and kept."""
-        return dict(Counter(self.parts))  # parts descend, so the keys do too
+        built from the parts, on first use and in one pass over their runs
+        of equal parts (``_count_runs``), and kept."""
+        return _count_runs(self.parts)
 
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
@@ -189,6 +190,15 @@ class Partition:
 
     def __str__(self) -> str:
         return f"[{self.compact_str()}]"
+
+
+def _count_runs(parts: tuple[int, ...]) -> dict[int, int]:
+    """The multiplicities of weakly decreasing parts, one step per run of
+    equal parts: each value is one run, so the keys come out descending."""
+    counts = {}
+    for value, run in groupby(parts):
+        counts[value] = len(list(run))
+    return counts
 
 
 class VeryEvenLabel(Enum):
@@ -270,7 +280,7 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
     return ClassicalOrbit(lie_type, partition, very_even_label)
 
 
-class PartitionProfile(NamedTuple):
+class PartitionProfile(namedtuple("PartitionProfile", "k c a b l rather_odd")):
     """The partition statistics the Picard formulas and the renderings read.
 
     k counts distinct parts, c is the gcd of the parts, a and b count
@@ -283,12 +293,7 @@ class PartitionProfile(NamedTuple):
     ``is_even_orbit``, and the dual partition is ``Partition.dual``.
     """
 
-    k: int
-    c: int
-    a: int
-    b: int
-    l: int
-    rather_odd: bool
+    __slots__ = ()
 
 
 def profile(orbit: ClassicalOrbit) -> PartitionProfile:

@@ -17,28 +17,24 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .hesselink import PolarizabilityResult, admissible_reports
 from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
-from .picard import (
-    AbelianGroupDescriptor,
-    QFactorialCertificate,
-    is_factorial,
-    picard,
-    q_factorial_certificate,
-)
-from .resolution import ExceptionalRecord, ResolutionVerdict, Verdict, admits_symplectic_resolution
+from .picard import is_factorial, picard, q_factorial_certificate
+from .resolution import ExceptionalRecord, Verdict, admits_symplectic_resolution
 
 
-class OrbitReport(NamedTuple):
-    orbit: ClassicalOrbit
-    dimension: int
-    picard: AbelianGroupDescriptor
-    q_factorial: QFactorialCertificate
-    factorial: bool | None  # None for the zero orbit, which the criterion excludes
-    resolution: ResolutionVerdict
+class OrbitReport(
+    namedtuple("OrbitReport", "orbit dimension picard q_factorial factorial resolution")
+):
+    """Every answer about one orbit: the orbit, its dimension, its Picard
+    group (an AbelianGroupDescriptor), the QFactorialCertificate read off
+    it, factoriality (None for the zero orbit, which the criterion
+    excludes) and the cross-checked ResolutionVerdict."""
+
+    __slots__ = ()
 
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:

@@ -32,10 +32,9 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from itertools import groupby
-from typing import NamedTuple
 
 from .errors import InternalInvariantError, NotInDatabase, OrbitresError
-from .hesselink import PolarizabilityResult, polarizable, resolution_by_search
+from .hesselink import SL_POLARIZABILITY, polarizable, resolution_by_search
 from .orbits import ClassicalOrbit, Family
 
 
@@ -63,7 +62,9 @@ class ResolutionWitness(namedtuple("ResolutionWitness", "q pair_position")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
 
-class ResolutionVerdict(NamedTuple):
+class ResolutionVerdict(
+    namedtuple("ResolutionVerdict", "answer route witness polarizability")
+):
     """An answer, its route and its closed-form witness.
 
     ``polarizability`` is the Hesselink result the dispatcher checked the
@@ -71,16 +72,19 @@ class ResolutionVerdict(NamedTuple):
     closed form; it stays out of the JSON form.
     """
 
-    answer: Verdict
-    route: Route
-    witness: ResolutionWitness | None
-    polarizability: PolarizabilityResult | None
+    __slots__ = ()
 
     @property
     def cross_checked(self) -> bool:
         """Whether the Hesselink degree search confirmed the answer: exactly
         when the verdict carries a Hesselink analysis (sp and so)."""
         return self.polarizability is not None and self.polarizability.analysis is not None
+
+
+# The verdicts of every sl orbit, bare and checked: both are immutable, so
+# all sl orbits share them.
+_SL_CLOSED_FORM = ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
+_SL_VERDICT = _SL_CLOSED_FORM._replace(polarizability=SL_POLARIZABILITY)
 
 
 def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
@@ -94,7 +98,7 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
     they restate the paper's clauses."""
     family = orbit.family
     if family is Family.SL:
-        return ResolutionVerdict(Verdict.YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
+        return _SL_CLOSED_FORM
     witness = None
     start = q = read = 0  # read: the parts before the current run
     for value, run in groupby(orbit.partition.parts):
@@ -124,26 +128,25 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     """
     closed = closed_form_verdict(orbit)
     pol = polarizable(orbit)
-    if pol.analysis is not None:
-        search_says_yes = resolution_by_search(pol)
-        if (closed.answer is Verdict.YES) != search_says_yes:
-            raise InternalInvariantError(
-                f"closed form says {closed.answer.value} but the degree search says "
-                f"{'yes' if search_says_yes else 'no'} for {orbit}"
-            )
+    if pol is SL_POLARIZABILITY:
+        return _SL_VERDICT
+    search_says_yes = resolution_by_search(pol)
+    if (closed.answer is Verdict.YES) != search_says_yes:
+        raise InternalInvariantError(
+            f"closed form says {closed.answer.value} but the degree search says "
+            f"{'yes' if search_says_yes else 'no'} for {orbit}"
+        )
     return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol)
 
 
 EXCEPTIONAL_ALGEBRAS = ("G2", "F4", "E6", "E7", "E8")
 
 
-class ExceptionalRecord(NamedTuple):
-    """One Bala-Carter labelled orbit with its stored verdict."""
+class ExceptionalRecord(namedtuple("ExceptionalRecord", "algebra label verdict note")):
+    """One Bala-Carter labelled orbit with its stored verdict; ``algebra``
+    is one of EXCEPTIONAL_ALGEBRAS."""
 
-    algebra: str  # one of EXCEPTIONAL_ALGEBRAS
-    label: str
-    verdict: Verdict
-    note: str
+    __slots__ = ()
 
 
 _SIMPLY_CONNECTED = "non-even Richardson orbit, simply connected; any polarization collapses with degree one"

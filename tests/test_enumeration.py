@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from common import ALL_FAMILIES, BCD_FAMILIES, accel_asc, brute_force_valid
@@ -18,16 +20,19 @@ def test_partitions_desc_order_and_count():
 
 
 def test_partitions_desc_against_independent_generator():
-    # ordered lists: the atlas bytes depend on the order, not just the set
-    for n in (1, 4, 9, 12):
-        assert list(partitions_desc(n)) == sorted(accel_asc(n), reverse=True)
-    # parts of parity `paired` in pairs; an odd total has none with odd pairs
-    for paired, family in ((1, Family.SP), (0, Family.SO_ODD)):
-        for n in (1, 2, 5, 9, 12, 13):
-            expected = sorted(
-                (p for p in accel_asc(n) if brute_force_valid(family, p)), reverse=True
-            )
-            assert list(partitions_desc(n, paired=paired)) == expected
+    # ordered lists: the atlas bytes depend on the order, not just the set;
+    # each generator is read one item past the oracle's list, so one that
+    # runs on past its last partition, or forever, fails here at once
+    for n in range(1, 31):
+        every = sorted(accel_asc(n), reverse=True)
+        for paired, family in ((None, Family.SL), (0, Family.SO_ODD), (1, Family.SP)):
+            expected = [p for p in every if brute_force_valid(family, p)]
+            assert list(islice(partitions_desc(n, paired=paired), len(expected) + 1)) == expected
+    # parts of parity `paired` come in pairs, so an odd total has none with odd pairs
+    for n in range(1, 31, 2):
+        assert list(islice(partitions_desc(n, paired=1), 1)) == []
+    for paired in (None, 0, 1):
+        assert list(islice(partitions_desc(0, paired=paired), 2)) == [()]
 
 
 def test_sl4_orbits_frozen():

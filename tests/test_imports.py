@@ -3,9 +3,10 @@
 The runtime is pure standard library, and the two resolution routes stay
 independent: the Hesselink search reads neither the closed form nor the
 report, and the closed form reads nothing of the Hesselink module.  Start-up
-stays light: importing the CLI pulls in neither ``dataclasses`` nor the
-``inspect`` machinery it imports.  An exception class exists only where some
-code handles it apart from the others.
+stays light: importing the CLI and building its parser pulls in none of
+``dataclasses``, the ``inspect`` machinery it imports, ``typing`` and
+``shutil``.  An exception class exists only where some code handles it
+apart from the others.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ def test_no_module_imports_dataclasses(path):
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     """A fresh interpreter, without the site hooks (-S) whose .pth files
-    could import either, imports the CLI and builds its parser."""
+    could import any of them, imports the CLI and builds its parser, and
+    loads neither ``typing`` nor the ``shutil`` that argparse's help
+    formatter imports to read the terminal width when given none."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import orbitres.cli; "
         "orbitres.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'shutil'} & sys.modules.keys()))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                             capture_output=True, text=True, check=True)

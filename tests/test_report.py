@@ -4,7 +4,6 @@ import io
 import json
 import sys
 import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +48,7 @@ def test_profile_computed_once_per_report(monkeypatch):
     count its parts once: the validation gate, the profile, the Picard and
     factoriality formulas and the exponent shorthand share one map."""
     calls = _count_calls(monkeypatch, orbits.profile)
-    maps = _count_calls(monkeypatch, Counter)
+    maps = _count_calls(monkeypatch, orbits._count_runs)
     for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
         for orbit in enumerate_orbits(LieType(family, m)):
             calls.clear()
@@ -64,7 +63,7 @@ def test_profile_computed_once_per_report(monkeypatch):
 def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
     """sl orbits need no profile in the sweep, and so count no parts."""
     calls = _count_calls(monkeypatch, orbits.profile)
-    maps = _count_calls(monkeypatch, Counter)
+    maps = _count_calls(monkeypatch, orbits._count_runs)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
     swept = [id(arg) for arg in maps]
     bcd = [

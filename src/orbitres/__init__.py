@@ -8,7 +8,8 @@ algorithms cross-validating every resolution verdict.
 The package exports what the README and the command line use; everything
 else is imported from its own module (``orbitres.orbits``,
 ``orbitres.picard``, ``orbitres.hesselink``, ``orbitres.resolution``,
-``orbitres.enumeration``, ``orbitres.report``, ``orbitres.errors``).
+``orbitres.exceptional``, ``orbitres.enumeration``, ``orbitres.report``,
+``orbitres.errors``).
 """
 
 from types import ModuleType as _ModuleType

@@ -49,12 +49,7 @@ from .report import (
     report_json,
     report_text,
 )
-from .resolution import (
-    Verdict,
-    admits_symplectic_resolution,
-    exceptional_records,
-    lookup_exceptional,
-)
+from .resolution import Verdict, admits_symplectic_resolution
 
 DEFAULT_MAX_M_CAP = 30
 DEFAULT_SELFCHECK_M = 12
@@ -109,9 +104,12 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
+_SL, _YES = Family.SL, Verdict.YES
+
+
 def _selfcheck_lie_types(max_m: int):
     for family in Family:
-        step = 1 if family is Family.SL else 2  # sp and so fix the parity of m
+        step = 1 if family is _SL else 2  # sp and so fix the parity of m
         for m in range(family.min_m, max_m + 1, step):
             yield LieType(family, m)
 
@@ -147,14 +145,14 @@ def run_selfcheck(max_m: int, out=None) -> int:
             except OrbitresError as exc:
                 failures.append((_ROUTES, f"{orbit}: {exc}"))
                 continue
-            resolved = verdict.answer is Verdict.YES
+            resolved = verdict.answer is _YES
             if is_even_orbit(orbit) and not resolved:
                 failures.append((_EVEN, f"{orbit}: even orbit judged non-resolvable"))
             tallies[_EVEN] += 1
             if resolved and not verdict.polarizability.polarizable:
                 failures.append((_POLARIZABLE, f"{orbit}: resolvable but not polarizable"))
             tallies[_POLARIZABLE] += 1
-            if orbit.family is not Family.SL:
+            if orbit.family is not _SL:
                 group = picard(orbit)
                 if is_factorial(orbit) not in (None, group.is_trivial):
                     failures.append(
@@ -185,6 +183,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_exceptional(args) -> int:
+    from .exceptional import exceptional_records, lookup_exceptional  # loaded for this command alone
+
     if args.export:
         print(json.dumps(exceptional_json(exceptional_records(args.algebra)), indent=2))
         return 0

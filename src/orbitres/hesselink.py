@@ -45,6 +45,8 @@ from itertools import groupby
 from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
 
+_SL = Family.SL
+
 
 class HesselinkAnalysis(
     namedtuple("HesselinkAnalysis", "m epsilon J j1 j0 B pairing_ok n_odd")
@@ -200,7 +202,7 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
 
     Every sl orbit is polarizable; its result is ``SL_POLARIZABILITY``.
     """
-    if orbit.family is Family.SL:
+    if orbit.family is _SL:
         return SL_POLARIZABILITY
     analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple([analysis._record(q, True) for q in analysis._image()])

@@ -12,6 +12,9 @@ orbit builds its profile once (``ClassicalOrbit.profile``); the gate, the
 exponent shorthand, the Picard formulas and the factoriality rule all read
 those.  The two resolution routes read neither: each works from the parts
 alone, so a wrong shared statistic could not hide from their cross-check.
+A sweep reads a family's fields and members a dozen times per orbit, so
+they are plain member attributes and module globals, not properties and
+reads through the enum class, which cost several times as much.
 
 Conventions used throughout the package:
 
@@ -30,7 +33,6 @@ import operator
 import re
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from itertools import groupby
 
 from .errors import OrbitresError
@@ -38,28 +40,30 @@ from .errors import OrbitresError
 
 class Family(Enum):
     """The four classical families, each named in its row alone: JSON value,
-    algebra-name prefix, Cartan letter and smallest m (sp and so take every
-    m of its parity).  sl_1 is the zero algebra with a single (zero) orbit;
-    allowing it keeps the enumeration total for every m >= 1."""
+    algebra-name prefix, Cartan letter, smallest m (sp and so take every m
+    of its parity) and ``constrained_parity``, the parity whose parts must
+    occur with even multiplicity (None for sl, which constrains nothing).
+    sl_1 is the zero algebra with a single (zero) orbit; allowing it keeps
+    the enumeration total for every m >= 1.  Each field is a plain member
+    attribute: the gate, the profile and the Hesselink analysis read
+    ``constrained_parity`` per orbit, and a property costs far more."""
 
-    SL = "sl", "sl", "A", 1
-    SP = "sp", "sp", "C", 2
-    SO_ODD = "so_odd", "so", "B", 3
-    SO_EVEN = "so_even", "so", "D", 4
+    SL = "sl", "sl", "A", 1, None
+    SP = "sp", "sp", "C", 2, 1
+    SO_ODD = "so_odd", "so", "B", 3, 0
+    SO_EVEN = "so_even", "so", "D", 4, 0
 
-    def __new__(cls, value: str, prefix: str, letter: str, min_m: int):
+    def __new__(cls, value: str, prefix: str, letter: str, min_m: int,
+                constrained_parity: int | None):
         member = object.__new__(cls)
         member._value_ = value
         member.prefix, member.letter, member.min_m = prefix, letter, min_m
+        member.constrained_parity = constrained_parity
         return member
 
-    @property
-    def constrained_parity(self) -> int | None:
-        """The parity whose parts must occur with even multiplicity: 1 for
-        sp, 0 for so, None for sl, which constrains nothing."""
-        if self is Family.SP:
-            return 1
-        return None if self is Family.SL else 0
+
+# members bound once: a global read costs a tenth of a read through the class
+_SL, _SP, _SO_EVEN = Family.SL, Family.SP, Family.SO_EVEN
 
 
 class LieType(namedtuple("LieType", "family m")):
@@ -80,7 +84,7 @@ class LieType(namedtuple("LieType", "family m")):
         low = family.min_m
         if m < low:
             raise OrbitresError(f"{family.value} requires m >= {low}, got {m}")
-        if family is not Family.SL and (m - low) % 2:
+        if family is not _SL and (m - low) % 2:
             parity = "odd" if low % 2 else "even"
             raise OrbitresError(f"{family.value} requires {parity} matrix size, got {m}")
         return super().__new__(cls, family, m)
@@ -89,7 +93,7 @@ class LieType(namedtuple("LieType", "family m")):
 
     @property
     def rank(self) -> int:
-        return self.m - 1 if self.family is Family.SL else self.m // 2
+        return self.m - 1 if self.family is _SL else self.m // 2
 
     @property
     def name(self) -> str:
@@ -107,6 +111,26 @@ def _frozen(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of the types that cache a fact:
     neither a field, a cached fact nor a new attribute can be set."""
     raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+
+class _cached:
+    """A fact computed on first read and kept in the instance dict, past
+    the ``_frozen`` ``__setattr__`` that refuses to set or delete it: a
+    non-data descriptor, so later reads find the dict entry first.  Unlike
+    ``functools.cached_property`` before Python 3.12 it takes no lock,
+    which more than doubles the first read; threads racing on that read
+    may each compute the fact, with equal results, and one is kept."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 class Partition:
@@ -175,7 +199,7 @@ class Partition:
             below = value
         return tuple(dual)
 
-    @cached_property
+    @_cached
     def counts(self) -> dict[int, int]:
         """Part value -> multiplicity, keys in decreasing order: the one map
         built from the parts, on first use and in one pass over their runs
@@ -224,7 +248,8 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
                 f"parts sum to {partition.total}, expected m = {lie_type.m} "
                 f"for {lie_type.name}"
             )
-        constrained = lie_type.family.constrained_parity
+        family = lie_type.family
+        constrained = family.constrained_parity
         if constrained is not None:  # sl constrains nothing
             for value, count in partition.counts.items():
                 if value % 2 == constrained and count % 2:
@@ -232,7 +257,7 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
                         f"{lie_type.name} requires the part {value} to have even "
                         f"multiplicity, found multiplicity {count}"
                     )
-        eligible = lie_type.family is Family.SO_EVEN and all(p % 2 == 0 for p in partition)
+        eligible = family is _SO_EVEN and all(p % 2 == 0 for p in partition)
         if eligible and very_even_label is None:
             very_even_label = VeryEvenLabel.I
         elif not eligible and very_even_label is not None:
@@ -258,7 +283,7 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
         """True for the zero orbit, partition [1^m]."""
         return self.partition.parts[0] == 1
 
-    @cached_property
+    @_cached
     def profile(self) -> PartitionProfile:
         """The orbit's statistics, built by ``profile`` on first use and kept."""
         return profile(self)
@@ -332,15 +357,15 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
     sum goes one run of equal parts at a time: over the rows start+1..end
     of a run, 2j - 1 adds up to end^2 - start^2.
     """
-    m = orbit.m
+    m, family = orbit.m, orbit.family
     sum_sq = n_odd = end = 0
     for value, count in orbit.partition.counts.items():  # values descend, so rows ascend
         start, end = end, end + count
         sum_sq += value * (end * end - start * start)
         n_odd += value % 2 * count
-    if orbit.family is Family.SL:
+    if family is _SL:
         return m * m - sum_sq
-    if orbit.family is Family.SP:
+    if family is _SP:
         return (m * m + m) // 2 - (sum_sq + n_odd) // 2
     return (m * m - m) // 2 - (sum_sq - n_odd) // 2
 
@@ -363,7 +388,7 @@ def parse_algebra(text: str) -> LieType:
         raise OrbitresError(f"algebra name {text.strip()[:40]!r}... is too long") from None
     if by_letter:  # n is the rank: invert LieType.rank
         family = by_letter[0]
-        return LieType(family, n + 1 if family is Family.SL else 2 * n + family.min_m % 2)
+        return LieType(family, n + 1 if family is _SL else 2 * n + family.min_m % 2)
     return LieType(next((f for f in by_prefix if (n - f.min_m) % 2 == 0), by_prefix[0]), n)
 
 

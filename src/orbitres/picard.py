@@ -25,6 +25,8 @@ from enum import Enum
 from .errors import InternalInvariantError
 from .orbits import ClassicalOrbit, Family
 
+_SL, _SP, _SO_EVEN = Family.SL, Family.SP, Family.SO_EVEN
+
 
 class UnresolvedExtension(namedtuple("UnresolvedExtension", "kernel_exponent")):
     """An extension of Z/2 by (Z/2)^kernel_exponent of undetermined type."""
@@ -92,11 +94,11 @@ class AbelianGroupDescriptor(
 
 def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
     """Pic of the orbit from its profile, by the family's formula."""
-    prof = orbit.profile
-    if orbit.family is Family.SL:
+    prof, family = orbit.profile, orbit.family
+    if family is _SL:
         torsion = (prof.c,) if prof.c >= 2 else ()
         return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
-    if orbit.family is Family.SP:
+    if family is _SP:
         return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * prof.b)
     two_torsion = max(0, prof.a - 1)
     if prof.rather_odd:
@@ -135,11 +137,12 @@ def is_factorial(orbit: ClassicalOrbit) -> bool | None:
     """
     if orbit.is_zero:
         return None
-    if orbit.family is Family.SL:
+    family = orbit.family
+    if family is _SL:
         return False
     counts = orbit.partition.counts
-    if orbit.family is Family.SP:
+    if family is _SP:
         return all(value % 2 == 1 for value in counts)
     odd_mults = [count for value, count in counts.items() if value % 2 == 1]
-    floor = 4 if orbit.family is Family.SO_EVEN else 3
+    floor = 4 if family is _SO_EVEN else 3
     return len(odd_mults) == 1 and odd_mults[0] >= floor

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .hesselink import PolarizabilityResult, admissible_reports
 from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
 from .picard import is_factorial, picard, q_factorial_certificate
-from .resolution import ExceptionalRecord, Verdict, admits_symplectic_resolution
+from .resolution import Verdict, admits_symplectic_resolution
 
 
 class OrbitReport(
@@ -184,8 +184,9 @@ def _int_map(pairs, nl: str) -> str:
         f'"{key}": {count}' for key, count in pairs) + nl + "}"
 
 
-def exceptional_json(records: tuple[ExceptionalRecord, ...]) -> list[dict]:
-    """The exported exceptional table, one dict per record."""
+def exceptional_json(records: tuple) -> list[dict]:
+    """The exported exceptional table, one dict per ``ExceptionalRecord``
+    (``orbitres.exceptional``)."""
     return [
         {"algebra": r.algebra, "label": r.label, "verdict": r.verdict.value, "note": r.note}
         for r in records

@@ -24,13 +24,10 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
+from orbitres.exceptional import EXCEPTIONAL_TABLE, lookup_exceptional
 from orbitres.orbits import is_even_orbit
 from orbitres.picard import QFactorialCertificate, is_factorial, q_factorial_certificate
-from orbitres.resolution import (
-    EXCEPTIONAL_TABLE,
-    closed_form_verdict,
-    lookup_exceptional,
-)
+from orbitres.resolution import closed_form_verdict
 
 MAX_SWEEP_M = 24
 

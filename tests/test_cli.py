@@ -24,10 +24,10 @@ from orbitres import (
 )
 from orbitres.cli import main
 from orbitres.errors import InternalInvariantError
+from orbitres.exceptional import NOT_IN_DATABASE_GUIDANCE, exceptional_records
 from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import AbelianGroupDescriptor
 from orbitres.report import exceptional_json, report_text
-from orbitres.resolution import NOT_IN_DATABASE_GUIDANCE, exceptional_records
 
 
 def run(capsys, *argv):

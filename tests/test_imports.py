@@ -5,8 +5,9 @@ independent: the Hesselink search reads neither the closed form nor the
 report, and the closed form reads nothing of the Hesselink module.  Start-up
 stays light: importing the CLI and building its parser pulls in none of
 ``dataclasses``, the ``inspect`` machinery it imports, ``typing`` and
-``shutil``.  An exception class exists only where some code handles it
-apart from the others.
+``shutil``, and only the ``exceptional`` command loads the exceptional
+table.  An exception class exists only where some code handles it apart
+from the others.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_only_the_exceptional_command_loads_the_exceptional_table():
+    """Without the site hooks, the parser, a report and a selfcheck leave
+    ``orbitres.exceptional`` unloaded; the ``exceptional`` command loads it."""
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import orbitres.cli as cli",
+        "cli.build_parser()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['report', 'so8', '3,2,2,1']), cli.main(['selfcheck', '4'])]",
+        "    before = 'orbitres.exceptional' in sys.modules",
+        "    codes.append(cli.main(['exceptional', 'E6', 'A3']))",
+        "print(codes, before, 'orbitres.exceptional' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[0, 0, 0] False True"
 
 
 def test_hesselink_reads_neither_resolution_nor_report():

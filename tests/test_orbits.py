@@ -24,6 +24,25 @@ SO7 = LieType(Family.SO_ODD, 7)
 SO8 = LieType(Family.SO_EVEN, 8)
 
 
+class TestFamily:
+    def test_fields_are_plain_member_attributes(self):
+        """Every field past the value sits in the member's own dict, so the
+        per-orbit code reads it without a property call."""
+        fields = ("prefix", "letter", "min_m", "constrained_parity")
+        assert [tuple(vars(f)[name] for name in fields) for f in Family] == [
+            ("sl", "A", 1, None),
+            ("sp", "C", 2, 1),
+            ("so", "B", 3, 0),
+            ("so", "D", 4, 0),
+        ]
+
+    def test_order_values_and_lookup(self):
+        assert [f.name for f in Family] == ["SL", "SP", "SO_ODD", "SO_EVEN"]
+        assert [f.value for f in Family] == ["sl", "sp", "so_odd", "so_even"]
+        assert all(Family(f.value) is f for f in Family)
+        assert Family("sp") is Family.SP
+
+
 class TestLieType:
     def test_parity_constraints(self):
         with pytest.raises(OrbitresError, match="^sp requires even matrix size, got 7$"):

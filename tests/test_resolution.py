@@ -17,16 +17,14 @@ from orbitres import (
 )
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
 from orbitres.orbits import VeryEvenLabel, is_even_orbit
-from orbitres.report import exceptional_json, report_json
-from orbitres.resolution import (
+from orbitres.exceptional import (
     EXCEPTIONAL_ALGEBRAS,
     EXCEPTIONAL_TABLE,
-    ResolutionWitness,
-    Route,
-    closed_form_verdict,
     exceptional_records,
     lookup_exceptional,
 )
+from orbitres.report import exceptional_json, report_json
+from orbitres.resolution import ResolutionWitness, Route, closed_form_verdict
 
 SL9 = LieType(Family.SL, 9)
 SP6 = LieType(Family.SP, 6)

@@ -8,12 +8,14 @@ import pickle
 
 import pytest
 
+import orbitres.orbits as orbits
 from orbitres import Family, LieType, build_report, validate_orbit
 from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.hesselink import HesselinkAnalysis, admissible_reports, polarizable
 from orbitres.orbits import ClassicalOrbit, Partition, VeryEvenLabel
 from orbitres.picard import AbelianGroupDescriptor, UnresolvedExtension
-from orbitres.resolution import EXCEPTIONAL_TABLE, ResolutionWitness, admits_symplectic_resolution
+from orbitres.exceptional import EXCEPTIONAL_TABLE
+from orbitres.resolution import ResolutionWitness, admits_symplectic_resolution
 
 SO8 = LieType(Family.SO_EVEN, 8)
 ORBIT = validate_orbit(SO8, (3, 2, 2, 1))
@@ -94,6 +96,48 @@ def test_cached_facts_cannot_be_set(value, fact):
     with pytest.raises(AttributeError):
         delattr(value, fact)
     assert getattr(value, fact) is kept
+
+
+# a fresh instance holding a cached fact, the fact, and the orbits module
+# function that computes it
+CACHED = {
+    "Partition.counts": (lambda: Partition((3, 2, 2, 1)), "counts", "_count_runs"),
+    "ClassicalOrbit.profile": (lambda: validate_orbit(SO8, (3, 2, 2, 1)), "profile", "profile"),
+}
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_cached_facts_computed_once_per_instance(monkeypatch, name):
+    """The first read computes the fact through its module function and
+    keeps it in the instance dict; later reads find it there.  It cannot
+    be set before that read either."""
+    make, fact, function = CACHED[name]
+    calls = []
+    original = getattr(orbits, function)
+    monkeypatch.setattr(orbits, function, lambda arg: calls.append(arg) or original(arg))
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, fact, None)
+    assert fact not in vars(value)
+    kept = getattr(value, fact)
+    assert getattr(value, fact) is kept
+    assert vars(value)[fact] is kept
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_cached_facts_are_never_shared_between_equal_instances(monkeypatch, name):
+    make, fact, function = CACHED[name]
+    calls = []
+    original = getattr(orbits, function)
+    monkeypatch.setattr(orbits, function, lambda arg: calls.append(arg) or original(arg))
+    one, two = make(), make()
+    assert one == two and one is not two
+    kept = getattr(one, fact)
+    assert fact not in vars(two)
+    assert getattr(two, fact) == kept
+    assert getattr(two, fact) is not kept
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", VALUES)

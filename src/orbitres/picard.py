@@ -19,7 +19,7 @@ per family.  Factoriality reads the parts' multiplicities
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InternalInvariantError
@@ -87,7 +87,8 @@ class AbelianGroupDescriptor(
             pieces.append("Z")
         elif self.free_rank > 1:
             pieces.append(f"Z^{self.free_rank}")
-        for value, count in sorted(Counter(self.torsion).items(), reverse=True):
+        for value in dict.fromkeys(self.torsion):  # descending, as the torsion is sorted
+            count = self.torsion.count(value)
             pieces.append(f"Z/{value}" if count == 1 else f"(Z/{value})^{count}")
         return " x ".join(pieces)
 

@@ -5,12 +5,15 @@ Picard group, the Q-factoriality certificate read off it, factoriality,
 and the cross-checked resolution verdict with the polarizability it
 checked.  The renderings read the orbit's own profile, multiplicities
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
-layout of the CLI is written here alone.  ``report_json`` renders an
-orbit's JSON text straight from its report, one template byte-identical to
-``json.dumps(indent=2)``, and alone builds the per-q Hesselink records and
-the dual partition; the text and table renderings build neither.
-``atlas_json`` streams an atlas's array of them, and ``exceptional_json``
-gives the exceptional table as dicts for ``json.dumps``.
+layout of the CLI is written here alone.  ``report_json`` writes an
+orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
+the ``%`` templates of its algebra from the report, and alone builds the
+per-q Hesselink records and the dual partition; the text and table
+renderings build neither.  The text that does not depend on the orbit is
+written once per algebra: ``atlas_json`` streams an atlas's array with one
+frame (``_JsonFrame``) for all its orbits, a lone ``report_json`` builds its
+own, and nothing is kept across calls.  ``exceptional_json`` gives the
+exceptional table as dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import namedtuple
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .hesselink import PolarizabilityResult, admissible_reports
@@ -50,109 +54,89 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     )
 
 
-def report_json(report: OrbitReport, nl: str = "\n") -> str:
+def report_json(report: OrbitReport, nl: str = "\n", *, frame: _JsonFrame | None = None) -> str:
     """The text of ``json.dumps(<the report as a JSON object>, indent=2)``,
     written straight from the report.
 
     ``nl`` is a newline followed by the indentation the object sits at, so
-    an atlas can write each orbit as an item of its array.  Strings go
-    through the stdlib's ASCII encoder; every other value is an int, a bool
-    or None, written in place.  The per-q Hesselink records are built here
-    alone, by ``admissible_reports``, and so is the dual partition ``s``.
+    an atlas can write each orbit as an item of its array.  ``frame`` is
+    the ``_JsonFrame`` of the orbit's algebra at ``nl``, built for this
+    call when not given.  Strings go through the stdlib's ASCII encoder;
+    every other value is an int, a bool or None.  The per-q Hesselink
+    records are built here alone, by ``admissible_reports``, and so is the
+    dual partition ``s``.
     """
     orbit = report.orbit
+    if frame is None:
+        frame = _JsonFrame(orbit.lie_type, nl)
+    partition = orbit.partition
+    parts, runs, dual = partition.parts, partition.counts, partition.dual()
     label = orbit.very_even_label
     prof = orbit.profile
     even = _LITERAL[is_even_orbit(orbit)]
     group = report.picard
-    extension = group.unresolved_extension
+    torsion, extension = group.torsion, group.unresolved_extension
     verdict = report.resolution
     witness = verdict.witness
     pol = verdict.polarizability
-    i1 = nl + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    i4 = i3 + "  "
-    if extension is None:
-        extension_text = "null"
-    else:
-        extension_text = f'{{{i3}"kernel_exponent": {extension.kernel_exponent}{i2}}}'
-    if pol.witnesses:
-        witnesses = ("," + i3).join(
-            f'{{{i4}"q": {w.q},{i4}"N_P": {w.N_P}{i3}}}' for w in pol.witnesses)
-        witnesses = f"[{i3}{witnesses}{i2}]"
-    else:
-        witnesses = "[]"
+    witnesses = pol.witnesses
     if witness is None:
         witness_text = "null"
     elif witness.q is not None:
-        witness_text = f'{{{i3}"q": {witness.q}{i2}}}'
+        witness_text = frame.q_witness % witness.q
     else:
-        witness_text = f'{{{i3}"pair_position": {witness.pair_position}{i2}}}'
-    return (
-        f'{{{i1}"algebra": {_str(orbit.lie_type.name)}'
-        f',{i1}"cartan_type": {_str(orbit.lie_type.cartan_label)}'
-        f',{i1}"family": {_str(orbit.family.value)}'
-        f',{i1}"m": {orbit.m}'
-        f',{i1}"partition": {_ints(orbit.partition.parts, i1)}'
-        f',{i1}"partition_compact": {_str(orbit.partition.compact_str())}'
-        f',{i1}"very_even_label": {"null" if label is None else _str(label.value)}'
-        f',{i1}"profile": {{{i2}"k": {prof.k},{i2}"c": {prof.c},{i2}"a": {prof.a}'
-        f',{i2}"b": {prof.b},{i2}"l": {prof.l},{i2}"rather_odd": {_LITERAL[prof.rather_odd]}'
-        f',{i2}"all_same_parity": {even}'
-        f',{i2}"r": {_int_map(reversed(orbit.partition.counts.items()), i2)}'
-        f',{i2}"s": {_int_map(enumerate(orbit.partition.dual(), start=1), i2)}{i1}}}'
-        f',{i1}"even_orbit": {even}'
-        f',{i1}"dimension": {report.dimension}'
-        f',{i1}"picard": {{{i2}"free_rank": {group.free_rank}'
-        f',{i2}"torsion": {_ints(group.torsion, i2)},{i2}"unresolved_extension": {extension_text}'
-        f',{i2}"trivial": {_LITERAL[group.is_trivial]}{i1}}}'
-        f',{i1}"q_factorial_certificate": {_str(report.q_factorial.value)}'
-        f',{i1}"factorial": {_LITERAL[report.factorial]}'
-        f',{i1}"polarizable": {{{i2}"polarizable": {_LITERAL[pol.polarizable]}'
-        f',{i2}"witnesses": {witnesses}{i1}}}'
-        f',{i1}"hesselink": {_hesselink_json(pol, i1)}'
-        f',{i1}"resolution": {{{i2}"answer": {_str(verdict.answer.value)}'
-        f',{i2}"route": {_str(verdict.route.value)},{i2}"witness": {witness_text}'
-        f',{i2}"cross_checked": {_LITERAL[verdict.cross_checked]}{i1}}}'
-        f"{nl}}}"
+        witness_text = frame.pair_witness % witness.pair_position
+    # (*pairs,), not tuple(pairs): tuple() of an iterator parks a shrunk tuple in a free list
+    head = frame.head % (
+        frame.ints1[len(parts)] % parts, _str(partition.compact_str()),
+        "null" if label is None else _str(label.value),
+        prof.k, prof.c, prof.a, prof.b, prof.l, _LITERAL[prof.rather_odd], even,
+        frame.r[len(runs)] % (*chain.from_iterable(reversed(runs.items())),),
+        frame.s[len(dual)] % dual, even, report.dimension,
+        group.free_rank, frame.ints2[len(torsion)] % torsion,
+        "null" if extension is None else frame.extension % extension.kernel_exponent,
+        _LITERAL[group.is_trivial], _str(report.q_factorial.value), _LITERAL[report.factorial],
+        _LITERAL[pol.polarizable],
+        frame.witnesses[len(witnesses)] % (*chain.from_iterable((w.q, w.N_P) for w in witnesses),)
+        if witnesses else "[]",
     )
+    tail = frame.tail % (_str(verdict.answer.value), _str(verdict.route.value), witness_text,
+                         _LITERAL[verdict.cross_checked])
+    # joined, not put through "%", which over-allocates an argument followed by text
+    return "".join((head, _hesselink_json(pol, frame), tail))
 
 
 def atlas_json(reports, out) -> None:
     """Write an iterable of reports to the text stream ``out`` as the text
     of ``json.dumps(<their list>, indent=2)`` and a newline, one report at a
     time as the iterable yields it: when producing a report raises, ``out``
-    holds the array so far, unclosed."""
+    holds the array so far, unclosed.  One ``_JsonFrame`` serves every
+    report of an algebra."""
+    frame = None
     separator = "["
     for report in reports:
-        out.write(separator + "\n  " + report_json(report, "\n  "))
+        if frame is None or frame.lie_type != report.orbit.lie_type:
+            frame = _JsonFrame(report.orbit.lie_type, "\n  ")
+        out.write(separator + "\n  " + report_json(report, frame=frame))
         separator = ","
     out.write("[]\n" if separator == "[" else "\n]\n")
 
 
-def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
-    """The array of per-q records, one per admissible q, at the indentation
-    of ``nl``.  Every record repeats the analysis's J, j1, j0 and B between
-    its q and its u.  That text is written once per orbit and joined in
-    between the pieces around it: one record's tail with the next one's
-    head, both written from texts made once per orbit."""
+def _hesselink_json(pol: PolarizabilityResult, frame: _JsonFrame) -> str:
+    """The array of per-q records, one per admissible q, as the value of
+    the orbit's "hesselink" key.  Every record repeats the analysis's J,
+    j1, j0 and B between its q and its u.  That text is written once per
+    orbit and joined in between the pieces around it: one record's tail
+    with the next one's head, both from the frame."""
     records = admissible_reports(pol)
     if not records:
         return "[]"
     analysis = pol.analysis
-    i1 = nl + "  "
-    i2 = i1 + "  "
+    J, B = analysis.J, analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
-    shared = (
-        f',{i2}"J": {_ints(analysis.J, i2)},{i2}"j1": {j1},{i2}"j0": {analysis.j0}'
-        f',{i2}"B": {_ints(analysis.B, i2)},{i2}"u": "'
-    )
-    head = f'{{{i2}"q": '
-    in_image = f'",{i2}"in_image": true,{i2}"N_P": '
-    off_image = f'",{i2}"in_image": false,{i2}"N_P": null'
-    between = f"{i1}}},{i1}{head}"  # closes one record and opens the next, up to its q
-    pieces = [f"[{i1}{head}{records[0].q}"]
+    shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
+    in_image, off_image, between = frame.in_image, frame.off_image, frame.between
+    pieces = [frame.first_record + str(records[0].q)]
     pieces += [
         f"{r.u}{in_image}{r.N_P}{between}{nxt.q}" if r.in_image
         else f"{r.u}{off_image}{between}{nxt.q}"
@@ -160,7 +144,7 @@ def _hesselink_json(pol: PolarizabilityResult, nl: str) -> str:
     ]
     last = records[-1]
     tail = f"{last.u}{in_image}{last.N_P}" if last.in_image else f"{last.u}{off_image}"
-    pieces.append(f"{tail}{i1}}}{nl}]")
+    pieces.append(tail + frame.last_record)
     return shared.join(pieces)
 
 
@@ -168,20 +152,73 @@ _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
 
 
-def _ints(values, nl: str) -> str:
-    """An array of ints at the indentation of ``nl``."""
-    if not values:
-        return "[]"
-    inner = nl + "  "
-    return f"[{inner}{(',' + inner).join(map(int.__repr__, values))}{nl}]"
+class _Formats(dict):
+    """``%`` formats of the arrays (objects, when ``brackets`` is "{}") at
+    the indentation of ``nl``, by length: the entries of one of length n are
+    ``entries(n)``, ints by default, and its format is made the first time
+    n is asked for."""
+
+    __slots__ = ("nl", "entries", "brackets")
+
+    def __init__(self, nl: str, entries=lambda n: ["%d"] * n, brackets: str = "[]"):
+        self[0] = self.brackets = brackets
+        self.nl = nl
+        self.entries = entries
+
+    def __missing__(self, n: int) -> str:
+        inner = self.nl + "  "
+        entries = ("," + inner).join(self.entries(n))
+        text = self[n] = f"{self.brackets[0]}{inner}{entries}{self.nl}{self.brackets[1]}"
+        return text
 
 
-def _int_map(pairs, nl: str) -> str:
-    """An object from (int key, int count) pairs, keys ascending, each key
-    written as a string."""
-    inner = nl + "  "
-    return "{" + inner + ("," + inner).join(
-        f'"{key}": {count}' for key, count in pairs) + nl + "}"
+class _JsonFrame:
+    """The JSON text of one algebra's orbits that does not depend on the
+    orbit, at the indentation of ``nl``: the ``%`` templates of the orbit
+    object before and after its Hesselink array, and the formats of the
+    values nested in it, each int array or map by its length.  A frame
+    lives as long as the ``report_json`` or ``atlas_json`` call that built
+    it."""
+
+    def __init__(self, lie_type, nl: str):
+        i1 = nl + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        i4 = i3 + "  "
+        self.lie_type = lie_type
+        self.ints1 = _Formats(i1)  # the partition
+        self.ints2 = _Formats(i2)  # the torsion
+        self.ints3 = _Formats(i3)  # J and B
+        self.r = _Formats(i2, lambda n: ['"%d": %d'] * n, "{}")  # from (value, count) pairs
+        self.s = _Formats(i2, lambda n: [f'"{key}": %d' for key in range(1, n + 1)], "{}")
+        witness = f'{{{i4}"q": %d,{i4}"N_P": %d{i3}}}'  # from (q, N_P) pairs
+        self.witnesses = _Formats(i2, lambda n: [witness] * n)
+        self.extension = f'{{{i3}"kernel_exponent": %d{i2}}}'
+        self.q_witness = f'{{{i3}"q": %d{i2}}}'
+        self.pair_witness = f'{{{i3}"pair_position": %d{i2}}}'
+        head = f'{{{i3}"q": '
+        self.shared = f',{i3}"J": %s,{i3}"j1": %s,{i3}"j0": %d,{i3}"B": %s,{i3}"u": "'
+        self.first_record, self.last_record = f"[{i2}{head}", f"{i2}}}{i1}]"
+        self.in_image = f'",{i3}"in_image": true,{i3}"N_P": '
+        self.off_image = f'",{i3}"in_image": false,{i3}"N_P": null'
+        self.between = f"{i2}}},{i2}{head}"  # closes one record and opens the next, up to its q
+        # the algebra's names come from the package's own tables, so hold no "%"
+        self.head = (
+            f'{{{i1}"algebra": {_str(lie_type.name)}'
+            f',{i1}"cartan_type": {_str(lie_type.cartan_label)}'
+            f',{i1}"family": {_str(lie_type.family.value)},{i1}"m": {lie_type.m}'
+            f',{i1}"partition": %s,{i1}"partition_compact": %s,{i1}"very_even_label": %s'
+            f',{i1}"profile": {{{i2}"k": %d,{i2}"c": %d,{i2}"a": %d,{i2}"b": %d,{i2}"l": %d'
+            f',{i2}"rather_odd": %s,{i2}"all_same_parity": %s,{i2}"r": %s,{i2}"s": %s{i1}}}'
+            f',{i1}"even_orbit": %s,{i1}"dimension": %d'
+            f',{i1}"picard": {{{i2}"free_rank": %d,{i2}"torsion": %s'
+            f',{i2}"unresolved_extension": %s,{i2}"trivial": %s{i1}}}'
+            f',{i1}"q_factorial_certificate": %s,{i1}"factorial": %s'
+            f',{i1}"polarizable": {{{i2}"polarizable": %s,{i2}"witnesses": %s{i1}}}'
+            f',{i1}"hesselink": '
+        )
+        self.tail = (f',{i1}"resolution": {{{i2}"answer": %s,{i2}"route": %s,{i2}"witness": %s'
+                     f',{i2}"cross_checked": %s{i1}}}{nl}}}')
 
 
 def exceptional_json(records: tuple) -> list[dict]:

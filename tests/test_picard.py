@@ -76,6 +76,9 @@ class TestDescriptor:
         assert str(AbelianGroupDescriptor(free_rank=1, torsion=(2, 2))) == "Z x (Z/2)^2"
         assert str(AbelianGroupDescriptor(torsion=(3,))) == "Z/3"
         assert str(AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(0))) == "Z/2"
+        # runs of equal factors, largest first, whatever the order given
+        many = AbelianGroupDescriptor(free_rank=3, torsion=(2, 4, 2, 3, 4, 2))
+        assert str(many) == "Z^3 x (Z/4)^2 x Z/3 x (Z/2)^3"
 
 
 class TestPicardSL:

@@ -147,14 +147,25 @@ def test_json_text_fixed_cases(obj):
 
 def test_atlas_json_is_json_dumps_written_as_it_goes():
     """An atlas is the json.dumps text of its reports' array; a report that
-    fails leaves the array so far, unclosed."""
-    reports = [build_report(orbit) for orbit in enumerate_orbits(LieType(Family.SO_ODD, 7))]
-    out = io.StringIO()
-    atlas_json(iter(reports), out)
-    assert out.getvalue() == json.dumps([expected_report_dict(r) for r in reports], indent=2) + "\n"
+    fails leaves the array so far, unclosed.  The four algebras between
+    them meet very even I/II pairs, an unresolved extension, a pair-position
+    witness, empty and non-empty torsion, and many lengths of int arrays at
+    each indentation, all from one frame per atlas; an iterable that mixes
+    algebras is written as well."""
+    atlases = [
+        [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
+        for lie_type in (LieType(Family.SL, 6), LieType(Family.SP, 8),
+                         LieType(Family.SO_ODD, 7), LieType(Family.SO_EVEN, 8))
+    ]
+    for reports in atlases + [[r for reports in atlases for r in reports[:3]]]:
+        out = io.StringIO()
+        atlas_json(iter(reports), out)
+        expected = json.dumps([expected_report_dict(r) for r in reports], indent=2)
+        assert out.getvalue() == expected + "\n"
     out = io.StringIO()
     atlas_json([], out)
     assert out.getvalue() == json.dumps([], indent=2) + "\n"
+    reports = atlases[2]
 
     def first_then_fail():
         yield reports[0]
@@ -164,6 +175,22 @@ def test_atlas_json_is_json_dumps_written_as_it_goes():
     with pytest.raises(RuntimeError):
         atlas_json(first_then_fail(), out)
     assert out.getvalue() == "[\n  " + report_json(reports[0], "\n  ")
+
+
+def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):
+    """``atlas_json`` renders each orbit by calling the module-level name
+    ``report_json`` (the one perfbench/tracing.py rebinds) and builds one
+    frame for the whole atlas; a lone ``report_json`` builds its own."""
+    lie_type = LieType(Family.SP, 8)
+    reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
+    rendered = _count_calls(monkeypatch, report_module.report_json)
+    frames = _count_calls(monkeypatch, report_module._JsonFrame)
+    atlas_json(reports, io.StringIO())
+    assert rendered == reports
+    assert frames == [lie_type]
+    frames.clear()
+    report_module.report_json(reports[0])
+    assert frames == [lie_type]
 
 
 def test_selfcheck_tests_evenness_once_per_orbit(monkeypatch):

@@ -9,19 +9,19 @@ corresponds to two distinct orbits and is emitted twice, with labels I
 then II, so downstream counts are orbit counts rather than partition
 counts.
 
-``partitions_desc`` keeps one list of parts and edits it in place.  A
-part of the paired parity is one unit with its equal twin, any other part
-a unit alone.  To step to the next partition it pops the trailing 1s,
-which cannot be lowered, then the last unit left, the rightmost part
-greater than 1; the weight popped is refilled greedily, below that part,
-with as many of the largest allowed part as fit, then the next largest.
+``partitions_desc`` keeps one dict of runs, part value -> multiplicity
+with the values descending (the form a ``Partition`` stores; Andrews'
+frequency notation, Knuth TAOCP 7.2.1.4), and edits its last runs in
+place.  A part of the paired parity is one unit with its equal twin, any
+other part a unit alone.  To step to the next partition it pops the run of
+trailing 1s, which cannot be lowered, then takes one unit off the last run
+left; the weight taken is refilled greedily, below that part, with as many
+of the largest allowed part as fit, then the next largest, one run each.
 The refill never gets stuck: a pair of 1s (sp) or a single 1 (so, sl)
 completes any weight left, since every sp unit has even weight and so
 leaves an even weight behind.  An odd sp total, the one case with no
-partition at all, yields nothing.  A step deletes the trailing 1s as one
-slice, pops one unit and appends one slice per run of equal parts it
-refills, so it never touches the parts it keeps; the partition it yields
-costs one ``tuple`` copy of the list.
+partition at all, yields nothing.  Each partition yielded costs one copy
+of the dict, O(k) for its k distinct parts.
 """
 
 from __future__ import annotations
@@ -31,15 +31,16 @@ from collections.abc import Iterator
 from .orbits import ClassicalOrbit, LieType, Partition, VeryEvenLabel
 
 
-def partitions_desc(total: int, paired: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` in decreasing lexicographic order.
+def partitions_desc(total: int, paired: int | None = None) -> Iterator[dict[int, int]]:
+    """Partitions of ``total`` in decreasing lexicographic order, each a new
+    dict of its runs, part value -> multiplicity, values descending.
 
     With ``paired`` set to 0 or 1, only those in which every part of that
     parity occurs with even multiplicity: such parts are taken in pairs.
     """
     if paired == 1 and total % 2:
         return  # every sp unit has even weight
-    parts: list[int] = []
+    runs: dict[int, int] = {}
     rest = part = total  # the weight still to place, the largest part allowed
     while True:
         while rest:
@@ -51,26 +52,24 @@ def partitions_desc(total: int, paired: int | None = None) -> Iterator[tuple[int
                 if not count:  # no pair fits, so one smaller part does
                     part -= 1
                     count = rest // part
-            parts += [part] * count
+            runs[part] = count
             rest -= part * count
-        yield tuple(parts)
-        if part == 1:  # the last run placed is the trailing 1s
-            del parts[-count:]
-            rest = count
-        if not parts:
+        yield runs.copy()
+        rest = runs.pop(1, 0)  # the trailing 1s, which cannot be lowered
+        if not runs:
             return
-        part = parts.pop()
-        rest += part
-        if part % 2 == paired:  # its twin goes with it
-            del parts[-1]
-            rest += part
+        part, count = runs.popitem()
+        unit = 2 if part % 2 == paired else 1  # its twin goes with it
+        if count > unit:
+            runs[part] = count - unit
+        rest += part * unit
         part -= 1
 
 
 def enumerate_orbits(lie_type: LieType) -> Iterator[ClassicalOrbit]:
     """Every nilpotent orbit of the algebra, exactly once, in stable order."""
-    for parts in partitions_desc(lie_type.m, paired=lie_type.family.constrained_parity):
-        orbit = ClassicalOrbit(lie_type, Partition(parts))
+    for runs in partitions_desc(lie_type.m, paired=lie_type.family.constrained_parity):
+        orbit = ClassicalOrbit(lie_type, Partition.from_runs(runs))
         yield orbit
         if orbit.is_very_even:
             yield ClassicalOrbit(lie_type, orbit.partition, VeryEvenLabel.II)

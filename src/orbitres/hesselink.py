@@ -14,13 +14,14 @@ decided by a purely combinatorial test on the partition d:
   q yields degree 1.
 
 None of the sets behind these tests depends on q.  HesselinkAnalysis is the
-one API for them: it is built once per orbit, with one step per run of
-equal parts, and holds the marked set J, the interval bounds j1 and j0 (j1
-is None when no marked position carries an odd part, printed as -inf), the
-drop set B, the adjacent-pair parity check and the number of odd parts.
-The image is the admissible q in [j1, j0) when the pairing holds, and j0 is
-at most N+2 for N parts, so the witnesses of ``polarizable`` are read off
-that interval in O(N), however large m is.  The per-q record,
+one API for them: it is built once per orbit, with one step per stored run
+of equal parts (``Partition.counts``), and holds the marked set J, the
+interval bounds j1 and j0 (j1 is None when no marked position carries an
+odd part, printed as -inf), the drop set B, the adjacent-pair parity check
+and the number of odd parts; J lists each marked position, so it is O(N)
+for N parts.  The image is the admissible q in [j1, j0) when the pairing
+holds, and j0 is at most N+2, so the witnesses of ``polarizable`` are
+read off that interval in O(N), however large m is.  The per-q record,
 HesselinkReport (q, the integer u, the image test, N_P), is the one
 q-dependent answer, read off the analysis in constant time.  Records
 come out of ``polarizable`` (the image) and ``admissible_reports`` (every
@@ -40,7 +41,6 @@ valid partition.  It drives every set definition below.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
 
 from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
@@ -87,12 +87,12 @@ class HesselinkAnalysis(
         if epsilon is None:
             raise OrbitresError("Hesselink machinery applies to sp and so only")
         m = orbit.m
-        runs = [(value, len(list(run))) for value, run in groupby(orbit.partition.parts)]
+        counts = orbit.partition.counts
         marked, drops = [], []
         j1 = j0 = None
         pairing_ok = True
         n_odd = end = 0
-        for (value, count), (nxt, _) in zip(runs, runs[1:] + [(0, 0)]):
+        for (value, count), nxt in zip(counts.items(), [*counts, 0][1:]):  # nxt: d_{end+1}
             start, end = end + 1, end + count
             odd = value % 2
             if odd == epsilon:

@@ -7,11 +7,11 @@ the same of every even part, and sl_m is unconstrained.  Every verdict the
 package produces (Picard group, factoriality, polarizability, existence of a
 symplectic resolution) is a function of the partition alone, so this module
 owns the validation gate and all the partition statistics the formulas
-consume.  A partition counts its parts once (``Partition.counts``) and an
-orbit builds its profile once (``ClassicalOrbit.profile``); the gate, the
-exponent shorthand, the Picard formulas and the factoriality rule all read
-those.  The two resolution routes read neither: each works from the parts
-alone, so a wrong shared statistic could not hide from their cross-check.
+consume.  A partition stores its runs of equal parts alone, part value ->
+multiplicity (``Partition.counts``), and an orbit builds its profile once
+(``ClassicalOrbit.profile``).  The two resolution routes read the runs but
+not the profile, so a wrong shared statistic could not hide from their
+cross-check.
 A sweep reads a family's fields and members a dozen times per orbit, so
 they are plain member attributes and module globals, not properties and
 reads through the enum class, which cost several times as much.
@@ -33,7 +33,6 @@ import operator
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import groupby
 
 from .errors import OrbitresError
 
@@ -108,18 +107,14 @@ class LieType(namedtuple("LieType", "family m")):
 
 
 def _frozen(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the types that cache a fact:
-    neither a field, a cached fact nor a new attribute can be set."""
+    """``__setattr__`` and ``__delattr__`` of the frozen types: nothing can be set."""
     raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
 
 
 class _cached:
-    """A fact computed on first read and kept in the instance dict, past
-    the ``_frozen`` ``__setattr__`` that refuses to set or delete it: a
-    non-data descriptor, so later reads find the dict entry first.  Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock,
-    which more than doubles the first read; threads racing on that read
-    may each compute the fact, with equal results, and one is kept."""
+    """A fact computed on first read and kept in the instance dict past
+    ``_frozen``: a non-data descriptor, so later reads find the entry.  Not
+    ``functools.cached_property``, whose lock (before 3.12) doubles a first read."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -134,77 +129,73 @@ class _cached:
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers, zero padded beyond N.
+    """A partition d_1 >= ... >= d_N > 0, zero padded beyond N, stored as
+    its runs alone: ``counts`` maps each part value to its multiplicity,
+    values strictly descending.  Immutable, compared, hashed, copied and
+    pickled by its runs; ``parts`` expands them, in O(N)."""
 
-    Immutable, compared and hashed by its parts; the instance dict holds
-    the cached ``counts`` alone, and a copy or a pickle rebuilds the
-    partition through the gate from its parts.
-    """
-
-    __slots__ = ("parts", "__dict__")
+    __slots__ = ("counts",)
     __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, parts: tuple[int, ...]):
         try:
-            parts = tuple(map(operator.index, parts))
+            runs = [(part, 1) for part in map(operator.index, parts)]
         except TypeError:
             raise OrbitresError(f"parts must be integers, got {parts!r}") from None
-        if parts and parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])):
-            self = object.__new__(cls)  # weakly decreasing down to a positive last part
-            object.__setattr__(self, "parts", parts)
-            return self
-        if not parts:
-            raise OrbitresError("a partition needs at least one part")
-        for p in parts:
-            if p <= 0:
-                raise OrbitresError(f"parts must be positive, got {p}")
-        for left, right in zip(parts, parts[1:]):
-            if left < right:
-                raise OrbitresError(
-                    f"parts must be weakly decreasing, got {right} after {left}"
-                )
+        return cls.from_runs(runs)
+
+    @classmethod
+    def from_runs(cls, runs) -> Partition:
+        """The gate: a partition from (value, multiplicity) pairs, in a list
+        or a dict.  Both must be positive integers and the values weakly
+        decreasing; equal neighbours merge into one run."""
+        try:
+            counts = dict(runs)
+            counts = dict(zip(map(operator.index, counts), map(operator.index, counts.values())))
+        except (TypeError, ValueError):
+            raise OrbitresError(f"runs must be pairs of integers, got {runs!r}") from None
+        values = [*counts]  # exact ints; a value given twice was lost here
+        if not (len(values) == len(runs) > 0 and values[-1] > 0 < min(counts.values())
+                and all(map(operator.gt, values, values[1:]))):
+            counts = _merged(runs.items() if isinstance(runs, dict) else runs)
+        self = object.__new__(cls)
+        object.__setattr__(self, "counts", counts)
+        return self
 
     def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+        return self.counts == other.counts if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash(tuple(self.counts.items()))
 
     def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
+        return f"Partition.from_runs({self.counts!r})"
 
     def __reduce__(self):
-        return type(self), (self.parts,)
+        return type(self).from_runs, (self.counts,)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
+    @property
+    def parts(self) -> tuple[int, ...]:
+        parts = []
+        for value, count in self.counts.items():
+            parts += [value] * count
+        return tuple(parts)
 
     @property
     def total(self) -> int:
-        return sum(self.parts)
+        return sum(map(operator.mul, self.counts, self.counts.values()))
 
     def dual(self) -> tuple[int, ...]:
         """The parts of the transposed Young diagram: dual_i = #{j : d_j >= i},
-        which is the same for every i between two consecutive part values.
-        A plain tuple: it is built in order, so it skips the ``Partition``
-        gate."""
+        the same for every i between two consecutive part values.  A plain
+        tuple, built in order without the ``Partition`` gate."""
         dual = []
-        at_least, below = len(self.parts), 0
+        at_least, below = sum(self.counts.values()), 0
         for value, count in reversed(self.counts.items()):  # values ascending
             dual += [at_least] * (value - below)
             at_least -= count
             below = value
         return tuple(dual)
-
-    @_cached
-    def counts(self) -> dict[int, int]:
-        """Part value -> multiplicity, keys in decreasing order: the one map
-        built from the parts, on first use and in one pass over their runs
-        of equal parts (``_count_runs``), and kept."""
-        return _count_runs(self.parts)
 
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
@@ -216,12 +207,22 @@ class Partition:
         return f"[{self.compact_str()}]"
 
 
-def _count_runs(parts: tuple[int, ...]) -> dict[int, int]:
-    """The multiplicities of weakly decreasing parts, one step per run of
-    equal parts: each value is one run, so the keys come out descending."""
+def _merged(runs) -> dict[int, int]:
+    """The gate's slow path, one pair at a time: positivity first, then the
+    order, merging equal neighbours into one run."""
+    runs = [(operator.index(value), operator.index(count)) for value, count in runs]
+    if not runs:
+        raise OrbitresError("a partition needs at least one part")
+    for value, count in runs:
+        if min(value, count) <= 0:
+            noun, got = ("parts", value) if value <= 0 else ("multiplicities", count)
+            raise OrbitresError(f"{noun} must be positive, got {got}")
+    for (left, _), (right, _) in zip(runs, runs[1:]):
+        if left < right:
+            raise OrbitresError(f"parts must be weakly decreasing, got {right} after {left}")
     counts = {}
-    for value, run in groupby(parts):
-        counts[value] = len(list(run))
+    for value, count in runs:
+        counts[value] = counts.get(value, 0) + count
     return counts
 
 
@@ -257,7 +258,7 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
                         f"{lie_type.name} requires the part {value} to have even "
                         f"multiplicity, found multiplicity {count}"
                     )
-        eligible = family is _SO_EVEN and all(p % 2 == 0 for p in partition)
+        eligible = family is _SO_EVEN and not any(value % 2 for value in partition.counts)
         if eligible and very_even_label is None:
             very_even_label = VeryEvenLabel.I
         elif not eligible and very_even_label is not None:
@@ -281,7 +282,7 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
     @property
     def is_zero(self) -> bool:
         """True for the zero orbit, partition [1^m]."""
-        return self.partition.parts[0] == 1
+        return next(iter(self.partition.counts)) == 1
 
     @_cached
     def profile(self) -> PartitionProfile:
@@ -297,10 +298,9 @@ def validate_orbit(lie_type, parts, very_even_label=None) -> ClassicalOrbit:
     """Validate raw partition data against an algebra and build the orbit.
 
     ``parts`` may be any iterable of integers (or a Partition).  Raises
-    OrbitresError, with a message naming the broken rule, unless the parts
-    are integers, positive, weakly decreasing, sum to m and meet the
-    family's parity constraint.
-    """
+    OrbitresError, naming the broken rule, unless the parts are integers,
+    positive, weakly decreasing, sum to m and meet the family's parity
+    constraint."""
     partition = parts if isinstance(parts, Partition) else Partition(parts)
     return ClassicalOrbit(lie_type, partition, very_even_label)
 
@@ -345,7 +345,7 @@ def is_even_orbit(orbit: ClassicalOrbit) -> bool:
     Even orbits always admit a resolution through the Springer collapsing
     of T*(G/P), which downstream verdicts must reproduce.
     """
-    return len({p % 2 for p in orbit.partition}) == 1
+    return len({value % 2 for value in orbit.partition.counts}) == 1
 
 
 def orbit_dimension(orbit: ClassicalOrbit) -> int:
@@ -398,17 +398,17 @@ _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 def parse_partition(text: str, total: int | None = None) -> Partition:
     """Parse comma-separated parts with exponent shorthand, e.g. '2^2,1^4'.
 
-    Malformed syntax and shape violations (unsorted, non-positive) raise
-    OrbitresError.  With ``total`` (the algebra's m), parts that already sum
-    past it are rejected before the term that overshoots is expanded, and a
-    zero term before it is expanded, so no list longer than m is ever built.
+    Each term is one run, never expanded.  Malformed syntax and shape
+    violations raise OrbitresError: a term's own, and with ``total`` (the
+    algebra's m) a sum past it, as each term is read; the order of the
+    terms after all have parsed, in the ``Partition`` gate.
     """
     cleaned = text.strip()
     if cleaned.startswith("[") and cleaned.endswith("]"):
         cleaned = cleaned[1:-1]
     if not cleaned:
         raise OrbitresError("empty partition text")
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []
     running = 0
     for token in cleaned.split(","):
         match = _TERM_RE.match(token.strip())
@@ -426,5 +426,5 @@ def parse_partition(text: str, total: int | None = None) -> Partition:
         running += value * count
         if total is not None and running > total:
             raise OrbitresError(f"parts sum to at least {running}, expected m = {total}")
-        parts.extend([value] * count)
-    return Partition(tuple(parts))
+        runs.append((value, count))
+    return Partition.from_runs(runs)

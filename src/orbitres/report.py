@@ -3,16 +3,16 @@
 A report bundles everything the package can say about one orbit: dimension,
 Picard group, the Q-factoriality certificate read off it, factoriality,
 and the cross-checked resolution verdict with the polarizability it
-checked.  The renderings read the orbit's own profile, multiplicities
+checked.  The renderings read the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
 layout of the CLI is written here alone.  ``report_json`` writes an
 orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
 the ``%`` templates of its algebra from the report, and alone builds the
-per-q Hesselink records and the dual partition; the text and table
-renderings build neither.  The text that does not depend on the orbit is
-written once per algebra: ``atlas_json`` streams an atlas's array with one
-frame (``_JsonFrame``) for all its orbits, a lone ``report_json`` builds its
-own, and nothing is kept across calls.  ``exceptional_json`` gives the
+per-q Hesselink records, the dual partition and the expanded parts; the
+text and table renderings build none of them.  The text that does not
+depend on the orbit is written once per algebra: ``atlas_json`` streams an
+atlas's array with one frame (``_JsonFrame``) for all its orbits, a lone
+``report_json`` builds its own, and nothing is kept across calls.  ``exceptional_json`` gives the
 exceptional table as dicts for ``json.dumps``.
 """
 
@@ -63,8 +63,8 @@ def report_json(report: OrbitReport, nl: str = "\n", *, frame: _JsonFrame | None
     the ``_JsonFrame`` of the orbit's algebra at ``nl``, built for this
     call when not given.  Strings go through the stdlib's ASCII encoder;
     every other value is an int, a bool or None.  The per-q Hesselink
-    records are built here alone, by ``admissible_reports``, and so is the
-    dual partition ``s``.
+    records are built here alone, by ``admissible_reports``, and so are the
+    dual partition ``s`` and the ``partition`` array of the N parts.
     """
     orbit = report.orbit
     if frame is None:

@@ -11,8 +11,9 @@ orbit closure admits a symplectic resolution:
   sitting at positions 2k-1 and 2k.
 
 Both clauses ask the odd parts to fill one block of consecutive positions,
-so the closed form reads the parts in one pass over the runs of equal
-parts, and reads neither ``Partition.counts``, the profile nor Hesselink.
+so the closed form takes one step per run of equal parts, as the
+partition stores them (``Partition.counts``), and reads neither the
+profile nor Hesselink.
 
 The dispatcher runs both this closed form and the independent Hesselink
 degree search and refuses to return anything if they disagree: the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from itertools import groupby
 
 from .errors import InternalInvariantError
 from .hesselink import SL_POLARIZABILITY, polarizable, resolution_by_search
@@ -100,8 +100,7 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
         return _SL_CLOSED_FORM
     witness = None
     start = q = read = 0  # read: the parts before the current run
-    for value, run in groupby(orbit.partition.parts):
-        count = len(list(run))
+    for value, count in orbit.partition.counts.items():
         if value % 2:
             if q and start + q <= read:  # an even part sits between: a second block
                 break

@@ -3,6 +3,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,10 @@ EXIT_CONTRACT = [
     (("report", "sp6", "1,2,3"), None, 2, "",
      "error: parts must be weakly decreasing, got 2 after 1\n"),
     (("report", "sp6", "2,0"), None, 2, "", "error: parts must be positive, got 0\n"),
+    # a term's own error comes first, the order of the terms is checked after
+    (("report", "sl9", "1,2,0"), None, 2, "", "error: parts must be positive, got 0\n"),
+    (("report", "sl7", "1,2^3"), None, 2, "",
+     "error: parts must be weakly decreasing, got 2 after 1\n"),
     (("report", "sp6", "2,2"), None, 2, "", "error: parts sum to 4, expected m = 6 for sp6\n"),
     (("report", "sp6", "4,4"), None, 2, "", "error: parts sum to at least 8, expected m = 6\n"),
     (("report", "so8", "4,2,1,1"), None, 2, "",
@@ -144,6 +152,39 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("m", [1_000_000_000_000, 100_000_000])
+    def test_zero_orbit_of_a_huge_sl_is_answered(self, capsys, m):
+        # the shorthand is one run, never expanded into m parts
+        code, out, err = run(capsys, "report", f"sl{m}", f"1^{m}")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"sl{m} [1^{m}]\n"
+            f"  cartan type    A{m - 1}\n"
+            "  dimension      0\n"
+            "  even orbit     yes\n"
+            "  profile        k=1 c=1 a=1 b=0 l=0 rather_odd=no\n"
+            "  picard         trivial\n"
+            "  q-factorial    certified\n"
+            "  factorial      n/a (zero orbit)\n"
+            "  polarizable    yes (every sl orbit is polarizable)\n"
+            "  resolution     yes  [route always_sln]\n"
+        )
+
+    def test_huge_zero_orbit_fits_in_one_gigabyte(self):
+        """A fresh interpreter whose address space is capped at 1 GB (the cap
+        set on the child alone) answers sl_(10^12) [1^(10^12)]."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(cli.__file__).resolve().parent.parent
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbitres.cli; "
+                "sys.exit(orbitres.cli.main(sys.argv[2:]))")
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(src), "report", "sl1000000000000", "1^1000000000000"],
+            capture_output=True, text=True, preexec_fn=cap, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("sl1000000000000 [1^1000000000000]\n")
 
     def test_cartan_name_accepted(self, capsys):
         code, out, _ = run(capsys, "report", "D4", "5,3", "--format", "json")

@@ -11,8 +11,13 @@ from orbitres.errors import OrbitresError
 from orbitres.orbits import VeryEvenLabel
 
 
+def expanded(runs: dict[int, int]) -> tuple[int, ...]:
+    """The parts of a partition given as its runs, one part at a time."""
+    return tuple(value for value, count in runs.items() for _ in range(count))
+
+
 def test_partitions_desc_order_and_count():
-    parts = list(partitions_desc(5))
+    parts = [expanded(runs) for runs in partitions_desc(5)]
     assert parts[0] == (5,)
     assert parts[-1] == (1, 1, 1, 1, 1)
     assert parts == sorted(parts, reverse=True)
@@ -27,12 +32,25 @@ def test_partitions_desc_against_independent_generator():
         every = sorted(accel_asc(n), reverse=True)
         for paired, family in ((None, Family.SL), (0, Family.SO_ODD), (1, Family.SP)):
             expected = [p for p in every if brute_force_valid(family, p)]
-            assert list(islice(partitions_desc(n, paired=paired), len(expected) + 1)) == expected
+            got = islice(partitions_desc(n, paired=paired), len(expected) + 1)
+            assert list(map(expanded, got)) == expected
     # parts of parity `paired` come in pairs, so an odd total has none with odd pairs
     for n in range(1, 31, 2):
         assert list(islice(partitions_desc(n, paired=1), 1)) == []
     for paired in (None, 0, 1):
-        assert list(islice(partitions_desc(0, paired=paired), 2)) == [()]
+        assert list(islice(partitions_desc(0, paired=paired), 2)) == [{}]
+
+
+def test_partitions_desc_yields_a_new_dict_each_time():
+    """Each partition comes as its own dict, values strictly descending and
+    multiplicities positive, left as it was when the next one is made."""
+    kept = list(partitions_desc(12, paired=1))
+    assert kept == [dict(runs) for runs in partitions_desc(12, paired=1)]
+    assert len({id(runs) for runs in kept}) == len(kept)
+    for runs in kept:
+        values = list(runs)
+        assert values == sorted(set(values), reverse=True)
+        assert min(runs.values()) > 0
 
 
 def test_sl4_orbits_frozen():

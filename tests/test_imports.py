@@ -123,6 +123,12 @@ def test_closed_form_reads_nothing_from_hesselink():
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_regroups_the_parts(path):
+    """A partition stores its runs, so no module groups parts into runs."""
+    assert "groupby" not in {name for _, _, name in imports(ast.parse(path.read_text()))}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_crosses_modules(path):
     """A name with a leading underscore stays in its module: no module
     imports one from a sibling."""

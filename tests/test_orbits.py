@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -108,6 +111,48 @@ class TestPartition:
             with pytest.raises(OrbitresError, match="^parts must be integers, got "):
                 validate_orbit(SL3, parts)
 
+    def test_equal_neighbours_merge_into_one_run(self):
+        merged = Partition.from_runs([(2, 1), (2, 3), (1, 1)])
+        assert merged.counts == {2: 4, 1: 1}
+        assert merged == parse_partition("2,2^3,1") == Partition((2, 2, 2, 2, 1))
+        assert list(parse_partition("2,2^3,1").counts.items()) == [(2, 4), (1, 1)]
+
+    @pytest.mark.parametrize("runs, message", [
+        ([], "a partition needs at least one part"),
+        ([(2, 1), (0, 1)], "parts must be positive, got 0"),
+        ([(2, 0)], "multiplicities must be positive, got 0"),
+        ([(1, 1), (3, -1)], "multiplicities must be positive, got -1"),
+        ([(1, 2), (2, 1)], "parts must be weakly decreasing, got 2 after 1"),
+        ({1: 1, 2: 1}, "parts must be weakly decreasing, got 2 after 1"),
+        ([(2, 1), (1, 1), (2, 1)], "parts must be weakly decreasing, got 2 after 1"),
+        ([(2.0, 1)], "runs must be pairs of integers, got [(2.0, 1)]"),
+        ([(2, 1, 1)], "runs must be pairs of integers, got [(2, 1, 1)]"),
+    ])
+    def test_run_gate(self, runs, message):
+        with pytest.raises(OrbitresError) as raised:
+            Partition.from_runs(runs)
+        assert str(raised.value) == message
+
+    def test_runs_are_normalized_to_ints(self):
+        partition = Partition.from_runs([(True, 2)])
+        assert list(partition.counts.items()) == [(1, 2)]
+        assert all(type(x) is int for x in (*partition.counts, *partition.counts.values()))
+        assert partition.compact_str() == "1^2" and partition.parts == (1, 1)
+
+    @given(partitions())
+    def test_runs_round_trip(self, d):
+        # oracle: the parts as drawn, before the gate grouped them
+        assert Partition(d.parts).parts == d.parts
+        assert Partition(d.parts) == d and hash(Partition(d.parts)) == hash(d)
+        assert parse_partition(d.compact_str()) == d
+        assert list(d.counts) == sorted(set(d.parts), reverse=True)
+        assert d.total == sum(d.parts)
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(twin) is Partition
+            assert twin == d and hash(twin) == hash(d)
+            assert list(twin.counts.items()) == list(d.counts.items())
+            assert twin.counts is not d.counts
+
     def test_dual(self):
         assert Partition((3, 1)).dual() == (2, 1, 1)
         assert Partition((2, 2)).dual() == (2, 2)
@@ -124,7 +169,7 @@ class TestPartition:
     @given(partitions())
     def test_dual_counts(self, d):
         # oracle: direct count over the parts
-        expected = [sum(1 for p in d if p >= i) for i in range(1, d.parts[0] + 1)]
+        expected = [sum(1 for p in d.parts if p >= i) for i in range(1, d.parts[0] + 1)]
         assert list(d.dual()) == expected
 
     def test_compact_str(self):

@@ -22,7 +22,7 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.hesselink import HesselinkAnalysis
-from orbitres.orbits import VeryEvenLabel
+from orbitres.orbits import Partition, VeryEvenLabel
 from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_json, report_text
 
 
@@ -44,11 +44,9 @@ def _count_calls(monkeypatch, original) -> list:
 
 
 def test_profile_computed_once_per_report(monkeypatch):
-    """A report and every rendering of it build the orbit's profile once and
-    count its parts once: the validation gate, the profile, the Picard and
-    factoriality formulas and the exponent shorthand share one map."""
+    """A report and every rendering of it build the orbit's profile once:
+    the Picard formulas and the renderings share it."""
     calls = _count_calls(monkeypatch, orbits.profile)
-    maps = _count_calls(monkeypatch, orbits._count_runs)
     for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
         for orbit in enumerate_orbits(LieType(family, m)):
             calls.clear()
@@ -57,15 +55,12 @@ def test_profile_computed_once_per_report(monkeypatch):
             report_text(report)
             report_module._atlas_row(report)
             assert calls == [orbit]
-            assert sum(arg is orbit.partition.parts for arg in maps) == 1, orbit
 
 
 def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
-    """sl orbits need no profile in the sweep, and so count no parts."""
+    """sl orbits need no profile in the sweep."""
     calls = _count_calls(monkeypatch, orbits.profile)
-    maps = _count_calls(monkeypatch, orbits._count_runs)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
-    swept = [id(arg) for arg in maps]
     bcd = [
         orbit
         for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4))
@@ -73,8 +68,6 @@ def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
         for orbit in enumerate_orbits(LieType(family, m))
     ]
     assert calls == bcd
-    # one map per sp/so partition (a very even one serves both its orbits)
-    assert swept == list(dict.fromkeys(id(o.partition.parts) for o in calls))
 
 
 def test_text_report_builds_no_dual_partition():
@@ -89,6 +82,24 @@ def test_text_report_builds_no_dual_partition():
         tracemalloc.stop()
     assert text.startswith("sl1000000 [1000000]")
     assert peak < 1 << 20, peak
+
+
+def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
+    """The text report, the atlas rows and the selfcheck sweep read the
+    stored runs alone; ``Partition.parts``, the O(N) expansion, is read by
+    the JSON rendering, which the spy sees."""
+    reads = []
+    expand = Partition.parts.fget
+    monkeypatch.setattr(Partition, "parts", property(lambda self: reads.append(self) or expand(self)))
+    for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
+        for orbit in enumerate_orbits(LieType(family, m)):
+            report = build_report(orbit)
+            report_text(report)
+            report_module._atlas_row(report)
+    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    assert reads == []
+    report_json(report)
+    assert reads == [report.orbit.partition]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ ANALYSIS = HesselinkAnalysis.of(ORBIT)
 # one instance of each value type, with the name of one of its fields
 VALUES = {
     "LieType": (SO8, "m"),
-    "Partition": (ORBIT.partition, "parts"),
+    "Partition": (ORBIT.partition, "counts"),
     "ClassicalOrbit": (ORBIT, "partition"),
     "PartitionProfile": (ORBIT.profile, "k"),
     "HesselinkAnalysis": (ANALYSIS, "j0"),
@@ -90,6 +90,8 @@ def test_fields_and_new_attributes_cannot_be_set(name):
 @pytest.mark.parametrize("value, fact", [(ORBIT.partition, "counts"), (ORBIT, "profile")],
                          ids=["Partition.counts", "ClassicalOrbit.profile"])
 def test_cached_facts_cannot_be_set(value, fact):
+    """Neither the stored runs of a partition nor an orbit's cached profile
+    can be set or deleted."""
     kept = getattr(value, fact)
     with pytest.raises(AttributeError):
         setattr(value, fact, kept)
@@ -101,7 +103,6 @@ def test_cached_facts_cannot_be_set(value, fact):
 # a fresh instance holding a cached fact, the fact, and the orbits module
 # function that computes it
 CACHED = {
-    "Partition.counts": (lambda: Partition((3, 2, 2, 1)), "counts", "_count_runs"),
     "ClassicalOrbit.profile": (lambda: validate_orbit(SO8, (3, 2, 2, 1)), "profile", "profile"),
 }
 

@@ -3,11 +3,12 @@
 Only the partitions the family allows are generated: parts of the
 family's constrained parity are taken two at a time, so every partition
 of m whose constrained parts occur with even multiplicity is emitted once,
-in lexicographically decreasing order, and no other.  Each one still
-passes the ClassicalOrbit validation gate.  A very even type-D partition
-corresponds to two distinct orbits and is emitted twice, with labels I
-then II, so downstream counts are orbit counts rather than partition
-counts.
+in lexicographically decreasing order, and no other.  Its runs are valid
+by construction, so each dict yielded becomes a ``Partition`` as it is,
+without the run gate; each orbit still passes the ClassicalOrbit gate.  A
+very even type-D partition corresponds to two distinct orbits and is
+emitted twice, with labels I then II, so downstream counts are orbit
+counts rather than partition counts.
 
 ``partitions_desc`` keeps one dict of runs, part value -> multiplicity
 with the values descending (the form a ``Partition`` stores; Andrews'
@@ -69,7 +70,7 @@ def partitions_desc(total: int, paired: int | None = None) -> Iterator[dict[int,
 def enumerate_orbits(lie_type: LieType) -> Iterator[ClassicalOrbit]:
     """Every nilpotent orbit of the algebra, exactly once, in stable order."""
     for runs in partitions_desc(lie_type.m, paired=lie_type.family.constrained_parity):
-        orbit = ClassicalOrbit(lie_type, Partition.from_runs(runs))
+        orbit = ClassicalOrbit(lie_type, Partition._unchecked(runs))
         yield orbit
         if orbit.is_very_even:
             yield ClassicalOrbit(lie_type, orbit.partition, VeryEvenLabel.II)

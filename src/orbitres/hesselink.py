@@ -18,12 +18,12 @@ one API for them: it is built once per orbit, with one step per stored run
 of equal parts (``Partition.counts``), and holds the marked set J, the
 interval bounds j1 and j0 (j1 is None when no marked position carries an
 odd part, printed as -inf), the drop set B, the adjacent-pair parity check
-and the number of odd parts; J lists each marked position, so it is O(N)
-for N parts.  The image is the admissible q in [j1, j0) when the pairing
-holds, and j0 is at most N+2, so the witnesses of ``polarizable`` are
-read off that interval in O(N), however large m is.  The per-q record,
-HesselinkReport (q, the integer u, the image test, N_P), is the one
-q-dependent answer, read off the analysis in constant time.  Records
+and the number of odd parts, each O(k) for k distinct parts: J holds one
+range of positions per run.  The image is the admissible q in [j1, j0)
+when the pairing holds, and j0 is at most N+2, so the witnesses of
+``polarizable`` are read off that interval, however large m is.  The
+per-q record, HesselinkReport (q, the integer u, the image test, N_P), is
+the one q-dependent answer, read off the analysis in constant time.  Records
 come out of ``polarizable`` (the image) and ``admissible_reports`` (every
 admissible q), which the JSON report alone calls: only it pays O(m).
 
@@ -53,7 +53,8 @@ class HesselinkAnalysis(
 ):
     """The q-independent facts about one partition d_1 >= ... >= d_N.
 
-    J holds the marked positions within 1..N: j is marked when d_j has the
+    J holds the marked positions within 1..N, one ascending ``range`` per
+    run of equal parts that has any: j is marked when d_j has the
     constrained parity, and j and j+1 both are when j = m (mod 2) and
     d_j = d_{j+1}.  Position N never pairs that way, since d_N > 0 = d_{N+1}.
     The zero-padded tail is marked too, from position N+1 in the orthogonal
@@ -102,7 +103,7 @@ class HesselinkAnalysis(
                 stop = first + (end + 1 - first) // 2 * 2
                 drops.append(end)
             if first < stop:
-                marked.extend(range(first, stop))
+                marked.append(range(first, stop))
                 if odd:
                     j1 = stop - 1
                 elif j0 is None:

@@ -8,7 +8,9 @@ package produces (Picard group, factoriality, polarizability, existence of a
 symplectic resolution) is a function of the partition alone, so this module
 owns the validation gate and all the partition statistics the formulas
 consume.  A partition stores its runs of equal parts alone, part value ->
-multiplicity (``Partition.counts``), and an orbit builds its profile once
+multiplicity (``Partition.counts``), checked once by the run gate
+``Partition.from_runs``, which enumeration alone skips: its runs are valid
+by construction.  An orbit builds its profile once
 (``ClassicalOrbit.profile``).  The two resolution routes read the runs but
 not the profile, so a wrong shared statistic could not hide from their
 cross-check.
@@ -147,17 +149,30 @@ class Partition:
     @classmethod
     def from_runs(cls, runs) -> Partition:
         """The gate: a partition from (value, multiplicity) pairs, in a list
-        or a dict.  Both must be positive integers and the values weakly
-        decreasing; equal neighbours merge into one run."""
+        or a dict.  Both must be integers, then positive, then the values
+        weakly decreasing; equal neighbours merge into one run."""
+        pairs = runs.items() if isinstance(runs, dict) else runs
         try:
-            counts = dict(runs)
-            counts = dict(zip(map(operator.index, counts), map(operator.index, counts.values())))
+            pairs = [(operator.index(value), operator.index(count)) for value, count in pairs]
         except (TypeError, ValueError):
             raise OrbitresError(f"runs must be pairs of integers, got {runs!r}") from None
-        values = [*counts]  # exact ints; a value given twice was lost here
-        if not (len(values) == len(runs) > 0 and values[-1] > 0 < min(counts.values())
-                and all(map(operator.gt, values, values[1:]))):
-            counts = _merged(runs.items() if isinstance(runs, dict) else runs)
+        if not pairs:
+            raise OrbitresError("a partition needs at least one part")
+        for value, count in pairs:
+            if min(value, count) <= 0:
+                noun, got = ("parts", value) if value <= 0 else ("multiplicities", count)
+                raise OrbitresError(f"{noun} must be positive, got {got}")
+        counts = {}
+        for (left, _), (right, count) in zip(pairs[:1] + pairs, pairs):  # the first: itself
+            if left < right:
+                raise OrbitresError(f"parts must be weakly decreasing, got {right} after {left}")
+            counts[right] = counts.get(right, 0) + count
+        return cls._unchecked(counts)
+
+    @classmethod
+    def _unchecked(cls, counts: dict[int, int]) -> Partition:
+        """The partition storing ``counts`` itself, unchecked: for runs valid by
+        construction, as ``from_runs`` builds and ``partitions_desc`` yields."""
         self = object.__new__(cls)
         object.__setattr__(self, "counts", counts)
         return self
@@ -205,25 +220,6 @@ class Partition:
 
     def __str__(self) -> str:
         return f"[{self.compact_str()}]"
-
-
-def _merged(runs) -> dict[int, int]:
-    """The gate's slow path, one pair at a time: positivity first, then the
-    order, merging equal neighbours into one run."""
-    runs = [(operator.index(value), operator.index(count)) for value, count in runs]
-    if not runs:
-        raise OrbitresError("a partition needs at least one part")
-    for value, count in runs:
-        if min(value, count) <= 0:
-            noun, got = ("parts", value) if value <= 0 else ("multiplicities", count)
-            raise OrbitresError(f"{noun} must be positive, got {got}")
-    for (left, _), (right, _) in zip(runs, runs[1:]):
-        if left < right:
-            raise OrbitresError(f"parts must be weakly decreasing, got {right} after {left}")
-    counts = {}
-    for value, count in runs:
-        counts[value] = counts.get(value, 0) + count
-    return counts
 
 
 class VeryEvenLabel(Enum):

@@ -54,21 +54,21 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     )
 
 
-def report_json(report: OrbitReport, nl: str = "\n", *, frame: _JsonFrame | None = None) -> str:
+def report_json(report: OrbitReport, *, frame: _JsonFrame | None = None) -> str:
     """The text of ``json.dumps(<the report as a JSON object>, indent=2)``,
     written straight from the report.
 
-    ``nl`` is a newline followed by the indentation the object sits at, so
-    an atlas can write each orbit as an item of its array.  ``frame`` is
-    the ``_JsonFrame`` of the orbit's algebra at ``nl``, built for this
-    call when not given.  Strings go through the stdlib's ASCII encoder;
-    every other value is an int, a bool or None.  The per-q Hesselink
-    records are built here alone, by ``admissible_reports``, and so are the
-    dual partition ``s`` and the ``partition`` array of the N parts.
+    ``frame`` is the ``_JsonFrame`` of the orbit's algebra, which also
+    sets the indentation the object sits at (an atlas writes each orbit as
+    an item of its array); a lone report builds its own, at the top level.
+    Strings go through the stdlib's ASCII encoder; every other value is an
+    int, a bool or None.  The per-q Hesselink records are built here alone,
+    by ``admissible_reports``, and so are the dual partition ``s`` and the
+    ``partition`` array of the N parts.
     """
     orbit = report.orbit
     if frame is None:
-        frame = _JsonFrame(orbit.lie_type, nl)
+        frame = _JsonFrame(orbit.lie_type, "\n")
     partition = orbit.partition
     parts, runs, dual = partition.parts, partition.counts, partition.dual()
     label = orbit.very_even_label
@@ -124,15 +124,15 @@ def atlas_json(reports, out) -> None:
 
 def _hesselink_json(pol: PolarizabilityResult, frame: _JsonFrame) -> str:
     """The array of per-q records, one per admissible q, as the value of
-    the orbit's "hesselink" key.  Every record repeats the analysis's J,
-    j1, j0 and B between its q and its u.  That text is written once per
-    orbit and joined in between the pieces around it: one record's tail
-    with the next one's head, both from the frame."""
+    the orbit's "hesselink" key.  Every record repeats J (its runs written
+    out), j1, j0 and B between its q and its u.  That text is written once
+    per orbit and joined in between the pieces around it: one record's
+    tail with the next one's head, both from the frame."""
     records = admissible_reports(pol)
     if not records:
         return "[]"
     analysis = pol.analysis
-    J, B = analysis.J, analysis.B
+    J, B = (*chain.from_iterable(analysis.J),), analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
     shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
     in_image, off_image, between = frame.in_image, frame.off_image, frame.between

@@ -5,12 +5,15 @@ parts are drawn in pairs), so hypothesis spends its budget on interesting
 cases rather than on rejection sampling.  ``expected_report_dict`` is the
 reference JSON layout of one report, built as a dict for ``json.dumps``;
 ``reference_analysis`` is the Hesselink analysis and ``reference_closed_form``
-the closed-form witness, each taken one position at a time.
+the closed-form witness, each taken one position at a time;
+``marked_positions`` expands an analysis's J, held as runs, to compare
+with them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -117,6 +120,11 @@ def many_parts_orbits(draw, max_m: int = 600):
             k -= k % 2  # so takes the even part 2 in pairs
         parts = [2] * k + [1] * (m - 2 * k)
     return validate_orbit(LieType(family, m), sorted(parts, reverse=True))
+
+
+def marked_positions(analysis) -> tuple[int, ...]:
+    """The analysis's J, one entry per marked position, from its runs."""
+    return tuple(chain.from_iterable(analysis.J))
 
 
 def reference_analysis(orbit) -> dict:
@@ -272,7 +280,7 @@ def _expected_hesselink(pol) -> list[dict]:
     return [
         {
             "q": record.q,
-            "J": list(analysis.J),
+            "J": list(marked_positions(analysis)),
             "j1": "-inf" if analysis.j1 is None else analysis.j1,
             "j0": analysis.j0,
             "B": list(analysis.B),

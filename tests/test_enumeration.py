@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from itertools import islice
 
 import pytest
@@ -8,7 +9,7 @@ from common import ALL_FAMILIES, BCD_FAMILIES, accel_asc, brute_force_valid
 from orbitres import Family, LieType, count_orbits, enumerate_orbits
 from orbitres.enumeration import partitions_desc
 from orbitres.errors import OrbitresError
-from orbitres.orbits import VeryEvenLabel
+from orbitres.orbits import Partition, VeryEvenLabel
 
 
 def expanded(runs: dict[int, int]) -> tuple[int, ...]:
@@ -42,15 +43,26 @@ def test_partitions_desc_against_independent_generator():
 
 
 def test_partitions_desc_yields_a_new_dict_each_time():
-    """Each partition comes as its own dict, values strictly descending and
-    multiplicities positive, left as it was when the next one is made."""
-    kept = list(partitions_desc(12, paired=1))
-    assert kept == [dict(runs) for runs in partitions_desc(12, paired=1)]
-    assert len({id(runs) for runs in kept}) == len(kept)
-    for runs in kept:
-        values = list(runs)
-        assert values == sorted(set(values), reverse=True)
-        assert min(runs.values()) > 0
+    """For every family and every m <= 30, each partition comes as its own
+    dict, left as it was when the next one is made, of exact-int runs:
+    values strictly descending, multiplicities positive, summing to m.
+    ``enumerate_orbits`` stores each dict in its Partition without the
+    run gate, so this is the shape that gate would have checked, and the
+    gate keeps these runs as they are."""
+    for family in ALL_FAMILIES:
+        for m in range(family.min_m, 31, 1 if family is Family.SL else 2):
+            paired = family.constrained_parity
+            kept = list(partitions_desc(m, paired=paired))
+            assert kept, (family, m)
+            assert kept == [dict(runs) for runs in partitions_desc(m, paired=paired)]
+            assert len({id(runs) for runs in kept}) == len(kept)
+            for runs in kept:
+                values, counts = list(runs), list(runs.values())
+                assert all(type(x) is int for x in values + counts), runs
+                assert all(map(operator.gt, values, values[1:])), runs
+                assert min(counts) > 0, runs
+                assert sum(map(operator.mul, values, counts)) == m, runs
+                assert list(Partition.from_runs(runs).counts.items()) == list(runs.items())
 
 
 def test_sl4_orbits_frozen():

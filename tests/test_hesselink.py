@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 
 import orbitres.hesselink as hesselink_module
-from common import bcd_orbits, bcd_orbits_up_to, many_parts_orbits, reference_analysis
+from common import (
+    bcd_orbits,
+    bcd_orbits_up_to,
+    many_parts_orbits,
+    marked_positions,
+    reference_analysis,
+)
 from orbitres import (
     Family,
     HesselinkAnalysis,
@@ -99,36 +106,37 @@ class TestAdmissible:
 class TestMarkedSets:
     """Frozen values, each verified by hand against the set definitions.
 
-    J lists the members within 1..N; the zero-padded tail feeds into j0
-    (never j1, since padded parts are even).
+    J holds the members within 1..N, one range per run of equal parts
+    that has any; the zero-padded tail feeds into j0 (never j1, since
+    padded parts are even).
     """
 
     def test_so7_322(self):
         a = analysis(SO7, "3,2,2")
-        assert a.J == (2, 3)
+        assert a.J == (range(2, 4),)
         assert (a.j1, a.j0) == (None, 2)
         assert a.B == (1,)
 
     def test_sp6_minimal(self):
         a = analysis(SP6, "2,1,1,1,1")
-        assert a.J == (2, 3, 4, 5)
+        assert marked_positions(a) == (2, 3, 4, 5)
         # no even part is marked within 1..N; the padded tail caps j0 at 6
         assert (a.j1, a.j0) == (5, 6)
 
     def test_so8_minimal(self):
         a = analysis(SO8, "2,2,1,1,1,1")
-        assert a.J == (1, 2, 4, 5)
+        assert marked_positions(a) == (1, 2, 4, 5)
         assert (a.j1, a.j0) == (5, 1)
 
     def test_all_odd_so8(self):
         a = analysis(SO8, "5,3")
-        assert a.J == ()
+        assert marked_positions(a) == ()
         # padding enters at N+1 = 3 for the orthogonal case
         assert (a.j1, a.j0) == (None, 3)
 
     def test_all_odd_sp6(self):
         a = analysis(SP6, "3,3")
-        assert a.J == (1, 2)
+        assert marked_positions(a) == (1, 2)
         # N even, so the first padded pair sits at N+2 = 4
         assert (a.j1, a.j0) == (2, 4)
 
@@ -349,7 +357,7 @@ class TestAnalysis:
             pol = polarizable(orbit)
             a = pol.analysis
             got = [
-                (r.q, a.J, a.j1, a.j0, a.B, r.u, r.in_image, r.N_P)
+                (r.q, marked_positions(a), a.j1, a.j0, a.B, r.u, r.in_image, r.N_P)
                 for r in admissible_reports(pol)
             ]
             assert got == expected, orbit
@@ -425,6 +433,11 @@ class TestAnalysis:
         assert in_image > 100
 
 
+def by_position(a) -> dict:
+    """The analysis's fields, with J expanded to one entry per position."""
+    return {**a._asdict(), "J": marked_positions(a)}
+
+
 def image_by_definition(a):
     """The admissible q passing the image test, each tested on its own."""
     return [
@@ -446,12 +459,35 @@ class TestRuns:
         orbits = bcd_orbits_to_30()
         assert len(orbits) > 9000
         for orbit in orbits:
-            assert HesselinkAnalysis.of(orbit)._asdict() == reference_analysis(orbit), orbit
+            assert by_position(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit), orbit
 
     @given(many_parts_orbits())
     @settings(max_examples=300, deadline=None)
     def test_runs_match_the_per_position_loop_on_many_parts(self, orbit):
-        assert HesselinkAnalysis.of(orbit)._asdict() == reference_analysis(orbit)
+        assert by_position(HesselinkAnalysis.of(orbit)) == reference_analysis(orbit)
+
+    def test_J_holds_at_most_one_range_per_run(self):
+        for orbit in bcd_orbits_to_30():
+            J = HesselinkAnalysis.of(orbit).J
+            assert len(J) <= len(orbit.partition.counts), orbit
+            assert all(type(r) is range and r.step == 1 and r for r in J), orbit
+
+    @pytest.mark.parametrize("lie_type", [LieType(Family.SP, 1_000_000),
+                                          LieType(Family.SO_EVEN, 1_000_000),
+                                          LieType(Family.SO_ODD, 1_000_001)], ids=str)
+    def test_text_report_of_a_huge_zero_orbit_is_small(self, lie_type):
+        """The text report of [1^m] holds J as one range, never the m
+        positions: it peaks under 1 MB, where a list of the positions alone
+        takes 8 MB."""
+        orbit = validate_orbit(lie_type, parse_partition(f"1^{lie_type.m}"))
+        tracemalloc.start()
+        try:
+            text = report_text(build_report(orbit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(orbit) in text
+        assert peak < 1_000_000
 
     def test_witnesses_are_the_image_interval(self):
         for orbit in bcd_orbits_to_30():

@@ -7,7 +7,8 @@ stays light: importing the CLI and building its parser pulls in none of
 ``dataclasses``, the ``inspect`` machinery it imports, ``typing`` and
 ``shutil``, and only the ``exceptional`` command loads the exceptional
 table.  An exception class exists only where some code handles it apart
-from the others.
+from the others.  Only the partition gate itself and enumeration, whose
+runs are valid by construction, reach the unchecked Partition constructor.
 """
 
 from __future__ import annotations
@@ -138,6 +139,28 @@ def test_no_private_name_crosses_modules(path):
         if level and name and name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_from_runs_and_enumeration_skip_the_partition_gate():
+    """``Partition._unchecked`` stores runs without checking them, so only
+    ``from_runs`` (the gate, once its checks pass) and ``enumerate_orbits``
+    (whose runs are valid by construction) name it, as an attribute, a
+    name or a string: the parser, the CLI and the report cannot go round
+    the gate."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if "_unchecked" in (getattr(node, "attr", None), getattr(node, "id", None),
+                            getattr(node, "value", None), getattr(node, "arg", None)):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert found == {("orbits.py", "from_runs"), ("enumeration.py", "enumerate_orbits")}
 
 
 def test_every_exception_class_is_caught_somewhere():

@@ -131,6 +131,12 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
         assert [record.q for record in built] == pol.analysis.admissible_qs(), orbit
 
 
+def atlas_item(report) -> str:
+    """The report's JSON text as an item of an atlas array, through the
+    frame ``atlas_json`` builds for its algebra."""
+    return report_json(report, frame=report_module._JsonFrame(report.orbit.lie_type, "\n  "))
+
+
 @settings(max_examples=300, deadline=None)
 @given(orbits_up_to(40))
 def test_json_text_is_json_dumps(orbit):
@@ -139,7 +145,7 @@ def test_json_text_is_json_dumps(orbit):
     report = build_report(orbit)
     expected = expected_report_dict(report)
     assert report_json(report) == json.dumps(expected, indent=2)
-    assert "[\n  " + report_json(report, "\n  ") + "\n]" == json.dumps([expected], indent=2)
+    assert "[\n  " + atlas_item(report) + "\n]" == json.dumps([expected], indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -185,7 +191,7 @@ def test_atlas_json_is_json_dumps_written_as_it_goes():
     out = io.StringIO()
     with pytest.raises(RuntimeError):
         atlas_json(first_then_fail(), out)
-    assert out.getvalue() == "[\n  " + report_json(reports[0], "\n  ")
+    assert out.getvalue() == "[\n  " + atlas_item(reports[0])
 
 
 def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):

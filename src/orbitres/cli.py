@@ -14,10 +14,10 @@ disagree, a degree exponent is not a non-negative integer, or a computed
 value fails its type's gate).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
-An orbit's JSON is the text ``report.report_json`` renders from its report;
-``atlas --format json`` streams its array (``report.atlas_json``), so after
-an internal error (exit 4) stdout may hold a truncated array.  The argument
-parser is built once per process and reused by every ``main`` call.
+An orbit's JSON is the text ``report.report_json`` renders from its report.
+``atlas`` streams every format as it enumerates, so after an internal error
+(exit 4) stdout may hold a truncated array or table.  The argument parser
+is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -93,14 +93,13 @@ def _cmd_report(args) -> int:
 def _cmd_atlas(args) -> int:
     lie_type = parse_algebra(args.algebra)
     _check_cap(lie_type.m)
+    reports = map(build_report, enumerate_orbits(lie_type))
     if args.format == "json":
-        atlas_json(map(build_report, enumerate_orbits(lie_type)), sys.stdout)
-        return 0
-    reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
-    if args.format == "csv":
-        print(atlas_csv(reports), end="")
+        atlas_json(reports, sys.stdout)
+    elif args.format == "csv":
+        atlas_csv(reports, sys.stdout)
     else:
-        print(atlas_markdown(reports, title=f"nilpotent orbits of {lie_type.name}"))
+        atlas_markdown(reports, f"nilpotent orbits of {lie_type.name}", sys.stdout)
     return 0
 
 

@@ -35,6 +35,7 @@ import operator
 import re
 from collections import namedtuple
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import OrbitresError
 
@@ -133,8 +134,8 @@ class _cached:
 class Partition:
     """A partition d_1 >= ... >= d_N > 0, zero padded beyond N, stored as
     its runs alone: ``counts`` maps each part value to its multiplicity,
-    values strictly descending.  Immutable, compared, hashed, copied and
-    pickled by its runs; ``parts`` expands them, in O(N)."""
+    values strictly descending, behind a read-only view.  Immutable, compared,
+    hashed, copied and pickled by its runs; ``parts`` expands them, in O(N)."""
 
     __slots__ = ("counts",)
     __setattr__ = __delattr__ = _frozen
@@ -149,9 +150,9 @@ class Partition:
     @classmethod
     def from_runs(cls, runs) -> Partition:
         """The gate: a partition from (value, multiplicity) pairs, in a list
-        or a dict.  Both must be integers, then positive, then the values
-        weakly decreasing; equal neighbours merge into one run."""
-        pairs = runs.items() if isinstance(runs, dict) else runs
+        or a mapping such as ``counts``.  Both must be integers, then positive,
+        then the values weakly decreasing; equal neighbours merge into one run."""
+        pairs = runs.items() if isinstance(runs, (dict, MappingProxyType)) else runs
         try:
             pairs = [(operator.index(value), operator.index(count)) for value, count in pairs]
         except (TypeError, ValueError):
@@ -171,10 +172,10 @@ class Partition:
 
     @classmethod
     def _unchecked(cls, counts: dict[int, int]) -> Partition:
-        """The partition storing ``counts`` itself, unchecked: for runs valid by
-        construction, as ``from_runs`` builds and ``partitions_desc`` yields."""
+        """The partition over a read-only view of ``counts``, unchecked: for runs
+        valid by construction, as ``from_runs`` builds and ``partitions_desc`` yields."""
         self = object.__new__(cls)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", MappingProxyType(counts))
         return self
 
     def __eq__(self, other):
@@ -184,10 +185,10 @@ class Partition:
         return hash(tuple(self.counts.items()))
 
     def __repr__(self) -> str:
-        return f"Partition.from_runs({self.counts!r})"
+        return f"Partition.from_runs({dict(self.counts)!r})"
 
     def __reduce__(self):
-        return type(self).from_runs, (self.counts,)
+        return type(self).from_runs, (dict(self.counts),)
 
     @property
     def parts(self) -> tuple[int, ...]:

@@ -10,16 +10,16 @@ orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
 the ``%`` templates of its algebra from the report, and alone builds the
 per-q Hesselink records, the dual partition and the expanded parts; the
 text and table renderings build none of them.  The text that does not
-depend on the orbit is written once per algebra: ``atlas_json`` streams an
-atlas's array with one frame (``_JsonFrame``) for all its orbits, a lone
-``report_json`` builds its own, and nothing is kept across calls.  ``exceptional_json`` gives the
-exceptional table as dicts for ``json.dumps``.
+depend on the orbit is written once per algebra: ``atlas_json`` uses one
+frame (``_JsonFrame``) for all of an atlas's orbits, a lone ``report_json``
+builds its own, and nothing is kept across calls.  Each atlas writer writes
+an orbit as its iterable of reports yields it, holding no whole atlas.
+``exceptional_json`` gives the exceptional table as dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from collections import namedtuple
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -307,21 +307,20 @@ def _atlas_row(report: OrbitReport) -> tuple[str, ...]:
     )
 
 
-def atlas_markdown(reports: list[OrbitReport], title: str) -> str:
-    lines = [f"# {title}", ""]
-    lines.append("| " + " | ".join(_ATLAS_COLUMNS) + " |")
-    lines.append("|" + "|".join("---" for _ in _ATLAS_COLUMNS) + "|")
-    for report in reports:
-        lines.append("| " + " | ".join(_atlas_row(report)) + " |")
-    yes = sum(1 for r in reports if r.resolution.answer is Verdict.YES)
-    lines.append("")
-    lines.append(f"{len(reports)} orbits, {yes} admit a symplectic resolution, {len(reports) - yes} do not.")
-    return "\n".join(lines)
+def atlas_markdown(reports, title: str, out) -> None:
+    """Write the reports to the text stream ``out`` as a markdown table headed
+    ``title``, a row as each is yielded (as ``atlas_json`` does), then the
+    count of orbits and of YES answers."""
+    out.write(f"# {title}\n\n| {' | '.join(_ATLAS_COLUMNS)} |\n|{'---|' * len(_ATLAS_COLUMNS)}\n")
+    orbits = yes = 0
+    for orbits, report in enumerate(reports, 1):
+        out.write("| " + " | ".join(_atlas_row(report)) + " |\n")
+        yes += report.resolution.answer is Verdict.YES
+    out.write(f"\n{orbits} orbits, {yes} admit a symplectic resolution, {orbits - yes} do not.\n")
 
 
-def atlas_csv(reports: list[OrbitReport]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def atlas_csv(reports, out) -> None:
+    """The same as CSV: the header, then a row as each report is yielded."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_ATLAS_COLUMNS)
     writer.writerows(map(_atlas_row, reports))
-    return buffer.getvalue()

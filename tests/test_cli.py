@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,9 @@ EXIT_CONTRACT = [
      "error: ORBITRES_MAX_M must be a non-negative integer, got 'abc'\n"),
     (("atlas", "so8"), "6", 2, "",
      "error: m = 8 exceeds the enumeration cap ORBITRES_MAX_M = 6; "
+     "raise the environment variable to allow larger sweeps\n"),
+    (("atlas", "sl31", "--format", "csv"), None, 2, "",
+     "error: m = 31 exceeds the enumeration cap ORBITRES_MAX_M = 30; "
      "raise the environment variable to allow larger sweeps\n"),
     (("exceptional", " e6", "B3"), None, 0, f"E6 B3: not in database\nE6 {MISS}\n", ""),
     (("exceptional", "e7", "d5(a1)"), None, 0,
@@ -251,7 +257,10 @@ class TestAtlas:
         nos = [r["partition_compact"] for r in payload if r["resolution"]["answer"] == "no"]
         assert nos == ["2^2,1^3"]
 
-    def test_internal_error_leaves_a_truncated_array(self, capsys, monkeypatch):
+    @staticmethod
+    def break_so7_331(monkeypatch):
+        """Flip the closed form's answer on so7 [3^2,1] alone, so that its
+        report raises an internal error; returns that orbit."""
         original = resolution.closed_form_verdict
         broken = validate_orbit(LieType(Family.SO_ODD, 7), (3, 3, 1))
 
@@ -262,12 +271,76 @@ class TestAtlas:
             return verdict._replace(answer=Verdict.NO if verdict.answer is Verdict.YES else Verdict.YES)
 
         monkeypatch.setattr(resolution, "closed_form_verdict", flipped)
+        return broken
+
+    def test_internal_error_leaves_a_truncated_array(self, capsys, monkeypatch):
+        self.break_so7_331(monkeypatch)
         code, out, err = run(capsys, "atlas", "so7", "--format", "json")
         assert code == 4
         assert "internal error, this is a bug" in err
         assert out.startswith("[\n  {") and not out.endswith("]\n")
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_internal_error_leaves_a_partial_table(self, capsys, monkeypatch, fmt):
+        """A table is written as the orbits are enumerated: the report that
+        fails leaves the header and the rows of the orbits before it."""
+        broken = self.break_so7_331(monkeypatch)
+        before = list(itertools.takewhile(lambda orbit: orbit != broken,
+                                          enumerate_orbits(broken.lie_type)))
+        code, out, err = run(capsys, "atlas", "so7", "--format", fmt)
+        assert code == 4
+        assert "internal error, this is a bug" in err
+        assert before
+        if fmt == "md":
+            assert out.startswith("# nilpotent orbits of so7\n\n| partition | label |")
+            rows = out.splitlines()[4:]
+            assert "orbits," not in out  # no summary line
+            cells = [row[2:-2].split(" | ") for row in rows]
+        else:
+            cells = list(csv.reader(io.StringIO(out)))
+            assert cells.pop(0)[0] == "partition"
+        assert [row[0] for row in cells] == [orbit.partition.compact_str() for orbit in before]
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_each_row_is_written_before_the_next_report_is_built(self, monkeypatch, fmt):
+        """A spy on the report builder and on stdout: every report of sl6 is
+        written out before the next one is built, so no format holds the
+        atlas whole."""
+        events = []
+
+        class Out:
+            def write(self, text):
+                events.append("write")
+                return len(text)
+
+        original = cli.build_report
+        monkeypatch.setattr(cli, "build_report", lambda orbit: events.append("build") or original(orbit))
+        monkeypatch.setattr(sys, "stdout", Out())
+        assert main(["atlas", "sl6", "--format", fmt]) == 0
+        assert events.count("build") == count_orbits(LieType(Family.SL, 6)) == 11
+        assert events[0] == events[-1] == "write"
+        assert all(nxt == "write" for event, nxt in zip(events, events[1:]) if event == "build")
+
+    def test_table_memory_does_not_grow_with_the_orbit_count(self, monkeypatch):
+        """The peak traced memory of the sl20 table (627 orbits), written to
+        a null sink, stays within twice that of sl12 (77 orbits): rows are
+        written as their reports are built, and none is kept."""
+        def peak(algebra):
+            tracemalloc.start()
+            try:
+                assert main(["atlas", algebra, "--format", "md"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            main(["atlas", "sl12", "--format", "md"])  # the parser and the imports, untraced
+            small, large = peak("sl12"), peak("sl20")
+        assert count_orbits(LieType(Family.SL, 20)) == 627
+        assert large <= 2 * small, (small, large)
 
     def test_sl4_all_yes(self, capsys):
         code, out, _ = run(capsys, "atlas", "sl4", "--format", "json")

@@ -122,8 +122,8 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
         built.clear()
         report = build_report(orbit)
         report_text(report)
-        atlas_markdown([report], "atlas")
-        atlas_csv([report])
+        atlas_markdown([report], "atlas", io.StringIO())
+        atlas_csv([report], io.StringIO())
         pol = report.resolution.polarizability
         assert built == list(pol.witnesses), orbit
         built.clear()
@@ -192,6 +192,35 @@ def test_atlas_json_is_json_dumps_written_as_it_goes():
     with pytest.raises(RuntimeError):
         atlas_json(first_then_fail(), out)
     assert out.getvalue() == "[\n  " + atlas_item(reports[0])
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+def test_atlas_table_is_written_as_it_goes(fmt):
+    """A markdown or CSV atlas is written one row per report as the
+    iterable yields it: a report that fails after k leaves the header and
+    k rows."""
+    reports = [build_report(orbit) for orbit in enumerate_orbits(LieType(Family.SO_ODD, 7))]
+
+    def write(reports, out):
+        if fmt == "md":
+            atlas_markdown(reports, "atlas", out)
+        else:
+            atlas_csv(reports, out)
+
+    whole = io.StringIO()
+    write(iter(reports), whole)
+    lines = whole.getvalue().splitlines(keepends=True)
+    header = 4 if fmt == "md" else 1  # the heading, a blank line, the column names, the rule
+    assert len(lines) == header + len(reports) + (2 if fmt == "md" else 0)
+    for k in range(len(reports)):
+        def first_k_then_fail():
+            yield from reports[:k]
+            raise RuntimeError("report failed")
+
+        out = io.StringIO()
+        with pytest.raises(RuntimeError):
+            write(first_k_then_fail(), out)
+        assert out.getvalue() == "".join(lines[:header + k])
 
 
 def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):

@@ -155,6 +155,25 @@ def test_copies_are_equal(name, how):
     assert hash(twin) == hash(value)
 
 
+@pytest.mark.parametrize("how", [lambda p: p, copy.copy, copy.deepcopy,
+                                 lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["itself", "copy", "deepcopy", "pickle"])
+def test_partition_runs_are_read_only(how):
+    """A partition's runs cannot be edited, in place or in a copy: the
+    partition keeps its order, equality and hash, and stays in a set.  The
+    read-only runs still pass the gate, and print as a plain dict."""
+    partition = how(orbits.parse_partition("3,2^2,1"))
+    kept = {partition}
+    with pytest.raises(TypeError):
+        partition.counts[9] = 1
+    with pytest.raises(TypeError):
+        del partition.counts[3]
+    assert not hasattr(partition.counts, "update") and not hasattr(partition.counts, "pop")
+    assert partition == ORBIT.partition and partition in kept
+    assert Partition.from_runs(partition.counts) == partition
+    assert repr(partition) == "Partition.from_runs({3: 1, 2: 2, 1: 1})"
+
+
 def test_copied_orbit_keeps_its_facts():
     twin = pickle.loads(pickle.dumps(ORBIT))
     assert twin.profile == ORBIT.profile

@@ -151,7 +151,7 @@ def run_selfcheck(max_m: int, out=None) -> int:
             if resolved and not verdict.polarizability.polarizable:
                 failures.append((_POLARIZABLE, f"{orbit}: resolvable but not polarizable"))
             tallies[_POLARIZABLE] += 1
-            if orbit.family is not _SL:
+            if lie_type.family is not _SL:
                 group = picard(orbit)
                 if is_factorial(orbit) not in (None, group.is_trivial):
                     failures.append(
@@ -185,6 +185,8 @@ def _cmd_exceptional(args) -> int:
     from .exceptional import exceptional_records, lookup_exceptional  # loaded for this command alone
 
     if args.export:
+        if args.label is not None:
+            raise OrbitresError(f"--export takes no LABEL, got {args.label!r}: give ALGEBRA alone")
         print(json.dumps(exceptional_json(exceptional_records(args.algebra)), indent=2))
         return 0
     if args.algebra is None or args.label is None:

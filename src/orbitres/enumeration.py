@@ -72,7 +72,7 @@ def enumerate_orbits(lie_type: LieType) -> Iterator[ClassicalOrbit]:
     for runs in partitions_desc(lie_type.m, paired=lie_type.family.constrained_parity):
         orbit = ClassicalOrbit(lie_type, Partition._unchecked(runs))
         yield orbit
-        if orbit.is_very_even:
+        if orbit.very_even_label is not None:
             yield ClassicalOrbit(lie_type, orbit.partition, VeryEvenLabel.II)
 
 

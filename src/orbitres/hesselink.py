@@ -84,10 +84,10 @@ class HesselinkAnalysis(
         run of the constrained parity is marked whole; any other run has
         its pairs (j, j+1) with j = m (mod 2) marked, one block from the
         first such j.  Only a run's end can break the pairing or drop."""
-        epsilon = orbit.family.constrained_parity
+        family, m = orbit.lie_type
+        epsilon = family.constrained_parity
         if epsilon is None:
             raise OrbitresError("Hesselink machinery applies to sp and so only")
-        m = orbit.m
         counts = orbit.partition.counts
         marked, drops = [], []
         j1 = j0 = None
@@ -203,7 +203,7 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
 
     Every sl orbit is polarizable; its result is ``SL_POLARIZABILITY``.
     """
-    if orbit.family is _SL:
+    if orbit.lie_type.family is _SL:
         return SL_POLARIZABILITY
     analysis = HesselinkAnalysis.of(orbit)
     witnesses = tuple([analysis._record(q, True) for q in analysis._image()])

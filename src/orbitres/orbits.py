@@ -14,9 +14,10 @@ by construction.  An orbit builds its profile once
 (``ClassicalOrbit.profile``).  The two resolution routes read the runs but
 not the profile, so a wrong shared statistic could not hide from their
 cross-check.
-A sweep reads a family's fields and members a dozen times per orbit, so
-they are plain member attributes and module globals, not properties and
-reads through the enum class, which cost several times as much.
+A sweep reads a family's fields and members, and an orbit's fields, a dozen
+times per orbit, so they are plain member attributes, named-tuple fields and
+module globals, not properties and reads through the enum class, which cost
+several times as much.
 
 Conventions used throughout the package:
 
@@ -234,7 +235,10 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
     Construction is the validation gate; an instance of this class always
     satisfies the sum and parity-multiplicity constraints of its family.
     For very even type-D partitions the label defaults to I.  The instance
-    dict holds the cached ``profile`` alone.
+    dict holds the cached ``profile`` alone.  Every other fact is read from
+    its owner, with no forwarding property: the family and m from
+    ``lie_type``, very evenness as ``very_even_label is not None``, and the
+    zero orbit (largest part 1) from the runs, by ``picard.is_factorial``.
     """
 
     __setattr__ = __delattr__ = _frozen
@@ -263,23 +267,6 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
         return super().__new__(cls, lie_type, partition, very_even_label)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
-
-    @property
-    def family(self) -> Family:
-        return self.lie_type.family
-
-    @property
-    def m(self) -> int:
-        return self.lie_type.m
-
-    @property
-    def is_very_even(self) -> bool:
-        return self.very_even_label is not None
-
-    @property
-    def is_zero(self) -> bool:
-        """True for the zero orbit, partition [1^m]."""
-        return next(iter(self.partition.counts)) == 1
 
     @_cached
     def profile(self) -> PartitionProfile:
@@ -323,7 +310,7 @@ def profile(orbit: ClassicalOrbit) -> PartitionProfile:
     ``orbit.profile``, which calls this once per orbit."""
     r = orbit.partition.counts
     odd_values = [v for v in r if v % 2 == 1]
-    constrained = orbit.family.constrained_parity
+    constrained = orbit.lie_type.family.constrained_parity
     l = 0 if constrained is None else sum(
         1 for v, count in r.items() if v % 2 != constrained and count == 2)
     return PartitionProfile(
@@ -354,7 +341,7 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
     sum goes one run of equal parts at a time: over the rows start+1..end
     of a run, 2j - 1 adds up to end^2 - start^2.
     """
-    m, family = orbit.m, orbit.family
+    family, m = orbit.lie_type
     sum_sq = n_odd = end = 0
     for value, count in orbit.partition.counts.items():  # values descend, so rows ascend
         start, end = end, end + count

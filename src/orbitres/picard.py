@@ -95,7 +95,7 @@ class AbelianGroupDescriptor(
 
 def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
     """Pic of the orbit from its profile, by the family's formula."""
-    prof, family = orbit.profile, orbit.family
+    prof, family = orbit.profile, orbit.lie_type.family
     if family is _SL:
         torsion = (prof.c,) if prof.c >= 2 else ()
         return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
@@ -134,14 +134,15 @@ def is_factorial(orbit: ClassicalOrbit) -> bool | None:
     one distinct odd part and it has multiplicity at least 4.  so_{2n+1}:
     the same with multiplicity at least 3.  The zero orbit is outside the
     statement, so the answer for it is None; this is the one place that
-    excludes it.
+    excludes it, and it reads the runs for that itself: the zero orbit is
+    the one whose largest part is 1.
     """
-    if orbit.is_zero:
+    counts = orbit.partition.counts
+    if next(iter(counts)) == 1:
         return None
-    family = orbit.family
+    family = orbit.lie_type.family
     if family is _SL:
         return False
-    counts = orbit.partition.counts
     if family is _SP:
         return all(value % 2 == 1 for value in counts)
     odd_mults = [count for value, count in counts.items() if value % 2 == 1]

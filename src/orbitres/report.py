@@ -256,7 +256,7 @@ def report_text(report: OrbitReport) -> str:
     verdict = report.resolution
     lines = [
         f"{orbit.lie_type.name} {orbit.partition}"
-        + (f"  (very even, label {orbit.very_even_label.value})" if orbit.is_very_even else ""),
+        + (f"  (very even, label {orbit.very_even_label.value})" if orbit.very_even_label else ""),
         f"  cartan type    {orbit.lie_type.cartan_label}",
         f"  dimension      {report.dimension}",
         f"  even orbit     {'yes' if is_even_orbit(orbit) else 'no'}",

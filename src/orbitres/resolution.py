@@ -95,7 +95,7 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
     orbit's validation gate already forces q to the family's parity and a
     lone so_{2n} pair of odd parts to an odd start; both checks stay, as
     they restate the paper's clauses."""
-    family = orbit.family
+    family = orbit.lie_type.family
     if family is _SL:
         return _SL_CLOSED_FORM
     witness = None

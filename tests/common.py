@@ -131,8 +131,8 @@ def reference_analysis(orbit) -> dict:
     """The fields of an sp/so orbit's HesselinkAnalysis, one position at a
     time: the marked set, the pairing check and the drops are taken at every
     j in 1..N against the zero-padded d_{j+1}."""
-    epsilon = orbit.family.constrained_parity
-    m = orbit.m
+    family, m = orbit.lie_type
+    epsilon = family.constrained_parity
     parts = orbit.partition.parts
     n = len(parts)
     marked = [p % 2 == epsilon for p in parts]  # marked[j - 1]: j in J
@@ -164,7 +164,7 @@ def reference_closed_form(orbit) -> ResolutionWitness | None:
     """The clause of the sp/so closed form that holds, as the resolution
     module's docstring states it, from the positions of the odd parts:
     they are 1..q for the prefix clause, 2k-1 and 2k for the pair clause."""
-    family = orbit.family
+    family = orbit.lie_type.family
     odd = [j for j, p in enumerate(orbit.partition.parts, start=1) if p % 2]
     q = len(odd)
     parity = 1 if family is Family.SO_ODD else 0
@@ -204,7 +204,7 @@ def orbits_up_to(draw, max_m: int = 40):
     except OrbitresError:
         assume(False)
     orbit = validate_orbit(lie_type, sorted(parts, reverse=True))
-    if orbit.is_very_even:
+    if orbit.very_even_label is not None:
         orbit = validate_orbit(lie_type, orbit.partition, draw(st.sampled_from(VeryEvenLabel)))
     return orbit
 
@@ -222,8 +222,8 @@ def expected_report_dict(report) -> dict:
     return {
         "algebra": orbit.lie_type.name,
         "cartan_type": orbit.lie_type.cartan_label,
-        "family": orbit.family.value,
-        "m": orbit.m,
+        "family": orbit.lie_type.family.value,
+        "m": orbit.lie_type.m,
         "partition": list(orbit.partition.parts),
         "partition_compact": orbit.partition.compact_str(),
         "very_even_label": None if orbit.very_even_label is None else orbit.very_even_label.value,

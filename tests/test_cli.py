@@ -76,6 +76,9 @@ EXIT_CONTRACT = [
     (("atlas", "sl31", "--format", "csv"), None, 2, "",
      "error: m = 31 exceeds the enumeration cap ORBITRES_MAX_M = 30; "
      "raise the environment variable to allow larger sweeps\n"),
+    # --export prints whole tables, so a LABEL with it is refused, not dropped
+    (("exceptional", "E6", "A3", "--export"), None, 2, "",
+     "error: --export takes no LABEL, got 'A3': give ALGEBRA alone\n"),
     (("exceptional", " e6", "B3"), None, 0, f"E6 B3: not in database\nE6 {MISS}\n", ""),
     (("exceptional", "e7", "d5(a1)"), None, 0,
      "E7 D5(a1): unknown  (non-even Richardson orbit with component group of order 2; "

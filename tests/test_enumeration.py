@@ -82,7 +82,8 @@ def test_so8_very_even_duplication():
     orbits = list(enumerate_orbits(LieType(Family.SO_EVEN, 8)))
     assert len(orbits) == 12
     assert len({o.partition.parts for o in orbits}) == 10
-    labelled = [(o.partition.parts, o.very_even_label) for o in orbits if o.is_very_even]
+    labelled = [(o.partition.parts, o.very_even_label) for o in orbits
+                if o.very_even_label is not None]
     assert labelled == [
         ((4, 4), VeryEvenLabel.I),
         ((4, 4), VeryEvenLabel.II),

@@ -316,8 +316,8 @@ def plain_records(orbit):
     zero-padded sequence, so the padded tail enters j0 through the same
     rule as every other position.
     """
-    m = orbit.m
-    eps = 1 if orbit.family is Family.SP else 0
+    family, m = orbit.lie_type
+    eps = 1 if family is Family.SP else 0
     parts = orbit.partition.parts
     n = len(parts)
     top = n + 4
@@ -391,7 +391,7 @@ class TestAnalysis:
                         monkeypatch.setattr(module, attr, counted_polarizable)
 
         def expected_analyses(orbits):
-            return [o for o in orbits if o.family is not Family.SL]
+            return [o for o in orbits if o.lie_type.family is not Family.SL]
 
         for family, m in ((Family.SL, 6), (Family.SP, 8), (Family.SO_ODD, 9), (Family.SO_EVEN, 8)):
             for orbit in enumerate_orbits(LieType(family, m)):

@@ -207,7 +207,7 @@ class TestValidateOrbit:
 
     def test_zero_orbit(self):
         orbit = validate_orbit(SL3, (1, 1, 1))
-        assert orbit.is_zero
+        assert orbit_dimension(orbit) == 0
 
     def test_wrong_sum(self):
         with pytest.raises(OrbitresError, match=r"^parts sum to 5, expected m = 6 for sp6$"):
@@ -251,7 +251,7 @@ class TestProfile:
         # oracle: brute-force counts straight off the parts
         parts = orbit.partition.parts
         counts = orbit.partition.counts
-        assert sum(i * count for i, count in counts.items()) == orbit.m
+        assert sum(i * count for i, count in counts.items()) == orbit.lie_type.m
         assert prof.a + prof.b == prof.k == len(counts)
         assert counts == {v: parts.count(v) for v in set(parts)}
         assert prof.rather_odd == all(
@@ -334,7 +334,7 @@ class TestOrbitDimension:
     def test_even_and_zero_iff_trivial(self, orbit):
         dim = orbit_dimension(orbit)
         assert dim % 2 == 0
-        assert (dim == 0) == orbit.is_zero
+        assert (dim == 0) == (orbit.partition.parts == (1,) * orbit.lie_type.m)
 
 
 def minimal_parts(lie_type: LieType) -> tuple[int, ...]:

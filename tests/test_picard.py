@@ -147,7 +147,7 @@ class TestPicardBCD:
     def test_branch_structure(self, orbit):
         prof = orbit.profile
         group = picard(orbit)
-        if orbit.family is Family.SP:
+        if orbit.lie_type.family is Family.SP:
             assert group.torsion == (2,) * prof.b
             assert group.unresolved_extension is None
         elif prof.rather_odd:
@@ -206,6 +206,13 @@ class TestFactorial:
         assert is_factorial(validate_orbit(SL3, (1, 1, 1))) is None
         assert is_factorial(validate_orbit(SO8, (1,) * 8)) is None
         assert is_factorial(validate_orbit(SP6, (1,) * 6)) is None
+        # None for the zero orbit of every algebra with m <= 12, sl1 [1] included, and
+        # for no other orbit of them
+        for family, low in ((Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
+            for m in range(low, 13, 1 if family is Family.SL else 2):
+                for orbit in enumerate_orbits(LieType(family, m)):
+                    zero = orbit.partition.parts == (1,) * m
+                    assert (is_factorial(orbit) is None) == zero, orbit
 
     @pytest.mark.parametrize("family,low", [
         (Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4),
@@ -230,12 +237,12 @@ class TestFactorial:
 
     @given(bcd_orbits())
     def test_factorial_iff_trivial_picard(self, orbit):
-        if orbit.is_zero:
+        if orbit.partition.parts == (1,) * orbit.lie_type.m:  # the zero orbit
             return
         assert is_factorial(orbit) == picard(orbit).is_trivial
 
     @given(valid_orbits(families=(Family.SL,)))
     def test_sl_never_factorial(self, orbit):
-        if orbit.is_zero:
+        if orbit.partition.parts == (1,) * orbit.lie_type.m:  # the zero orbit
             return
         assert is_factorial(orbit) is False

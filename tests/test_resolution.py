@@ -95,8 +95,8 @@ class TestClosedForm:
         pairs = 0
         for orbit in bcd_orbits_up_to(30):
             odd = [j for j, p in enumerate(orbit.partition.parts, start=1) if p % 2]
-            assert len(odd) % 2 == (orbit.family is Family.SO_ODD), orbit
-            if orbit.family is Family.SO_EVEN and len(odd) == 2 and odd[1] == odd[0] + 1:
+            assert len(odd) % 2 == (orbit.lie_type.family is Family.SO_ODD), orbit
+            if orbit.lie_type.family is Family.SO_EVEN and len(odd) == 2 and odd[1] == odd[0] + 1:
                 assert odd[0] % 2 == 1, orbit
                 pairs += 1
         assert pairs > 100

@@ -174,6 +174,16 @@ def test_partition_runs_are_read_only(how):
     assert repr(partition) == "Partition.from_runs({3: 1, 2: 2, 1: 1})"
 
 
+def test_orbit_is_its_fields_and_its_profile():
+    """An orbit forwards no fact through a property: the family and m are
+    read from ``lie_type``, very evenness from the label and the zero orbit
+    from the runs.  Beyond what a tuple has, its public surface is its
+    three fields and its cached profile."""
+    assert [name for name, attr in vars(ClassicalOrbit).items() if isinstance(attr, property)] == []
+    public = {name for name in dir(ClassicalOrbit) if not name.startswith("_")} - set(dir(tuple))
+    assert public == {"lie_type", "partition", "very_even_label", "profile"}
+
+
 def test_copied_orbit_keeps_its_facts():
     twin = pickle.loads(pickle.dumps(ORBIT))
     assert twin.profile == ORBIT.profile

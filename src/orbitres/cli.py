@@ -14,7 +14,8 @@ disagree, a degree exponent is not a non-negative integer, or a computed
 value fails its type's gate).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
-An orbit's JSON is the text ``report.report_json`` renders from its report.
+An orbit's JSON is the text ``report.report_json`` writes from its report;
+one longer than ``report.MAX_JSON_BYTES`` exits 2 before its first byte.
 ``atlas`` streams every format as it enumerates, so after an internal error
 (exit 4) stdout may hold a truncated array or table.  The argument parser
 is built once per process and reused by every ``main`` call.
@@ -84,7 +85,8 @@ def _cmd_report(args) -> int:
     orbit = validate_orbit(lie_type, partition, label)
     report = build_report(orbit)
     if args.format == "json":
-        print(report_json(report))
+        report_json(report, sys.stdout)
+        sys.stdout.write("\n")
     else:
         print(report_text(report))
     return 0

@@ -25,7 +25,8 @@ when the pairing holds, and j0 is at most N+2, so the witnesses of
 per-q record, HesselinkReport (q, the integer u, the image test, N_P), is
 the one q-dependent answer, read off the analysis in constant time.  Records
 come out of ``polarizable`` (the image) and ``admissible_reports`` (every
-admissible q), which the JSON report alone calls: only it pays O(m).
+admissible q), or, for the JSON report, as at most four runs of (q, u)
+with the witnesses (``record_runs``), since u moves by one per step.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -41,6 +42,7 @@ valid partition.  It drives every set definition below.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice, repeat
 
 from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
@@ -71,7 +73,7 @@ class HesselinkAnalysis(
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
     beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
     size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
-    Besides ``of``, the public method is ``admissible_qs``.
+    Besides ``of``, the public methods are ``admissible_qs`` and ``record_runs``.
     """
 
     __slots__ = ()
@@ -126,15 +128,17 @@ class HesselinkAnalysis(
 
     def admissible_qs(self) -> list[int]:
         """Every admissible q, ascending."""
-        return self._admissible(0, self.m + 1)
+        return [q for qs in self._admissible(0, self.m + 1) for q in qs]
 
-    def _admissible(self, low: int, high: int) -> list[int]:
-        """The admissible q with low <= q < high, ascending: the q in 0..m
-        congruent to m mod 2, with 2 left out for so.  This is the one
-        admissibility rule."""
+    def _admissible(self, low: int, high: int) -> tuple[range, ...]:
+        """The admissible q with low <= q < high as ranges of step 2, two
+        (either may be empty) around q = 2 for so: the q in 0..m congruent
+        to m mod 2, with 2 left out for so.  This is the one admissibility rule."""
         low = max(low, 0)
-        low += (low - self.m) % 2
-        return [q for q in range(low, min(high, self.m + 1), 2) if q != 2 or self.epsilon]
+        qs = range(low + (low - self.m) % 2, min(high, self.m + 1), 2)
+        if self.epsilon or 2 not in qs:
+            return (qs,)
+        return (range(qs.start, 2, 2), range(4, qs.stop, 2))
 
     def _image(self) -> list[int]:
         """The admissible q passing the image test of the Spaltenstein map:
@@ -142,7 +146,24 @@ class HesselinkAnalysis(
         pairing holds, and none when it fails."""
         if not self.pairing_ok:
             return []
-        return self._admissible(0 if self.j1 is None else self.j1, self.j0)
+        return [q for qs in self._admissible(self.j1 or 0, self.j0) for q in qs]
+
+    def record_runs(self) -> list[tuple[range, range, bool]]:
+        """Every admissible q as runs (qs, us, in_image), ascending, broken at
+        the image bounds and the so gap at q = 2.  2u = +-(n_odd - q) has the
+        parity of n_odd - m at every q, so its guard runs here once."""
+        if (self.n_odd - self.m) % 2:
+            raise InternalInvariantError(f"degree exponent +-({self.n_odd} - q)/2 is not an integer"
+                                         f" for any admissible q = {self.m} (mod 2)")
+        sign = 1 if self.epsilon else -1
+        low = (self.j1 or 0) if self.pairing_ok else 0
+        high = max(low, self.j0) if self.pairing_ok else 0  # no image when the pairing fails
+        runs = []
+        for start, stop, in_image in ((0, low, False), (low, high, True), (high, self.m + 1, False)):
+            for qs in filter(None, self._admissible(start, stop)):
+                u = sign * (qs.start - self.n_odd) // 2
+                runs.append((qs, range(u, u + sign * len(qs), sign), in_image))
+        return runs
 
     def _record(self, q: int, in_image: bool) -> HesselinkReport:
         """The record of an admissible q, given the outcome of its image test.
@@ -217,11 +238,34 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
     return any(w.N_P == 1 for w in pol.witnesses)
 
 
-def admissible_reports(pol: PolarizabilityResult) -> tuple[HesselinkReport, ...]:
-    """Reports for every admissible q in 0..m; empty for sl orbits."""
+def admissible_reports(pol: PolarizabilityResult, *, runs: bool = False):
+    """Reports for every admissible q in 0..m, each built by ``_record``, or
+    with ``runs`` held as a ``RecordRuns``; empty for sl orbits."""
     analysis = pol.analysis
     if analysis is None:
         return ()
+    if runs:
+        return RecordRuns(analysis.record_runs(), pol.witnesses)
     image = set(analysis._image())
     record = analysis._record
     return tuple([record(q, q in image) for q in analysis.admissible_qs()])
+
+
+class RecordRuns:
+    """The reports of every admissible q as runs, the witnesses those of the
+    runs in the image: iterating builds the reports ``admissible_reports``
+    builds, and the length is their number."""
+
+    __slots__ = ("runs", "witnesses")
+
+    def __init__(self, runs, witnesses):
+        self.runs, self.witnesses = runs, witnesses
+
+    def __len__(self) -> int:
+        return sum(len(qs) for qs, _, _ in self.runs)
+
+    def __iter__(self):
+        witnesses = iter(self.witnesses)
+        for qs, us, in_image in self.runs:
+            yield from islice(witnesses, len(qs)) if in_image else map(
+                HesselinkReport, qs, us, repeat(False), repeat(None))

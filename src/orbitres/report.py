@@ -6,25 +6,27 @@ and the cross-checked resolution verdict with the polarizability it
 checked.  The renderings read the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
 layout of the CLI is written here alone.  ``report_json`` writes an
-orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
-the ``%`` templates of its algebra from the report, and alone builds the
-per-q Hesselink records, the dual partition and the expanded parts; the
-text and table renderings build none of them.  The text that does not
-depend on the orbit is written once per algebra: ``atlas_json`` uses one
-frame (``_JsonFrame``) for all of an atlas's orbits, a lone ``report_json``
-builds its own, and nothing is kept across calls.  Each atlas writer writes
-an orbit as its iterable of reports yields it, holding no whole atlas.
-``exceptional_json`` gives the exceptional table as dicts for ``json.dumps``.
+orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, to a text
+stream by filling the ``%`` templates of its algebra from the report, and
+alone builds the dual partition and the expanded parts; it writes the
+per-q Hesselink records from their runs, in pieces, holding no whole text.
+The text that does not depend on the orbit is written once per algebra:
+``atlas_json`` uses one frame (``_JsonFrame``) for all of an atlas's
+orbits, a lone ``report_json`` builds its own, and nothing is kept across
+calls.  Each atlas writer writes an orbit as its iterable of reports yields
+it.  ``exceptional_json`` gives the exceptional table as dicts for
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
-from .hesselink import PolarizabilityResult, admissible_reports
+from .errors import OrbitresError
+from .hesselink import RecordRuns, admissible_reports
 from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
 from .picard import is_factorial, picard, q_factorial_certificate
 from .resolution import Verdict, admits_symplectic_resolution
@@ -54,31 +56,40 @@ def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     )
 
 
-def report_json(report: OrbitReport, *, frame: _JsonFrame | None = None) -> str:
-    """The text of ``json.dumps(<the report as a JSON object>, indent=2)``,
-    written straight from the report.
+def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) -> None:
+    """Write to the text stream ``out`` the text of ``json.dumps(<the report
+    as a JSON object>, indent=2)``, straight from the report.
 
     ``frame`` is the ``_JsonFrame`` of the orbit's algebra, which also
     sets the indentation the object sits at (an atlas writes each orbit as
     an item of its array); a lone report builds its own, at the top level.
     Strings go through the stdlib's ASCII encoder; every other value is an
-    int, a bool or None.  The per-q Hesselink records are built here alone,
-    by ``admissible_reports``, and so are the dual partition ``s`` and the
-    ``partition`` array of the N parts.
+    int, a bool or None.  Every check, ``MAX_JSON_BYTES`` included, raises
+    before the first character is written.
     """
     orbit = report.orbit
+    verdict = report.resolution
+    pol = verdict.polarizability
+    records = admissible_reports(pol, runs=True)
+    analysis = pol.analysis
+    partition = orbit.partition
+    runs = partition.counts
+    marked = 0 if analysis is None else sum(map(len, analysis.J))
+    # a lower bound on the text from O(k) facts: each part, dual entry and position in each
+    # record's J takes its indentation and a digit, and each record's other keys 100 characters
+    floor = 6 * sum(runs.values()) + 13 * next(iter(runs)) + len(records) * (100 + 10 * marked)
+    if floor > MAX_JSON_BYTES:
+        raise OrbitresError(f"the JSON report of {orbit} takes at least {floor} bytes, over "
+                            f"its limit of {MAX_JSON_BYTES}; the text report has no limit")
     if frame is None:
         frame = _JsonFrame(orbit.lie_type, "\n")
-    partition = orbit.partition
-    parts, runs, dual = partition.parts, partition.counts, partition.dual()
+    parts, dual = partition.parts, partition.dual()
     label = orbit.very_even_label
     prof = orbit.profile
     even = _LITERAL[is_even_orbit(orbit)]
     group = report.picard
     torsion, extension = group.torsion, group.unresolved_extension
-    verdict = report.resolution
     witness = verdict.witness
-    pol = verdict.polarizability
     witnesses = pol.witnesses
     if witness is None:
         witness_text = "null"
@@ -102,8 +113,16 @@ def report_json(report: OrbitReport, *, frame: _JsonFrame | None = None) -> str:
     )
     tail = frame.tail % (_str(verdict.answer.value), _str(verdict.route.value), witness_text,
                          _LITERAL[verdict.cross_checked])
-    # joined, not put through "%", which over-allocates an argument followed by text
-    return "".join((head, _hesselink_json(pol, frame), tail))
+    # joined until they pass _PIECE characters, so a small report takes one write
+    pieces, size = [head], 0
+    for text in _hesselink_texts(records, analysis, frame) if records else ("[]",):
+        pieces.append(text)
+        size += len(text)
+        if size > _PIECE:
+            out.write("".join(pieces))
+            pieces, size = [], 0
+    pieces.append(tail)
+    out.write("".join(pieces))
 
 
 def atlas_json(reports, out) -> None:
@@ -117,37 +136,34 @@ def atlas_json(reports, out) -> None:
     for report in reports:
         if frame is None or frame.lie_type != report.orbit.lie_type:
             frame = _JsonFrame(report.orbit.lie_type, "\n  ")
-        out.write(separator + "\n  " + report_json(report, frame=frame))
+        out.write(separator + "\n  ")
+        report_json(report, out, frame=frame)
         separator = ","
     out.write("[]\n" if separator == "[" else "\n]\n")
 
 
-def _hesselink_json(pol: PolarizabilityResult, frame: _JsonFrame) -> str:
-    """The array of per-q records, one per admissible q, as the value of
-    the orbit's "hesselink" key.  Every record repeats J (its runs written
-    out), j1, j0 and B between its q and its u.  That text is written once
-    per orbit and joined in between the pieces around it: one record's
-    tail with the next one's head, both from the frame."""
-    records = admissible_reports(pol)
-    if not records:
-        return "[]"
-    analysis = pol.analysis
+def _hesselink_texts(records: RecordRuns, analysis, frame: _JsonFrame):
+    """The orbit's "hesselink" array in pieces of about ``_PIECE`` characters
+    (or one record).  Each record repeats J (its runs written out), j1, j0
+    and B between its q and its u, a text made once per orbit."""
     J, B = (*chain.from_iterable(analysis.J),), analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
     shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
-    in_image, off_image, between = frame.in_image, frame.off_image, frame.between
-    pieces = [frame.first_record + str(records[0].q)]
-    pieces += [
-        f"{r.u}{in_image}{r.N_P}{between}{nxt.q}" if r.in_image
-        else f"{r.u}{off_image}{between}{nxt.q}"
-        for r, nxt in zip(records, records[1:])
-    ]
-    last = records[-1]
-    tail = f"{last.u}{in_image}{last.N_P}" if last.in_image else f"{last.u}{off_image}"
-    pieces.append(tail + frame.last_record)
-    return shared.join(pieces)
+    head, per_piece, separator = frame.record_head, max(1, _PIECE // (len(shared) + 128)), "["
+    witnesses = iter(records.witnesses)
+    for qs, us, in_image in records.runs:
+        # the text after each record's u; in the image it holds the record's N_P
+        ends = [frame.in_image % w.N_P for w in islice(witnesses, len(qs))] if in_image else None
+        for done in range(0, len(qs), per_piece):
+            piece = slice(done, done + per_piece)
+            rows = zip(qs[piece], us[piece], ends[piece] if in_image else repeat(frame.off_image))
+            yield separator + ",".join([f"{head}{q}{shared}{u}{end}" for q, u, end in rows])
+            separator = ","
+    yield frame.records_end
 
 
+_PIECE = 1 << 16
+MAX_JSON_BYTES = 1 << 28  # the longest JSON report written; a longer one exits 2
 _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
 
@@ -196,12 +212,11 @@ class _JsonFrame:
         self.extension = f'{{{i3}"kernel_exponent": %d{i2}}}'
         self.q_witness = f'{{{i3}"q": %d{i2}}}'
         self.pair_witness = f'{{{i3}"pair_position": %d{i2}}}'
-        head = f'{{{i3}"q": '
         self.shared = f',{i3}"J": %s,{i3}"j1": %s,{i3}"j0": %d,{i3}"B": %s,{i3}"u": "'
-        self.first_record, self.last_record = f"[{i2}{head}", f"{i2}}}{i1}]"
-        self.in_image = f'",{i3}"in_image": true,{i3}"N_P": '
-        self.off_image = f'",{i3}"in_image": false,{i3}"N_P": null'
-        self.between = f"{i2}}},{i2}{head}"  # closes one record and opens the next, up to its q
+        self.record_head = f'{i2}{{{i3}"q": '  # a record: head, q, shared text, u, end
+        self.in_image = f'",{i3}"in_image": true,{i3}"N_P": %d{i2}}}'
+        self.off_image = f'",{i3}"in_image": false,{i3}"N_P": null{i2}}}'
+        self.records_end = f"{i1}]"
         # the algebra's names come from the package's own tables, so hold no "%"
         self.head = (
             f'{{{i1}"algebra": {_str(lie_type.name)}'

@@ -7,11 +7,12 @@ reference JSON layout of one report, built as a dict for ``json.dumps``;
 ``reference_analysis`` is the Hesselink analysis and ``reference_closed_form``
 the closed-form witness, each taken one position at a time;
 ``marked_positions`` expands an analysis's J, held as runs, to compare
-with them.
+with them.  ``json_text`` is the text ``report_json`` writes for a report.
 """
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from itertools import chain
 
@@ -22,7 +23,15 @@ from orbitres import Family, LieType, enumerate_orbits, validate_orbit
 from orbitres.errors import OrbitresError
 from orbitres.hesselink import admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
+from orbitres.report import report_json
 from orbitres.resolution import ResolutionWitness
+
+def json_text(report, **frame) -> str:
+    """What ``report_json`` writes for the report, as one string."""
+    out = io.StringIO()
+    report_json(report, out, **frame)
+    return out.getvalue()
+
 
 ALL_FAMILIES = (Family.SL, Family.SP, Family.SO_ODD, Family.SO_EVEN)
 BCD_FAMILIES = (Family.SP, Family.SO_ODD, Family.SO_EVEN)

@@ -76,6 +76,18 @@ EXIT_CONTRACT = [
     (("atlas", "sl31", "--format", "csv"), None, 2, "",
      "error: m = 31 exceeds the enumeration cap ORBITRES_MAX_M = 30; "
      "raise the environment variable to allow larger sweeps\n"),
+    # a JSON report longer than report.MAX_JSON_BYTES is refused before its
+    # first byte, from O(k) facts: a 10^12-entry "s" map, 5 * 10^6 records,
+    # a 10^8-entry "partition" array
+    (("report", "sl1000000000000", "1000000000000", "--format", "json"), None, 2, "",
+     "error: the JSON report of sl1000000000000 [1000000000000] takes at least "
+     "13000000000006 bytes, over its limit of 268435456; the text report has no limit\n"),
+    (("report", "so10000001", "10000001", "--format", "json"), None, 2, "",
+     "error: the JSON report of so10000001 [10000001] takes at least "
+     "630000119 bytes, over its limit of 268435456; the text report has no limit\n"),
+    (("report", "sl100000000", "1^100000000", "--format", "json"), None, 2, "",
+     "error: the JSON report of sl100000000 [1^100000000] takes at least "
+     "600000013 bytes, over its limit of 268435456; the text report has no limit\n"),
     # --export prints whole tables, so a LABEL with it is refused, not dropped
     (("exceptional", "E6", "A3", "--export"), None, 2, "",
      "error: --export takes no LABEL, got 'A3': give ALGEBRA alone\n"),
@@ -229,6 +241,24 @@ class TestReport:
 
         monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(off_by_one))
         code, out, err = run(capsys, "report", "so7", "3,2,2")
+        assert code == 4
+        assert out == ""
+        assert "internal error, this is a bug: degree exponent" in err
+
+    @pytest.mark.parametrize("partition", [
+        "3,2,2",  # polarizable: its witness trips the guard while the report is built
+        "2^2,1^3",  # no witness: the guard on the records' runs trips, before the first byte
+    ])
+    def test_non_integral_exponent_in_json_is_an_internal_error(self, capsys, monkeypatch,
+                                                                partition):
+        original = HesselinkAnalysis.of.__func__
+
+        def off_by_one(cls, orbit):
+            analysis = original(cls, orbit)
+            return analysis._replace(n_odd=analysis.n_odd + 1)
+
+        monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(off_by_one))
+        code, out, err = run(capsys, "report", "so7", partition, "--format", "json")
         assert code == 4
         assert out == ""
         assert "internal error, this is a bug: degree exponent" in err

@@ -14,6 +14,7 @@ import orbitres.hesselink as hesselink_module
 from common import (
     bcd_orbits,
     bcd_orbits_up_to,
+    json_text,
     many_parts_orbits,
     marked_positions,
     reference_analysis,
@@ -34,7 +35,7 @@ from orbitres import (
 from orbitres.cli import _selfcheck_lie_types, main, run_selfcheck
 from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.hesselink import HesselinkReport
-from orbitres.report import report_json, report_text
+from orbitres.report import report_text
 from orbitres.resolution import closed_form_verdict
 
 SP6 = LieType(Family.SP, 6)
@@ -213,6 +214,13 @@ class TestIntegralityGuard:
                 with pytest.raises(InternalInvariantError, match="is not an integer"):
                     guarded_record(corrupted, q)
 
+    def test_record_runs_check_integrality_once(self):
+        """2u has the parity of n_odd - m at every admissible q, so the runs
+        check it once, with no q listed."""
+        for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "2,2,1,1,1")):
+            with pytest.raises(InternalInvariantError, match="is not an integer for any admissible q"):
+                a._replace(n_odd=a.n_odd + 1).record_runs()
+
     def test_negative_exponent_raises(self):
         # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
         corrupted = analysis(SO8, "5,3")._replace(j0=9)
@@ -291,7 +299,7 @@ class TestReports:
 
     def test_json_sentinels(self):
         report = build_report(validate_orbit(SO7, d("3,2,2")))
-        records = json.loads(report_json(report))["hesselink"]
+        records = json.loads(json_text(report))["hesselink"]
         payload = next(record for record in records if record["q"] == 1)
         assert payload["j1"] == "-inf"
         assert payload["j0"] == 2
@@ -488,6 +496,39 @@ class TestRuns:
             tracemalloc.stop()
         assert str(orbit) in text
         assert peak < 1_000_000
+
+    def test_record_runs_hold_the_per_q_records(self):
+        """The runs, with the witnesses, are the per-q records: in order, as
+        many, each run q stepping by 2 and u by one, and a run in the image
+        exactly where its records are witnesses."""
+        for orbit in bcd_orbits_to_30():
+            pol = polarizable(orbit)
+            expected = admissible_reports(pol)
+            records = admissible_reports(pol, runs=True)
+            assert (len(records), tuple(records)) == (len(expected), expected), orbit
+            sign = 1 if pol.analysis.epsilon else -1
+            for qs, us, in_image in records.runs:
+                assert qs and len(qs) == len(us) and qs.step == 2 and us.step == sign, orbit
+            image = [q for qs, _, in_image in records.runs if in_image for q in qs]
+            assert image == [w.q for w in pol.witnesses], orbit
+
+    @given(many_parts_orbits())
+    @settings(max_examples=200, deadline=None)
+    def test_record_runs_hold_the_per_q_records_on_many_parts(self, orbit):
+        pol = polarizable(orbit)
+        assert tuple(admissible_reports(pol, runs=True)) == admissible_reports(pol)
+
+    @pytest.mark.parametrize("partition", [(2_000_000,), (1_000_000, 1_000_000)], ids=str)
+    def test_record_runs_list_no_admissible_q(self, monkeypatch, partition):
+        """sp_2000000 has 1000001 admissible q; its records are a few runs."""
+        def refuse(self):
+            raise AssertionError("admissible_qs listed")
+
+        monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
+        records = admissible_reports(polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition)),
+                                     runs=True)
+        assert len(records) == 1_000_001
+        assert len(records.runs) <= 3
 
     def test_witnesses_are_the_image_interval(self):
         for orbit in bcd_orbits_to_30():

@@ -100,6 +100,18 @@ def test_hesselink_reads_neither_resolution_nor_report():
     assert not read & {"resolution", "report"}
 
 
+def test_report_never_reads_the_odd_part_count():
+    """The degree exponent u is half of +-(n_odd - q), computed in
+    hesselink.py alone: report.py names no ``n_odd``, as an attribute, a
+    name or a string."""
+    named = {
+        getattr(node, key, None)
+        for node in ast.walk(tree("report"))
+        for key in ("attr", "id", "value", "arg")
+    }
+    assert "n_odd" not in named
+
+
 def test_closed_form_reads_nothing_from_hesselink():
     """The closed-form functions, and every module function they reach,
     name nothing that resolution.py imports from the Hesselink module."""

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given
 
-from common import bcd_orbits, valid_orbits
+from common import bcd_orbits, json_text, valid_orbits
 from orbitres import Family, LieType, build_report, enumerate_orbits, picard, validate_orbit
 from orbitres.errors import InternalInvariantError
 from orbitres.orbits import VeryEvenLabel
@@ -17,7 +17,6 @@ from orbitres.picard import (
     is_factorial,
     q_factorial_certificate,
 )
-from orbitres.report import report_json
 
 SL3 = LieType(Family.SL, 3)
 SP6 = LieType(Family.SP, 6)
@@ -59,7 +58,7 @@ class TestDescriptor:
         report = build_report(validate_orbit(SO7, (3, 2, 2)))
 
         def picard_json(group):
-            return json.loads(report_json(report._replace(picard=group)))["picard"]
+            return json.loads(json_text(report._replace(picard=group)))["picard"]
 
         d = AbelianGroupDescriptor(free_rank=1, torsion=(2,))
         assert picard_json(d) == {

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 
-from common import expected_report_dict, orbits_up_to
+from common import bcd_orbits_up_to, expected_report_dict, json_text, orbits_up_to
 import orbitres.cli as cli
 import orbitres.orbits as orbits
 import orbitres.report as report_module
@@ -21,9 +24,10 @@ from orbitres import (
     parse_partition,
     validate_orbit,
 )
-from orbitres.hesselink import HesselinkAnalysis
+from orbitres.errors import OrbitresError
+from orbitres.hesselink import HesselinkAnalysis, RecordRuns, admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
-from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_json, report_text
+from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_text
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -51,7 +55,7 @@ def test_profile_computed_once_per_report(monkeypatch):
         for orbit in enumerate_orbits(LieType(family, m)):
             calls.clear()
             report = build_report(orbit)
-            report_json(report)
+            json_text(report)
             report_text(report)
             report_module._atlas_row(report)
             assert calls == [orbit]
@@ -98,7 +102,7 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
             report_module._atlas_row(report)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
     assert reads == []
-    report_json(report)
+    json_text(report)
     assert reads == [report.orbit.partition]
 
 
@@ -106,9 +110,10 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
     "lie_type", [LieType(Family.SP, 8), LieType(Family.SO_ODD, 9), LieType(Family.SO_EVEN, 8)]
 )
 def test_records_built_only_where_rendered(monkeypatch, lie_type):
-    """A report and its text and table renderings build one Hesselink record
-    per witness; the JSON rendering builds one more per admissible q.  Every
-    record is built by HesselinkAnalysis._record."""
+    """A report and its text, table and JSON renderings build one Hesselink
+    record per witness, by HesselinkAnalysis._record, and no other: the
+    JSON writes the other admissible q from their runs, and the records it
+    writes are those ``admissible_reports`` builds one q at a time."""
     built = []
     original = HesselinkAnalysis._record
 
@@ -117,6 +122,9 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
         built.append(record)
         return record
 
+    def refuse(self):
+        raise AssertionError("records built from their runs")
+
     monkeypatch.setattr(HesselinkAnalysis, "_record", counted)
     for orbit in enumerate_orbits(lie_type):
         built.clear()
@@ -124,17 +132,19 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
         report_text(report)
         atlas_markdown([report], "atlas", io.StringIO())
         atlas_csv([report], io.StringIO())
+        with monkeypatch.context() as patch:
+            patch.setattr(RecordRuns, "__iter__", refuse)
+            written = json.loads(json_text(report))["hesselink"]
         pol = report.resolution.polarizability
         assert built == list(pol.witnesses), orbit
-        built.clear()
-        report_json(report)
-        assert [record.q for record in built] == pol.analysis.admissible_qs(), orbit
+        expected = [(r.q, str(r.u), r.in_image, r.N_P) for r in admissible_reports(pol)]
+        assert [(r["q"], r["u"], r["in_image"], r["N_P"]) for r in written] == expected, orbit
 
 
 def atlas_item(report) -> str:
     """The report's JSON text as an item of an atlas array, through the
     frame ``atlas_json`` builds for its algebra."""
-    return report_json(report, frame=report_module._JsonFrame(report.orbit.lie_type, "\n  "))
+    return json_text(report, frame=report_module._JsonFrame(report.orbit.lie_type, "\n  "))
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +154,7 @@ def test_json_text_is_json_dumps(orbit):
     on its own and as an item of an atlas array."""
     report = build_report(orbit)
     expected = expected_report_dict(report)
-    assert report_json(report) == json.dumps(expected, indent=2)
+    assert json_text(report) == json.dumps(expected, indent=2)
     assert "[\n  " + atlas_item(report) + "\n]" == json.dumps([expected], indent=2)
 
 
@@ -159,7 +169,66 @@ def test_json_text_fixed_cases(obj):
     algebra, partition, label = obj
     orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition), label)
     report = build_report(orbit)
-    assert report_json(report) == json.dumps(expected_report_dict(report), indent=2)
+    assert json_text(report) == json.dumps(expected_report_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sp512", "1^512"), ("so512", "1^512"), ("so513", "1^513"),  # the zero orbits
+    ("sp512", "2^64,1^384"), ("so512", "2^64,1^384"), ("so513", "2^64,1^385"),
+    ("so513", "453,24^2,6^2"), ("sp256", "101^2,54"),  # few parts
+    ("so512", "256^2", "--label", "I"), ("so512", "256^2", "--label", "II"),
+], ids=" ".join)
+def test_cli_json_is_json_dumps_at_benchmark_sizes(capsys, argv):
+    """At the sizes the benchmark asks for, where the records span several
+    runs and a [1^m] writes its records in many pieces, the CLI's JSON is
+    the json.dumps text of the reference dict and a newline."""
+    algebra, partition, *label = argv
+    assert cli.main(["report", algebra, partition, "--format", "json", *label]) == 0
+    lie_type = parse_algebra(algebra)
+    label = VeryEvenLabel(label[1]) if label else None
+    report = build_report(validate_orbit(lie_type, parse_partition(partition, lie_type.m), label))
+    assert capsys.readouterr().out == json.dumps(expected_report_dict(report), indent=2) + "\n"
+
+
+def test_json_report_is_written_in_bounded_memory(monkeypatch):
+    """sp2000 [1^2000] writes 27 MB of JSON, 1001 records each repeating a
+    J of 2000 entries, in pieces: rendering it peaks under 2 MB."""
+    with open(os.devnull, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            code = cli.main(["report", "sp2000", "1^2000", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 << 20, peak
+
+
+def test_size_bound_is_below_the_text(monkeypatch):
+    """The size a JSON report is refused by, read off O(k) facts, never
+    exceeds its text, alone or in an atlas: with the limit at 0 every report
+    is refused, naming that size.  The two largest reports the limit lets
+    through pass it."""
+    texts = {}
+    sl = (o for m in range(1, 10) for o in enumerate_orbits(LieType(Family.SL, m)))
+    large = (validate_orbit(parse_algebra(algebra), parse_partition(partition))
+             for algebra, partition in (("sl2000", "1^2000"), ("sl2000", "2000"), ("sp2000", "1^2000")))
+    for orbit in chain(sl, bcd_orbits_up_to(14), large):  # large: N, d_1 or J sets the size
+        report = build_report(orbit)
+        texts[orbit] = (report, min(len(json_text(report)), len(atlas_item(report))))
+    for algebra, partition, size in (("sp4000", "1^4000", 110_198_252),
+                                     ("sp2000000", "2000000", 217_223_306)):
+        orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition))
+        texts[orbit] = (build_report(orbit), min(size, report_module.MAX_JSON_BYTES))
+    monkeypatch.setattr(report_module, "MAX_JSON_BYTES", 0)
+    for orbit, (report, size) in texts.items():
+        with pytest.raises(OrbitresError) as refused:
+            json_text(report)
+        floor = re.fullmatch(rf"the JSON report of {re.escape(str(orbit))} takes at least (\d+) "
+                             r"bytes, over its limit of 0; the text report has no limit",
+                             str(refused.value))
+        assert 0 < int(floor.group(1)) <= size, orbit
 
 
 def test_atlas_json_is_json_dumps_written_as_it_goes():
@@ -235,7 +304,7 @@ def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):
     assert rendered == reports
     assert frames == [lie_type]
     frames.clear()
-    report_module.report_json(reports[0])
+    report_module.report_json(reports[0], io.StringIO())
     assert frames == [lie_type]
 
 

@@ -5,7 +5,13 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from common import bcd_orbits_up_to, many_parts_orbits, reference_closed_form, valid_orbits
+from common import (
+    bcd_orbits_up_to,
+    json_text,
+    many_parts_orbits,
+    reference_closed_form,
+    valid_orbits,
+)
 import orbitres.resolution as resolution_module
 from orbitres import (
     Family,
@@ -23,7 +29,7 @@ from orbitres.exceptional import (
     exceptional_records,
     lookup_exceptional,
 )
-from orbitres.report import exceptional_json, report_json
+from orbitres.report import exceptional_json
 from orbitres.resolution import ResolutionWitness, Route, closed_form_verdict
 
 SL9 = LieType(Family.SL, 9)
@@ -161,7 +167,7 @@ class TestDispatcher:
 
     def test_verdict_json(self):
         report = build_report(validate_orbit(SO7, (3, 2, 2)))
-        payload = json.loads(report_json(report))["resolution"]
+        payload = json.loads(json_text(report))["resolution"]
         assert payload == {
             "answer": "yes",
             "route": "closed_form",
@@ -180,7 +186,7 @@ class TestWitness:
 
         def witness_json(witness):
             verdict = report.resolution._replace(witness=witness)
-            text = report_json(report._replace(resolution=verdict))
+            text = json_text(report._replace(resolution=verdict))
             return json.loads(text)["resolution"]["witness"]
 
         assert witness_json(ResolutionWitness(q=0)) == {"q": 0}

@@ -14,8 +14,7 @@ disagree, a degree exponent is not a non-negative integer, or a computed
 value fails its type's gate).  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
-An orbit's JSON is the text ``report.report_json`` writes from its report;
-one longer than ``report.MAX_JSON_BYTES`` exits 2 before its first byte.
+An orbit's JSON is the text ``report.report_json`` writes from its report.
 ``atlas`` streams every format as it enumerates, so after an internal error
 (exit 4) stdout may hold a truncated array or table.  The argument parser
 is built once per process and reused by every ``main`` call.

@@ -25,8 +25,8 @@ when the pairing holds, and j0 is at most N+2, so the witnesses of
 per-q record, HesselinkReport (q, the integer u, the image test, N_P), is
 the one q-dependent answer, read off the analysis in constant time.  Records
 come out of ``polarizable`` (the image) and ``admissible_reports`` (every
-admissible q), or, for the JSON report, as at most four runs of (q, u)
-with the witnesses (``record_runs``), since u moves by one per step.
+admissible q, for the JSON report), which holds them as at most four runs
+of (q, u), since u moves by one per step (``record_runs``).
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -41,6 +41,7 @@ valid partition.  It drives every set definition below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import islice, repeat
 
@@ -149,8 +150,8 @@ class HesselinkAnalysis(
         return [q for qs in self._admissible(self.j1 or 0, self.j0) for q in qs]
 
     def record_runs(self) -> list[tuple[range, range, bool]]:
-        """Every admissible q as runs (qs, us, in_image), ascending, broken at
-        the image bounds and the so gap at q = 2.  2u = +-(n_odd - q) has the
+        """Every admissible q as runs (qs, us, in_image), ascending: the ranges
+        of ``_admissible`` cut at the image bounds.  2u = +-(n_odd - q) has the
         parity of n_odd - m at every q, so its guard runs here once."""
         if (self.n_odd - self.m) % 2:
             raise InternalInvariantError(f"degree exponent +-({self.n_odd} - q)/2 is not an integer"
@@ -159,10 +160,12 @@ class HesselinkAnalysis(
         low = (self.j1 or 0) if self.pairing_ok else 0
         high = max(low, self.j0) if self.pairing_ok else 0  # no image when the pairing fails
         runs = []
-        for start, stop, in_image in ((0, low, False), (low, high, True), (high, self.m + 1, False)):
-            for qs in filter(None, self._admissible(start, stop)):
-                u = sign * (qs.start - self.n_odd) // 2
-                runs.append((qs, range(u, u + sign * len(qs), sign), in_image))
+        for qs in self._admissible(0, self.m + 1):
+            first, stop = bisect_left(qs, low), bisect_left(qs, high)
+            for part, in_image in ((qs[:first], False), (qs[first:stop], True), (qs[stop:], False)):
+                if part:
+                    u = sign * (part.start - self.n_odd) // 2
+                    runs.append((part, range(u, u + sign * len(part), sign), in_image))
         return runs
 
     def _record(self, q: int, in_image: bool) -> HesselinkReport:
@@ -238,23 +241,19 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
     return any(w.N_P == 1 for w in pol.witnesses)
 
 
-def admissible_reports(pol: PolarizabilityResult, *, runs: bool = False):
-    """Reports for every admissible q in 0..m, each built by ``_record``, or
-    with ``runs`` held as a ``RecordRuns``; empty for sl orbits."""
+def admissible_reports(pol: PolarizabilityResult):
+    """The reports of every admissible q in 0..m, held as their runs (a
+    ``RecordRuns``); empty for sl orbits."""
     analysis = pol.analysis
     if analysis is None:
         return ()
-    if runs:
-        return RecordRuns(analysis.record_runs(), pol.witnesses)
-    image = set(analysis._image())
-    record = analysis._record
-    return tuple([record(q, q in image) for q in analysis.admissible_qs()])
+    return RecordRuns(analysis.record_runs(), pol.witnesses)
 
 
 class RecordRuns:
-    """The reports of every admissible q as runs, the witnesses those of the
-    runs in the image: iterating builds the reports ``admissible_reports``
-    builds, and the length is their number."""
+    """The reports of every admissible q as ``record_runs`` and the
+    witnesses, those of the runs in the image: iterating yields the reports
+    ascending, the witnesses among them, and the length is their number."""
 
     __slots__ = ("runs", "witnesses")
 

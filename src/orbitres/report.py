@@ -5,17 +5,16 @@ Picard group, the Q-factoriality certificate read off it, factoriality,
 and the cross-checked resolution verdict with the polarizability it
 checked.  The renderings read the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
-layout of the CLI is written here alone.  ``report_json`` writes an
-orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, to a text
-stream by filling the ``%`` templates of its algebra from the report, and
-alone builds the dual partition and the expanded parts; it writes the
-per-q Hesselink records from their runs, in pieces, holding no whole text.
-The text that does not depend on the orbit is written once per algebra:
-``atlas_json`` uses one frame (``_JsonFrame``) for all of an atlas's
-orbits, a lone ``report_json`` builds its own, and nothing is kept across
-calls.  Each atlas writer writes an orbit as its iterable of reports yields
-it.  ``exceptional_json`` gives the exceptional table as dicts for
-``json.dumps``.
+layout of the CLI is written here alone.  ``report_json`` streams an
+orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
+the ``%`` templates of its algebra from the report and writing the per-q
+Hesselink records from their runs; it alone builds the dual partition and
+the expanded parts.  The text that does not depend on the orbit is written
+once per algebra: ``atlas_json`` uses one frame (``_JsonFrame``) for all
+of an atlas's orbits, a lone ``report_json`` builds its own, and nothing
+is kept across calls.  Each atlas writer writes an orbit as its iterable
+of reports yields it.  ``exceptional_json`` gives the exceptional table as
+dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -70,14 +69,17 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
     orbit = report.orbit
     verdict = report.resolution
     pol = verdict.polarizability
-    records = admissible_reports(pol, runs=True)
+    records = admissible_reports(pol)
     analysis = pol.analysis
     partition = orbit.partition
     runs = partition.counts
-    marked = 0 if analysis is None else sum(map(len, analysis.J))
-    # a lower bound on the text from O(k) facts: each part, dual entry and position in each
-    # record's J takes its indentation and a digit, and each record's other keys 100 characters
-    floor = 6 * sum(runs.values()) + 13 * next(iter(runs)) + len(records) * (100 + 10 * marked)
+    d1 = next(iter(runs))
+    width = len(str(d1))  # the "s" keys 1..d1 have width * (d1 + 1) - (10 ** width - 1) // 9 digits
+    listed = 0 if analysis is None else sum(map(len, analysis.J)) + len(analysis.B)
+    # a lower bound on the text from O(k) facts: a part takes 6 characters, an "s" entry 12 and
+    # its key's digits, a record 100 and 10 more for each position in its J and B
+    floor = (6 * sum(runs.values()) + 12 * d1 + width * (d1 + 1) - (10 ** width - 1) // 9
+             + len(records) * (100 + 10 * listed))
     if floor > MAX_JSON_BYTES:
         raise OrbitresError(f"the JSON report of {orbit} takes at least {floor} bytes, over "
                             f"its limit of {MAX_JSON_BYTES}; the text report has no limit")
@@ -113,7 +115,7 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
     )
     tail = frame.tail % (_str(verdict.answer.value), _str(verdict.route.value), witness_text,
                          _LITERAL[verdict.cross_checked])
-    # joined until they pass _PIECE characters, so a small report takes one write
+    # joined until they pass _PIECE characters: a small report takes one write
     pieces, size = [head], 0
     for text in _hesselink_texts(records, analysis, frame) if records else ("[]",):
         pieces.append(text)
@@ -143,27 +145,26 @@ def atlas_json(reports, out) -> None:
 
 
 def _hesselink_texts(records: RecordRuns, analysis, frame: _JsonFrame):
-    """The orbit's "hesselink" array in pieces of about ``_PIECE`` characters
-    (or one record).  Each record repeats J (its runs written out), j1, j0
-    and B between its q and its u, a text made once per orbit."""
+    """The orbit's "hesselink" array, one record at a time.  Each record
+    repeats J (its runs written out), j1, j0 and B between its q and its u,
+    a text made once per orbit."""
     J, B = (*chain.from_iterable(analysis.J),), analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
     shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
-    head, per_piece, separator = frame.record_head, max(1, _PIECE // (len(shared) + 128)), "["
+    head, separator = frame.record_head, "["
     witnesses = iter(records.witnesses)
     for qs, us, in_image in records.runs:
         # the text after each record's u; in the image it holds the record's N_P
-        ends = [frame.in_image % w.N_P for w in islice(witnesses, len(qs))] if in_image else None
-        for done in range(0, len(qs), per_piece):
-            piece = slice(done, done + per_piece)
-            rows = zip(qs[piece], us[piece], ends[piece] if in_image else repeat(frame.off_image))
-            yield separator + ",".join([f"{head}{q}{shared}{u}{end}" for q, u, end in rows])
+        ends = ([frame.in_image % w.N_P for w in islice(witnesses, len(qs))] if in_image
+                else repeat(frame.off_image))
+        for q, u, end in zip(qs, us, ends):
+            yield f"{separator}{head}{q}{shared}{u}{end}"
             separator = ","
     yield frame.records_end
 
 
 _PIECE = 1 << 16
-MAX_JSON_BYTES = 1 << 28  # the longest JSON report written; a longer one exits 2
+MAX_JSON_BYTES = 1 << 28  # a JSON report whose lower bound in report_json passes it exits 2
 _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
 

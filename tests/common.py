@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from orbitres import Family, LieType, enumerate_orbits, validate_orbit
 from orbitres.errors import OrbitresError
-from orbitres.hesselink import admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
 from orbitres.report import report_json
 from orbitres.resolution import ResolutionWitness
@@ -169,6 +168,17 @@ def reference_analysis(orbit) -> dict:
     }
 
 
+def reference_reports(pol) -> tuple:
+    """The per-q records of every admissible q, each built on its own by
+    HesselinkAnalysis._record with its image test: the reference that
+    ``admissible_reports`` and the JSON report are held to.  Empty for sl."""
+    analysis = pol.analysis
+    if analysis is None:
+        return ()
+    image = set(analysis._image())
+    return tuple(analysis._record(q, q in image) for q in analysis.admissible_qs())
+
+
 def reference_closed_form(orbit) -> ResolutionWitness | None:
     """The clause of the sp/so closed form that holds, as the resolution
     module's docstring states it, from the positions of the odd parts:
@@ -297,5 +307,5 @@ def _expected_hesselink(pol) -> list[dict]:
             "in_image": record.in_image,
             "N_P": record.N_P,
         }
-        for record in admissible_reports(pol)
+        for record in reference_reports(pol)
     ]

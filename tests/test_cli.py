@@ -77,14 +77,17 @@ EXIT_CONTRACT = [
      "error: m = 31 exceeds the enumeration cap ORBITRES_MAX_M = 30; "
      "raise the environment variable to allow larger sweeps\n"),
     # a JSON report longer than report.MAX_JSON_BYTES is refused before its
-    # first byte, from O(k) facts: a 10^12-entry "s" map, 5 * 10^6 records,
-    # a 10^8-entry "partition" array
+    # first byte, from O(k) facts: a 10^12-entry and a 2 * 10^7-entry "s" map
+    # (its keys' digits counted), 5 * 10^6 records, a 10^8-entry "partition" array
     (("report", "sl1000000000000", "1000000000000", "--format", "json"), None, 2, "",
      "error: the JSON report of sl1000000000000 [1000000000000] takes at least "
-     "13000000000006 bytes, over its limit of 268435456; the text report has no limit\n"),
+     "23888888888908 bytes, over its limit of 268435456; the text report has no limit\n"),
+    (("report", "sl20000000", "20000000", "--format", "json"), None, 2, "",
+     "error: the JSON report of sl20000000 [20000000] takes at least "
+     "388888903 bytes, over its limit of 268435456; the text report has no limit\n"),
     (("report", "so10000001", "10000001", "--format", "json"), None, 2, "",
      "error: the JSON report of so10000001 [10000001] takes at least "
-     "630000119 bytes, over its limit of 268435456; the text report has no limit\n"),
+     "738889033 bytes, over its limit of 268435456; the text report has no limit\n"),
     (("report", "sl100000000", "1^100000000", "--format", "json"), None, 2, "",
      "error: the JSON report of sl100000000 [1^100000000] takes at least "
      "600000013 bytes, over its limit of 268435456; the text report has no limit\n"),

@@ -18,6 +18,7 @@ from common import (
     many_parts_orbits,
     marked_positions,
     reference_analysis,
+    reference_reports,
 )
 from orbitres import (
     Family,
@@ -418,7 +419,8 @@ class TestAnalysis:
 
     def test_polarizable_examines_only_its_image(self, monkeypatch):
         """polarizable builds a record for each q in its image and for no
-        other q; the per-q records still come one per admissible q."""
+        other q; the records of every admissible q come from the runs and
+        the witnesses, with no record built one q at a time."""
         built = []
         original = HesselinkAnalysis._record
 
@@ -434,9 +436,9 @@ class TestAnalysis:
             image = image_by_definition(pol.analysis)
             assert built == [(q, True) for q in image], orbit
             built.clear()
-            records = admissible_reports(pol)
-            assert [q for q, _ in built] == pol.analysis.admissible_qs(), orbit
-            assert built == [(r.q, r.in_image) for r in records], orbit
+            records = (*admissible_reports(pol),)
+            assert built == [], orbit
+            assert records == reference_reports(pol), orbit
             in_image += len(image)
         assert in_image > 100
 
@@ -503,8 +505,8 @@ class TestRuns:
         exactly where its records are witnesses."""
         for orbit in bcd_orbits_to_30():
             pol = polarizable(orbit)
-            expected = admissible_reports(pol)
-            records = admissible_reports(pol, runs=True)
+            expected = reference_reports(pol)
+            records = admissible_reports(pol)
             assert (len(records), tuple(records)) == (len(expected), expected), orbit
             sign = 1 if pol.analysis.epsilon else -1
             for qs, us, in_image in records.runs:
@@ -516,7 +518,7 @@ class TestRuns:
     @settings(max_examples=200, deadline=None)
     def test_record_runs_hold_the_per_q_records_on_many_parts(self, orbit):
         pol = polarizable(orbit)
-        assert tuple(admissible_reports(pol, runs=True)) == admissible_reports(pol)
+        assert tuple(admissible_reports(pol)) == reference_reports(pol)
 
     @pytest.mark.parametrize("partition", [(2_000_000,), (1_000_000, 1_000_000)], ids=str)
     def test_record_runs_list_no_admissible_q(self, monkeypatch, partition):
@@ -525,8 +527,7 @@ class TestRuns:
             raise AssertionError("admissible_qs listed")
 
         monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
-        records = admissible_reports(polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition)),
-                                     runs=True)
+        records = admissible_reports(polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition)))
         assert len(records) == 1_000_001
         assert len(records.runs) <= 3
 
@@ -537,7 +538,7 @@ class TestRuns:
 
     def test_witnesses_and_text_list_no_admissible_q(self, monkeypatch, capsys):
         """The witnesses and the text report of sp_2000000 [1000000^2] come
-        from the image interval alone; only the JSON lists every q."""
+        from the image interval alone; only the JSON writes every q, from its runs."""
 
         def refuse(self):
             raise AssertionError("admissible_qs listed")

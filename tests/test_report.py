@@ -113,7 +113,7 @@ def test_records_built_only_where_rendered(monkeypatch, lie_type):
     """A report and its text, table and JSON renderings build one Hesselink
     record per witness, by HesselinkAnalysis._record, and no other: the
     JSON writes the other admissible q from their runs, and the records it
-    writes are those ``admissible_reports`` builds one q at a time."""
+    writes are those ``admissible_reports`` yields."""
     built = []
     original = HesselinkAnalysis._record
 

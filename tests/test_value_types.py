@@ -28,7 +28,7 @@ VALUES = {
     "ClassicalOrbit": (ORBIT, "partition"),
     "PartitionProfile": (ORBIT.profile, "k"),
     "HesselinkAnalysis": (ANALYSIS, "j0"),
-    "HesselinkReport": (admissible_reports(polarizable(ORBIT))[-1], "q"),
+    "HesselinkReport": ([*admissible_reports(polarizable(ORBIT))][-1], "q"),
     "PolarizabilityResult": (polarizable(ORBIT), "witnesses"),
     "UnresolvedExtension": (UnresolvedExtension(1), "kernel_exponent"),
     "AbelianGroupDescriptor": (AbelianGroupDescriptor(free_rank=1, torsion=(2, 4)), "torsion"),

@@ -128,8 +128,9 @@ def run_selfcheck(max_m: int, out=None) -> int:
     as InternalInvariantError inside the dispatcher otherwise), even
     orbits are resolvable, resolvable orbits are polarizable, for non-zero
     sp/so orbits factoriality coincides with Picard triviality, and l = 0
-    forces Picard free rank 0.  The degree-exponent integrality guard is active
-    throughout because every in-image degree is actually computed.
+    forces Picard free rank 0.  The degree-exponent guards are active
+    throughout: ``polarizable`` checks 2u even on each run of q in the image
+    and the exponent non-negative on each witness.
 
     Returns the number of failures; prints one line per check, "ok" or
     "FAILED (k of N)", then one line per failure.

@@ -49,9 +49,8 @@ EXCEPTIONAL_TABLE: tuple[ExceptionalRecord, ...] = (
 
 NOT_IN_DATABASE_GUIDANCE = (
     "the embedded table lists only the non-even Richardson orbits whose status is settled "
-    "or explicitly open; any even orbit admits a resolution through the Springer collapsing "
-    "of T*(G/P), but checking evenness or Richardson-ness of other labels needs external "
-    "orbit tables"
+    "or explicitly open, and does not cover this label; any even orbit admits a resolution "
+    "through the Springer collapsing of T*(G/P)"
 )
 
 

@@ -23,10 +23,11 @@ range of positions per run.  The image is the admissible q in [j1, j0)
 when the pairing holds, and j0 is at most N+2, so the witnesses of
 ``polarizable`` are read off that interval, however large m is.  The
 per-q record, HesselinkReport (q, the integer u, the image test, N_P), is
-the one q-dependent answer, read off the analysis in constant time.  Records
-come out of ``polarizable`` (the image) and ``admissible_reports`` (every
-admissible q, for the JSON report), which holds them as at most four runs
-of (q, u), since u moves by one per step (``record_runs``).
+the one q-dependent answer, read off the analysis in constant time.  The
+witnesses of ``polarizable`` are the records of the image, each built once;
+``admissible_reports`` (every admissible q, for the JSON report) holds them
+between the runs of (q, u) off the image, below and above it, since u moves
+by one per step.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -41,9 +42,8 @@ valid partition.  It drives every set definition below.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
-from itertools import islice, repeat
+from itertools import chain, repeat
 
 from .errors import InternalInvariantError, OrbitresError
 from .orbits import ClassicalOrbit, Family
@@ -74,7 +74,7 @@ class HesselinkAnalysis(
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
     beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
     size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
-    Besides ``of``, the public methods are ``admissible_qs`` and ``record_runs``.
+    Besides ``of``, the public method is ``admissible_qs``.
     """
 
     __slots__ = ()
@@ -141,55 +141,34 @@ class HesselinkAnalysis(
             return (qs,)
         return (range(qs.start, 2, 2), range(4, qs.stop, 2))
 
-    def _image(self) -> list[int]:
-        """The admissible q passing the image test of the Spaltenstein map:
-        j1 <= q < j0 (no lower bound when j1 is None) when the parity
-        pairing holds, and none when it fails."""
-        if not self.pairing_ok:
-            return []
-        return [q for qs in self._admissible(self.j1 or 0, self.j0) for q in qs]
+    def _image_bounds(self) -> tuple[int, int]:
+        """The image test as bounds [low, high) on q, low <= high: j1 <= q <
+        j0 (no lower bound when j1 is None) when the parity pairing holds,
+        else empty."""
+        low = self.j1 or 0
+        return (low, max(low, self.j0)) if self.pairing_ok else (0, 0)
 
-    def record_runs(self) -> list[tuple[range, range, bool]]:
-        """Every admissible q as runs (qs, us, in_image), ascending: the ranges
-        of ``_admissible`` cut at the image bounds.  2u = +-(n_odd - q) has the
-        parity of n_odd - m at every q, so its guard runs here once."""
-        if (self.n_odd - self.m) % 2:
-            raise InternalInvariantError(f"degree exponent +-({self.n_odd} - q)/2 is not an integer"
-                                         f" for any admissible q = {self.m} (mod 2)")
+    def _us(self, qs: range) -> range:
+        """The exponents u over a run of admissible q (step 2), one apart:
+        2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2); an
+        odd 2u is a convention bug."""
         sign = 1 if self.epsilon else -1
-        low = (self.j1 or 0) if self.pairing_ok else 0
-        high = max(low, self.j0) if self.pairing_ok else 0  # no image when the pairing fails
-        runs = []
-        for qs in self._admissible(0, self.m + 1):
-            first, stop = bisect_left(qs, low), bisect_left(qs, high)
-            for part, in_image in ((qs[:first], False), (qs[first:stop], True), (qs[stop:], False)):
-                if part:
-                    u = sign * (part.start - self.n_odd) // 2
-                    runs.append((part, range(u, u + sign * len(part), sign), in_image))
-        return runs
-
-    def _record(self, q: int, in_image: bool) -> HesselinkReport:
-        """The record of an admissible q, given the outcome of its image test.
-
-        2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2).  On
-        the image N_P = 2^u, or 2^(u-1) when q = epsilon = 0 and B is not
-        empty, and the padded tail keeps that exponent non-negative.  Either
-        failing is a convention bug, raised as InternalInvariantError."""
-        twice_u = q - self.n_odd if self.epsilon else self.n_odd - q
+        twice_u = sign * (qs.start - self.n_odd)
         if twice_u % 2:
-            raise InternalInvariantError(
-                f"degree exponent {twice_u}/2 is not an integer for q = {q}, "
-                f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
-            )
+            raise InternalInvariantError(f"degree exponent {twice_u}/2 is not an integer for q = "
+                                         f"{qs.start}, epsilon = {self.epsilon}, "
+                                         f"{self.n_odd} odd parts")
         u = twice_u // 2
-        if not in_image:
-            return HesselinkReport(q, u, False, None)
+        return range(u, u + sign * len(qs), sign)
+
+    def _witness(self, q: int, u: int) -> HesselinkReport:
+        """The record of a q in the image: N_P = 2^u, or 2^(u-1) when q =
+        epsilon = 0 and B is not empty.  The padded tail keeps that exponent
+        non-negative; a negative one is a convention bug."""
         exponent = u if q + self.epsilon >= 1 or not self.B else u - 1
         if exponent < 0:
-            raise InternalInvariantError(
-                f"degree exponent {exponent} is negative for q = {q}, "
-                f"epsilon = {self.epsilon}, {self.n_odd} odd parts"
-            )
+            raise InternalInvariantError(f"degree exponent {exponent} is negative for q = {q}, "
+                                         f"epsilon = {self.epsilon}, {self.n_odd} odd parts")
         return HesselinkReport(q, u, True, 2 ** exponent)
 
 
@@ -230,7 +209,9 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     if orbit.lie_type.family is _SL:
         return SL_POLARIZABILITY
     analysis = HesselinkAnalysis.of(orbit)
-    witnesses = tuple([analysis._record(q, True) for q in analysis._image()])
+    low, high = analysis._image_bounds()
+    witnesses = tuple([analysis._witness(q, u) for qs in analysis._admissible(low, high) if qs
+                       for q, u in zip(qs, analysis._us(qs))]) if low < high else ()
     return PolarizabilityResult(witnesses=witnesses, analysis=analysis)
 
 
@@ -242,29 +223,32 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
 
 
 def admissible_reports(pol: PolarizabilityResult):
-    """The reports of every admissible q in 0..m, held as their runs (a
-    ``RecordRuns``); empty for sl orbits."""
+    """The reports of every admissible q in 0..m, held as the runs off the
+    image and the witnesses (a ``RecordRuns``); empty for sl orbits."""
     analysis = pol.analysis
     if analysis is None:
         return ()
-    return RecordRuns(analysis.record_runs(), pol.witnesses)
+    low, high = analysis._image_bounds()
+    below, above = ([(qs, analysis._us(qs)) for qs in analysis._admissible(*bounds) if qs]
+                    for bounds in ((0, low), (high, analysis.m + 1)))
+    return RecordRuns(below, pol.witnesses, above)
 
 
 class RecordRuns:
-    """The reports of every admissible q as ``record_runs`` and the
-    witnesses, those of the runs in the image: iterating yields the reports
-    ascending, the witnesses among them, and the length is their number."""
+    """The reports of every admissible q: the runs ``(qs, us)`` of q below
+    the image and their exponents, the witnesses, and the runs above the
+    image.  Iterating yields the reports ascending, building those off the
+    image, and the length is their number."""
 
-    __slots__ = ("runs", "witnesses")
+    __slots__ = ("below", "witnesses", "above")
 
-    def __init__(self, runs, witnesses):
-        self.runs, self.witnesses = runs, witnesses
+    def __init__(self, below, witnesses, above):
+        self.below, self.witnesses, self.above = below, witnesses, above
 
     def __len__(self) -> int:
-        return sum(len(qs) for qs, _, _ in self.runs)
+        return len(self.witnesses) + sum(len(qs) for qs, _ in self.below + self.above)
 
     def __iter__(self):
-        witnesses = iter(self.witnesses)
-        for qs, us, in_image in self.runs:
-            yield from islice(witnesses, len(qs)) if in_image else map(
-                HesselinkReport, qs, us, repeat(False), repeat(None))
+        below, above = ([map(HesselinkReport, qs, us, repeat(False), repeat(None))
+                         for qs, us in runs] for runs in (self.below, self.above))
+        return chain(*below, self.witnesses, *above)

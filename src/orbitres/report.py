@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import OrbitresError
@@ -152,14 +152,14 @@ def _hesselink_texts(records: RecordRuns, analysis, frame: _JsonFrame):
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
     shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
     head, separator = frame.record_head, "["
-    witnesses = iter(records.witnesses)
-    for qs, us, in_image in records.runs:
-        # the text after each record's u; in the image it holds the record's N_P
-        ends = ([frame.in_image % w.N_P for w in islice(witnesses, len(qs))] if in_image
-                else repeat(frame.off_image))
-        for q, u, end in zip(qs, us, ends):
-            yield f"{separator}{head}{q}{shared}{u}{end}"
-            separator = ","
+    # each record's q, u and the text after u, which in the image holds its N_P
+    off = repeat(frame.off_image)
+    below, above = ([zip(qs, us, off) for qs, us in runs]
+                    for runs in (records.below, records.above))
+    image = ((w.q, w.u, frame.in_image % w.N_P) for w in records.witnesses)
+    for q, u, end in chain(*below, image, *above):
+        yield f"{separator}{head}{q}{shared}{u}{end}"
+        separator = ","
     yield frame.records_end
 
 

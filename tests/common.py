@@ -7,7 +7,9 @@ reference JSON layout of one report, built as a dict for ``json.dumps``;
 ``reference_analysis`` is the Hesselink analysis and ``reference_closed_form``
 the closed-form witness, each taken one position at a time;
 ``marked_positions`` expands an analysis's J, held as runs, to compare
-with them.  ``json_text`` is the text ``report_json`` writes for a report.
+with them.  ``reference_reports`` computes the per-q records one q at a
+time from the analysis fields.  ``json_text`` is the text ``report_json``
+writes for a report.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from orbitres import Family, LieType, enumerate_orbits, validate_orbit
 from orbitres.errors import OrbitresError
+from orbitres.hesselink import HesselinkReport
 from orbitres.orbits import Partition, VeryEvenLabel
 from orbitres.report import report_json
 from orbitres.resolution import ResolutionWitness
@@ -169,14 +172,28 @@ def reference_analysis(orbit) -> dict:
 
 
 def reference_reports(pol) -> tuple:
-    """The per-q records of every admissible q, each built on its own by
-    HesselinkAnalysis._record with its image test: the reference that
+    """The per-q records of every admissible q, each computed on its own
+    from the analysis fields by the formulas of the hesselink module
+    docstring, calling no analysis method: the reference that
     ``admissible_reports`` and the JSON report are held to.  Empty for sl."""
-    analysis = pol.analysis
-    if analysis is None:
+    a = pol.analysis
+    if a is None:
         return ()
-    image = set(analysis._image())
-    return tuple(analysis._record(q, q in image) for q in analysis.admissible_qs())
+    records = []
+    for q in range(a.m + 1):
+        if q % 2 != a.m % 2 or (a.epsilon == 0 and q == 2):
+            continue
+        twice_u = (-1) ** a.epsilon * (a.n_odd - q)
+        assert twice_u % 2 == 0
+        u = twice_u // 2
+        in_image = a.pairing_ok and (a.j1 is None or a.j1 <= q) and q < a.j0
+        degree = None
+        if in_image:
+            exponent = u if q + a.epsilon >= 1 or not a.B else u - 1
+            assert exponent >= 0
+            degree = 2 ** exponent
+        records.append(HesselinkReport(q, u, in_image, degree))
+    return tuple(records)
 
 
 def reference_closed_form(orbit) -> ResolutionWitness | None:

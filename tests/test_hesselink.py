@@ -198,35 +198,61 @@ class TestCollapseDegree:
         assert records(SO8, "5,3")[4] == HesselinkReport(4, -1, False, None)
 
 
-def guarded_record(a, q):
-    """The record of q off a (corrupted) analysis, through the guarded step."""
-    return a._record(q, q in a._image())
+def built_by(monkeypatch, a):
+    """Make ``polarizable`` build the analysis ``a`` for whatever orbit."""
+    monkeypatch.setattr(HesselinkAnalysis, "of", classmethod(lambda cls, orbit: a))
 
 
 class TestIntegralityGuard:
-    """The integrality guard fires on an analysis no orbit produces: valid
-    data never reaches it, so each test corrupts one field of a real
-    analysis."""
+    """The guards fire on an analysis no orbit produces: valid data never
+    reaches them, so each test corrupts one field of a real analysis."""
 
     def test_odd_count_off_by_one_raises_at_every_q(self):
         for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "3,2,2")):
             corrupted = a._replace(n_odd=a.n_odd + 1)
             for q in a.admissible_qs():  # in the image or not
                 with pytest.raises(InternalInvariantError, match="is not an integer"):
-                    guarded_record(corrupted, q)
+                    corrupted._us(range(q, q + 1))
 
-    def test_record_runs_check_integrality_once(self):
-        """2u has the parity of n_odd - m at every admissible q, so the runs
-        check it once, with no q listed."""
-        for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "2,2,1,1,1")):
-            with pytest.raises(InternalInvariantError, match="is not an integer for any admissible q"):
-                a._replace(n_odd=a.n_odd + 1).record_runs()
+    def test_polarizable_and_reports_check_integrality_once_per_run(self, monkeypatch):
+        """polarizable and admissible_reports both raise on the corruption,
+        through the one guard, which runs once per run of q, not per q."""
+        for lie_type, text in ((SO8, "3,3,1,1"), (SP6, "4,2"), (SO7, "3,2,2"), (SP6, "2,2,1,1")):
+            orbit = validate_orbit(lie_type, d(text))
+            pol = polarizable(orbit)
+            records = admissible_reports(pol)
+            assert pol.witnesses and records.below + records.above, orbit  # both paths reach u
+            corrupted = pol.analysis._replace(n_odd=pol.analysis.n_odd + 1)
+            with pytest.raises(InternalInvariantError, match="is not an integer"):
+                admissible_reports(pol._replace(analysis=corrupted))
+            with monkeypatch.context() as patch:
+                built_by(patch, corrupted)
+                with pytest.raises(InternalInvariantError, match="is not an integer"):
+                    polarizable(orbit)
+            runs = []
 
-    def test_negative_exponent_raises(self):
+            def counted(self, qs):
+                runs.append(qs)
+                return original(self, qs)
+
+            original = HesselinkAnalysis._us
+            with monkeypatch.context() as patch:
+                patch.setattr(HesselinkAnalysis, "_us", counted)
+                polarizable(orbit)
+                image_runs = len(runs)
+                admissible_reports(pol)
+            qs = [w.q for w in pol.witnesses]  # a run ends where q skips 2 (so_m leaves out q = 2)
+            assert image_runs == 1 + sum(b - a > 2 for a, b in zip(qs, qs[1:])), orbit
+            assert runs[image_runs:] == [qs for qs, _ in records.below + records.above], orbit
+
+    def test_negative_exponent_raises(self, monkeypatch):
         # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
         corrupted = analysis(SO8, "5,3")._replace(j0=9)
         with pytest.raises(InternalInvariantError, match="degree exponent -1 is negative"):
-            guarded_record(corrupted, 4)
+            corrupted._witness(4, -1)
+        built_by(monkeypatch, corrupted)
+        with pytest.raises(InternalInvariantError, match="degree exponent -1 is negative"):
+            polarizable(validate_orbit(SO8, d("5,3")))
 
 
 class TestPolarizable:
@@ -418,23 +444,23 @@ class TestAnalysis:
         assert analyses == expected_analyses(swept)
 
     def test_polarizable_examines_only_its_image(self, monkeypatch):
-        """polarizable builds a record for each q in its image and for no
-        other q; the records of every admissible q come from the runs and
-        the witnesses, with no record built one q at a time."""
+        """polarizable builds a witness for each q in its image and for no
+        other q; the records of every admissible q come from the runs off
+        the image and the witnesses, with no witness built again."""
         built = []
-        original = HesselinkAnalysis._record
+        original = HesselinkAnalysis._witness
 
-        def counted(self, q, in_image):
-            built.append((q, in_image))
-            return original(self, q, in_image)
+        def counted(self, q, u):
+            built.append(q)
+            return original(self, q, u)
 
-        monkeypatch.setattr(HesselinkAnalysis, "_record", counted)
+        monkeypatch.setattr(HesselinkAnalysis, "_witness", counted)
         in_image = 0
         for orbit in bcd_orbits_up_to(12):
             built.clear()
             pol = polarizable(orbit)
             image = image_by_definition(pol.analysis)
-            assert built == [(q, True) for q in image], orbit
+            assert built == image, orbit
             built.clear()
             records = (*admissible_reports(pol),)
             assert built == [], orbit
@@ -500,19 +526,21 @@ class TestRuns:
         assert peak < 1_000_000
 
     def test_record_runs_hold_the_per_q_records(self):
-        """The runs, with the witnesses, are the per-q records: in order, as
-        many, each run q stepping by 2 and u by one, and a run in the image
-        exactly where its records are witnesses."""
+        """The runs off the image, with the witnesses between them, are the
+        per-q records: in order, as many, each run non-empty with q stepping
+        by 2 and u by one, the runs below the image before the witnesses and
+        the runs above it after them."""
         for orbit in bcd_orbits_to_30():
             pol = polarizable(orbit)
             expected = reference_reports(pol)
             records = admissible_reports(pol)
             assert (len(records), tuple(records)) == (len(expected), expected), orbit
             sign = 1 if pol.analysis.epsilon else -1
-            for qs, us, in_image in records.runs:
+            for qs, us in records.below + records.above:
                 assert qs and len(qs) == len(us) and qs.step == 2 and us.step == sign, orbit
-            image = [q for qs, _, in_image in records.runs if in_image for q in qs]
-            assert image == [w.q for w in pol.witnesses], orbit
+            below, above = ([q for qs, _ in runs for q in qs] for runs in (records.below, records.above))
+            assert records.witnesses is pol.witnesses, orbit
+            assert below + [w.q for w in pol.witnesses] + above == pol.analysis.admissible_qs(), orbit
 
     @given(many_parts_orbits())
     @settings(max_examples=200, deadline=None)
@@ -529,7 +557,7 @@ class TestRuns:
         monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
         records = admissible_reports(polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition)))
         assert len(records) == 1_000_001
-        assert len(records.runs) <= 3
+        assert len(records.below) + len(records.above) + bool(records.witnesses) <= 3
 
     def test_witnesses_are_the_image_interval(self):
         for orbit in bcd_orbits_to_30():

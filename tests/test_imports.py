@@ -9,6 +9,8 @@ stays light: importing the CLI and building its parser pulls in none of
 table.  An exception class exists only where some code handles it apart
 from the others.  Only the partition gate itself and enumeration, whose
 runs are valid by construction, reach the unchecked Partition constructor.
+In the Hesselink module the image test and the degree exponent each have
+one home.
 """
 
 from __future__ import annotations
@@ -110,6 +112,41 @@ def test_report_never_reads_the_odd_part_count():
         for key in ("attr", "id", "value", "arg")
     }
     assert "n_odd" not in named
+
+
+def functions_holding(module: ast.Module, hit) -> set:
+    """The names of the functions of ``module`` holding a node for which
+    ``hit(node, parent)`` holds (None for module level)."""
+    found = set()
+
+    def visit(node, parent, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if hit(node, parent):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, node, function)
+
+    visit(module, None, None)
+    return found
+
+
+def test_hesselink_reads_the_image_test_in_one_function():
+    """In hesselink.py one function reads j1, j0 and pairing_ok, the
+    fields of the image test: the image bounds have one home."""
+    module = tree("hesselink")
+    readers = {field: functions_holding(module, lambda node, _: getattr(node, "attr", None) == field)
+               for field in ("j1", "j0", "pairing_ok")}
+    assert len(set().union(*readers.values())) == 1 and all(readers.values()), readers
+
+
+def test_hesselink_computes_the_exponent_in_one_function():
+    """In hesselink.py the odd-part count enters arithmetic in one
+    function, as 2u = +-(n_odd - q): the degree exponent has one home."""
+    arithmetic = (ast.BinOp, ast.UnaryOp, ast.AugAssign)
+    found = functions_holding(tree("hesselink"), lambda node, parent: getattr(node, "attr", None)
+                              == "n_odd" and isinstance(parent, arithmetic))
+    assert len(found) == 1, found
 
 
 def test_closed_form_reads_nothing_from_hesselink():

@@ -111,21 +111,21 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
 )
 def test_records_built_only_where_rendered(monkeypatch, lie_type):
     """A report and its text, table and JSON renderings build one Hesselink
-    record per witness, by HesselinkAnalysis._record, and no other: the
+    record per witness, by HesselinkAnalysis._witness, and no other: the
     JSON writes the other admissible q from their runs, and the records it
     writes are those ``admissible_reports`` yields."""
     built = []
-    original = HesselinkAnalysis._record
+    original = HesselinkAnalysis._witness
 
-    def counted(self, q, in_image):
-        record = original(self, q, in_image)
+    def counted(self, q, u):
+        record = original(self, q, u)
         built.append(record)
         return record
 
     def refuse(self):
         raise AssertionError("records built from their runs")
 
-    monkeypatch.setattr(HesselinkAnalysis, "_record", counted)
+    monkeypatch.setattr(HesselinkAnalysis, "_witness", counted)
     for orbit in enumerate_orbits(lie_type):
         built.clear()
         report = build_report(orbit)

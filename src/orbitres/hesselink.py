@@ -116,16 +116,8 @@ class HesselinkAnalysis(
             n_odd += odd * count
         if j0 is None:  # the first marked padded position
             j0 = end + 1 if epsilon == 0 or end % 2 else end + 2
-        return cls(
-            m=m,
-            epsilon=epsilon,
-            J=tuple(marked),
-            j1=j1,
-            j0=j0,
-            B=tuple(drops),
-            pairing_ok=pairing_ok,
-            n_odd=n_odd,
-        )
+        return tuple.__new__(cls, (m, epsilon, tuple(marked), j1, j0, tuple(drops), pairing_ok,
+                                   n_odd))
 
     def admissible_qs(self) -> list[int]:
         """Every admissible q, ascending."""
@@ -169,7 +161,7 @@ class HesselinkAnalysis(
         if exponent < 0:
             raise InternalInvariantError(f"degree exponent {exponent} is negative for q = {q}, "
                                          f"epsilon = {self.epsilon}, {self.n_odd} odd parts")
-        return HesselinkReport(q, u, True, 2 ** exponent)
+        return tuple.__new__(HesselinkReport, (q, u, True, 2 ** exponent))
 
 
 class HesselinkReport(namedtuple("HesselinkReport", "q u in_image N_P")):
@@ -212,14 +204,17 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     low, high = analysis._image_bounds()
     witnesses = tuple([analysis._witness(q, u) for qs in analysis._admissible(low, high) if qs
                        for q, u in zip(qs, analysis._us(qs))]) if low < high else ()
-    return PolarizabilityResult(witnesses=witnesses, analysis=analysis)
+    return tuple.__new__(PolarizabilityResult, (witnesses, analysis))
 
 
 def resolution_by_search(pol: PolarizabilityResult) -> bool:
     """Search verdict: some polarization collapses with degree 1."""
     if pol.analysis is None:
         raise OrbitresError("the search route applies to sp and so orbits only")
-    return any(w.N_P == 1 for w in pol.witnesses)
+    for witness in pol.witnesses:
+        if witness.N_P == 1:
+            return True
+    return False
 
 
 def admissible_reports(pol: PolarizabilityResult):

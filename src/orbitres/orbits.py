@@ -19,6 +19,13 @@ times per orbit, so they are plain member attributes, named-tuple fields and
 module globals, not properties and reads through the enum class, which cost
 several times as much.
 
+The value types of the package are named tuples, and one rule builds them.
+A gated type runs its checks in its own ``__new__`` and then builds itself
+in one C-level step, ``tuple.__new__(cls, fields)``; ``_replace``, copies
+and unpickling go through that gate.  A type with no gate is built the same
+way, positionally, by the code that makes it per orbit.  Keyword
+construction still works for library callers.
+
 Conventions used throughout the package:
 
 * parts are 1-indexed, ``d_1 >= d_2 >= ... >= d_N > 0``;
@@ -90,7 +97,7 @@ class LieType(namedtuple("LieType", "family m")):
         if family is not _SL and (m - low) % 2:
             parity = "odd" if low % 2 else "even"
             raise OrbitresError(f"{family.value} requires {parity} matrix size, got {m}")
-        return super().__new__(cls, family, m)
+        return tuple.__new__(cls, (family, m))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
@@ -264,7 +271,7 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
             very_even_label = VeryEvenLabel.I
         elif not eligible and very_even_label is not None:
             raise OrbitresError(f"{lie_type.name} {partition} is not very even; no label allowed")
-        return super().__new__(cls, lie_type, partition, very_even_label)
+        return tuple.__new__(cls, (lie_type, partition, very_even_label))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
@@ -306,21 +313,24 @@ class PartitionProfile(namedtuple("PartitionProfile", "k c a b l rather_odd")):
 
 
 def profile(orbit: ClassicalOrbit) -> PartitionProfile:
-    """Compute the full statistics profile of a validated orbit; read it as
-    ``orbit.profile``, which calls this once per orbit."""
+    """Compute the full statistics profile of a validated orbit, in one pass
+    over the runs; read it as ``orbit.profile``, which calls this once per
+    orbit."""
     r = orbit.partition.counts
-    odd_values = [v for v in r if v % 2 == 1]
     constrained = orbit.lie_type.family.constrained_parity
-    l = 0 if constrained is None else sum(
-        1 for v, count in r.items() if v % 2 != constrained and count == 2)
-    return PartitionProfile(
-        k=len(r),
-        c=math.gcd(*r),
-        a=len(odd_values),
-        b=len(r) - len(odd_values),
-        l=l,
-        rather_odd=all(r[v] == 1 for v in odd_values),
-    )
+    free = None if constrained is None else 1 - constrained  # the parity l counts; none for sl
+    a = l = 0
+    rather_odd = True
+    for value, count in r.items():
+        odd = value % 2
+        if odd:
+            a += 1
+            if count != 1:
+                rather_odd = False
+        if count == 2 and odd == free:
+            l += 1
+    k = len(r)
+    return tuple.__new__(PartitionProfile, (k, math.gcd(*r), a, k - a, l, rather_odd))
 
 
 def is_even_orbit(orbit: ClassicalOrbit) -> bool:

@@ -36,7 +36,7 @@ class UnresolvedExtension(namedtuple("UnresolvedExtension", "kernel_exponent")):
     def __new__(cls, kernel_exponent: int):
         if kernel_exponent < 0:
             raise InternalInvariantError("kernel exponent must be non-negative")
-        return super().__new__(cls, kernel_exponent)
+        return tuple.__new__(cls, (kernel_exponent,))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
@@ -57,12 +57,12 @@ class AbelianGroupDescriptor(
                 unresolved_extension: UnresolvedExtension | None = None):
         if free_rank < 0:
             raise InternalInvariantError("free rank must be non-negative")
-        if any(t < 2 for t in torsion):
+        if torsion and min(torsion) < 2:
             raise InternalInvariantError("torsion factors must be at least 2")
         if torsion and unresolved_extension is not None:
             raise InternalInvariantError("torsion and unresolved extension are mutually exclusive")
-        torsion = tuple(sorted(torsion, reverse=True))
-        return super().__new__(cls, free_rank, torsion, unresolved_extension)
+        torsion = tuple(sorted(torsion, reverse=True)) if torsion else ()
+        return tuple.__new__(cls, (free_rank, torsion, unresolved_extension))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
@@ -97,16 +97,13 @@ def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
     """Pic of the orbit from its profile, by the family's formula."""
     prof, family = orbit.profile, orbit.lie_type.family
     if family is _SL:
-        torsion = (prof.c,) if prof.c >= 2 else ()
-        return AbelianGroupDescriptor(free_rank=prof.k - 1, torsion=torsion)
+        return AbelianGroupDescriptor(prof.k - 1, (prof.c,) if prof.c >= 2 else ())
     if family is _SP:
-        return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * prof.b)
+        return AbelianGroupDescriptor(prof.l, (2,) * prof.b)
     two_torsion = max(0, prof.a - 1)
     if prof.rather_odd:
-        return AbelianGroupDescriptor(
-            free_rank=0, unresolved_extension=UnresolvedExtension(two_torsion)
-        )
-    return AbelianGroupDescriptor(free_rank=prof.l, torsion=(2,) * two_torsion)
+        return AbelianGroupDescriptor(0, (), UnresolvedExtension(two_torsion))
+    return AbelianGroupDescriptor(prof.l, (2,) * two_torsion)
 
 
 class QFactorialCertificate(Enum):

@@ -45,14 +45,9 @@ class OrbitReport(
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     """Run every analysis on one orbit and bundle the results."""
     group = picard(orbit)
-    return OrbitReport(
-        orbit=orbit,
-        dimension=orbit_dimension(orbit),
-        picard=group,
-        q_factorial=q_factorial_certificate(group),
-        factorial=is_factorial(orbit),
-        resolution=admits_symplectic_resolution(orbit),
-    )
+    return tuple.__new__(OrbitReport, (orbit, orbit_dimension(orbit), group,
+                                       q_factorial_certificate(group), is_factorial(orbit),
+                                       admits_symplectic_resolution(orbit)))
 
 
 def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) -> None:

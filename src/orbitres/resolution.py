@@ -56,7 +56,7 @@ class ResolutionWitness(namedtuple("ResolutionWitness", "q pair_position")):
     def __new__(cls, q: int | None = None, pair_position: int | None = None):
         if (q is None) == (pair_position is None):
             raise InternalInvariantError("exactly one of q and pair_position must be set")
-        return super().__new__(cls, q, pair_position)
+        return tuple.__new__(cls, (q, pair_position))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
 
@@ -109,11 +109,11 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
     else:  # one block at most: the prefix clause, then so_{2n}'s pair clause
         pair = family is _SO_EVEN and q == 2
         if start <= 1 and q % 2 == (family is _SO_ODD) and not pair:
-            witness = ResolutionWitness(q=q)
+            witness = ResolutionWitness(q)
         elif pair and start % 2:
             witness = ResolutionWitness(pair_position=(start + 1) // 2)
     answer = _NO if witness is None else _YES
-    return ResolutionVerdict(answer, _CLOSED_FORM, witness, polarizability=None)
+    return tuple.__new__(ResolutionVerdict, (answer, _CLOSED_FORM, witness, None))
 
 
 def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
@@ -134,4 +134,4 @@ def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
             f"closed form says {closed.answer.value} but the degree search says "
             f"{'yes' if search_says_yes else 'no'} for {orbit}"
         )
-    return ResolutionVerdict(closed.answer, closed.route, closed.witness, pol)
+    return tuple.__new__(ResolutionVerdict, (closed.answer, closed.route, closed.witness, pol))

@@ -10,7 +10,9 @@ table.  An exception class exists only where some code handles it apart
 from the others.  Only the partition gate itself and enumeration, whose
 runs are valid by construction, reach the unchecked Partition constructor.
 In the Hesselink module the image test and the degree exponent each have
-one home.
+one home.  A value built positionally with ``tuple.__new__`` is built past
+no gate, and every module parses under the oldest Python the package
+declares.
 """
 
 from __future__ import annotations
@@ -233,3 +235,103 @@ def test_every_exception_class_is_caught_somewhere():
                 bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
                 assert not bases & exceptions, f"{path.name}: {node.name}"
     assert defined == caught - set(dir(builtins))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_under_the_oldest_supported_python(path):
+    """``requires-python`` in pyproject.toml promises 3.10: every module
+    parses with the 3.10 grammar."""
+    ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
+
+
+def gate_bypasses(sources: dict[str, str]) -> tuple[list[str], set[str]]:
+    """The ``tuple.__new__`` uses in ``sources`` (module name -> text) that
+    go round a gate, and the classes X that ``tuple.__new__(X, ...)`` calls
+    build.
+
+    ``cls`` stands for the class whose method holds the call.  When X
+    defines ``__new__``, its gate, the call must be the value of that
+    ``__new__``'s last statement, a return, so that every check runs first;
+    otherwise X must be a class of the package that defines no ``__new__``.
+    ``tuple.__new__`` taken as a value, where no call shows what it builds,
+    is a bypass too."""
+    modules = {name: ast.parse(text) for name, text in sources.items()}
+    classes = {node.name: node for module in modules.values() for node in ast.walk(module)
+               if isinstance(node, ast.ClassDef)}
+    gates = {name: item for name, node in classes.items() for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__new__"}
+    bypasses, built, called = [], set(), set()
+
+    def is_tuple_new(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and getattr(node.value, "id", None) == "tuple")
+
+    def visit(node, where, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = node
+        holder = getattr(function, "name", "a lambda" if function else "module level")
+        site = f"{where}:{getattr(node, 'lineno', 0)} in {holder}"
+        if isinstance(node, ast.Call) and is_tuple_new(node.func):
+            called.add(node.func)
+            first = node.args[0] if node.args else None
+            named = owner if getattr(first, "id", None) == "cls" else getattr(first, "id", None)
+            gate = gates.get(named)
+            in_place = (function is gate and isinstance(gate.body[-1], ast.Return)
+                        and gate.body[-1].value is node)
+            if named not in classes:
+                bypasses.append(f"{site}: tuple.__new__ of {ast.unparse(first) if first else '?'}")
+            elif gate is not None and not in_place:
+                bypasses.append(f"{site}: builds {named} round its gate")
+            built.add(named)
+        elif is_tuple_new(node) and node not in called:
+            bypasses.append(f"{site}: tuple.__new__ taken as a value")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, owner, function)
+
+    for name, module in modules.items():
+        visit(module, name, None, None)
+    return bypasses, built
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_positional_construction_bypasses_no_gate():
+    """Every ``tuple.__new__`` call sits at the end of its class's own gate
+    or builds a class with no gate: the gated types are built through their
+    ``__new__`` alone, and the ungated ones positionally."""
+    bypasses, built = gate_bypasses(package_sources())
+    assert bypasses == []
+    assert {"ClassicalOrbit", "AbelianGroupDescriptor", "ResolutionWitness",
+            "PartitionProfile", "OrbitReport"} <= built
+
+
+# (module, the text a bypass replaces, the bypass)
+BYPASSES = {
+    "enumerate_orbits-ClassicalOrbit": (
+        "enumeration", "ClassicalOrbit(lie_type, Partition._unchecked(runs))",
+        "tuple.__new__(ClassicalOrbit, (lie_type, Partition._unchecked(runs), None))"),
+    "build_report-AbelianGroupDescriptor": (
+        "report", "group = picard(orbit)",
+        "group = tuple.__new__(AbelianGroupDescriptor, (0, (), None))"),
+    "gate-builds-before-its-check": (
+        "resolution", "        if (q is None) == (pair_position is None):",
+        "        tuple.__new__(cls, (q, pair_position))\n"
+        "        if (q is None) == (pair_position is None):"),
+    "an-alias": ("orbits", "_SL, _SP, _SO_EVEN = Family.SL, Family.SP, Family.SO_EVEN",
+                 "_SL, _SP, _SO_EVEN, _NEW = Family.SL, Family.SP, Family.SO_EVEN, tuple.__new__"),
+}
+
+
+@pytest.mark.parametrize("name", BYPASSES)
+def test_the_gate_pin_catches_a_bypass(name):
+    """The pin above fails on a copy of the sources with one bypass put in."""
+    module, old, new = BYPASSES[name]
+    sources = package_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    bypasses, _ = gate_bypasses(sources)
+    assert len(bypasses) == 1 and module in bypasses[0], bypasses

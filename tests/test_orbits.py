@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 
 import pytest
 from hypothesis import given
 
-from common import ALL_FAMILIES, partitions, valid_orbits
+from common import ALL_FAMILIES, bcd_orbits_up_to, partitions, valid_orbits
 from orbitres import (
     Family,
     LieType,
@@ -226,6 +227,26 @@ class TestValidateOrbit:
             validate_orbit(SP6, (2, 2, 2), VeryEvenLabel.I)
 
 
+# the parity whose parts l counts: even for sp, odd for so, none for sl
+UNCONSTRAINED = {Family.SP: 0, Family.SO_ODD: 1, Family.SO_EVEN: 1, Family.SL: None}
+
+
+def restated_profile(orbit) -> tuple:
+    """Every profile field, in order, counted straight off the expanded parts."""
+    parts = orbit.partition.parts
+    distinct = set(parts)
+    odd = {v for v in distinct if v % 2}
+    free = UNCONSTRAINED[orbit.lie_type.family]
+    return (
+        len(distinct),  # k
+        math.gcd(*parts),  # c
+        len(odd),  # a
+        len(distinct - odd),  # b
+        sum(1 for v in distinct if v % 2 == free and parts.count(v) == 2),  # l
+        all(parts.count(v) == 1 for v in odd),  # rather_odd
+    )
+
+
 class TestProfile:
     def test_sl4_square(self):
         orbit = validate_orbit(SL4, (2, 2))
@@ -248,15 +269,17 @@ class TestProfile:
     @given(valid_orbits())
     def test_counting_identities(self, orbit):
         prof = profile(orbit)
-        # oracle: brute-force counts straight off the parts
         parts = orbit.partition.parts
         counts = orbit.partition.counts
         assert sum(i * count for i, count in counts.items()) == orbit.lie_type.m
-        assert prof.a + prof.b == prof.k == len(counts)
         assert counts == {v: parts.count(v) for v in set(parts)}
-        assert prof.rather_odd == all(
-            count == 1 for v, count in counts.items() if v % 2 == 1
-        )
+        assert prof == restated_profile(orbit)
+
+    def test_restated_on_every_bcd_orbit(self):
+        """Every sp/so orbit with m <= 16, where l counts a parity the
+        constrained one is not: the one-pass profile against the oracle."""
+        for orbit in bcd_orbits_up_to(16):
+            assert profile(orbit) == restated_profile(orbit), orbit
 
     @given(valid_orbits())
     def test_orbit_profile_built_once_from_counts(self, orbit):
@@ -281,7 +304,7 @@ class TestProfile:
             counts = orbit.partition.counts
             assert sum(i * count for i, count in counts.items()) == m
             assert counts == {v: parts.count(v) for v in set(parts)}
-            assert profile(orbit).k == len(counts)
+            assert profile(orbit) == restated_profile(orbit)
             assert list(orbit.partition.dual()) == [
                 sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)
             ]

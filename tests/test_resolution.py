@@ -19,6 +19,7 @@ from orbitres import (
     Verdict,
     admits_symplectic_resolution,
     build_report,
+    polarizable,
     validate_orbit,
 )
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
@@ -205,6 +206,35 @@ class TestSpringerConsistency:
     def test_holds_universally(self, orbit):
         if is_even_orbit(orbit):
             assert admits_symplectic_resolution(orbit).answer is Verdict.YES
+
+
+def component_group_order(orbit) -> int:
+    """|A(O)|, the order of the component group of the centralizer, from the
+    distinct part values alone (Collingwood-McGovern Cor. 6.1.6):
+    2^(distinct even parts) for sp, 2^max(0, distinct odd parts - 1) for so."""
+    values = orbit.partition.counts
+    if orbit.lie_type.family is Family.SP:
+        return 2 ** sum(1 for v in values if v % 2 == 0)
+    return 2 ** max(0, sum(1 for v in values if v % 2) - 1)
+
+
+class TestComponentGroup:
+    """A polarization's collapsing degree is an index in A(O), so it divides
+    |A(O)|; with A(O) trivial every witness has degree 1, and the orbit is
+    resolvable."""
+
+    def test_degrees_divide_the_component_group(self):
+        tight = trivial = 0
+        for orbit in bcd_orbits_up_to(30):
+            order = component_group_order(orbit)
+            witnesses = polarizable(orbit).witnesses
+            assert all(order % w.N_P == 0 for w in witnesses), (orbit, order, witnesses)
+            tight += sum(w.N_P == order for w in witnesses)
+            if order == 1 and witnesses:
+                assert admits_symplectic_resolution(orbit).answer is Verdict.YES, orbit
+                trivial += 1
+        # a degree lowered by a factor 2 still divides: the tight count sees it
+        assert (tight, trivial) == (1189, 525)
 
 
 class TestExceptional:

@@ -143,15 +143,15 @@ class HesselinkAnalysis(
     def _us(self, qs: range) -> range:
         """The exponents u over a run of admissible q (step 2), one apart:
         2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2); an
-        odd 2u is a convention bug."""
+        odd 2u is a convention bug.  Read off the run's ends, not its
+        length, which ``len`` cannot count past ``sys.maxsize``."""
         sign = 1 if self.epsilon else -1
         twice_u = sign * (qs.start - self.n_odd)
         if twice_u % 2:
             raise InternalInvariantError(f"degree exponent {twice_u}/2 is not an integer for q = "
                                          f"{qs.start}, epsilon = {self.epsilon}, "
                                          f"{self.n_odd} odd parts")
-        u = twice_u // 2
-        return range(u, u + sign * len(qs), sign)
+        return range(twice_u // 2, sign * (qs[-1] - self.n_odd) // 2 + sign, sign)
 
     def _witness(self, q: int, u: int) -> HesselinkReport:
         """The record of a q in the image: N_P = 2^u, or 2^(u-1) when q =

@@ -143,7 +143,8 @@ class Partition:
     """A partition d_1 >= ... >= d_N > 0, zero padded beyond N, stored as
     its runs alone: ``counts`` maps each part value to its multiplicity,
     values strictly descending, behind a read-only view.  Immutable, compared,
-    hashed, copied and pickled by its runs; ``parts`` expands them, in O(N)."""
+    hashed, copied and pickled by its runs.  ``parts`` expands them, in O(N),
+    for callers outside the package: no code of its own reads it."""
 
     __slots__ = ("counts",)
     __setattr__ = __delattr__ = _frozen
@@ -208,18 +209,6 @@ class Partition:
     @property
     def total(self) -> int:
         return sum(map(operator.mul, self.counts, self.counts.values()))
-
-    def dual(self) -> tuple[int, ...]:
-        """The parts of the transposed Young diagram: dual_i = #{j : d_j >= i},
-        the same for every i between two consecutive part values.  A plain
-        tuple, built in order without the ``Partition`` gate."""
-        dual = []
-        at_least, below = sum(self.counts.values()), 0
-        for value, count in reversed(self.counts.items()):  # values ascending
-            dual += [at_least] * (value - below)
-            at_least -= count
-            below = value
-        return tuple(dual)
 
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
@@ -305,8 +294,8 @@ class PartitionProfile(namedtuple("PartitionProfile", "k c a b l rather_odd")):
     for sp, odd values for so; 0 for sl where no formula consumes it).
     rather_odd means every odd part has multiplicity one, vacuously true
     when there is no odd part.  The profile keeps no copy of another
-    owner's fact: the multiplicities are ``Partition.counts``, evenness is
-    ``is_even_orbit``, and the dual partition is ``Partition.dual``.
+    owner's fact: the multiplicities are ``Partition.counts`` and evenness
+    is ``is_even_orbit``.
     """
 
     __slots__ = ()

@@ -55,13 +55,14 @@ class AbelianGroupDescriptor(
 
     def __new__(cls, free_rank: int = 0, torsion: tuple[int, ...] = (),
                 unresolved_extension: UnresolvedExtension | None = None):
+        # first, so that every check reads the tuple: an iterator can be read once
+        torsion = tuple(sorted(torsion, reverse=True)) if torsion else ()
         if free_rank < 0:
             raise InternalInvariantError("free rank must be non-negative")
-        if torsion and min(torsion) < 2:
+        if torsion and torsion[-1] < 2:
             raise InternalInvariantError("torsion factors must be at least 2")
         if torsion and unresolved_extension is not None:
             raise InternalInvariantError("torsion and unresolved extension are mutually exclusive")
-        torsion = tuple(sorted(torsion, reverse=True)) if torsion else ()
         return tuple.__new__(cls, (free_rank, torsion, unresolved_extension))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate

@@ -7,19 +7,21 @@ checked.  The renderings read the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
 layout of the CLI is written here alone.  ``report_json`` streams an
 orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
-the ``%`` templates of its algebra from the report and writing the per-q
-Hesselink records from their runs; it alone builds the dual partition and
-the expanded parts.  The text that does not depend on the orbit is written
-once per algebra: ``atlas_json`` uses one frame (``_JsonFrame``) for all
-of an atlas's orbits, a lone ``report_json`` builds its own, and nothing
-is kept across calls.  Each atlas writer writes an orbit as its iterable
-of reports yields it.  ``exceptional_json`` gives the exceptional table as
-dicts for ``json.dumps``.
+the ``%`` templates of its algebra from the report, joining the texts of
+its runs, and writing the per-q Hesselink records from their runs: no
+rendering expands the parts or builds the dual partition.  The text that
+does not depend on the orbit is written once per algebra: ``atlas_json``
+uses one frame (``_JsonFrame``) for all of an atlas's orbits, a lone
+``report_json`` builds its own, and nothing is kept across calls.  Each
+atlas writer writes an orbit as its iterable of reports yields it.
+``exceptional_json`` gives the exceptional table as dicts for
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from collections import namedtuple
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -68,57 +70,60 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
     analysis = pol.analysis
     partition = orbit.partition
     runs = partition.counts
-    d1 = next(iter(runs))
+    n, d1 = sum(runs.values()), next(iter(runs))
     width = len(str(d1))  # the "s" keys 1..d1 have width * (d1 + 1) - (10 ** width - 1) // 9 digits
-    listed = 0 if analysis is None else sum(map(len, analysis.J)) + len(analysis.B)
-    # a lower bound on the text from O(k) facts: a part takes 6 characters, an "s" entry 12 and
-    # its key's digits, a record 100 and 10 more for each position in its J and B
-    floor = (6 * sum(runs.values()) + 12 * d1 + width * (d1 + 1) - (10 ** width - 1) // 9
-             + len(records) * (100 + 10 * listed))
+    # a lower bound on the text from O(k) facts: a record takes 100 characters and 10 more for
+    # each position in its J and B, a part 6, an "s" entry 12 and its key's digits
+    try:
+        listed = 0 if analysis is None else sum(map(len, analysis.J)) + len(analysis.B)
+        floor = len(records) * (100 + 10 * listed)
+    except OverflowError:  # more records or positions than len() counts, each a character at least
+        floor = sys.maxsize
+    floor += 6 * n + 12 * d1 + width * (d1 + 1) - (10 ** width - 1) // 9
     if floor > MAX_JSON_BYTES:
         raise OrbitresError(f"the JSON report of {orbit} takes at least {floor} bytes, over "
                             f"its limit of {MAX_JSON_BYTES}; the text report has no limit")
     if frame is None:
         frame = _JsonFrame(orbit.lie_type, "\n")
-    parts, dual = partition.parts, partition.dual()
-    label = orbit.very_even_label
-    prof = orbit.profile
+    label, prof = orbit.very_even_label, orbit.profile
     even = _LITERAL[is_even_orbit(orbit)]
     group = report.picard
     torsion, extension = group.torsion, group.unresolved_extension
-    witness = verdict.witness
-    witnesses = pol.witnesses
-    if witness is None:
-        witness_text = "null"
-    elif witness.q is not None:
-        witness_text = frame.q_witness % witness.q
-    else:
-        witness_text = frame.pair_witness % witness.pair_position
+    witness, witnesses = verdict.witness, pol.witnesses
+    long = n + d1 > _PIECE  # if so, runs go in blocks, pieces out one by one: nothing long copied
+    items = _cut(runs) if long else iter(runs.items())
+    part_runs = frame.part_runs  # the first run's text without its comma follows the opening
+    pieces = [frame.opening, part_runs[next(items)][1:], *map(part_runs.__getitem__, items)]
     # (*pairs,), not tuple(pairs): tuple() of an iterator parks a shrunk tuple in a free list
-    head = frame.head % (
-        frame.ints1[len(parts)] % parts, _str(partition.compact_str()),
-        "null" if label is None else _str(label.value),
+    pieces.append(frame.profile % (
+        _str(partition.compact_str()), "null" if label is None else _str(label.value),
         prof.k, prof.c, prof.a, prof.b, prof.l, _LITERAL[prof.rather_odd], even,
-        frame.r[len(runs)] % (*chain.from_iterable(reversed(runs.items())),),
-        frame.s[len(dual)] % dual, even, report.dimension,
-        group.free_rank, frame.ints2[len(torsion)] % torsion,
+        frame.r[len(runs)] % (*chain.from_iterable(reversed(runs.items())),)))
+    below, at_least = 0, n
+    for value, count in reversed(runs.items()):  # s_i = at_least for below < i <= value
+        pieces.append(frame.s[below, value, at_least])
+        below, at_least = value, at_least - count
+    pieces.append(frame.head % (
+        even, report.dimension, group.free_rank, frame.torsion[len(torsion)] % torsion,
         "null" if extension is None else frame.extension % extension.kernel_exponent,
         _LITERAL[group.is_trivial], _str(report.q_factorial.value), _LITERAL[report.factorial],
         _LITERAL[pol.polarizable],
         frame.witnesses[len(witnesses)] % (*chain.from_iterable((w.q, w.N_P) for w in witnesses),)
-        if witnesses else "[]",
-    )
-    tail = frame.tail % (_str(verdict.answer.value), _str(verdict.route.value), witness_text,
-                         _LITERAL[verdict.cross_checked])
-    # joined until they pass _PIECE characters: a small report takes one write
-    pieces, size = [head], 0
+        if witnesses else "[]"))
+    if long:
+        out.writelines(pieces)
+        pieces = []
+    size = 0  # the pieces are joined until they pass _PIECE characters: often one write
     for text in _hesselink_texts(records, analysis, frame) if records else ("[]",):
         pieces.append(text)
         size += len(text)
         if size > _PIECE:
             out.write("".join(pieces))
             pieces, size = [], 0
-    pieces.append(tail)
+    pieces.append(frame.tail % (
+        _str(verdict.answer.value), _str(verdict.route.value),
+        "null" if witness is None else frame.q_witness % witness.q if witness.q is not None
+        else frame.pair_witness % witness.pair_position, _LITERAL[verdict.cross_checked]))
     out.write("".join(pieces))
 
 
@@ -145,7 +150,8 @@ def _hesselink_texts(records: RecordRuns, analysis, frame: _JsonFrame):
     a text made once per orbit."""
     J, B = (*chain.from_iterable(analysis.J),), analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
-    shared = frame.shared % (frame.ints3[len(J)] % J, j1, analysis.j0, frame.ints3[len(B)] % B)
+    shared = frame.shared % (frame.positions[len(J)] % J, j1, analysis.j0,
+                             frame.positions[len(B)] % B)
     head, separator = frame.record_head, "["
     # each record's q, u and the text after u, which in the image holds its N_P
     off = repeat(frame.off_image)
@@ -164,47 +170,64 @@ _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
 
 
-class _Formats(dict):
-    """``%`` formats of the arrays (objects, when ``brackets`` is "{}") at
-    the indentation of ``nl``, by length: the entries of one of length n are
-    ``entries(n)``, ints by default, and its format is made the first time
-    n is asked for."""
+class _Texts(dict):
+    """JSON texts by key, each made by ``make(key)`` when first asked for."""
 
-    __slots__ = ("nl", "entries", "brackets")
+    __slots__ = ("make",)
 
-    def __init__(self, nl: str, entries=lambda n: ["%d"] * n, brackets: str = "[]"):
-        self[0] = self.brackets = brackets
-        self.nl = nl
-        self.entries = entries
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, n: int) -> str:
-        inner = self.nl + "  "
-        entries = ("," + inner).join(self.entries(n))
-        text = self[n] = f"{self.brackets[0]}{inner}{entries}{self.nl}{self.brackets[1]}"
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
         return text
+
+
+def _formats(nl: str, entry: str = "%d", brackets: str = "[]") -> _Texts:
+    """The ``%`` formats, by length, of the arrays (objects, for "{}") of ``entry`` at ``nl``."""
+    inner, (left, right) = nl + "  ", brackets
+    return _Texts(lambda n: f"{left}{inner}{(',' + inner).join([entry] * n)}{nl}{right}"
+                  if n else brackets)
+
+
+def _cut(runs):
+    """The runs (value, count) of ``runs``, each cut into runs of at most ``_PIECE`` parts."""
+    for value, count in runs.items():
+        yield from repeat((value, _PIECE), (count - 1) // _PIECE)
+        yield value, (count - 1) % _PIECE + 1
+
+
+def _stretch(nl: str, below: int, end: int, value: int) -> str:
+    """The "s" entries ``value`` of the keys after ``below`` up to ``end`` at ``nl``, made
+    ``_PIECE`` keys at a time; the first entry of the map takes no comma."""
+    if end - below > _PIECE:
+        return "".join([_stretch(nl, start, min(start + _PIECE, end), value)
+                        for start in range(below, end, _PIECE)])
+    text = (f',{nl}"%d": {value}' * (end - below)) % (*range(below + 1, end + 1),)
+    return text if below else text[1:]
 
 
 class _JsonFrame:
     """The JSON text of one algebra's orbits that does not depend on the
-    orbit, at the indentation of ``nl``: the ``%`` templates of the orbit
-    object before and after its Hesselink array, and the formats of the
-    values nested in it, each int array or map by its length.  A frame
-    lives as long as the ``report_json`` or ``atlas_json`` call that built
-    it."""
+    orbit, at the indentation of ``nl``: the object up to its parts; the
+    parts by run (value, count); the "s" map by stretch (below, end,
+    value), the keys after one part value up to the next sharing a value;
+    ``%`` formats of the other arrays and maps by length, and ``%``
+    templates for the rest.  It lives as long as the call that built it."""
 
     def __init__(self, lie_type, nl: str):
-        i1 = nl + "  "
-        i2 = i1 + "  "
-        i3 = i2 + "  "
-        i4 = i3 + "  "
+        i1, i2, i3, i4 = (nl + "  " * depth for depth in range(1, 5))
         self.lie_type = lie_type
-        self.ints1 = _Formats(i1)  # the partition
-        self.ints2 = _Formats(i2)  # the torsion
-        self.ints3 = _Formats(i3)  # J and B
-        self.r = _Formats(i2, lambda n: ['"%d": %d'] * n, "{}")  # from (value, count) pairs
-        self.s = _Formats(i2, lambda n: [f'"{key}": %d' for key in range(1, n + 1)], "{}")
-        witness = f'{{{i4}"q": %d,{i4}"N_P": %d{i3}}}'  # from (q, N_P) pairs
-        self.witnesses = _Formats(i2, lambda n: [witness] * n)
+        self.opening = (f'{{{i1}"algebra": {_str(lie_type.name)}'
+                        f',{i1}"cartan_type": {_str(lie_type.cartan_label)}'
+                        f',{i1}"family": {_str(lie_type.family.value)},{i1}"m": {lie_type.m}'
+                        f',{i1}"partition": [')
+        self.part_runs = _Texts(lambda run: f",{i2}{run[0]}" * run[1])
+        self.s = _Texts(lambda stretch: _stretch(i3, *stretch))
+        self.r = _formats(i2, '"%d": %d', "{}")  # from (value, count) pairs
+        self.torsion = _formats(i2)
+        self.positions = _formats(i3)  # J and B
+        self.witnesses = _formats(i2, f'{{{i4}"q": %d,{i4}"N_P": %d{i3}}}')  # from (q, N_P) pairs
         self.extension = f'{{{i3}"kernel_exponent": %d{i2}}}'
         self.q_witness = f'{{{i3}"q": %d{i2}}}'
         self.pair_witness = f'{{{i3}"pair_position": %d{i2}}}'
@@ -213,21 +236,17 @@ class _JsonFrame:
         self.in_image = f'",{i3}"in_image": true,{i3}"N_P": %d{i2}}}'
         self.off_image = f'",{i3}"in_image": false,{i3}"N_P": null{i2}}}'
         self.records_end = f"{i1}]"
-        # the algebra's names come from the package's own tables, so hold no "%"
-        self.head = (
-            f'{{{i1}"algebra": {_str(lie_type.name)}'
-            f',{i1}"cartan_type": {_str(lie_type.cartan_label)}'
-            f',{i1}"family": {_str(lie_type.family.value)},{i1}"m": {lie_type.m}'
-            f',{i1}"partition": %s,{i1}"partition_compact": %s,{i1}"very_even_label": %s'
+        self.profile = (
+            f'{i1}],{i1}"partition_compact": %s,{i1}"very_even_label": %s'
             f',{i1}"profile": {{{i2}"k": %d,{i2}"c": %d,{i2}"a": %d,{i2}"b": %d,{i2}"l": %d'
-            f',{i2}"rather_odd": %s,{i2}"all_same_parity": %s,{i2}"r": %s,{i2}"s": %s{i1}}}'
-            f',{i1}"even_orbit": %s,{i1}"dimension": %d'
+            f',{i2}"rather_odd": %s,{i2}"all_same_parity": %s,{i2}"r": %s,{i2}"s": {{')
+        self.head = (
+            f'{i2}}}{i1}}},{i1}"even_orbit": %s,{i1}"dimension": %d'
             f',{i1}"picard": {{{i2}"free_rank": %d,{i2}"torsion": %s'
             f',{i2}"unresolved_extension": %s,{i2}"trivial": %s{i1}}}'
             f',{i1}"q_factorial_certificate": %s,{i1}"factorial": %s'
             f',{i1}"polarizable": {{{i2}"polarizable": %s,{i2}"witnesses": %s{i1}}}'
-            f',{i1}"hesselink": '
-        )
+            f',{i1}"hesselink": ')
         self.tail = (f',{i1}"resolution": {{{i2}"answer": %s,{i2}"route": %s,{i2}"witness": %s'
                      f',{i2}"cross_checked": %s{i1}}}{nl}}}')
 

@@ -11,8 +11,8 @@ from the others.  Only the partition gate itself and enumeration, whose
 runs are valid by construction, reach the unchecked Partition constructor.
 In the Hesselink module the image test and the degree exponent each have
 one home.  A value built positionally with ``tuple.__new__`` is built past
-no gate, and every module parses under the oldest Python the package
-declares.
+no gate, no module reads the expanded parts or defines the dual partition,
+and every module parses under the oldest Python the package declares.
 """
 
 from __future__ import annotations
@@ -335,3 +335,47 @@ def test_the_gate_pin_catches_a_bypass(name):
     sources[module] = sources[module].replace(old, new)
     bypasses, _ = gate_bypasses(sources)
     assert len(bypasses) == 1 and module in bypasses[0], bypasses
+
+
+def expansions(sources: dict[str, str]) -> list[str]:
+    """The reads of an attribute ``parts`` and the definitions of a
+    function ``dual`` in ``sources`` (module name -> text): the O(N)
+    expansion of a partition and its O(d_1) dual."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr == "parts":
+                found.append(f"{name}:{node.lineno} reads .parts")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "dual":
+                found.append(f"{name}:{node.lineno} defines dual")
+    return found
+
+
+def test_no_module_expands_the_parts():
+    """Every rendering reads a partition's runs: no module reads
+    ``Partition.parts``, which stays for callers outside the package, or
+    defines a dual partition."""
+    assert expansions(package_sources()) == []
+
+
+# (module, the text an expansion replaces, the expansion)
+EXPANSIONS = {
+    "report_json-reads-the-parts": (
+        "report", "    runs = partition.counts\n",
+        "    runs = partition.counts\n    parts = partition.parts\n"),
+    "partition-defines-dual": (
+        "orbits", "    def compact_str(self) -> str:\n",
+        "    def dual(self):\n        return ()\n\n    def compact_str(self) -> str:\n"),
+}
+
+
+@pytest.mark.parametrize("name", EXPANSIONS)
+def test_the_expansion_pin_catches_a_read(name):
+    """The pin above fails on a copy of the sources with one expansion put
+    back."""
+    module, old, new = EXPANSIONS[name]
+    sources = package_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    found = expansions(sources)
+    assert len(found) == 1 and found[0].startswith(f"{module}:"), found

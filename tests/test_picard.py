@@ -38,6 +38,13 @@ class TestDescriptor:
         with pytest.raises(InternalInvariantError, match="^torsion factors must be at least 2$"):
             AbelianGroupDescriptor(torsion=(1,))
 
+    def test_torsion_given_as_an_iterator(self):
+        """A torsion read once, as from a generator, is kept and checked."""
+        group = AbelianGroupDescriptor(0, (t for t in (2, 4)))
+        assert group.torsion == (4, 2) and str(group) == "Z/4 x Z/2"
+        with pytest.raises(InternalInvariantError, match="^torsion factors must be at least 2$"):
+            AbelianGroupDescriptor(0, (t for t in (3, 1)))
+
     def test_torsion_and_extension_exclusive(self):
         with pytest.raises(InternalInvariantError, match="^torsion and unresolved extension are"):
             AbelianGroupDescriptor(torsion=(2,), unresolved_extension=UnresolvedExtension(1))

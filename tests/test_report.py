@@ -75,8 +75,9 @@ def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
 
 
 def test_text_report_builds_no_dual_partition():
-    """The text of sl_1000000 [1000000] needs no O(d_1) object: the dual
-    partition is built for JSON alone."""
+    """The text of sl_1000000 [1000000] needs no O(d_1) object: only the
+    JSON text has an "s" map, and it writes the map by stretch of equal
+    values without building the dual partition."""
     lie_type = LieType(Family.SL, 1_000_000)
     tracemalloc.start()
     try:
@@ -89,9 +90,9 @@ def test_text_report_builds_no_dual_partition():
 
 
 def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
-    """The text report, the atlas rows and the selfcheck sweep read the
-    stored runs alone; ``Partition.parts``, the O(N) expansion, is read by
-    the JSON rendering, which the spy sees."""
+    """The text report, the atlas rows, the selfcheck sweep and the JSON
+    text read the stored runs alone: none reads ``Partition.parts``, the
+    O(N) expansion."""
     reads = []
     expand = Partition.parts.fget
     monkeypatch.setattr(Partition, "parts", property(lambda self: reads.append(self) or expand(self)))
@@ -100,10 +101,9 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
             report = build_report(orbit)
             report_text(report)
             report_module._atlas_row(report)
+            json_text(report)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
     assert reads == []
-    json_text(report)
-    assert reads == [report.orbit.partition]
 
 
 @pytest.mark.parametrize(
@@ -170,6 +170,25 @@ def test_json_text_fixed_cases(obj):
     orbit = validate_orbit(parse_algebra(algebra), parse_partition(partition), label)
     report = build_report(orbit)
     assert json_text(report) == json.dumps(expected_report_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sl15", "5,4,3,2,1"),  # every run one part, every stretch of the "s" map one key
+    ("sl3000", "1000^2,7^100,1^300"),  # long runs; a stretch of keys of one to four digits
+    ("sp2024", "1009^2,3^2"),  # two runs, "s" keys of every width up to 1009, records
+    ("so1001", "99^3,22^2,1^660"),  # a long last run and many records
+    ("sl70000", "1^70000"),  # more parts than a piece of text holds: the head written alone
+    ("sl70001", "70000,1"),  # more "s" keys than that: the stretch made a block at a time
+], ids=" ".join)
+def test_json_text_across_runs(argv):
+    """The text of a run, and of a stretch of the "s" map, meets the next
+    one's with the commas and indentation of json.dumps, alone and as an
+    item of an atlas array."""
+    algebra, partition = argv
+    report = build_report(validate_orbit(parse_algebra(algebra), parse_partition(partition)))
+    expected = expected_report_dict(report)
+    assert json_text(report) == json.dumps(expected, indent=2)
+    assert "[\n  " + atlas_item(report) + "\n]" == json.dumps([expected], indent=2)
 
 
 @pytest.mark.parametrize("argv", [

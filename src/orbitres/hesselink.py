@@ -22,8 +22,8 @@ and the number of odd parts, each O(k) for k distinct parts: J holds one
 range of positions per run.  The image is the admissible q in [j1, j0)
 when the pairing holds, and j0 is at most N+2, so the witnesses of
 ``polarizable`` are read off that interval, however large m is.  The
-per-q record, HesselinkReport (q, the integer u, the image test, N_P), is
-the one q-dependent answer, read off the analysis in constant time.  The
+per-q record, HesselinkReport (q, the integer u, N_P, None off the image),
+is the one q-dependent answer, read off the analysis in constant time.  The
 witnesses of ``polarizable`` are the records of the image, each built once;
 ``admissible_reports`` (every admissible q, for the JSON report) holds them
 between the runs of (q, u) off the image, below and above it, since u moves
@@ -161,14 +161,19 @@ class HesselinkAnalysis(
         if exponent < 0:
             raise InternalInvariantError(f"degree exponent {exponent} is negative for q = {q}, "
                                          f"epsilon = {self.epsilon}, {self.n_odd} odd parts")
-        return tuple.__new__(HesselinkReport, (q, u, True, 2 ** exponent))
+        return tuple.__new__(HesselinkReport, (q, u, 2 ** exponent))
 
 
-class HesselinkReport(namedtuple("HesselinkReport", "q u in_image N_P")):
-    """One admissible q: its integer degree exponent u, whether it passes the
-    image test, and the collapsing degree N_P there (None off the image)."""
+class HesselinkReport(namedtuple("HesselinkReport", "q u N_P")):
+    """One admissible q: its integer degree exponent u and the collapsing
+    degree N_P when q passes the image test, None off the image."""
 
     __slots__ = ()
+
+    @property
+    def in_image(self) -> bool:
+        """Whether q passes the image test: it has a degree."""
+        return self.N_P is not None
 
 
 class PolarizabilityResult(namedtuple("PolarizabilityResult", "witnesses analysis")):
@@ -244,6 +249,6 @@ class RecordRuns:
         return len(self.witnesses) + sum(len(qs) for qs, _ in self.below + self.above)
 
     def __iter__(self):
-        below, above = ([map(HesselinkReport, qs, us, repeat(False), repeat(None))
+        below, above = ([map(HesselinkReport, qs, us, repeat(None))
                          for qs, us in runs] for runs in (self.below, self.above))
         return chain(*below, self.witnesses, *above)

@@ -11,10 +11,11 @@ form from the orbit's profile (``orbit.profile``, built once per orbit):
   whose isomorphism type is not pinned down by the formulas.
 
 The unresolved extension in the rather-odd case is represented faithfully
-rather than guessed: it is never trivial and has free rank 0.
-``q_factorial_certificate`` reads the group's free rank alone, with no rule
-per family.  Factoriality reads the parts' multiplicities
-(``orbit.partition.counts``), not the profile.
+rather than guessed, as its kernel exponent: it is never trivial and has
+free rank 0.  ``q_factorial_certificate`` reads the group's free rank
+alone, with no rule per family; a report stores no certificate, and each
+rendering reads it off the group it shows.  Factoriality reads the parts'
+multiplicities (``orbit.partition.counts``), not the profile.
 """
 
 from __future__ import annotations
@@ -28,41 +29,32 @@ from .orbits import ClassicalOrbit, Family
 _SL, _SP, _SO_EVEN = Family.SL, Family.SP, Family.SO_EVEN
 
 
-class UnresolvedExtension(namedtuple("UnresolvedExtension", "kernel_exponent")):
-    """An extension of Z/2 by (Z/2)^kernel_exponent of undetermined type."""
-
-    __slots__ = ()
-
-    def __new__(cls, kernel_exponent: int):
-        if kernel_exponent < 0:
-            raise InternalInvariantError("kernel exponent must be non-negative")
-        return tuple.__new__(cls, (kernel_exponent,))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
-
-
 class AbelianGroupDescriptor(
     namedtuple("AbelianGroupDescriptor", "free_rank torsion unresolved_extension")
 ):
     """Free rank plus torsion cyclic factors, or an unresolved 2-group.
 
-    ``torsion`` and ``unresolved_extension`` are mutually exclusive; an
-    unresolved extension always has order 2^(t+1) >= 2 and so is never
-    trivial.
+    The unresolved 2-group is an extension of Z/2 by (Z/2)^t of undetermined
+    type, held as its kernel exponent t >= 0 in ``unresolved_extension``
+    (None for any other group).  It comes with no free rank and no torsion,
+    and its order 2^(t+1) >= 2 makes it never trivial.
     """
 
     __slots__ = ()
 
     def __new__(cls, free_rank: int = 0, torsion: tuple[int, ...] = (),
-                unresolved_extension: UnresolvedExtension | None = None):
+                unresolved_extension: int | None = None):
         # first, so that every check reads the tuple: an iterator can be read once
         torsion = tuple(sorted(torsion, reverse=True)) if torsion else ()
         if free_rank < 0:
             raise InternalInvariantError("free rank must be non-negative")
         if torsion and torsion[-1] < 2:
             raise InternalInvariantError("torsion factors must be at least 2")
-        if torsion and unresolved_extension is not None:
-            raise InternalInvariantError("torsion and unresolved extension are mutually exclusive")
+        if unresolved_extension is not None:
+            if unresolved_extension < 0:
+                raise InternalInvariantError("kernel exponent must be non-negative")
+            if free_rank or torsion:
+                raise InternalInvariantError("an unresolved extension has no free rank or torsion")
         return tuple.__new__(cls, (free_rank, torsion, unresolved_extension))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the gate
@@ -78,8 +70,8 @@ class AbelianGroupDescriptor(
     def __str__(self) -> str:
         if self.is_trivial:
             return "trivial"
-        if self.unresolved_extension is not None:
-            t = self.unresolved_extension.kernel_exponent
+        t = self.unresolved_extension
+        if t is not None:
             if t == 0:
                 return "Z/2"  # extension of Z/2 by the trivial group
             return f"extension of Z/2 by (Z/2)^{t} (order {2 ** (t + 1)})"
@@ -103,7 +95,7 @@ def picard(orbit: ClassicalOrbit) -> AbelianGroupDescriptor:
         return AbelianGroupDescriptor(prof.l, (2,) * prof.b)
     two_torsion = max(0, prof.a - 1)
     if prof.rather_odd:
-        return AbelianGroupDescriptor(0, (), UnresolvedExtension(two_torsion))
+        return AbelianGroupDescriptor(0, (), two_torsion)
     return AbelianGroupDescriptor(prof.l, (2,) * two_torsion)
 
 

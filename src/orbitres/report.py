@@ -1,9 +1,9 @@
 """Assembly of full per-orbit reports and their text/JSON/table renderings.
 
 A report bundles everything the package can say about one orbit: dimension,
-Picard group, the Q-factoriality certificate read off it, factoriality,
-and the cross-checked resolution verdict with the polarizability it
-checked.  The renderings read the orbit's own profile, runs
+Picard group, factoriality, and the cross-checked resolution verdict with
+the polarizability it checked.  The renderings read the Q-factoriality
+certificate off the Picard group they show, and the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
 layout of the CLI is written here alone.  ``report_json`` streams an
 orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
@@ -34,22 +34,20 @@ from .resolution import Verdict, admits_symplectic_resolution
 
 
 class OrbitReport(
-    namedtuple("OrbitReport", "orbit dimension picard q_factorial factorial resolution")
+    namedtuple("OrbitReport", "orbit dimension picard factorial resolution")
 ):
     """Every answer about one orbit: the orbit, its dimension, its Picard
-    group (an AbelianGroupDescriptor), the QFactorialCertificate read off
-    it, factoriality (None for the zero orbit, which the criterion
-    excludes) and the cross-checked ResolutionVerdict."""
+    group (an AbelianGroupDescriptor, which decides the Q-factoriality
+    certificate), factoriality (None for the zero orbit, which the
+    criterion excludes) and the cross-checked ResolutionVerdict."""
 
     __slots__ = ()
 
 
 def build_report(orbit: ClassicalOrbit) -> OrbitReport:
     """Run every analysis on one orbit and bundle the results."""
-    group = picard(orbit)
-    return tuple.__new__(OrbitReport, (orbit, orbit_dimension(orbit), group,
-                                       q_factorial_certificate(group), is_factorial(orbit),
-                                       admits_symplectic_resolution(orbit)))
+    return tuple.__new__(OrbitReport, (orbit, orbit_dimension(orbit), picard(orbit),
+                                       is_factorial(orbit), admits_symplectic_resolution(orbit)))
 
 
 def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) -> None:
@@ -101,12 +99,12 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
         frame.r[len(runs)] % (*chain.from_iterable(reversed(runs.items())),)))
     below, at_least = 0, n
     for value, count in reversed(runs.items()):  # s_i = at_least for below < i <= value
-        pieces.append(frame.s[below, value, at_least])
+        pieces += frame.s[below, value, at_least]
         below, at_least = value, at_least - count
     pieces.append(frame.head % (
         even, report.dimension, group.free_rank, frame.torsion[len(torsion)] % torsion,
-        "null" if extension is None else frame.extension % extension.kernel_exponent,
-        _LITERAL[group.is_trivial], _str(report.q_factorial.value), _LITERAL[report.factorial],
+        "null" if extension is None else frame.extension % extension, _LITERAL[group.is_trivial],
+        _str(q_factorial_certificate(group).value), _LITERAL[report.factorial],
         _LITERAL[pol.polarizable],
         frame.witnesses[len(witnesses)] % (*chain.from_iterable((w.q, w.N_P) for w in witnesses),)
         if witnesses else "[]"))
@@ -197,14 +195,17 @@ def _cut(runs):
         yield value, (count - 1) % _PIECE + 1
 
 
-def _stretch(nl: str, below: int, end: int, value: int) -> str:
-    """The "s" entries ``value`` of the keys after ``below`` up to ``end`` at ``nl``, made
-    ``_PIECE`` keys at a time; the first entry of the map takes no comma."""
-    if end - below > _PIECE:
-        return "".join([_stretch(nl, start, min(start + _PIECE, end), value)
-                        for start in range(below, end, _PIECE)])
-    text = (f',{nl}"%d": {value}' * (end - below)) % (*range(below + 1, end + 1),)
-    return text if below else text[1:]
+def _stretch(nl: str, below: int, end: int, value: int) -> tuple[str, ...]:
+    """The "s" entries ``value`` of the keys after ``below`` up to ``end`` at ``nl``, as
+    texts of at most ``_PIECE`` keys each; the first entry of the map takes no comma."""
+    entry = f',{nl}"%d": {value}'
+    blocks = []
+    for start in range(below, end, _PIECE):
+        keys = range(start + 1, min(start + _PIECE, end) + 1)
+        blocks.append((entry * len(keys)) % (*keys,))
+    if not below:
+        blocks[0] = blocks[0][1:]
+    return tuple(blocks)
 
 
 class _JsonFrame:
@@ -293,7 +294,7 @@ def report_text(report: OrbitReport) -> str:
         f"  profile        k={prof.k} c={prof.c} a={prof.a} b={prof.b} l={prof.l}"
         f" rather_odd={'yes' if prof.rather_odd else 'no'}",
         f"  picard         {report.picard}",
-        f"  q-factorial    {report.q_factorial.value}",
+        f"  q-factorial    {q_factorial_certificate(report.picard).value}",
         f"  factorial      "
         + ("n/a (zero orbit)" if report.factorial is None else ("yes" if report.factorial else "no")),
         f"  polarizable    {_polarizable_text(report)}",
@@ -328,7 +329,7 @@ def _atlas_row(report: OrbitReport) -> tuple[str, ...]:
         str(prof.l),
         "yes" if prof.rather_odd else "no",
         str(report.picard),
-        report.q_factorial.value,
+        q_factorial_certificate(report.picard).value,
         "n/a" if report.factorial is None else ("yes" if report.factorial else "no"),
         "yes" if pol.polarizable else "no",
         ";".join(f"{w.q}:{w.N_P}" for w in pol.witnesses),

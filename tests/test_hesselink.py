@@ -194,8 +194,18 @@ class TestCollapseDegree:
         assert degree(SO7, "5,1,1", 3) == 1
 
     def test_no_degree_off_the_image(self):
-        assert records(SP6, "4,1,1")[0] == HesselinkReport(0, -1, False, None)
-        assert records(SO8, "5,3")[4] == HesselinkReport(4, -1, False, None)
+        assert records(SP6, "4,1,1")[0] == HesselinkReport(0, -1, None)
+        assert records(SO8, "5,3")[4] == HesselinkReport(4, -1, None)
+
+    def test_the_image_test_is_the_degree(self):
+        """A record holds q, u and N_P; its image test is read off N_P, so
+        the two cannot disagree, and it cannot be set."""
+        assert HesselinkReport._fields == ("q", "u", "N_P")
+        assert isinstance(HesselinkReport.in_image, property)
+        assert HesselinkReport(0, 1, 2).in_image is True
+        assert HesselinkReport(0, 1, None).in_image is False
+        with pytest.raises(AttributeError):
+            HesselinkReport(0, 1, 2).in_image = False
 
 
 def built_by(monkeypatch, a):

@@ -13,7 +13,6 @@ from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import (
     AbelianGroupDescriptor,
     QFactorialCertificate,
-    UnresolvedExtension,
     is_factorial,
     q_factorial_certificate,
 )
@@ -30,9 +29,7 @@ class TestDescriptor:
         assert AbelianGroupDescriptor().is_trivial
         assert not AbelianGroupDescriptor(free_rank=1).is_trivial
         assert not AbelianGroupDescriptor(torsion=(2,)).is_trivial
-        assert not AbelianGroupDescriptor(
-            unresolved_extension=UnresolvedExtension(0)
-        ).is_trivial
+        assert not AbelianGroupDescriptor(unresolved_extension=0).is_trivial
 
     def test_torsion_entries_validated(self):
         with pytest.raises(InternalInvariantError, match="^torsion factors must be at least 2$"):
@@ -46,8 +43,11 @@ class TestDescriptor:
             AbelianGroupDescriptor(0, (t for t in (3, 1)))
 
     def test_torsion_and_extension_exclusive(self):
-        with pytest.raises(InternalInvariantError, match="^torsion and unresolved extension are"):
-            AbelianGroupDescriptor(torsion=(2,), unresolved_extension=UnresolvedExtension(1))
+        """An extension comes alone: beside torsion or a free rank (which
+        its printed form would drop) it is refused."""
+        for free_rank, torsion in ((0, (2,)), (2, ())):
+            with pytest.raises(InternalInvariantError, match="^an unresolved extension has no"):
+                AbelianGroupDescriptor(free_rank, torsion, 1)
 
     def test_order(self):
         # the order is read off the fields and the printed form
@@ -57,8 +57,8 @@ class TestDescriptor:
         assert finite.free_rank == 0 and math.prod(finite.torsion) == 12
         assert str(finite) == "Z/3 x (Z/2)^2"
         assert str(AbelianGroupDescriptor(free_rank=2)) == "Z^2"
-        extension = AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(2))
-        assert 2 ** (extension.unresolved_extension.kernel_exponent + 1) == 8
+        extension = AbelianGroupDescriptor(unresolved_extension=2)
+        assert 2 ** (extension.unresolved_extension + 1) == 8
         assert str(extension) == "extension of Z/2 by (Z/2)^2 (order 8)"
 
     def test_json_schema(self):
@@ -74,14 +74,14 @@ class TestDescriptor:
             "unresolved_extension": None,
             "trivial": False,
         }
-        e = AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(3))
+        e = AbelianGroupDescriptor(unresolved_extension=3)
         assert picard_json(e)["unresolved_extension"] == {"kernel_exponent": 3}
 
     def test_str(self):
         assert str(AbelianGroupDescriptor()) == "trivial"
         assert str(AbelianGroupDescriptor(free_rank=1, torsion=(2, 2))) == "Z x (Z/2)^2"
         assert str(AbelianGroupDescriptor(torsion=(3,))) == "Z/3"
-        assert str(AbelianGroupDescriptor(unresolved_extension=UnresolvedExtension(0))) == "Z/2"
+        assert str(AbelianGroupDescriptor(unresolved_extension=0)) == "Z/2"
         # runs of equal factors, largest first, whatever the order given
         many = AbelianGroupDescriptor(free_rank=3, torsion=(2, 4, 2, 3, 4, 2))
         assert str(many) == "Z^3 x (Z/4)^2 x Z/3 x (Z/2)^3"
@@ -115,7 +115,7 @@ class TestPicardBCD:
 
     def test_so7_rather_odd_extension(self):
         group = picard(validate_orbit(SO7, (3, 2, 2)))
-        assert group.unresolved_extension == UnresolvedExtension(0)
+        assert group.unresolved_extension == 0
         assert str(group) == "Z/2"
         assert not group.is_trivial
 
@@ -129,11 +129,11 @@ class TestPicardBCD:
 
     def test_very_even_partition_order_two(self):
         group = picard(validate_orbit(SO8, (4, 4)))
-        assert group.unresolved_extension == UnresolvedExtension(0)
+        assert group.unresolved_extension == 0
 
     def test_so8_two_rather_odd_parts(self):
         group = picard(validate_orbit(SO8, (5, 3)))
-        assert group.unresolved_extension == UnresolvedExtension(1)
+        assert group.unresolved_extension == 1
         assert str(group) == "extension of Z/2 by (Z/2)^1 (order 4)"
 
     def test_picard_independent_of_label(self):
@@ -157,7 +157,7 @@ class TestPicardBCD:
             assert group.torsion == (2,) * prof.b
             assert group.unresolved_extension is None
         elif prof.rather_odd:
-            assert group.unresolved_extension == UnresolvedExtension(max(0, prof.a - 1))
+            assert group.unresolved_extension == max(0, prof.a - 1)
         else:
             assert group.torsion == (2,) * max(0, prof.a - 1)
 

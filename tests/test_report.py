@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -27,7 +28,8 @@ from orbitres import (
 from orbitres.errors import OrbitresError
 from orbitres.hesselink import HesselinkAnalysis, RecordRuns, admissible_reports
 from orbitres.orbits import Partition, VeryEvenLabel
-from orbitres.report import atlas_csv, atlas_json, atlas_markdown, report_text
+from orbitres.picard import AbelianGroupDescriptor
+from orbitres.report import OrbitReport, atlas_csv, atlas_json, atlas_markdown, report_text
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -207,6 +209,32 @@ def test_cli_json_is_json_dumps_at_benchmark_sizes(capsys, argv):
     label = VeryEvenLabel(label[1]) if label else None
     report = build_report(validate_orbit(lie_type, parse_partition(partition, lie_type.m), label))
     assert capsys.readouterr().out == json.dumps(expected_report_dict(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("algebra, partition, group, certificate", [
+    ("so7", "3,1^4", AbelianGroupDescriptor(1), "not_certified"),
+    ("sp4", "2,2", AbelianGroupDescriptor(0, (2,)), "certified"),
+])
+def test_renderings_read_the_certificate_off_the_group_they_show(algebra, partition, group,
+                                                                 certificate):
+    """A report stores no Q-factoriality certificate: with its Picard group
+    swapped, the JSON, text, markdown and CSV renderings each print the
+    certificate of the group they print beside it."""
+    assert OrbitReport._fields == ("orbit", "dimension", "picard", "factorial", "resolution")
+    lie_type = parse_algebra(algebra)
+    report = build_report(validate_orbit(lie_type, parse_partition(partition, lie_type.m)))
+    assert report.picard != group
+    report = report._replace(picard=group)
+    written = json.loads(json_text(report))
+    assert written["picard"]["free_rank"] == group.free_rank
+    assert written["q_factorial_certificate"] == certificate
+    assert f"  picard         {group}\n  q-factorial    {certificate}\n" in report_text(report)
+    table, rows = io.StringIO(), io.StringIO()
+    atlas_markdown([report], "atlas", table)
+    assert f" | {group} | {certificate} | " in table.getvalue()
+    atlas_csv([report], rows)
+    row = dict(zip(*csv.reader(io.StringIO(rows.getvalue()))))
+    assert (row["picard"], row["q_factorial"]) == (str(group), certificate)
 
 
 def test_json_report_is_written_in_bounded_memory(monkeypatch):

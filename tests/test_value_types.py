@@ -13,7 +13,7 @@ from orbitres import Family, LieType, build_report, validate_orbit
 from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.hesselink import HesselinkAnalysis, admissible_reports, polarizable
 from orbitres.orbits import ClassicalOrbit, Partition, VeryEvenLabel
-from orbitres.picard import AbelianGroupDescriptor, UnresolvedExtension
+from orbitres.picard import AbelianGroupDescriptor
 from orbitres.exceptional import EXCEPTIONAL_TABLE
 from orbitres.resolution import ResolutionWitness, admits_symplectic_resolution
 
@@ -30,7 +30,6 @@ VALUES = {
     "HesselinkAnalysis": (ANALYSIS, "j0"),
     "HesselinkReport": ([*admissible_reports(polarizable(ORBIT))][-1], "q"),
     "PolarizabilityResult": (polarizable(ORBIT), "witnesses"),
-    "UnresolvedExtension": (UnresolvedExtension(1), "kernel_exponent"),
     "AbelianGroupDescriptor": (AbelianGroupDescriptor(free_rank=1, torsion=(2, 4)), "torsion"),
     "ResolutionWitness": (ResolutionWitness(q=2), "q"),
     "ResolutionVerdict": (admits_symplectic_resolution(ORBIT), "answer"),
@@ -50,9 +49,12 @@ GATED = {
     "ClassicalOrbit-label": (
         ORBIT, {"very_even_label": VeryEvenLabel.II},
         lambda: ClassicalOrbit(SO8, ORBIT.partition, VeryEvenLabel.II), OrbitresError),
-    "UnresolvedExtension": (
-        UnresolvedExtension(1), {"kernel_exponent": -1}, lambda: UnresolvedExtension(-1),
-        InternalInvariantError),
+    "AbelianGroupDescriptor-kernel-exponent": (
+        AbelianGroupDescriptor(unresolved_extension=1), {"unresolved_extension": -1},
+        lambda: AbelianGroupDescriptor(unresolved_extension=-1), InternalInvariantError),
+    "AbelianGroupDescriptor-free-rank-and-extension": (
+        AbelianGroupDescriptor(unresolved_extension=1), {"free_rank": 2},
+        lambda: AbelianGroupDescriptor(2, (), 1), InternalInvariantError),
     "AbelianGroupDescriptor": (
         AbelianGroupDescriptor(free_rank=1), {"torsion": (1,)},
         lambda: AbelianGroupDescriptor(free_rank=1, torsion=(1,)), InternalInvariantError),

@@ -16,7 +16,7 @@ from types import ModuleType as _ModuleType
 
 from .enumeration import count_orbits, enumerate_orbits
 from .errors import OrbitresError
-from .hesselink import HesselinkAnalysis, admissible_reports, polarizable, resolution_by_search
+from .hesselink import HesselinkAnalysis, polarizable, resolution_by_search
 from .orbits import Family, LieType, orbit_dimension, parse_algebra, parse_partition, validate_orbit
 from .picard import picard
 from .report import build_report

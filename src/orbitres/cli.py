@@ -11,7 +11,8 @@ Exit codes: 0 success (an exceptional-table miss included, answered with
 guidance), 2 invalid input (OrbitresError), 3 self-check failure, 4
 internal error (InternalInvariantError, a bug: the two resolution routes
 disagree, a degree exponent is not a non-negative integer, or a computed
-value fails its type's gate).  The environment variable ORBITRES_MAX_M
+value fails its type's gate), 141 (128 + SIGPIPE) when the reader closes
+stdout before the output ends.  The environment variable ORBITRES_MAX_M
 (default 30, a non-negative integer) caps enumeration size.
 
 An orbit's JSON is the text ``report.report_json`` writes from its report.
@@ -256,7 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # stdout points at os.devnull, so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InternalInvariantError as exc:
         print(f"internal error, this is a bug: {exc}", file=sys.stderr)
         return 4

@@ -19,15 +19,15 @@ of equal parts (``Partition.counts``), and holds the marked set J, the
 interval bounds j1 and j0 (j1 is None when no marked position carries an
 odd part, printed as -inf), the drop set B, the adjacent-pair parity check
 and the number of odd parts, each O(k) for k distinct parts: J holds one
-range of positions per run.  The image is the admissible q in [j1, j0)
-when the pairing holds, and j0 is at most N+2, so the witnesses of
-``polarizable`` are read off that interval, however large m is.  The
-per-q record, HesselinkReport (q, the integer u, N_P, None off the image),
-is the one q-dependent answer, read off the analysis in constant time.  The
-witnesses of ``polarizable`` are the records of the image, each built once;
-``admissible_reports`` (every admissible q, for the JSON report) holds them
-between the runs of (q, u) off the image, below and above it, since u moves
-by one per step.
+range of positions per run.  Its one per-q method, ``admissible_runs``,
+gives the admissible q of an interval as at most two runs of (q, u), since
+u moves by one per step.  The image is the admissible q in [j1, j0) when
+the pairing holds, and j0 is at most N+2, so ``polarizable`` builds its
+witnesses, the records HesselinkReport (q, the integer u, N_P) of the
+image, from that interval alone, however large m is; it alone runs the
+image test.  ``admissible_reports`` (every admissible q, for the JSON
+report) holds the witnesses between the runs below and above them, whose
+records have N_P None.
 
 All index sets are evaluated on the zero-padded sequence d_1, d_2, ... with
 d_j = 0 for j > N.  The padding matters: zero entries join the marked set J
@@ -74,7 +74,7 @@ class HesselinkAnalysis(
     share parity at every j <= N congruent to m+1 mod 2 (padded positions
     beyond N pass trivially), and n_odd counts odd parts.  m is the matrix
     size and epsilon the constrained parity, 1 for sp_m and 0 for so_m.
-    Besides ``of``, the public method is ``admissible_qs``.
+    Besides ``of``, the public method is ``admissible_runs``.
     """
 
     __slots__ = ()
@@ -119,39 +119,26 @@ class HesselinkAnalysis(
         return tuple.__new__(cls, (m, epsilon, tuple(marked), j1, j0, tuple(drops), pairing_ok,
                                    n_odd))
 
-    def admissible_qs(self) -> list[int]:
-        """Every admissible q, ascending."""
-        return [q for qs in self._admissible(0, self.m + 1) for q in qs]
-
-    def _admissible(self, low: int, high: int) -> tuple[range, ...]:
-        """The admissible q with low <= q < high as ranges of step 2, two
-        (either may be empty) around q = 2 for so: the q in 0..m congruent
-        to m mod 2, with 2 left out for so.  This is the one admissibility rule."""
+    def admissible_runs(self, low: int, high: int) -> list[tuple[range, range]]:
+        """The admissible q with low <= q < high, as at most two runs (qs,
+        us) around so's missing q = 2: each run non-empty, its q of step 2
+        and congruent to m mod 2, its exponents u one apart.  2u = (-1)^epsilon
+        (n_odd - q) is even, as n_odd = m = q (mod 2); an odd 2u is a
+        convention bug, checked once per run from its ends, not its length,
+        which ``len`` cannot count past ``sys.maxsize``."""
         low = max(low, 0)
         qs = range(low + (low - self.m) % 2, min(high, self.m + 1), 2)
-        if self.epsilon or 2 not in qs:
-            return (qs,)
-        return (range(qs.start, 2, 2), range(4, qs.stop, 2))
-
-    def _image_bounds(self) -> tuple[int, int]:
-        """The image test as bounds [low, high) on q, low <= high: j1 <= q <
-        j0 (no lower bound when j1 is None) when the parity pairing holds,
-        else empty."""
-        low = self.j1 or 0
-        return (low, max(low, self.j0)) if self.pairing_ok else (0, 0)
-
-    def _us(self, qs: range) -> range:
-        """The exponents u over a run of admissible q (step 2), one apart:
-        2u = (-1)^epsilon (n_odd - q) is even, as n_odd = m = q (mod 2); an
-        odd 2u is a convention bug.  Read off the run's ends, not its
-        length, which ``len`` cannot count past ``sys.maxsize``."""
+        runs = (qs,) if self.epsilon or 2 not in qs else (range(qs.start, 2, 2), range(4, qs.stop, 2))
         sign = 1 if self.epsilon else -1
-        twice_u = sign * (qs.start - self.n_odd)
-        if twice_u % 2:
-            raise InternalInvariantError(f"degree exponent {twice_u}/2 is not an integer for q = "
-                                         f"{qs.start}, epsilon = {self.epsilon}, "
-                                         f"{self.n_odd} odd parts")
-        return range(twice_u // 2, sign * (qs[-1] - self.n_odd) // 2 + sign, sign)
+        found = []
+        for qs in filter(None, runs):
+            twice_u = sign * (qs.start - self.n_odd)
+            if twice_u % 2:
+                raise InternalInvariantError(f"degree exponent {twice_u}/2 is not an integer for "
+                                             f"q = {qs.start}, epsilon = {self.epsilon}, "
+                                             f"{self.n_odd} odd parts")
+            found.append((qs, range(twice_u // 2, sign * (qs[-1] - self.n_odd) // 2 + sign, sign)))
+        return found
 
     def _witness(self, q: int, u: int) -> HesselinkReport:
         """The record of a q in the image: N_P = 2^u, or 2^(u-1) when q =
@@ -206,9 +193,9 @@ def polarizable(orbit: ClassicalOrbit) -> PolarizabilityResult:
     if orbit.lie_type.family is _SL:
         return SL_POLARIZABILITY
     analysis = HesselinkAnalysis.of(orbit)
-    low, high = analysis._image_bounds()
-    witnesses = tuple([analysis._witness(q, u) for qs in analysis._admissible(low, high) if qs
-                       for q, u in zip(qs, analysis._us(qs))]) if low < high else ()
+    witnesses = tuple([analysis._witness(q, u) for qs, us in
+                       analysis.admissible_runs(analysis.j1 or 0, analysis.j0)
+                       for q, u in zip(qs, us)]) if analysis.pairing_ok else ()
     return tuple.__new__(PolarizabilityResult, (witnesses, analysis))
 
 
@@ -223,21 +210,23 @@ def resolution_by_search(pol: PolarizabilityResult) -> bool:
 
 
 def admissible_reports(pol: PolarizabilityResult):
-    """The reports of every admissible q in 0..m, held as the runs off the
-    image and the witnesses (a ``RecordRuns``); empty for sl orbits."""
+    """The reports of every admissible q in 0..m, held as the witnesses and
+    the runs below and above them (all below when there is none), a
+    ``RecordRuns``; empty for sl orbits."""
     analysis = pol.analysis
     if analysis is None:
         return ()
-    low, high = analysis._image_bounds()
-    below, above = ([(qs, analysis._us(qs)) for qs in analysis._admissible(*bounds) if qs]
-                    for bounds in ((0, low), (high, analysis.m + 1)))
-    return RecordRuns(below, pol.witnesses, above)
+    witnesses, top = pol.witnesses, analysis.m + 1
+    if not witnesses:
+        return RecordRuns(analysis.admissible_runs(0, top), (), [])
+    return RecordRuns(analysis.admissible_runs(0, witnesses[0].q), witnesses,
+                      analysis.admissible_runs(witnesses[-1].q + 1, top))
 
 
 class RecordRuns:
     """The reports of every admissible q: the runs ``(qs, us)`` of q below
-    the image and their exponents, the witnesses, and the runs above the
-    image.  Iterating yields the reports ascending, building those off the
+    the witnesses and their exponents, the witnesses, and the runs above
+    them.  Iterating yields the reports ascending, building those off the
     image, and the length is their number."""
 
     __slots__ = ("below", "witnesses", "above")

@@ -367,7 +367,8 @@ def parse_algebra(text: str) -> LieType:
         raise OrbitresError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
     try:
         n = int(match.group(2))
-    except ValueError:  # more digits than int() accepts
+        str((2 * n + 1) ** 2)  # a dimension, below m^2 <= (2n + 1)^2, must print too
+    except ValueError:  # more digits than int() accepts or str() writes
         raise OrbitresError(f"algebra name {text.strip()[:40]!r}... is too long") from None
     if by_letter:  # n is the rank: invert LieType.rank
         family = by_letter[0]

@@ -16,7 +16,6 @@ from orbitres import (
     Family,
     LieType,
     Verdict,
-    admissible_reports,
     admits_symplectic_resolution,
     enumerate_orbits,
     picard,
@@ -25,6 +24,7 @@ from orbitres import (
 )
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
 from orbitres.exceptional import EXCEPTIONAL_TABLE, lookup_exceptional
+from orbitres.hesselink import admissible_reports
 from orbitres.orbits import is_even_orbit
 from orbitres.picard import QFactorialCertificate, is_factorial, q_factorial_certificate
 from orbitres.resolution import closed_form_verdict

@@ -10,11 +10,14 @@ time and the bytes it wrote.  Each input must exit 0 or 2: answered, or
 refused before its first byte; it must take under ``SECONDS``; and the
 child's peak resident size must stay under three quarters of the limit.
 The inputs are long partitions and large parts that the JSON screen passes,
-some it refuses, compact partitions drawn by hypothesis with huge values
-and exponents, text reports, labels, atlases in every format, selfchecks,
-the exceptional table, and caps that are no integer or below m.  A longer
-sweep, from the largest part the screen passes to 2000 drawn inputs, runs
-with ``pytest -m sweep``.
+some it refuses, text reports, labels, atlases in every format, selfchecks,
+the exceptional table, and caps that are no integer or below m.  Hypothesis
+draws more: reports of compact partitions with huge values and exponents,
+their algebras named in prefix or Cartan form, in mixed case, with up to
+a few thousand digits, in text or JSON, with label I, II or none; and
+atlases and selfchecks of m <= 12 under a cap of 0 to 30.  A longer sweep,
+from the largest part the screen passes to 2000 drawn inputs, runs with
+``pytest -m sweep``.
 """
 
 from __future__ import annotations
@@ -116,31 +119,55 @@ def capped(cap: str, *argv: str) -> tuple[str, tuple[str, ...]]:
     return cap, argv
 
 
+def algebra_name(draw, family: Family, m: int) -> str:
+    """The algebra of size m named by its prefix or its Cartan letter and
+    rank, each letter in either case."""
+    word, n = ((family.prefix, m) if draw(st.booleans())
+               else (family.letter, m - 1 if family is Family.SL else m // 2))
+    return "".join(draw(st.sampled_from((c.lower(), c.upper()))) for c in word) + str(n)
+
+
 @st.composite
-def compact_inputs(draw) -> tuple[None, tuple[str, ...]]:
-    """A JSON report of a compact partition of up to four runs, each value
-    and exponent small or huge, valid in its family: the parts of the
-    constrained parity come in pairs, and a very even so partition takes a
-    label."""
+def report_inputs(draw) -> tuple[None, tuple[str, ...]]:
+    """A text or JSON report of a compact partition of up to four runs,
+    each value and exponent small or huge (up to 2100 digits, so that m
+    has fewer than the 4300 digits ``str`` writes), valid in its family:
+    the parts of the constrained parity come in pairs.  The label is I, II
+    or none, needed or not."""
     family = draw(st.sampled_from(Family))
-    size = st.one_of(st.integers(1, 40), st.integers(1, 1 << 26), st.integers(1, 10 ** 12))
+    size = st.one_of(st.integers(1, 40), st.integers(1, 1 << 26), st.integers(1, 10 ** 12),
+                     st.integers(1, 2100).flatmap(lambda digits: st.integers(1, 10 ** digits)))
     runs = draw(st.dictionaries(size, size, min_size=1, max_size=4))
     parity = family.constrained_parity
     runs = {value: count + count % 2 if value % 2 == parity else count
             for value, count in sorted(runs.items(), reverse=True)}
     m = sum(value * count for value, count in runs.items())
     partition = ",".join(f"{value}^{count}" for value, count in runs.items())
-    very_even = family.prefix == "so" and all(value % 2 == 0 for value in runs)
-    return report(f"{family.prefix}{m}", partition, *(["--label", "I"] if very_even else []))
+    label = draw(st.sampled_from(((), ("--label", "I"), ("--label", "II"))))
+    return None, ("report", algebra_name(draw, family, m), partition, "--format",
+                  draw(st.sampled_from(("text", "json"))), *label)
 
 
-def drawn(count: int) -> list[tuple[None, tuple[str, ...]]]:
+@st.composite
+def sweep_inputs(draw) -> tuple[str, tuple[str, ...]]:
+    """An atlas in any format of an algebra with m <= 12, or a selfcheck
+    up to some m <= 12, under a cap of 0 to 30."""
+    cap = str(draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        return cap, ("selfcheck", str(draw(st.integers(0, 12))))
+    family = draw(st.sampled_from(Family))
+    m = draw(st.sampled_from(range(family.min_m, 13, 1 if family is Family.SL else 2)))
+    return cap, ("atlas", algebra_name(draw, family, m), "--format",
+                 draw(st.sampled_from(("json", "md", "csv"))))
+
+
+def drawn(count: int) -> list[tuple[str | None, tuple[str, ...]]]:
     """``count`` inputs drawn by hypothesis, the same on every run."""
     inputs = []
 
     @settings(max_examples=count, derandomize=True, database=None, phases=[Phase.generate],
               suppress_health_check=list(HealthCheck), deadline=None)
-    @given(compact_inputs())
+    @given(st.one_of(report_inputs(), sweep_inputs()))
     def collect(given):
         inputs.append(given)
 
@@ -162,6 +189,9 @@ FIXED = {
     plain("report", "sl20000000", "20000000"): 0,
     plain("report", "sl1000000000000", "1^1000000000000"): 0,
     plain("report", "sp200000000", "1^200000000"): 0,
+    # a dimension of more digits than str() writes, refused as the name is read
+    plain("report", f"sl{'9' * 2200}", "9" * 2200): 2,
+    plain("report", f"so{'9' * 2140}", "9" * 2140): 0,
     plain("report", "so8", "4,4", "--label", "II"): 0,
     plain("report", "so8", "3,2,2,1", "--label", "I"): 2,  # not very even
     plain("atlas", "so8", "--format", "md"): 0,
@@ -183,8 +213,8 @@ FIXED = {
 
 
 def test_json_reports_fit_in_a_gigabyte():
-    """The fixed inputs of every command, and 30 drawn JSON reports."""
-    inputs = [*FIXED, *drawn(30)]
+    """The fixed inputs of every command, and 60 drawn inputs."""
+    inputs = [*FIXED, *drawn(60)]
     outcomes = budgeted(inputs)
     assert {key(given): outcomes[key(given)] for given in FIXED} == {
         key(given): outcome for given, outcome in FIXED.items()}

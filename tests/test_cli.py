@@ -111,6 +111,29 @@ def test_exit_contract(capsys, monkeypatch, argv, max_m, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
 
 
+CLOSED_AFTER = [
+    (("atlas", "sl30", "--format", "json"), 1),
+    (("report", "sp512", "1^512", "--format", "json"), 1),
+    (("selfcheck", "6"), 0),  # closed before the output, which goes out at the end
+]
+
+
+@pytest.mark.parametrize("argv, lines", CLOSED_AFTER, ids=[" ".join(a) for a, _ in CLOSED_AFTER])
+def test_a_closed_stdout_exits_141_in_silence(argv, lines):
+    """A reader that closes stdout after ``lines`` lines, as ``| head -1``
+    does, ends the command with exit 141 (128 + SIGPIPE) and nothing on
+    stderr: no traceback, not even from the flush at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    env.pop("ORBITRES_MAX_M", None)
+    child = subprocess.Popen([sys.executable, "-m", "orbitres", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=60), stderr) == (141, b"")
+
+
 class TestReport:
     def test_text_report(self, capsys):
         code, out, _ = run(capsys, "report", "so7", "3,2,2")
@@ -350,6 +373,9 @@ class TestAtlas:
             def write(self, text):
                 events.append("write")
                 return len(text)
+
+            def flush(self):  # main flushes stdout before it returns
+                pass
 
         original = cli.build_report
         monkeypatch.setattr(cli, "build_report", lambda orbit: events.append("build") or original(orbit))

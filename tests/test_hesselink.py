@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from orbitres import (
     HesselinkAnalysis,
     LieType,
     Verdict,
-    admissible_reports,
     build_report,
     enumerate_orbits,
     parse_partition,
@@ -35,7 +35,7 @@ from orbitres import (
 )
 from orbitres.cli import _selfcheck_lie_types, main, run_selfcheck
 from orbitres.errors import InternalInvariantError, OrbitresError
-from orbitres.hesselink import HesselinkReport
+from orbitres.hesselink import HesselinkReport, admissible_reports
 from orbitres.report import report_text
 from orbitres.resolution import closed_form_verdict
 
@@ -63,6 +63,32 @@ def zero_orbit_analysis(lie_type):
     return analysis(lie_type, f"1^{lie_type.m}")
 
 
+def admissible(a):
+    """Every admissible q of the analysis, ascending, read off its runs."""
+    return [q for qs, _ in a.admissible_runs(0, a.m + 1) for q in qs]
+
+
+def admissible_by_rule(m, epsilon, low=0, high=None):
+    """The q in [low, high) and 0..m congruent to m mod 2, with 2 left out
+    for so, each tested on its own."""
+    high = m + 1 if high is None else high
+    return [q for q in range(max(low, 0), min(high, m + 1))
+            if q % 2 == m % 2 and not (epsilon == 0 and q == 2)]
+
+
+def counted_runs(monkeypatch) -> list:
+    """Patch ``admissible_runs`` to append the runs of each call to the
+    list returned."""
+    calls, original = [], HesselinkAnalysis.admissible_runs
+
+    def counted(self, low, high):
+        calls.append(original(self, low, high))
+        return calls[-1]
+
+    monkeypatch.setattr(HesselinkAnalysis, "admissible_runs", counted)
+    return calls
+
+
 class TestContext:
     """m and epsilon, which the analysis takes from its orbit's algebra."""
 
@@ -84,25 +110,47 @@ class TestContext:
 
 class TestAdmissible:
     def test_orthogonal_excludes_two(self):
-        assert zero_orbit_analysis(SO8).admissible_qs() == [0, 4, 6, 8]
+        a = zero_orbit_analysis(SO8)
+        assert admissible(a) == [0, 4, 6, 8]
+        assert [qs for qs, _ in a.admissible_runs(0, 9)] == [range(0, 2, 2), range(4, 9, 2)]
 
     def test_parity(self):
-        assert zero_orbit_analysis(SO7).admissible_qs() == [1, 3, 5, 7]
-        assert zero_orbit_analysis(SP6).admissible_qs() == [0, 2, 4, 6]  # epsilon = 1 keeps q = 2
+        assert admissible(zero_orbit_analysis(SO7)) == [1, 3, 5, 7]
+        assert admissible(zero_orbit_analysis(SP6)) == [0, 2, 4, 6]  # epsilon = 1 keeps q = 2
 
-    def test_admissible_qs_is_the_admissible_filter(self):
-        """admissible_qs is the parity-and-2 filter on 0..m, and the records
-        come for exactly those q: no negative q, none of the wrong parity,
-        none past m."""
+    def test_admissible_runs_are_the_admissible_filter(self):
+        """admissible_runs(low, high) is the parity-and-2 filter on [low,
+        high) within 0..m, as at most two non-empty runs of step 2, with u
+        = (-1)^epsilon (n_odd - q) / 2 beside each q; and the records come
+        for exactly the admissible q: no negative q, none of the wrong
+        parity, none past m."""
         lie_types = [LieType(Family.SP, m) for m in range(2, 65, 2)]
         lie_types += [LieType(Family.SO_ODD, m) for m in range(3, 65, 2)]
         lie_types += [LieType(Family.SO_EVEN, m) for m in range(4, 65, 2)]
         for lie_type in lie_types:
-            a = zero_orbit_analysis(lie_type)
-            m, orthogonal = lie_type.m, lie_type.family is not Family.SP
-            expected = [q for q in range(m + 1) if q % 2 == m % 2 and not (orthogonal and q == 2)]
-            assert a.admissible_qs() == expected, lie_type
-            assert list(records(lie_type, f"1^{m}")) == expected, lie_type
+            m, family = lie_type.m, lie_type.family
+            regular = (m - 1, 1) if family is Family.SO_EVEN else (m,)
+            hook = (2 if family is Family.SP else 3,) + (1,) * (m - 2 - (family is not Family.SP))
+            for parts in ((1,) * m, regular, hook):
+                a = HesselinkAnalysis.of(validate_orbit(lie_type, parts))
+                windows = [(0, m + 1)]
+                if m <= 12:
+                    windows += [(low, high) for low in range(-2, m + 3) for high in range(low - 1, m + 4)]
+                for low, high in windows:
+                    runs = a.admissible_runs(low, high)
+                    expected = admissible_by_rule(m, a.epsilon, low, high)
+                    assert [q for qs, _ in runs for q in qs] == expected, (lie_type, low, high)
+                    assert len(runs) <= 2 and all(qs and qs.step == 2 for qs, _ in runs)
+                    assert [u for _, us in runs for u in us] == [
+                        (-1) ** a.epsilon * (a.n_odd - q) // 2 for q in expected], (lie_type, parts)
+            assert list(records(lie_type, f"1^{m}")) == admissible_by_rule(m, a.epsilon), lie_type
+
+    def test_the_per_q_method_is_admissible_runs(self):
+        """The analysis has one public per-q method; the image test is no
+        method of it."""
+        methods = {name for name, value in vars(HesselinkAnalysis).items()
+                   if isinstance(value, (FunctionType, classmethod))}
+        assert methods == {"of", "admissible_runs", "_witness"}
 
 
 class TestMarkedSets:
@@ -220,40 +268,39 @@ class TestIntegralityGuard:
     def test_odd_count_off_by_one_raises_at_every_q(self):
         for a in (analysis(SO8, "3,3,1,1"), analysis(SP6, "4,1,1"), analysis(SO7, "3,2,2")):
             corrupted = a._replace(n_odd=a.n_odd + 1)
-            for q in a.admissible_qs():  # in the image or not
+            for q in admissible(a):  # in the image or not
                 with pytest.raises(InternalInvariantError, match="is not an integer"):
-                    corrupted._us(range(q, q + 1))
+                    corrupted.admissible_runs(q, q + 1)
 
     def test_polarizable_and_reports_check_integrality_once_per_run(self, monkeypatch):
         """polarizable and admissible_reports both raise on the corruption,
-        through the one guard, which runs once per run of q, not per q."""
+        through the one guard in admissible_runs, which checks each run at
+        its first q, not each q: polarizable asks for the runs of its image
+        once, and admissible_reports for those below and above the
+        witnesses."""
         for lie_type, text in ((SO8, "3,3,1,1"), (SP6, "4,2"), (SO7, "3,2,2"), (SP6, "2,2,1,1")):
             orbit = validate_orbit(lie_type, d(text))
             pol = polarizable(orbit)
             records = admissible_reports(pol)
-            assert pol.witnesses and records.below + records.above, orbit  # both paths reach u
+            off_image = records.below + records.above
+            assert pol.witnesses and off_image, orbit  # both paths reach u
             corrupted = pol.analysis._replace(n_odd=pol.analysis.n_odd + 1)
-            with pytest.raises(InternalInvariantError, match="is not an integer"):
+            first = f"is not an integer for q = {off_image[0][0].start},"
+            with pytest.raises(InternalInvariantError, match=first):
                 admissible_reports(pol._replace(analysis=corrupted))
             with monkeypatch.context() as patch:
                 built_by(patch, corrupted)
-                with pytest.raises(InternalInvariantError, match="is not an integer"):
+                with pytest.raises(InternalInvariantError,
+                                   match=f"is not an integer for q = {pol.witnesses[0].q},"):
                     polarizable(orbit)
-            runs = []
-
-            def counted(self, qs):
-                runs.append(qs)
-                return original(self, qs)
-
-            original = HesselinkAnalysis._us
             with monkeypatch.context() as patch:
-                patch.setattr(HesselinkAnalysis, "_us", counted)
+                calls = counted_runs(patch)
                 polarizable(orbit)
-                image_runs = len(runs)
                 admissible_reports(pol)
             qs = [w.q for w in pol.witnesses]  # a run ends where q skips 2 (so_m leaves out q = 2)
-            assert image_runs == 1 + sum(b - a > 2 for a, b in zip(qs, qs[1:])), orbit
-            assert runs[image_runs:] == [qs for qs, _ in records.below + records.above], orbit
+            assert len(calls) == 3 and [q for run, _ in calls[0] for q in run] == qs, orbit
+            assert len(calls[0]) == 1 + sum(b - a > 2 for a, b in zip(qs, qs[1:])), orbit
+            assert calls[1] + calls[2] == off_image, orbit
 
     def test_negative_exponent_raises(self, monkeypatch):
         # j0 lifted past the padded cap puts q = 4 in the image, where u = -1
@@ -486,10 +533,8 @@ def by_position(a) -> dict:
 
 def image_by_definition(a):
     """The admissible q passing the image test, each tested on its own."""
-    return [
-        q for q in a.admissible_qs()
-        if (a.j1 is None or a.j1 <= q) and q < a.j0 and a.pairing_ok
-    ]
+    return [q for q in admissible_by_rule(a.m, a.epsilon)
+            if (a.j1 is None or a.j1 <= q) and q < a.j0 and a.pairing_ok]
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +595,7 @@ class TestRuns:
                 assert qs and len(qs) == len(us) and qs.step == 2 and us.step == sign, orbit
             below, above = ([q for qs, _ in runs for q in qs] for runs in (records.below, records.above))
             assert records.witnesses is pol.witnesses, orbit
-            assert below + [w.q for w in pol.witnesses] + above == pol.analysis.admissible_qs(), orbit
+            assert below + [w.q for w in pol.witnesses] + above == [r.q for r in expected], orbit
 
     @given(many_parts_orbits())
     @settings(max_examples=200, deadline=None)
@@ -560,14 +605,15 @@ class TestRuns:
 
     @pytest.mark.parametrize("partition", [(2_000_000,), (1_000_000, 1_000_000)], ids=str)
     def test_record_runs_list_no_admissible_q(self, monkeypatch, partition):
-        """sp_2000000 has 1000001 admissible q; its records are a few runs."""
-        def refuse(self):
-            raise AssertionError("admissible_qs listed")
-
-        monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
-        records = admissible_reports(polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition)))
+        """sp_2000000 has 1000001 admissible q; polarizable and its records
+        read them as a few runs, in at most three calls."""
+        calls = counted_runs(monkeypatch)
+        pol = polarizable(validate_orbit(LieType(Family.SP, 2_000_000), partition))
+        records = admissible_reports(pol)
+        assert len(calls) <= 3 and all(type(qs) is range for runs in calls for qs, _ in runs)
         assert len(records) == 1_000_001
         assert len(records.below) + len(records.above) + bool(records.witnesses) <= 3
+        assert [(w.q, w.N_P) for w in pol.witnesses] == [(0, 1), (2, 2)][:len(partition)]
 
     def test_witnesses_are_the_image_interval(self):
         for orbit in bcd_orbits_to_30():
@@ -576,14 +622,12 @@ class TestRuns:
 
     def test_witnesses_and_text_list_no_admissible_q(self, monkeypatch, capsys):
         """The witnesses and the text report of sp_2000000 [1000000^2] come
-        from the image interval alone; only the JSON writes every q, from its runs."""
-
-        def refuse(self):
-            raise AssertionError("admissible_qs listed")
-
-        monkeypatch.setattr(HesselinkAnalysis, "admissible_qs", refuse)
+        from the image interval alone, one call of admissible_runs each;
+        only the JSON writes every q, from its runs."""
+        calls = counted_runs(monkeypatch)
         orbit = validate_orbit(LieType(Family.SP, 2_000_000), (1_000_000, 1_000_000))
         assert [(w.q, w.N_P) for w in polarizable(orbit).witnesses] == [(0, 1), (2, 2)]
         text = report_text(build_report(orbit))
         assert main(["report", "sp2000000", "1000000^2"]) == 0
         assert capsys.readouterr().out == text + "\n"
+        assert len(calls) == 3, calls

@@ -137,21 +137,22 @@ def functions_holding(module: ast.Module, hit) -> set:
 
 
 def test_hesselink_reads_the_image_test_in_one_function():
-    """In hesselink.py one function reads j1, j0 and pairing_ok, the
-    fields of the image test: the image bounds have one home."""
+    """In hesselink.py only ``polarizable`` reads j1, j0 and pairing_ok,
+    the fields of the image test: the image bounds have one home."""
     module = tree("hesselink")
     readers = {field: functions_holding(module, lambda node, _: getattr(node, "attr", None) == field)
                for field in ("j1", "j0", "pairing_ok")}
-    assert len(set().union(*readers.values())) == 1 and all(readers.values()), readers
+    assert readers == dict.fromkeys(readers, {"polarizable"}), readers
 
 
 def test_hesselink_computes_the_exponent_in_one_function():
-    """In hesselink.py the odd-part count enters arithmetic in one
-    function, as 2u = +-(n_odd - q): the degree exponent has one home."""
+    """In hesselink.py the odd-part count enters arithmetic only in
+    ``admissible_runs``, as 2u = +-(n_odd - q): the degree exponent has one
+    home."""
     arithmetic = (ast.BinOp, ast.UnaryOp, ast.AugAssign)
     found = functions_holding(tree("hesselink"), lambda node, parent: getattr(node, "attr", None)
                               == "n_odd" and isinstance(parent, arithmetic))
-    assert len(found) == 1, found
+    assert found == {"admissible_runs"}, found
 
 
 def test_closed_form_reads_nothing_from_hesselink():
@@ -281,7 +282,9 @@ def test_the_command_line_prints_the_same_under_every_supported_python():
     """``requires-python`` promises 3.10 and up beyond parsing: under every
     other local interpreter from 3.10 up that starts, ``-S -m orbitres``
     writes the same stdout, byte for byte, and exits with the same code as
-    under the running one.  Skipped when no such interpreter is found."""
+    under the running one.  Every interpreter, the running one included,
+    runs with ``-W error``, so a warning, such as a deprecation in a newer
+    Python, fails the run.  Skipped when no such interpreter is found."""
     others = other_interpreters()
     if not others:
         pytest.skip("no other interpreter from 3.10 up starts here")
@@ -289,7 +292,7 @@ def test_the_command_line_prints_the_same_under_every_supported_python():
     env.pop("ORBITRES_MAX_M", None)
 
     def run(python: str, argv: list[str]) -> tuple[int, bytes]:
-        done = subprocess.run([python, "-S", "-m", "orbitres", *argv], env=env,
+        done = subprocess.run([python, "-S", "-W", "error", "-m", "orbitres", *argv], env=env,
                               capture_output=True, timeout=120, check=False)
         return done.returncode, done.stdout
 

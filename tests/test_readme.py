@@ -48,7 +48,7 @@ def test_exports_are_exactly_the_documented_names():
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "orbitres" and node.level == 0:
                 documented.update(alias.name for alias in node.names)
-    assert len(documented) == 17
+    assert len(documented) == 16
     assert sorted(documented) == orbitres.__all__
     public = {
         name

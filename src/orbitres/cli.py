@@ -8,12 +8,12 @@ Subcommands:
 * ``exceptional ALGEBRA LABEL``  embedded exceptional-type table.
 
 Exit codes: 0 success (an exceptional-table miss included, answered with
-guidance), 2 invalid input (OrbitresError), 3 self-check failure, 4
-internal error (InternalInvariantError, a bug: the two resolution routes
-disagree, a degree exponent is not a non-negative integer, or a computed
-value fails its type's gate), 141 (128 + SIGPIPE) when the reader closes
-stdout before the output ends.  The environment variable ORBITRES_MAX_M
-(default 30, a non-negative integer) caps enumeration size.
+guidance), 2 invalid input (OrbitresError: a parser's syntax error, or a
+rule of a value's gate), 3 self-check failure, 4 internal error (a bug,
+InternalInvariantError: the resolution routes disagree, a degree exponent
+is not a non-negative integer, or a computed value fails its type's gate),
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
+The environment variable ORBITRES_MAX_M (default 30) caps enumeration size.
 
 An orbit's JSON is the text ``report.report_json`` writes from its report.
 ``atlas`` streams every format as it enumerates, so after an internal error
@@ -80,7 +80,7 @@ def _check_cap(m: int) -> None:
 
 def _cmd_report(args) -> int:
     lie_type = parse_algebra(args.algebra)
-    partition = parse_partition(args.partition, lie_type.m)
+    partition = parse_partition(args.partition)
     label = VeryEvenLabel(args.label) if args.label else None
     orbit = validate_orbit(lie_type, partition, label)
     report = build_report(orbit)

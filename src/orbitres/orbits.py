@@ -76,6 +76,19 @@ class Family(Enum):
 _SL, _SP, _SO_EVEN = Family.SL, Family.SP, Family.SO_EVEN
 
 
+def _integer(value, name: str) -> int:
+    """``value`` through ``operator.index``, if an int that ``str()`` writes: the
+    digit rule's one home, run by each gate before any message prints the int."""
+    try:
+        value = operator.index(value)
+        str(value)
+    except TypeError:
+        raise OrbitresError(f"{name} must be an integer, got {type(value).__name__}") from None
+    except ValueError:
+        raise OrbitresError(f"{name} has more digits than str() writes") from None
+    return value
+
+
 class LieType(namedtuple("LieType", "family m")):
     """A classical simple Lie algebra identified by family and matrix size.
 
@@ -87,10 +100,8 @@ class LieType(namedtuple("LieType", "family m")):
     __slots__ = ()
 
     def __new__(cls, family: Family, m: int):
-        try:
-            m = operator.index(m)
-        except TypeError:
-            raise OrbitresError(f"matrix size must be an integer, got {m!r}") from None
+        m = _integer(m, "matrix size")
+        _integer(m * m, "the square of the matrix size")  # above every figure a report prints
         low = family.min_m
         if m < low:
             raise OrbitresError(f"{family.value} requires m >= {low}, got {m}")
@@ -151,21 +162,23 @@ class Partition:
 
     def __new__(cls, parts: tuple[int, ...]):
         try:
-            runs = [(part, 1) for part in map(operator.index, parts)]
+            runs = [(part, 1) for part in parts]
         except TypeError:
-            raise OrbitresError(f"parts must be integers, got {parts!r}") from None
+            raise OrbitresError(f"parts must be an iterable, got {type(parts).__name__}") from None
         return cls.from_runs(runs)
 
     @classmethod
     def from_runs(cls, runs) -> Partition:
         """The gate: a partition from (value, multiplicity) pairs, in a list
-        or a mapping such as ``counts``.  Both must be integers, then positive,
-        then the values weakly decreasing; equal neighbours merge into one run."""
+        or a mapping such as ``counts``.  Both must be integers that ``str()``
+        writes, then positive, then the values weakly decreasing; equal
+        neighbours merge into one run."""
         pairs = runs.items() if isinstance(runs, (dict, MappingProxyType)) else runs
         try:
-            pairs = [(operator.index(value), operator.index(count)) for value, count in pairs]
-        except (TypeError, ValueError):
-            raise OrbitresError(f"runs must be pairs of integers, got {runs!r}") from None
+            pairs = [(_integer(value, "a part"), _integer(count, "a multiplicity"))
+                     for value, count in pairs]
+        except (TypeError, ValueError):  # the runs, or one of them, are no pairs
+            raise OrbitresError("runs must be (value, multiplicity) pairs") from None
         if not pairs:
             raise OrbitresError("a partition needs at least one part")
         for value, count in pairs:
@@ -241,11 +254,9 @@ class ClassicalOrbit(namedtuple("ClassicalOrbit", "lie_type partition very_even_
 
     def __new__(cls, lie_type: LieType, partition: Partition,
                 very_even_label: VeryEvenLabel | None = None):
-        if partition.total != lie_type.m:
-            raise OrbitresError(
-                f"parts sum to {partition.total}, expected m = {lie_type.m} "
-                f"for {lie_type.name}"
-            )
+        if partition.total != lie_type.m:  # a sum is printed only below m, which prints
+            said = f"{partition.total}, expected" if partition.total < lie_type.m else "more than"
+            raise OrbitresError(f"parts sum to {said} m = {lie_type.m} for {lie_type.name}")
         family = lie_type.family
         constrained = family.constrained_parity
         if constrained is not None:  # sl constrains nothing
@@ -357,8 +368,8 @@ _ALGEBRA_RE = re.compile(r"^([a-z]+)\s*(\d+)$", re.IGNORECASE)
 
 
 def parse_algebra(text: str) -> LieType:
-    """Parse 'so8', 'sp6', 'sl5' or the Cartan form 'D4', 'C3', 'B3', 'A4';
-    so names the orthogonal family of m's parity."""
+    """Parse 'so8', 'sp6', 'sl5' or the Cartan form 'D4', 'C3', 'B3', 'A4', the
+    syntax alone: so names the orthogonal family of m's parity, LieType gates m."""
     match = _ALGEBRA_RE.match(text.strip())
     word = match.group(1) if match else ""
     by_letter = [f for f in Family if f.letter == word.upper()]
@@ -367,8 +378,7 @@ def parse_algebra(text: str) -> LieType:
         raise OrbitresError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
     try:
         n = int(match.group(2))
-        str((2 * n + 1) ** 2)  # a dimension, below m^2 <= (2n + 1)^2, must print too
-    except ValueError:  # more digits than int() accepts or str() writes
+    except ValueError:  # more digits than int() accepts
         raise OrbitresError(f"algebra name {text.strip()[:40]!r}... is too long") from None
     if by_letter:  # n is the rank: invert LieType.rank
         family = by_letter[0]
@@ -379,13 +389,12 @@ def parse_algebra(text: str) -> LieType:
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_partition(text: str, total: int | None = None) -> Partition:
+def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts with exponent shorthand, e.g. '2^2,1^4'.
 
-    Each term is one run, never expanded.  Malformed syntax and shape
-    violations raise OrbitresError: a term's own, and with ``total`` (the
-    algebra's m) a sum past it, as each term is read; the order of the
-    terms after all have parsed, in the ``Partition`` gate.
+    Each term is one run, never expanded.  Syntax alone is checked: every
+    rule on the runs is the ``Partition.from_runs`` gate's, and their sum
+    ``ClassicalOrbit``'s.
     """
     cleaned = text.strip()
     if cleaned.startswith("[") and cleaned.endswith("]"):
@@ -393,22 +402,12 @@ def parse_partition(text: str, total: int | None = None) -> Partition:
     if not cleaned:
         raise OrbitresError("empty partition text")
     runs: list[tuple[int, int]] = []
-    running = 0
     for token in cleaned.split(","):
         match = _TERM_RE.match(token.strip())
         if not match:
             raise OrbitresError(f"cannot parse partition term {token.strip()!r}")
         try:
-            value = int(match.group(1))
-            count = int(match.group(2)) if match.group(2) else 1
+            runs.append((int(match.group(1)), int(match.group(2) or 1)))
         except ValueError:  # more digits than int() accepts
             raise OrbitresError(f"partition term {token.strip()[:40]!r}... is too long") from None
-        if count < 1:
-            raise OrbitresError(f"exponent must be at least 1 in {token.strip()!r}")
-        if value < 1:  # a zero term never moves the running sum, so stop it here
-            raise OrbitresError(f"parts must be positive, got {value}")
-        running += value * count
-        if total is not None and running > total:
-            raise OrbitresError(f"parts sum to at least {running}, expected m = {total}")
-        runs.append((value, count))
     return Partition.from_runs(runs)

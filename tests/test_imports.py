@@ -10,7 +10,8 @@ table.  An exception class exists only where some code handles it apart
 from the others.  Only the partition gate itself and enumeration, whose
 runs are valid by construction, reach the unchecked Partition constructor.
 In the Hesselink module the image test and the degree exponent each have
-one home.  A value built positionally with ``tuple.__new__`` is built past
+one home, and each input rule is raised by one gate: the parsers check
+syntax alone.  A value built positionally with ``tuple.__new__`` is built past
 no gate, no module reads the expanded parts or defines the dual partition,
 and every module parses under the oldest Python the package declares; the
 command line prints the same under every local interpreter from 3.10 up.
@@ -437,3 +438,94 @@ def test_the_expansion_pin_catches_a_read(name):
     sources[module] = sources[module].replace(old, new)
     found = expansions(sources)
     assert len(found) == 1 and found[0].startswith(f"{module}:"), found
+
+
+PARSERS = ("parse_algebra", "parse_partition")
+SYNTAX = ("cannot parse", "empty partition text", "is too long")
+# each input rule, named by a phrase of its message, and the one function that raises it
+RULES = {"must be positive": "Partition.from_runs", "parts sum to": "ClassicalOrbit.__new__",
+         "more digits than str() writes": "_integer"}
+
+
+def rule_breaches(sources: dict[str, str]) -> list[str]:
+    """How ``sources`` (module name -> text) break one gate per input rule:
+    a rule of ``RULES`` raised in any function but its own (named with its
+    class), or a parser that raises other than a syntax error, compares
+    for order or calls ``str()``, as a range check or the digit rule's
+    probe would."""
+    homes: dict[str, set[str]] = {rule: set() for rule in RULES}
+    found = []
+
+    def visit(node, where, scope, function):
+        if isinstance(node, ast.ClassDef):
+            scope = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = f"{scope}.{node.name}" if scope else node.name
+        site = f"{where}:{getattr(node, 'lineno', 0)} in {function}"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(n.value for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            for rule in RULES:
+                if rule in text:
+                    homes[rule].add(function)
+            if function in PARSERS and not any(phrase in text for phrase in SYNTAX):
+                found.append(f"{site} raises {text!r}")
+        if function in PARSERS:
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+                found.append(f"{site} compares for order")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str":
+                found.append(f"{site} calls str()")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, scope, function)
+
+    for name, text in sources.items():
+        visit(ast.parse(text), name, None, None)
+    found += [f"{rule!r} raised in {sorted(map(str, functions))}"
+              for rule, functions in homes.items() if functions != {RULES[rule]}]
+    return found
+
+
+def test_each_input_rule_has_one_gate():
+    """Positivity is raised in ``Partition.from_runs`` alone, the sum in
+    ``ClassicalOrbit`` alone and the digit rule in ``_integer`` alone, which
+    the ``LieType`` and run gates call; the parsers raise syntax errors
+    only, and hold no range check."""
+    assert rule_breaches(package_sources()) == []
+
+
+# (module, the text a copied check replaces, the copy, the function it lands in)
+COPIED_CHECKS = {
+    "positivity-in-the-parser": (
+        "orbits", "            runs.append((int(match.group(1)), int(match.group(2) or 1)))\n",
+        "            value = int(match.group(1))\n"
+        "            if value < 1:\n"
+        "                raise OrbitresError(f'parts must be positive, got {value}')\n"
+        "            runs.append((value, int(match.group(2) or 1)))\n", "parse_partition"),
+    "exponent-in-the-parser": (
+        "orbits", "        match = _TERM_RE.match(token.strip())\n",
+        "        match = _TERM_RE.match(token.strip())\n"
+        "        if match and match.group(2) and int(match.group(2)) < 1:\n"
+        "            raise OrbitresError(f'exponent must be at least 1 in {token!r}')\n",
+        "parse_partition"),
+    "digits-in-the-parser": (
+        "orbits", "        n = int(match.group(2))\n",
+        "        n = int(match.group(2))\n        str((2 * n + 1) ** 2)\n", "parse_algebra"),
+    "sum-in-the-command-line": (
+        "cli", "    partition = parse_partition(args.partition)\n",
+        "    partition = parse_partition(args.partition)\n"
+        "    if partition.total != lie_type.m:\n"
+        "        raise OrbitresError(f'parts sum to {partition.total}')\n", "_cmd_report"),
+}
+
+
+@pytest.mark.parametrize("name", COPIED_CHECKS)
+def test_the_rule_pin_catches_a_copied_check(name):
+    """The pin above fails on a copy of the sources with one check copied
+    out of its gate, and each breach it reports names the copy's function."""
+    module, old, new, function = COPIED_CHECKS[name]
+    sources = package_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    found = rule_breaches(sources)
+    assert found and all(function in breach for breach in found), found

@@ -119,10 +119,15 @@ class TestPartition:
         assert type(raised.value) is OrbitresError and str(raised.value) == message
 
     def test_non_integer_parts_rejected(self):
-        # floats are not truncated, strings are not read digit by digit
-        for parts in ((2.9, 1), "21", (2, "x"), 3):
-            with pytest.raises(OrbitresError, match="^parts must be integers, got "):
+        # floats are not truncated, strings are not read digit by digit; a
+        # message names the offending type, and prints no input it has not checked
+        for parts, message in [((2.9, 1), "a part must be an integer, got float"),
+                               ("21", "a part must be an integer, got str"),
+                               ((2, "x"), "a part must be an integer, got str"),
+                               (3, "parts must be an iterable, got int")]:
+            with pytest.raises(OrbitresError) as raised:
                 validate_orbit(SL3, parts)
+            assert str(raised.value) == message
 
     def test_equal_neighbours_merge_into_one_run(self):
         merged = Partition.from_runs([(2, 1), (2, 3), (1, 1)])
@@ -138,8 +143,8 @@ class TestPartition:
         ([(1, 2), (2, 1)], "parts must be weakly decreasing, got 2 after 1"),
         ({1: 1, 2: 1}, "parts must be weakly decreasing, got 2 after 1"),
         ([(2, 1), (1, 1), (2, 1)], "parts must be weakly decreasing, got 2 after 1"),
-        ([(2.0, 1)], "runs must be pairs of integers, got [(2.0, 1)]"),
-        ([(2, 1, 1)], "runs must be pairs of integers, got [(2, 1, 1)]"),
+        ([(2.0, 1)], "a part must be an integer, got float"),
+        ([(2, 1, 1)], "runs must be (value, multiplicity) pairs"),
     ])
     def test_run_gate(self, runs, message):
         with pytest.raises(OrbitresError) as raised:
@@ -412,7 +417,8 @@ class TestParsing:
             parse_partition("")
         with pytest.raises(OrbitresError, match="^cannot parse partition term 'x'$"):
             parse_partition("3,x")
-        with pytest.raises(OrbitresError, match=r"^exponent must be at least 1 in '2\^0'$"):
+        # a zero exponent is a run of no parts, refused by the run gate
+        with pytest.raises(OrbitresError, match="^multiplicities must be positive, got 0$"):
             parse_partition("2^0,1")
         with pytest.raises(OrbitresError, match="^parts must be weakly decreasing"):
             parse_partition("1,2")

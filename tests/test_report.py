@@ -207,7 +207,7 @@ def test_cli_json_is_json_dumps_at_benchmark_sizes(capsys, argv):
     assert cli.main(["report", algebra, partition, "--format", "json", *label]) == 0
     lie_type = parse_algebra(algebra)
     label = VeryEvenLabel(label[1]) if label else None
-    report = build_report(validate_orbit(lie_type, parse_partition(partition, lie_type.m), label))
+    report = build_report(validate_orbit(lie_type, parse_partition(partition), label))
     assert capsys.readouterr().out == json.dumps(expected_report_dict(report), indent=2) + "\n"
 
 
@@ -222,7 +222,7 @@ def test_renderings_read_the_certificate_off_the_group_they_show(algebra, partit
     certificate of the group they print beside it."""
     assert OrbitReport._fields == ("orbit", "dimension", "picard", "factorial", "resolution")
     lie_type = parse_algebra(algebra)
-    report = build_report(validate_orbit(lie_type, parse_partition(partition, lie_type.m)))
+    report = build_report(validate_orbit(lie_type, parse_partition(partition)))
     assert report.picard != group
     report = report._replace(picard=group)
     written = json.loads(json_text(report))

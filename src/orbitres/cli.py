@@ -131,7 +131,8 @@ def run_selfcheck(max_m: int, out=None) -> int:
     sp/so orbits factoriality coincides with Picard triviality, and l = 0
     forces Picard free rank 0.  The degree-exponent guards are active
     throughout: ``polarizable`` checks 2u even on each run of q in the image
-    and the exponent non-negative on each witness.
+    and the exponent non-negative on each witness.  Evenness is asked only
+    of orbits not judged resolvable; the tallies are counted per algebra.
 
     Returns the number of failures; prints one line per check, "ok" or
     "FAILED (k of N)", then one line per failure.
@@ -140,32 +141,37 @@ def run_selfcheck(max_m: int, out=None) -> int:
     failures: list[tuple[str, str]] = []  # (check, what failed)
     tallies = dict.fromkeys((_ROUTES, _EVEN, _POLARIZABLE, _FACTORIAL, _FREE_RANK), 0)
     for lie_type in _selfcheck_lie_types(max_m):
+        bcd = lie_type.family is not _SL
+        swept = answered = 0
         for orbit in enumerate_orbits(lie_type):
-            tallies[_ROUTES] += 1
+            swept += 1
             try:
                 verdict = admits_symplectic_resolution(orbit)
             except OrbitresError as exc:
                 failures.append((_ROUTES, f"{orbit}: {exc}"))
                 continue
+            answered += 1
             resolved = verdict.answer is _YES
-            if is_even_orbit(orbit) and not resolved:
+            if not resolved and is_even_orbit(orbit):
                 failures.append((_EVEN, f"{orbit}: even orbit judged non-resolvable"))
-            tallies[_EVEN] += 1
             if resolved and not verdict.polarizability.polarizable:
                 failures.append((_POLARIZABLE, f"{orbit}: resolvable but not polarizable"))
-            tallies[_POLARIZABLE] += 1
-            if lie_type.family is not _SL:
+            if bcd:
                 group = picard(orbit)
                 if is_factorial(orbit) not in (None, group.is_trivial):
                     failures.append(
                         (_FACTORIAL, f"{orbit}: factoriality and picard triviality disagree")
                     )
-                tallies[_FACTORIAL] += 1
                 if orbit.profile.l == 0 and group.free_rank != 0:
                     failures.append(
                         (_FREE_RANK, f"{orbit}: l = 0 but picard free rank {group.free_rank}")
                     )
-                tallies[_FREE_RANK] += 1
+        tallies[_ROUTES] += swept
+        tallies[_EVEN] += answered
+        tallies[_POLARIZABLE] += answered
+        if bcd:
+            tallies[_FACTORIAL] += answered
+            tallies[_FREE_RANK] += answered
     print(f"selfcheck over all classical orbits with m <= {max_m} ({tallies[_ROUTES]} orbits)", file=out)
     for name, count in tallies.items():
         failed = sum(check == name for check, _ in failures)

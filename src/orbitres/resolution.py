@@ -15,11 +15,13 @@ so the closed form takes one step per run of equal parts, as the
 partition stores them (``Partition.counts``), and reads neither the
 profile nor Hesselink.
 
-The dispatcher runs both this closed form and the independent Hesselink
-degree search and refuses to return anything if they disagree: the
-equivalence of the two routes is a theorem, so a mismatch can only be an
-implementation or convention bug.  The exceptional types are looked up
-in ``orbitres.exceptional``.
+For sp/so the dispatcher runs both this closed form and the independent
+Hesselink degree search and refuses to return anything if they disagree:
+the equivalence of the two routes is a theorem, so a mismatch can only be
+an implementation or convention bug.  For sl, which has no degree search
+to check against, it returns the closed form's verdict (always yes) before
+either route runs.  The exceptional types are looked up in
+``orbitres.exceptional``.
 """
 
 from __future__ import annotations
@@ -119,15 +121,16 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
 def admits_symplectic_resolution(orbit: ClassicalOrbit) -> ResolutionVerdict:
     """Final classical verdict, cross-validated along both routes.
 
-    For sl the closed form stands alone.  For sp/so the closed form and
+    For sl the closed form stands alone: its verdict is returned before
+    either route runs.  For sp/so both routes run, and the closed form and
     the Hesselink degree search must agree; a mismatch raises
     InternalInvariantError instead of preferring either route.  The verdict
     carries the orbit's polarizability, which the search read.
     """
+    if orbit.lie_type.family is _SL:
+        return _SL_VERDICT
     closed = closed_form_verdict(orbit)
     pol = polarizable(orbit)
-    if pol is SL_POLARIZABILITY:
-        return _SL_VERDICT
     search_says_yes = resolution_by_search(pol)
     if (closed.answer is _YES) != search_says_yes:
         raise InternalInvariantError(

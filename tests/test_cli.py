@@ -512,6 +512,32 @@ class TestSelfcheck:
         assert sum(line.endswith("even orbit judged non-resolvable") for line in lines) == 5
         assert lines[-1] == "6 failures"
 
+    def test_even_check_stays_live(self, monkeypatch):
+        """With ``is_even_orbit`` as it is, a NO verdict for an even orbit
+        fails the even check, in sl and in sp alike, and every tally stays
+        as in the plain sweep."""
+        plain = io.StringIO()
+        assert cli.run_selfcheck(4, out=plain) == 0
+        original = cli.admits_symplectic_resolution
+        denied = (validate_orbit(LieType(Family.SL, 4), (2, 2)),
+                  validate_orbit(LieType(Family.SP, 4), (2, 2)))
+
+        def dispatch(orbit):
+            verdict = original(orbit)
+            return verdict._replace(answer=Verdict.NO) if orbit in denied else verdict
+
+        monkeypatch.setattr(cli, "admits_symplectic_resolution", dispatch)
+        out = io.StringIO()
+        assert cli.run_selfcheck(4, out=out) == 2
+        expected = plain.getvalue().splitlines()[:6]
+        assert expected[2] == "  even orbit implies resolvable: ok (23 checked)"
+        expected[2] = "  even orbit implies resolvable: FAILED (2 of 23)"
+        assert out.getvalue().splitlines() == expected + [
+            "  FAILURE sl4 [2^2]: even orbit judged non-resolvable",
+            "  FAILURE sp4 [2^2]: even orbit judged non-resolvable",
+            "2 failures",
+        ]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_selfcheck", lambda max_m: 1)
         code, _, _ = run(capsys, "selfcheck", "4")

@@ -19,6 +19,8 @@ import orbitres.report as report_module
 from orbitres import (
     Family,
     LieType,
+    Verdict,
+    admits_symplectic_resolution,
     build_report,
     enumerate_orbits,
     parse_algebra,
@@ -355,15 +357,18 @@ def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):
     assert frames == [lie_type]
 
 
-def test_selfcheck_tests_evenness_once_per_orbit(monkeypatch):
-    """The sweep asks ``is_even_orbit`` once per orbit, through any binding,
-    and the profile asks it nothing."""
+def test_selfcheck_tests_evenness_only_of_unresolved_orbits(monkeypatch):
+    """The sweep asks ``is_even_orbit``, through any binding, at most once
+    per orbit and exactly of the orbits it judged not resolvable; the
+    profile asks it nothing."""
     calls = _count_calls(monkeypatch, orbits.is_even_orbit)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
-    swept = [
+    unresolved = [
         orbit
         for family in Family
         for m in range(family.min_m, 11, 1 if family is Family.SL else 2)
         for orbit in enumerate_orbits(LieType(family, m))
+        if admits_symplectic_resolution(orbit).answer is not Verdict.YES
     ]
-    assert calls == swept
+    assert unresolved
+    assert calls == unresolved

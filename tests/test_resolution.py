@@ -19,10 +19,12 @@ from orbitres import (
     Verdict,
     admits_symplectic_resolution,
     build_report,
+    enumerate_orbits,
     polarizable,
     validate_orbit,
 )
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
+from orbitres.hesselink import SL_POLARIZABILITY
 from orbitres.orbits import VeryEvenLabel, is_even_orbit
 from orbitres.exceptional import (
     EXCEPTIONAL_ALGEBRAS,
@@ -136,6 +138,16 @@ class TestDispatcher:
         verdict = admits_symplectic_resolution(validate_orbit(SL9, (4, 3, 1, 1)))
         assert verdict.route is Route.ALWAYS_SLN
         assert verdict.cross_checked is False
+
+    def test_sl_answer_is_the_closed_form(self):
+        """The dispatcher answers every sl orbit with the closed form's
+        verdict, carrying sl's trivial polarizability."""
+        for m in range(1, 13):
+            for orbit in enumerate_orbits(LieType(Family.SL, m)):
+                verdict = admits_symplectic_resolution(orbit)
+                assert verdict == closed_form_verdict(orbit)._replace(polarizability=SL_POLARIZABILITY)
+                assert verdict.answer is Verdict.YES
+                assert verdict.route is Route.ALWAYS_SLN
 
     def test_bcd_cross_checked(self):
         verdict = admits_symplectic_resolution(validate_orbit(SO8, (3, 2, 2, 1)))

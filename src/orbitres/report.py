@@ -7,15 +7,17 @@ certificate off the Picard group they show, and the orbit's own profile, runs
 (``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
 layout of the CLI is written here alone.  ``report_json`` streams an
 orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
-the ``%`` templates of its algebra from the report, joining the texts of
-its runs, and writing the per-q Hesselink records from their runs: no
-rendering expands the parts or builds the dual partition.  The text that
-does not depend on the orbit is written once per algebra: ``atlas_json``
-uses one frame (``_JsonFrame``) for all of an atlas's orbits, a lone
-``report_json`` builds its own, and nothing is kept across calls.  Each
-atlas writer writes an orbit as its iterable of reports yields it.
-``exceptional_json`` gives the exceptional table as dicts for
-``json.dumps``.
+``%`` templates, joining the texts of its runs, and writing the per-q
+Hesselink records from their runs: no rendering expands the parts or builds
+the dual partition.  The templates depend on the indentation alone and are
+made once per process for each of the two (``_LAYOUTS``).  The texts of the
+values an atlas repeats (runs, Picard groups, polarizability results and
+verdicts) are made once per call, when first shown: in one frame
+(``_JsonFrame``) per algebra, which a lone ``report_json`` builds for
+itself, or in ``_atlas_rows`` for a table.  Nothing that grows with the input
+outlives a call.  Each atlas writer writes an orbit as its iterable of
+reports yields it.  ``exceptional_json`` gives the exceptional table as
+dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -85,29 +87,22 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
         frame = _JsonFrame(orbit.lie_type, "\n")
     label, prof = orbit.very_even_label, orbit.profile
     even = _LITERAL[is_even_orbit(orbit)]
-    group = report.picard
-    torsion, extension = group.torsion, group.unresolved_extension
-    witness, witnesses = verdict.witness, pol.witnesses
+    parts, compact, r = zip(*map(frame.runs.__getitem__, runs.items()))
     long = n + d1 > _PIECE  # if so, runs go in blocks, pieces out one by one: nothing long copied
-    items = _cut(runs) if long else iter(runs.items())
-    part_runs = frame.part_runs  # the first run's text without its comma follows the opening
-    pieces = [frame.opening, part_runs[next(items)][1:], *map(part_runs.__getitem__, items)]
-    # (*pairs,), not tuple(pairs): tuple() of an iterator parks a shrunk tuple in a free list
+    if long:  # the parts by cut run, as a run's own text holds at most _PIECE of them
+        parts = [frame.runs[run][0] for run in _cut(runs)]
+    pieces = [frame.opening, parts[0][1:], *parts[1:]]  # the first run's text takes no comma
     pieces.append(frame.profile % (
-        _str(partition.compact_str()), "null" if label is None else _str(label.value),
+        ",".join(compact), "null" if label is None else _str(label.value),
         prof.k, prof.c, prof.a, prof.b, prof.l, _LITERAL[prof.rather_odd], even,
-        frame.r[len(runs)] % (*chain.from_iterable(reversed(runs.items())),)))
+        "".join(reversed(r))[1:]))  # "r" ascends, its first entry taking no comma
     below, at_least = 0, n
     for value, count in reversed(runs.items()):  # s_i = at_least for below < i <= value
         pieces += frame.s[below, value, at_least]
         below, at_least = value, at_least - count
-    pieces.append(frame.head % (
-        even, report.dimension, group.free_rank, frame.torsion[len(torsion)] % torsion,
-        "null" if extension is None else frame.extension % extension, _LITERAL[group.is_trivial],
-        _str(q_factorial_certificate(group).value), _LITERAL[report.factorial],
-        _LITERAL[pol.polarizable],
-        frame.witnesses[len(witnesses)] % (*chain.from_iterable((w.q, w.N_P) for w in witnesses),)
-        if witnesses else "[]"))
+    pieces.append(frame.head % (even, report.dimension, frame.groups[report.picard],
+                                _LITERAL[report.factorial],
+                                frame.polarizability[pol.polarizable, pol.witnesses]))
     if long:
         out.writelines(pieces)
         pieces = []
@@ -118,10 +113,8 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
         if size > _PIECE:
             out.write("".join(pieces))
             pieces, size = [], 0
-    pieces.append(frame.tail % (
-        _str(verdict.answer.value), _str(verdict.route.value),
-        "null" if witness is None else frame.q_witness % witness.q if witness.q is not None
-        else frame.pair_witness % witness.pair_position, _LITERAL[verdict.cross_checked]))
+    pieces.append(frame.verdicts[verdict.answer, verdict.route, verdict.witness,
+                                 verdict.cross_checked])
     out.write("".join(pieces))
 
 
@@ -146,10 +139,9 @@ def _hesselink_texts(records: RecordRuns, analysis, frame: _JsonFrame):
     """The orbit's "hesselink" array, one record at a time.  Each record
     repeats J (its runs written out), j1, j0 and B between its q and its u,
     a text made once per orbit."""
-    J, B = (*chain.from_iterable(analysis.J),), analysis.B
     j1 = '"-inf"' if analysis.j1 is None else analysis.j1
-    shared = frame.shared % (frame.positions[len(J)] % J, j1, analysis.j0,
-                             frame.positions[len(B)] % B)
+    shared = frame.shared % (frame.positions([*chain.from_iterable(analysis.J)]), j1,
+                             analysis.j0, frame.positions(analysis.B))
     head, separator = frame.record_head, "["
     # each record's q, u and the text after u, which in the image holds its N_P
     off = repeat(frame.off_image)
@@ -166,10 +158,11 @@ _PIECE = 1 << 16
 MAX_JSON_BYTES = 1 << 28  # a JSON report whose lower bound in report_json passes it exits 2
 _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
+_CELL = {True: "yes", False: "no", None: "n/a"}  # a table's bool cells, and factorial's None
 
 
 class _Texts(dict):
-    """JSON texts by key, each made by ``make(key)`` when first asked for."""
+    """Texts by key, each made by ``make(key)`` when first asked for."""
 
     __slots__ = ("make",)
 
@@ -181,11 +174,15 @@ class _Texts(dict):
         return text
 
 
-def _formats(nl: str, entry: str = "%d", brackets: str = "[]") -> _Texts:
-    """The ``%`` formats, by length, of the arrays (objects, for "{}") of ``entry`` at ``nl``."""
-    inner, (left, right) = nl + "  ", brackets
-    return _Texts(lambda n: f"{left}{inner}{(',' + inner).join([entry] * n)}{nl}{right}"
-                  if n else brackets)
+def _array(nl: str, items: list[str]) -> str:
+    """The JSON array of the texts ``items`` at the indentation of ``nl``."""
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
+
+
+def _compact(run) -> str:
+    """A run's piece of its partition's ``compact_str``."""
+    return f"{run[0]}^{run[1]}" if run[1] > 1 else str(run[0])
 
 
 def _cut(runs):
@@ -208,48 +205,73 @@ def _stretch(nl: str, below: int, end: int, value: int) -> tuple[str, ...]:
     return tuple(blocks)
 
 
+def _json_layout(nl: str) -> dict:
+    """The ``%`` templates of every orbit's JSON text at the indentation of
+    ``nl``, and the makers of the texts a ``_JsonFrame`` keeps, each from a
+    key that holds only the value it shows."""
+    i1, i2, i3, i4 = (nl + "  " * depth for depth in range(1, 5))
+    part, entry, witness = f",{i2}%d", f',{i3}"%d": %d', f'{{{i4}"q": %d,{i4}"N_P": %d{i3}}}'
+    picard = (f'{{{i2}"free_rank": %d,{i2}"torsion": %s,{i2}"unresolved_extension": %s'
+              f',{i2}"trivial": %s{i1}}},{i1}"q_factorial_certificate": %s')
+    polarizability = f'{{{i2}"polarizable": %s,{i2}"witnesses": %s{i1}}}'
+    tail = (f',{i1}"resolution": {{{i2}"answer": %s,{i2}"route": %s,{i2}"witness": %s'
+            f',{i2}"cross_checked": %s{i1}}}{nl}}}')
+
+    def run(run):  # parts (none past _PIECE: _cut's runs write them), compact piece, "r" entry
+        return part % run[0] * run[1] if run[1] <= _PIECE else "", _compact(run), entry % run
+
+    def group(group):
+        extension = group.unresolved_extension
+        return picard % (group.free_rank, _array(i2, [*map(str, group.torsion)]), "null"
+                         if extension is None else f'{{{i3}"kernel_exponent": {extension}{i2}}}',
+                         _LITERAL[group.is_trivial], _str(q_factorial_certificate(group).value))
+
+    def polarizable(key):
+        witnesses = [witness % (w.q, w.N_P) for w in key[1]]
+        return polarizability % (_LITERAL[key[0]], _array(i2, witnesses))
+
+    def verdict(key):
+        answer, route, witness, cross_checked = key
+        return tail % (_str(answer.value), _str(route.value), "null" if witness is None
+                       else f'{{{i3}"q": {witness.q}{i2}}}' if witness.q is not None
+                       else f'{{{i3}"pair_position": {witness.pair_position}{i2}}}',
+                       _LITERAL[cross_checked])
+
+    return dict(
+        makers=(run, lambda stretch: _stretch(i3, *stretch), group, polarizable, verdict),
+        opening=(f'{{{i1}"algebra": %s,{i1}"cartan_type": %s,{i1}"family": %s,{i1}"m": %d'
+                 f',{i1}"partition": ['),
+        profile=(f'{i1}],{i1}"partition_compact": "%s",{i1}"very_even_label": %s'
+                 f',{i1}"profile": {{{i2}"k": %d,{i2}"c": %d,{i2}"a": %d,{i2}"b": %d,{i2}"l": %d'
+                 f',{i2}"rather_odd": %s,{i2}"all_same_parity": %s,{i2}"r": {{%s{i2}}}'
+                 f',{i2}"s": {{'),
+        head=(f'{i2}}}{i1}}},{i1}"even_orbit": %s,{i1}"dimension": %d,{i1}"picard": %s'
+              f',{i1}"factorial": %s,{i1}"polarizable": %s,{i1}"hesselink": '),
+        positions=lambda values: _array(i3, [*map(str, values)]),  # J and B
+        shared=f',{i3}"J": %s,{i3}"j1": %s,{i3}"j0": %d,{i3}"B": %s,{i3}"u": "',
+        record_head=f'{i2}{{{i3}"q": ',  # a record: head, q, shared text, u, end
+        in_image=f'",{i3}"in_image": true,{i3}"N_P": %d{i2}}}',
+        off_image=f'",{i3}"in_image": false,{i3}"N_P": null{i2}}}',
+        records_end=f"{i1}]")
+
+
+_LAYOUTS = _Texts(_json_layout)  # by indentation: "\n" for a lone report, "\n  " in an atlas
+
+
 class _JsonFrame:
-    """The JSON text of one algebra's orbits that does not depend on the
-    orbit, at the indentation of ``nl``: the object up to its parts; the
-    parts by run (value, count); the "s" map by stretch (below, end,
-    value), the keys after one part value up to the next sharing a value;
-    ``%`` formats of the other arrays and maps by length, and ``%``
-    templates for the rest.  It lives as long as the call that built it."""
+    """The JSON texts of one algebra's orbits for one call, at the indentation
+    of ``nl``: the object up to its parts, the templates of the indentation
+    (kept per process), and the texts of each run (value, count), "s" stretch
+    (below, end, value), Picard group, (polarizable, witnesses) and verdict
+    (answer, route, witness, cross_checked), each made when first shown."""
 
     def __init__(self, lie_type, nl: str):
-        i1, i2, i3, i4 = (nl + "  " * depth for depth in range(1, 5))
+        self.__dict__.update(layout := _LAYOUTS[nl])
         self.lie_type = lie_type
-        self.opening = (f'{{{i1}"algebra": {_str(lie_type.name)}'
-                        f',{i1}"cartan_type": {_str(lie_type.cartan_label)}'
-                        f',{i1}"family": {_str(lie_type.family.value)},{i1}"m": {lie_type.m}'
-                        f',{i1}"partition": [')
-        self.part_runs = _Texts(lambda run: f",{i2}{run[0]}" * run[1])
-        self.s = _Texts(lambda stretch: _stretch(i3, *stretch))
-        self.r = _formats(i2, '"%d": %d', "{}")  # from (value, count) pairs
-        self.torsion = _formats(i2)
-        self.positions = _formats(i3)  # J and B
-        self.witnesses = _formats(i2, f'{{{i4}"q": %d,{i4}"N_P": %d{i3}}}')  # from (q, N_P) pairs
-        self.extension = f'{{{i3}"kernel_exponent": %d{i2}}}'
-        self.q_witness = f'{{{i3}"q": %d{i2}}}'
-        self.pair_witness = f'{{{i3}"pair_position": %d{i2}}}'
-        self.shared = f',{i3}"J": %s,{i3}"j1": %s,{i3}"j0": %d,{i3}"B": %s,{i3}"u": "'
-        self.record_head = f'{i2}{{{i3}"q": '  # a record: head, q, shared text, u, end
-        self.in_image = f'",{i3}"in_image": true,{i3}"N_P": %d{i2}}}'
-        self.off_image = f'",{i3}"in_image": false,{i3}"N_P": null{i2}}}'
-        self.records_end = f"{i1}]"
-        self.profile = (
-            f'{i1}],{i1}"partition_compact": %s,{i1}"very_even_label": %s'
-            f',{i1}"profile": {{{i2}"k": %d,{i2}"c": %d,{i2}"a": %d,{i2}"b": %d,{i2}"l": %d'
-            f',{i2}"rather_odd": %s,{i2}"all_same_parity": %s,{i2}"r": %s,{i2}"s": {{')
-        self.head = (
-            f'{i2}}}{i1}}},{i1}"even_orbit": %s,{i1}"dimension": %d'
-            f',{i1}"picard": {{{i2}"free_rank": %d,{i2}"torsion": %s'
-            f',{i2}"unresolved_extension": %s,{i2}"trivial": %s{i1}}}'
-            f',{i1}"q_factorial_certificate": %s,{i1}"factorial": %s'
-            f',{i1}"polarizable": {{{i2}"polarizable": %s,{i2}"witnesses": %s{i1}}}'
-            f',{i1}"hesselink": ')
-        self.tail = (f',{i1}"resolution": {{{i2}"answer": %s,{i2}"route": %s,{i2}"witness": %s'
-                     f',{i2}"cross_checked": %s{i1}}}{nl}}}')
+        self.opening = layout["opening"] % (_str(lie_type.name), _str(lie_type.cartan_label),
+                                            _str(lie_type.family.value), lie_type.m)
+        self.runs, self.s, self.groups, self.polarizability, self.verdicts = map(
+            _Texts, layout["makers"])
 
 
 def exceptional_json(records: tuple) -> list[dict]:
@@ -261,8 +283,7 @@ def exceptional_json(records: tuple) -> list[dict]:
     ]
 
 
-def _witness_text(report: OrbitReport) -> str:
-    witness = report.resolution.witness
+def _witness_text(witness) -> str:
     if witness is None:
         return "-"
     if witness.q is not None:
@@ -299,7 +320,7 @@ def report_text(report: OrbitReport) -> str:
         + ("n/a (zero orbit)" if report.factorial is None else ("yes" if report.factorial else "no")),
         f"  polarizable    {_polarizable_text(report)}",
         f"  resolution     {verdict.answer.value}"
-        + (f", witness {_witness_text(report)}" if verdict.witness is not None else "")
+        + (f", witness {_witness_text(verdict.witness)}" if verdict.witness is not None else "")
         + f"  [route {verdict.route.value}"
         + (", cross-checked]" if verdict.cross_checked else "]"),
     ]
@@ -312,30 +333,22 @@ _ATLAS_COLUMNS = (
 )
 
 
-def _atlas_row(report: OrbitReport) -> tuple[str, ...]:
-    """One atlas row, its cells in ``_ATLAS_COLUMNS`` order."""
-    orbit = report.orbit
-    prof = orbit.profile
-    pol = report.resolution.polarizability
-    return (
-        orbit.partition.compact_str(),
-        orbit.very_even_label.value if orbit.very_even_label else "",
-        str(report.dimension),
-        "yes" if is_even_orbit(orbit) else "no",
-        str(prof.k),
-        str(prof.c),
-        str(prof.a),
-        str(prof.b),
-        str(prof.l),
-        "yes" if prof.rather_odd else "no",
-        str(report.picard),
-        q_factorial_certificate(report.picard).value,
-        "n/a" if report.factorial is None else ("yes" if report.factorial else "no"),
-        "yes" if pol.polarizable else "no",
-        ";".join(f"{w.q}:{w.N_P}" for w in pol.witnesses),
-        report.resolution.answer.value,
-        _witness_text(report),
-    )
+def _atlas_rows(reports):
+    """Each report's atlas row as the iterable yields it, its cells in
+    ``_ATLAS_COLUMNS`` order; the cells of a run, a Picard group and a
+    verdict are made once per call, when first shown."""
+    runs = _Texts(_compact)
+    groups = _Texts(lambda group: (str(group), q_factorial_certificate(group).value))
+    verdicts = _Texts(lambda key: (_CELL[key[0]], ";".join([f"{w.q}:{w.N_P}" for w in key[1]]),
+                                   key[2].value, _witness_text(key[3])))
+    for report in reports:
+        orbit, verdict = report.orbit, report.resolution
+        label, pol, prof = orbit.very_even_label, verdict.polarizability, orbit.profile
+        yield (",".join(map(runs.__getitem__, orbit.partition.counts.items())),
+               "" if label is None else label.value, str(report.dimension),
+               _CELL[is_even_orbit(orbit)], *map(str, prof[:5]), _CELL[prof.rather_odd],
+               *groups[report.picard], _CELL[report.factorial],
+               *verdicts[pol.polarizable, pol.witnesses, verdict.answer, verdict.witness])
 
 
 def atlas_markdown(reports, title: str, out) -> None:
@@ -344,9 +357,9 @@ def atlas_markdown(reports, title: str, out) -> None:
     count of orbits and of YES answers."""
     out.write(f"# {title}\n\n| {' | '.join(_ATLAS_COLUMNS)} |\n|{'---|' * len(_ATLAS_COLUMNS)}\n")
     orbits = yes = 0
-    for orbits, report in enumerate(reports, 1):
-        out.write("| " + " | ".join(_atlas_row(report)) + " |\n")
-        yes += report.resolution.answer is Verdict.YES
+    for orbits, row in enumerate(_atlas_rows(reports), 1):
+        out.write("| " + " | ".join(row) + " |\n")
+        yes += row[-2] == Verdict.YES.value  # the resolution cell
     out.write(f"\n{orbits} orbits, {yes} admit a symplectic resolution, {orbits - yes} do not.\n")
 
 
@@ -354,4 +367,4 @@ def atlas_csv(reports, out) -> None:
     """The same as CSV: the header, then a row as each report is yielded."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_ATLAS_COLUMNS)
-    writer.writerows(map(_atlas_row, reports))
+    writer.writerows(_atlas_rows(reports))

@@ -9,11 +9,16 @@ the closed-form witness, each taken one position at a time;
 ``marked_positions`` expands an analysis's J, held as runs, to compare
 with them.  ``reference_reports`` computes the per-q records one q at a
 time from the analysis fields.  ``json_text`` is the text ``report_json``
-writes for a report.
+writes for a report.  ``expected_atlas_row`` is the reference markdown and
+CSV atlas row of one report, and ``expected_markdown`` and ``expected_csv``
+the reference tables, each read straight off the reports with nothing kept
+between rows.  ``collapse`` is the B/C/D-collapse of a partition, shared by
+the induction and duality oracles.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from collections import Counter
 from itertools import chain
@@ -329,3 +334,87 @@ def _expected_hesselink(pol) -> list[dict]:
         }
         for record in reference_reports(pol)
     ]
+
+
+ATLAS_COLUMNS = ("partition", "label", "dim", "even", "k", "c", "a", "b", "l", "rather_odd",
+                 "picard", "q_factorial", "factorial", "polarizable", "witnesses", "resolution",
+                 "witness")
+
+
+def expected_atlas_row(report) -> tuple[str, ...]:
+    """One report's markdown and CSV atlas row, in ``ATLAS_COLUMNS`` order."""
+    orbit = report.orbit
+    parts = orbit.partition.parts
+    prof = orbit.profile
+    group = report.picard
+    verdict = report.resolution
+    pol = verdict.polarizability
+    witness = verdict.witness
+
+    def yes(flag: bool) -> str:
+        return "yes" if flag else "no"
+
+    if witness is None:
+        witness_cell = "-"
+    elif witness.q is not None:
+        witness_cell = f"q={witness.q}"
+    else:
+        k = witness.pair_position
+        witness_cell = f"pair at positions {2 * k - 1},{2 * k}"
+    return (
+        orbit.partition.compact_str(),
+        "" if orbit.very_even_label is None else orbit.very_even_label.value,
+        str(report.dimension),
+        yes(len({p % 2 for p in parts}) == 1),
+        *(str(value) for value in (prof.k, prof.c, prof.a, prof.b, prof.l)),
+        yes(prof.rather_odd),
+        str(group),
+        # certified exactly when the group shown is finite
+        "certified" if group.free_rank == 0 else "not_certified",
+        "n/a" if report.factorial is None else yes(report.factorial),
+        yes(pol.polarizable),
+        ";".join(f"{w.q}:{w.N_P}" for w in pol.witnesses),
+        verdict.answer.value,
+        witness_cell,
+    )
+
+
+def expected_markdown(reports, title: str) -> str:
+    """The markdown atlas of ``reports``: heading, table and count line."""
+    lines = [f"# {title}", "", "| " + " | ".join(ATLAS_COLUMNS) + " |",
+             "|" + "---|" * len(ATLAS_COLUMNS)]
+    lines += ["| " + " | ".join(expected_atlas_row(report)) + " |" for report in reports]
+    yes = sum(report.resolution.answer.value == "yes" for report in reports)
+    no = len(reports) - yes
+    count = f"{len(reports)} orbits, {yes} admit a symplectic resolution, {no} do not."
+    return "\n".join(lines + ["", count]) + "\n"
+
+
+def expected_csv(reports) -> str:
+    """The CSV atlas of ``reports``: the column names, then a row per report."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [ATLAS_COLUMNS, *map(expected_atlas_row, reports)])
+    return out.getvalue()
+
+
+def collapse(parts, paired: int) -> tuple[int, ...]:
+    """The collapse of descending ``parts``: while some part of parity
+    ``paired`` has odd multiplicity, lower the last copy of the largest such
+    part x by 1 and raise the first later part at most x - 2 (a padded 0
+    included) by 1.  Each step moves a box to a later row, which raises the
+    sum of (row index * part) by 1 at least, and that sum is at most
+    n * (n + 1) / 2 for n boxes: the loop is bounded by it, and a step that
+    went wrong fails instead of running on."""
+    parts = [*parts, 0]
+    total = sum(parts)
+    for _ in range(total * (total + 1) // 2 + 1):
+        odd = [x for x in set(parts) if x and x % 2 == paired and parts.count(x) % 2]
+        if not odd:
+            return tuple(x for x in parts if x)
+        x = max(odd)
+        last = len(parts) - 1 - parts[::-1].index(x)
+        parts[last] -= 1
+        parts[next(j for j in range(last + 1, len(parts)) if parts[j] <= x - 2)] += 1
+        parts += [0] * (parts[-1] > 0)
+    raise AssertionError(f"the collapse of {parts} does not end")

@@ -15,24 +15,10 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 
+from common import collapse
 from orbitres import Family, LieType, enumerate_orbits, polarizable
 
 MAX_M = 30
-
-
-def collapse(parts: list[int], paired: int) -> tuple[int, ...]:
-    """The collapse of descending ``parts``: while some part of parity
-    ``paired`` has odd multiplicity, lower the last copy of the largest such
-    part x by 1 and raise the first later part at most x - 2 (a padded 0
-    included) by 1."""
-    parts = [*parts, 0]
-    while odd := [x for x in set(parts) if x and x % 2 == paired and parts.count(x) % 2]:
-        x = max(odd)
-        last = len(parts) - 1 - parts[::-1].index(x)
-        parts[last] -= 1
-        parts[next(j for j in range(last + 1, len(parts)) if parts[j] <= x - 2)] += 1
-        parts += [0] * (parts[-1] > 0)
-    return tuple(x for x in parts if x)
 
 
 @lru_cache(maxsize=None)

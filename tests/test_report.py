@@ -12,7 +12,14 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings
 
-from common import bcd_orbits_up_to, expected_report_dict, json_text, orbits_up_to
+from common import (
+    bcd_orbits_up_to,
+    expected_csv,
+    expected_markdown,
+    expected_report_dict,
+    json_text,
+    orbits_up_to,
+)
 import orbitres.cli as cli
 import orbitres.orbits as orbits
 import orbitres.report as report_module
@@ -28,9 +35,14 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.errors import OrbitresError
-from orbitres.hesselink import HesselinkAnalysis, RecordRuns, admissible_reports
-from orbitres.orbits import Partition, VeryEvenLabel
-from orbitres.picard import AbelianGroupDescriptor
+from orbitres.hesselink import (
+    HesselinkAnalysis,
+    PolarizabilityResult,
+    RecordRuns,
+    admissible_reports,
+)
+from orbitres.orbits import ClassicalOrbit, Partition, VeryEvenLabel
+from orbitres.picard import AbelianGroupDescriptor, q_factorial_certificate
 from orbitres.report import OrbitReport, atlas_csv, atlas_json, atlas_markdown, report_text
 
 
@@ -61,7 +73,7 @@ def test_profile_computed_once_per_report(monkeypatch):
             report = build_report(orbit)
             json_text(report)
             report_text(report)
-            report_module._atlas_row(report)
+            next(report_module._atlas_rows([report]))
             assert calls == [orbit]
 
 
@@ -104,7 +116,7 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
         for orbit in enumerate_orbits(LieType(family, m)):
             report = build_report(orbit)
             report_text(report)
-            report_module._atlas_row(report)
+            next(report_module._atlas_rows([report]))
             json_text(report)
     assert cli.run_selfcheck(10, out=io.StringIO()) == 0
     assert reads == []
@@ -221,22 +233,32 @@ def test_renderings_read_the_certificate_off_the_group_they_show(algebra, partit
                                                                  certificate):
     """A report stores no Q-factoriality certificate: with its Picard group
     swapped, the JSON, text, markdown and CSV renderings each print the
-    certificate of the group they print beside it."""
+    certificate of the group they print beside it, in a call after one that
+    showed the orbit's own group and in one call beside that group."""
     assert OrbitReport._fields == ("orbit", "dimension", "picard", "factorial", "resolution")
     lie_type = parse_algebra(algebra)
-    report = build_report(validate_orbit(lie_type, parse_partition(partition)))
-    assert report.picard != group
-    report = report._replace(picard=group)
-    written = json.loads(json_text(report))
-    assert written["picard"]["free_rank"] == group.free_rank
-    assert written["q_factorial_certificate"] == certificate
-    assert f"  picard         {group}\n  q-factorial    {certificate}\n" in report_text(report)
-    table, rows = io.StringIO(), io.StringIO()
-    atlas_markdown([report], "atlas", table)
-    assert f" | {group} | {certificate} | " in table.getvalue()
-    atlas_csv([report], rows)
-    row = dict(zip(*csv.reader(io.StringIO(rows.getvalue()))))
-    assert (row["picard"], row["q_factorial"]) == (str(group), certificate)
+    own = build_report(validate_orbit(lie_type, parse_partition(partition)))
+    assert own.picard != group
+    report = own._replace(picard=group)
+    own_cells = (str(own.picard), q_factorial_certificate(own.picard).value)
+    for first in ([], [own]):  # the own group first in an earlier call, then in the same one
+        json_text(own)
+        written = json.loads(json_text(report))
+        assert written["picard"]["free_rank"] == group.free_rank
+        assert written["q_factorial_certificate"] == certificate
+        items = io.StringIO()
+        atlas_json(first + [report], items)
+        assert json.loads(items.getvalue())[-1]["q_factorial_certificate"] == certificate
+        assert f"  picard         {group}\n  q-factorial    {certificate}\n" in report_text(report)
+        table, rows = io.StringIO(), io.StringIO()
+        atlas_markdown([own], "atlas", io.StringIO())
+        atlas_markdown(first + [report], "atlas", table)
+        assert f" | {group} | {certificate} | " in table.getvalue()
+        atlas_csv([own], io.StringIO())
+        atlas_csv(first + [report], rows)
+        cells = [(row["picard"], row["q_factorial"]) for row in csv.DictReader(
+            io.StringIO(rows.getvalue()))]
+        assert cells == [own_cells] * len(first) + [(str(group), certificate)]
 
 
 def test_json_report_is_written_in_bounded_memory(monkeypatch):
@@ -310,6 +332,118 @@ def test_atlas_json_is_json_dumps_written_as_it_goes():
     with pytest.raises(RuntimeError):
         atlas_json(first_then_fail(), out)
     assert out.getvalue() == "[\n  " + atlas_item(reports[0])
+
+
+def classical_algebras(max_m: int):
+    """Every classical algebra with m <= max_m."""
+    return [LieType(family, m) for family in Family
+            for m in range(family.min_m, max_m + 1, 1 if family is Family.SL else 2)]
+
+
+def test_atlases_are_their_references_in_every_format():
+    """Through the writers' per-call texts, every classical algebra with
+    m <= 12 gives the JSON, markdown and CSV atlases of references built
+    with nothing kept between orbits, and so does an iterable that mixes
+    algebras."""
+    atlases = [[build_report(orbit) for orbit in enumerate_orbits(lie_type)]
+               for lie_type in classical_algebras(12)]
+    assert len(atlases) == 28  # sl1..sl12, sp2..sp12, so3..so11 and so4..so12
+    mixed = [report for reports in atlases for report in reports[::3]]
+    for reports in atlases + [mixed]:
+        text, table, rows = io.StringIO(), io.StringIO(), io.StringIO()
+        atlas_json(iter(reports), text)
+        assert text.getvalue() == json.dumps([*map(expected_report_dict, reports)], indent=2) + "\n"
+        atlas_markdown(iter(reports), "atlas", table)
+        assert table.getvalue() == expected_markdown(reports, "atlas")
+        atlas_csv(iter(reports), rows)
+        assert rows.getvalue() == expected_csv(reports)
+
+
+def holds_an_answer(key) -> bool:
+    """Whether a cache key holds, at any depth, a per-orbit object."""
+    if isinstance(key, (OrbitReport, ClassicalOrbit, HesselinkAnalysis, PolarizabilityResult,
+                        Partition)):
+        return True
+    return isinstance(key, tuple) and any(map(holds_an_answer, key))
+
+
+def test_atlas_caches_hold_one_entry_per_value(monkeypatch):
+    """After an sp20 and then an sl20 atlas in each format, each per-call
+    text cache holds one entry per distinct value the call's orbits show,
+    made on its first miss; no key holds a per-orbit object, so no cache
+    grows with the orbits; and the second call's caches start empty, as
+    they hold sl20's values alone."""
+    misses, caches, frames = [], [], []
+
+    class Texts(report_module._Texts):
+        def __init__(self, make):
+            super().__init__(make)
+            caches.append(self)
+
+        def __missing__(self, key):
+            misses.append((self, key))
+            return super().__missing__(key)
+
+    class Frame(report_module._JsonFrame):
+        def __init__(self, *args):
+            super().__init__(*args)
+            frames.append(self)
+
+    monkeypatch.setattr(report_module, "_Texts", Texts)
+    monkeypatch.setattr(report_module, "_JsonFrame", Frame)
+    atlases = [[build_report(orbit) for orbit in enumerate_orbits(LieType(family, 20))]
+               for family in (Family.SP, Family.SL)]
+    for write in (atlas_json, lambda reports, out: atlas_markdown(reports, "atlas", out),
+                  atlas_csv):
+        for reports in atlases:
+            caches.clear()
+            write(reports, io.StringIO())
+            runs = {run for r in reports for run in r.orbit.partition.counts.items()}
+            groups = {r.picard for r in reports}
+            verdicts = [(r.resolution, r.resolution.polarizability) for r in reports]
+            if write is atlas_json:
+                frame = frames.pop()
+                assert frames == []
+                stretches = set()
+                for r in reports:
+                    below, at_least = 0, sum(r.orbit.partition.counts.values())
+                    for value, count in reversed(r.orbit.partition.counts.items()):
+                        stretches.add((below, value, at_least))
+                        below, at_least = value, at_least - count
+                expected = {
+                    "runs": runs, "s": stretches, "groups": groups,
+                    "polarizability": {(pol.polarizable, pol.witnesses) for _, pol in verdicts},
+                    "verdicts": {(v.answer, v.route, v.witness, v.cross_checked)
+                                 for v, _ in verdicts}}
+                held = {name: getattr(frame, name) for name in expected}
+            else:
+                expected = {"runs": runs, "groups": groups, "verdicts": {
+                    (pol.polarizable, pol.witnesses, v.answer, v.witness) for v, pol in verdicts}}
+                held = dict(zip(expected, caches))
+            assert sorted(map(id, held.values())) == sorted(map(id, caches))
+            for name, cache in held.items():
+                assert set(cache) == expected[name], name
+                assert [key for texts, key in misses if texts is cache] == list(cache), name
+                assert not any(map(holds_an_answer, cache)), name
+            assert len(held["groups"]) < 30 and len(held["runs"]) < 130
+
+
+def test_json_templates_are_made_once_per_process_per_indentation(monkeypatch):
+    """The JSON templates depend on the indentation alone: however many
+    atlases and lone reports are written, they are made once for each."""
+    made = []
+
+    def layout(nl):
+        made.append(nl)
+        return report_module._json_layout(nl)
+
+    monkeypatch.setattr(report_module, "_LAYOUTS", report_module._Texts(layout))
+    for lie_type in (LieType(Family.SP, 8), LieType(Family.SL, 6), LieType(Family.SO_EVEN, 8)):
+        reports = [build_report(orbit) for orbit in enumerate_orbits(lie_type)]
+        atlas_json(reports, io.StringIO())
+        for report in reports[:3]:
+            json_text(report)
+    assert made == ["\n  ", "\n"]
 
 
 @pytest.mark.parametrize("fmt", ["md", "csv"])

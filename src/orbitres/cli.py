@@ -56,21 +56,14 @@ DEFAULT_MAX_M_CAP = 30
 DEFAULT_SELFCHECK_M = 12
 
 
-def _max_m_cap() -> int:
+def _check_cap(m: int) -> None:
     raw = os.environ.get("ORBITRES_MAX_M", "")
-    if not raw:
-        return DEFAULT_MAX_M_CAP
     try:
-        cap = int(raw)
+        cap = int(raw) if raw else DEFAULT_MAX_M_CAP
         if cap < 0:
             raise ValueError(raw)
     except ValueError:
         raise OrbitresError(f"ORBITRES_MAX_M must be a non-negative integer, got {raw!r}") from None
-    return cap
-
-
-def _check_cap(m: int) -> None:
-    cap = _max_m_cap()
     if m > cap:
         raise OrbitresError(
             f"m = {m} exceeds the enumeration cap ORBITRES_MAX_M = {cap}; "

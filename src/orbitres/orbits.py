@@ -150,6 +150,11 @@ class _cached:
         return value
 
 
+def compact_run(run: tuple[int, int]) -> str:
+    """A run (value, count) as ``compact_str`` writes it: 'value^count', or 'value' alone."""
+    return f"{run[0]}^{run[1]}" if run[1] > 1 else str(run[0])
+
+
 class Partition:
     """A partition d_1 >= ... >= d_N > 0, zero padded beyond N, stored as
     its runs alone: ``counts`` maps each part value to its multiplicity,
@@ -225,9 +230,7 @@ class Partition:
 
     def compact_str(self) -> str:
         """Exponent shorthand, e.g. (2, 2, 1, 1, 1, 1) -> '2^2,1^4'."""
-        return ",".join(
-            f"{value}^{count}" if count > 1 else f"{value}" for value, count in self.counts.items()
-        )
+        return ",".join(map(compact_run, self.counts.items()))
 
     def __str__(self) -> str:
         return f"[{self.compact_str()}]"

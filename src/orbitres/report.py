@@ -11,13 +11,14 @@ orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
 Hesselink records from their runs: no rendering expands the parts or builds
 the dual partition.  The templates depend on the indentation alone and are
 made once per process for each of the two (``_LAYOUTS``).  The texts of the
-values an atlas repeats (runs, Picard groups, polarizability results and
-verdicts) are made once per call, when first shown: in one frame
-(``_JsonFrame``) per algebra, which a lone ``report_json`` builds for
-itself, or in ``_atlas_rows`` for a table.  Nothing that grows with the input
-outlives a call.  Each atlas writer writes an orbit as its iterable of
-reports yields it.  ``exceptional_json`` gives the exceptional table as
-dicts for ``json.dumps``.
+values an atlas repeats (runs, Picard groups, and verdicts with the
+polarizability they were checked against) are made once per call, when
+first shown: in one frame (``_JsonFrame``) per algebra, which a lone
+``report_json`` builds for itself, or in ``_atlas_rows`` for a table.  A
+run's compact text is ``orbits.compact_run``, and every yes/no cell reads
+``_CELL``.  Nothing that grows with the input outlives a call.  Each atlas
+writer writes an orbit as its iterable of reports yields it.
+``exceptional_json`` gives the exceptional table as dicts for ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import OrbitresError
 from .hesselink import RecordRuns, admissible_reports
-from .orbits import ClassicalOrbit, is_even_orbit, orbit_dimension
+from .orbits import ClassicalOrbit, compact_run, is_even_orbit, orbit_dimension
 from .picard import is_factorial, picard, q_factorial_certificate
 from .resolution import Verdict, admits_symplectic_resolution
 
@@ -100,9 +101,10 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
     for value, count in reversed(runs.items()):  # s_i = at_least for below < i <= value
         pieces += frame.s[below, value, at_least]
         below, at_least = value, at_least - count
+    polarizability, tail = frame.verdicts[pol.polarizable, pol.witnesses, verdict.answer,
+                                          verdict.route, verdict.witness, verdict.cross_checked]
     pieces.append(frame.head % (even, report.dimension, frame.groups[report.picard],
-                                _LITERAL[report.factorial],
-                                frame.polarizability[pol.polarizable, pol.witnesses]))
+                                _LITERAL[report.factorial], polarizability))
     if long:
         out.writelines(pieces)
         pieces = []
@@ -113,8 +115,7 @@ def report_json(report: OrbitReport, out, *, frame: _JsonFrame | None = None) ->
         if size > _PIECE:
             out.write("".join(pieces))
             pieces, size = [], 0
-    pieces.append(frame.verdicts[verdict.answer, verdict.route, verdict.witness,
-                                 verdict.cross_checked])
+    pieces.append(tail)
     out.write("".join(pieces))
 
 
@@ -158,7 +159,7 @@ _PIECE = 1 << 16
 MAX_JSON_BYTES = 1 << 28  # a JSON report whose lower bound in report_json passes it exits 2
 _str = encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}  # bool and None values only
-_CELL = {True: "yes", False: "no", None: "n/a"}  # a table's bool cells, and factorial's None
+_CELL = {True: "yes", False: "no", None: "n/a"}  # every yes/no cell, and factorial's None
 
 
 class _Texts(dict):
@@ -178,11 +179,6 @@ def _array(nl: str, items: list[str]) -> str:
     """The JSON array of the texts ``items`` at the indentation of ``nl``."""
     inner = nl + "  "
     return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
-
-
-def _compact(run) -> str:
-    """A run's piece of its partition's ``compact_str``."""
-    return f"{run[0]}^{run[1]}" if run[1] > 1 else str(run[0])
 
 
 def _cut(runs):
@@ -218,7 +214,7 @@ def _json_layout(nl: str) -> dict:
             f',{i2}"cross_checked": %s{i1}}}{nl}}}')
 
     def run(run):  # parts (none past _PIECE: _cut's runs write them), compact piece, "r" entry
-        return part % run[0] * run[1] if run[1] <= _PIECE else "", _compact(run), entry % run
+        return part % run[0] * run[1] if run[1] <= _PIECE else "", compact_run(run), entry % run
 
     def group(group):
         extension = group.unresolved_extension
@@ -226,19 +222,17 @@ def _json_layout(nl: str) -> dict:
                          if extension is None else f'{{{i3}"kernel_exponent": {extension}{i2}}}',
                          _LITERAL[group.is_trivial], _str(q_factorial_certificate(group).value))
 
-    def polarizable(key):
-        witnesses = [witness % (w.q, w.N_P) for w in key[1]]
-        return polarizability % (_LITERAL[key[0]], _array(i2, witnesses))
-
-    def verdict(key):
-        answer, route, witness, cross_checked = key
-        return tail % (_str(answer.value), _str(route.value), "null" if witness is None
-                       else f'{{{i3}"q": {witness.q}{i2}}}' if witness.q is not None
-                       else f'{{{i3}"pair_position": {witness.pair_position}{i2}}}',
-                       _LITERAL[cross_checked])
+    def verdict(key):  # its "polarizable" object and its tail
+        polarizable, witnesses, answer, route, closed, cross_checked = key
+        return (polarizability % (_LITERAL[polarizable],
+                                  _array(i2, [witness % (w.q, w.N_P) for w in witnesses])),
+                tail % (_str(answer.value), _str(route.value), "null" if closed is None
+                        else f'{{{i3}"q": {closed.q}{i2}}}' if closed.q is not None
+                        else f'{{{i3}"pair_position": {closed.pair_position}{i2}}}',
+                        _LITERAL[cross_checked]))
 
     return dict(
-        makers=(run, lambda stretch: _stretch(i3, *stretch), group, polarizable, verdict),
+        makers=(run, lambda stretch: _stretch(i3, *stretch), group, verdict),
         opening=(f'{{{i1}"algebra": %s,{i1}"cartan_type": %s,{i1}"family": %s,{i1}"m": %d'
                  f',{i1}"partition": ['),
         profile=(f'{i1}],{i1}"partition_compact": "%s",{i1}"very_even_label": %s'
@@ -262,16 +256,16 @@ class _JsonFrame:
     """The JSON texts of one algebra's orbits for one call, at the indentation
     of ``nl``: the object up to its parts, the templates of the indentation
     (kept per process), and the texts of each run (value, count), "s" stretch
-    (below, end, value), Picard group, (polarizable, witnesses) and verdict
-    (answer, route, witness, cross_checked), each made when first shown."""
+    (below, end, value), Picard group, and verdict with its polarizability
+    (polarizable, witnesses, answer, route, witness, cross_checked), each made
+    when first shown; a verdict's are its "polarizable" object and its tail."""
 
     def __init__(self, lie_type, nl: str):
         self.__dict__.update(layout := _LAYOUTS[nl])
         self.lie_type = lie_type
         self.opening = layout["opening"] % (_str(lie_type.name), _str(lie_type.cartan_label),
                                             _str(lie_type.family.value), lie_type.m)
-        self.runs, self.s, self.groups, self.polarizability, self.verdicts = map(
-            _Texts, layout["makers"])
+        self.runs, self.s, self.groups, self.verdicts = map(_Texts, layout["makers"])
 
 
 def exceptional_json(records: tuple) -> list[dict]:
@@ -311,13 +305,13 @@ def report_text(report: OrbitReport) -> str:
         + (f"  (very even, label {orbit.very_even_label.value})" if orbit.very_even_label else ""),
         f"  cartan type    {orbit.lie_type.cartan_label}",
         f"  dimension      {report.dimension}",
-        f"  even orbit     {'yes' if is_even_orbit(orbit) else 'no'}",
+        f"  even orbit     {_CELL[is_even_orbit(orbit)]}",
         f"  profile        k={prof.k} c={prof.c} a={prof.a} b={prof.b} l={prof.l}"
-        f" rather_odd={'yes' if prof.rather_odd else 'no'}",
+        f" rather_odd={_CELL[prof.rather_odd]}",
         f"  picard         {report.picard}",
         f"  q-factorial    {q_factorial_certificate(report.picard).value}",
-        f"  factorial      "
-        + ("n/a (zero orbit)" if report.factorial is None else ("yes" if report.factorial else "no")),
+        f"  factorial      {_CELL[report.factorial]}"
+        + (" (zero orbit)" if report.factorial is None else ""),
         f"  polarizable    {_polarizable_text(report)}",
         f"  resolution     {verdict.answer.value}"
         + (f", witness {_witness_text(verdict.witness)}" if verdict.witness is not None else "")
@@ -337,7 +331,7 @@ def _atlas_rows(reports):
     """Each report's atlas row as the iterable yields it, its cells in
     ``_ATLAS_COLUMNS`` order; the cells of a run, a Picard group and a
     verdict are made once per call, when first shown."""
-    runs = _Texts(_compact)
+    runs = _Texts(compact_run)
     groups = _Texts(lambda group: (str(group), q_factorial_certificate(group).value))
     verdicts = _Texts(lambda key: (_CELL[key[0]], ";".join([f"{w.q}:{w.N_P}" for w in key[1]]),
                                    key[2].value, _witness_text(key[3])))

@@ -69,8 +69,8 @@ class ResolutionVerdict(
     """An answer, its route and its closed-form witness.
 
     ``polarizability`` is the Hesselink result the dispatcher checked the
-    answer against (sl's trivial result for sl orbits), None for a bare
-    closed form; it stays out of the JSON form.
+    answer against (sl's trivial result for sl orbits, closed form or not),
+    None only for a bare sp/so closed form; it stays out of the JSON form.
     """
 
     __slots__ = ()
@@ -82,10 +82,8 @@ class ResolutionVerdict(
         return self.polarizability is not None and self.polarizability.analysis is not None
 
 
-# The verdicts of every sl orbit, bare and checked: both are immutable, so
-# all sl orbits share them.
-_SL_CLOSED_FORM = ResolutionVerdict(_YES, Route.ALWAYS_SLN, witness=None, polarizability=None)
-_SL_VERDICT = _SL_CLOSED_FORM._replace(polarizability=SL_POLARIZABILITY)
+# every sl orbit's verdict, from the closed form and the dispatcher alike: immutable, so shared
+_SL_VERDICT = ResolutionVerdict(_YES, Route.ALWAYS_SLN, None, SL_POLARIZABILITY)
 
 
 def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
@@ -99,7 +97,7 @@ def closed_form_verdict(orbit: ClassicalOrbit) -> ResolutionVerdict:
     they restate the paper's clauses."""
     family = orbit.lie_type.family
     if family is _SL:
-        return _SL_CLOSED_FORM
+        return _SL_VERDICT
     witness = None
     start = q = read = 0  # read: the parts before the current run
     for value, count in orbit.partition.counts.items():

@@ -12,7 +12,8 @@ time from the analysis fields.  ``json_text`` is the text ``report_json``
 writes for a report.  ``expected_atlas_row`` is the reference markdown and
 CSV atlas row of one report, and ``expected_markdown`` and ``expected_csv``
 the reference tables, each read straight off the reports with nothing kept
-between rows.  ``collapse`` is the B/C/D-collapse of a partition, shared by
+between rows; ``expected_text`` is the reference text report, read off the
+report's fields the same way.  ``collapse`` is the B/C/D-collapse of a partition, shared by
 the induction and duality oracles.
 """
 
@@ -377,6 +378,54 @@ def expected_atlas_row(report) -> tuple[str, ...]:
         verdict.answer.value,
         witness_cell,
     )
+
+
+def expected_text(report) -> str:
+    """One report's text rendering, line by line from the report's fields:
+    the compact partition from the expanded parts, evenness from their
+    parities, and the cross-check from the family."""
+    orbit = report.orbit
+    parts = orbit.partition.parts
+    prof = orbit.profile
+    verdict = report.resolution
+    pol = verdict.polarizability
+    sl = orbit.lie_type.family is Family.SL
+
+    def yes(flag: bool) -> str:
+        return "yes" if flag else "no"
+
+    runs = Counter(parts)
+    compact = ",".join(f"{v}^{runs[v]}" if runs[v] > 1 else f"{v}" for v in sorted(runs)[::-1])
+    label = orbit.very_even_label
+    if not pol.polarizable:
+        polarizable = "no"
+    elif sl:
+        polarizable = "yes (every sl orbit is polarizable)"
+    else:
+        polarizable = "yes: " + ", ".join(f"q={w.q} (degree {w.N_P})" for w in pol.witnesses)
+    witness = verdict.witness
+    resolution = verdict.answer.value
+    if witness is not None and witness.q is not None:
+        resolution += f", witness q={witness.q}"
+    elif witness is not None:
+        k = witness.pair_position
+        resolution += f", witness pair at positions {2 * k - 1},{2 * k}"
+    resolution += f"  [route {verdict.route.value}{']' if sl else ', cross-checked]'}"
+    return "\n".join([
+        f"{orbit.lie_type.name} [{compact}]"
+        + ("" if label is None else f"  (very even, label {label.value})"),
+        f"  cartan type    {orbit.lie_type.cartan_label}",
+        f"  dimension      {report.dimension}",
+        f"  even orbit     {yes(len({p % 2 for p in parts}) == 1)}",
+        f"  profile        k={prof.k} c={prof.c} a={prof.a} b={prof.b} l={prof.l}"
+        f" rather_odd={yes(prof.rather_odd)}",
+        f"  picard         {report.picard}",
+        f"  q-factorial    {'certified' if report.picard.free_rank == 0 else 'not_certified'}",
+        "  factorial      "
+        + ("n/a (zero orbit)" if report.factorial is None else yes(report.factorial)),
+        f"  polarizable    {polarizable}",
+        f"  resolution     {resolution}",
+    ])
 
 
 def expected_markdown(reports, title: str) -> str:

@@ -195,6 +195,19 @@ class TestPartition:
         assert Partition((3, 2, 2, 1)).compact_str() == "3,2^2,1"
         assert Partition((5,)).compact_str() == "5"
 
+    def test_compact_str_joins_compact_run(self):
+        """``compact_run`` is the one home of the run rule: on every orbit
+        with m <= 12, ``compact_str`` is its texts of the runs joined."""
+        from orbitres.orbits import compact_run
+
+        assert (compact_run((4, 1)), compact_run((4, 3))) == ("4", "4^3")
+        for family in ALL_FAMILIES:
+            for m in range(family.min_m, 13, 1 if family is Family.SL else 2):
+                for orbit in enumerate_orbits(LieType(family, m)):
+                    partition = orbit.partition
+                    assert partition.compact_str() == ",".join(
+                        map(compact_run, partition.counts.items()))
+
     @given(partitions())
     def test_counts_decreasing_and_kept(self, d):
         # oracle: direct count over the parts, values in decreasing order

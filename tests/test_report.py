@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -17,6 +18,7 @@ from common import (
     expected_csv,
     expected_markdown,
     expected_report_dict,
+    expected_text,
     json_text,
     orbits_up_to,
 )
@@ -370,15 +372,23 @@ def holds_an_answer(key) -> bool:
 def test_atlas_caches_hold_one_entry_per_value(monkeypatch):
     """After an sp20 and then an sl20 atlas in each format, each per-call
     text cache holds one entry per distinct value the call's orbits show,
-    made on its first miss; no key holds a per-orbit object, so no cache
-    grows with the orbits; and the second call's caches start empty, as
-    they hold sl20's values alone."""
+    made on its one miss, the misses in the order the orbits first show the
+    values; no key holds a per-orbit object, so no cache grows with the
+    orbits; and the second call's caches hold sl20's values alone.  A JSON
+    frame keeps four caches, the verdict's keyed by (polarizable, witnesses,
+    answer, route, witness, cross_checked) and asked once per orbit for both
+    its texts; a table's verdict cells are asked once per orbit too."""
     misses, caches, frames = [], [], []
+    lookups = Counter()
 
     class Texts(report_module._Texts):
         def __init__(self, make):
             super().__init__(make)
             caches.append(self)
+
+        def __getitem__(self, key):
+            lookups[id(self)] += 1
+            return super().__getitem__(key)
 
         def __missing__(self, key):
             misses.append((self, key))
@@ -389,6 +399,32 @@ def test_atlas_caches_hold_one_entry_per_value(monkeypatch):
             super().__init__(*args)
             frames.append(self)
 
+    def shown(keys_of, reports):
+        """The distinct keys of the reports, in the order they first show them."""
+        return [*dict.fromkeys(chain.from_iterable(map(keys_of, reports)))]
+
+    def stretches(report):  # its "s" stretches, in the order report_json writes them
+        counts = report.orbit.partition.counts
+        below, at_least = 0, sum(counts.values())
+        for value, count in reversed(counts.items()):
+            yield below, value, at_least
+            below, at_least = value, at_least - count
+
+    def runs(report):
+        return report.orbit.partition.counts.items()
+
+    def groups(report):
+        return [report.picard]
+
+    def json_verdicts(report):
+        verdict, pol = report.resolution, report.resolution.polarizability
+        return [(pol.polarizable, pol.witnesses, verdict.answer, verdict.route, verdict.witness,
+                 verdict.cross_checked)]
+
+    def table_verdicts(report):
+        verdict, pol = report.resolution, report.resolution.polarizability
+        return [(pol.polarizable, pol.witnesses, verdict.answer, verdict.witness)]
+
     monkeypatch.setattr(report_module, "_Texts", Texts)
     monkeypatch.setattr(report_module, "_JsonFrame", Frame)
     atlases = [[build_report(orbit) for orbit in enumerate_orbits(LieType(family, 20))]
@@ -397,35 +433,58 @@ def test_atlas_caches_hold_one_entry_per_value(monkeypatch):
                   atlas_csv):
         for reports in atlases:
             caches.clear()
+            lookups.clear()
             write(reports, io.StringIO())
-            runs = {run for r in reports for run in r.orbit.partition.counts.items()}
-            groups = {r.picard for r in reports}
-            verdicts = [(r.resolution, r.resolution.polarizability) for r in reports]
             if write is atlas_json:
                 frame = frames.pop()
                 assert frames == []
-                stretches = set()
-                for r in reports:
-                    below, at_least = 0, sum(r.orbit.partition.counts.values())
-                    for value, count in reversed(r.orbit.partition.counts.items()):
-                        stretches.add((below, value, at_least))
-                        below, at_least = value, at_least - count
-                expected = {
-                    "runs": runs, "s": stretches, "groups": groups,
-                    "polarizability": {(pol.polarizable, pol.witnesses) for _, pol in verdicts},
-                    "verdicts": {(v.answer, v.route, v.witness, v.cross_checked)
-                                 for v, _ in verdicts}}
+                expected = {"runs": runs, "s": stretches, "groups": groups,
+                            "verdicts": json_verdicts}
                 held = {name: getattr(frame, name) for name in expected}
+                assert {name for name, value in vars(frame).items()
+                        if isinstance(value, report_module._Texts)} == set(expected)
             else:
-                expected = {"runs": runs, "groups": groups, "verdicts": {
-                    (pol.polarizable, pol.witnesses, v.answer, v.witness) for v, pol in verdicts}}
+                expected = {"runs": runs, "groups": groups, "verdicts": table_verdicts}
                 held = dict(zip(expected, caches))
             assert sorted(map(id, held.values())) == sorted(map(id, caches))
             for name, cache in held.items():
-                assert set(cache) == expected[name], name
+                assert list(cache) == shown(expected[name], reports), name
                 assert [key for texts, key in misses if texts is cache] == list(cache), name
                 assert not any(map(holds_an_answer, cache)), name
+            assert lookups[id(held["verdicts"])] == len(reports)
             assert len(held["groups"]) < 30 and len(held["runs"]) < 130
+
+
+def test_report_formats_no_run_text_itself(monkeypatch):
+    """Every run text the JSON and table renderings show comes from
+    ``orbits.compact_run``: with its result marked, each orbit's
+    ``partition_compact`` and partition cell is its marked run texts joined."""
+    original = orbits.compact_run
+    monkeypatch.setattr(report_module, "compact_run", lambda run: f"<{original(run)}>")
+    reports = [build_report(orbit) for orbit in enumerate_orbits(LieType(Family.SO_EVEN, 12))]
+    marked = [",".join(f"<{original(run)}>" for run in r.orbit.partition.counts.items())
+              for r in reports]
+    text, rows, table = io.StringIO(), io.StringIO(), io.StringIO()
+    atlas_json(reports, text)
+    assert [item["partition_compact"] for item in json.loads(text.getvalue())] == marked
+    assert [json.loads(json_text(r))["partition_compact"] for r in reports] == marked
+    atlas_csv(reports, rows)
+    assert [row[0] for row in csv.reader(io.StringIO(rows.getvalue()))][1:] == marked
+    atlas_markdown(reports, "atlas", table)
+    assert [line.split(" | ")[0][2:] for line in table.getvalue().splitlines()[4:-2]] == marked
+
+
+def test_text_report_is_its_reference():
+    """``report_text`` equals the reference built from the report's fields
+    on every classical orbit with m <= 12, zero orbits and very even orbits
+    of both labels included."""
+    reports = [build_report(orbit) for lie_type in classical_algebras(12)
+               for orbit in enumerate_orbits(lie_type)]
+    labels = {r.orbit.very_even_label for r in reports}
+    assert labels == {None, VeryEvenLabel.I, VeryEvenLabel.II}
+    assert any(r.factorial is None for r in reports)
+    for report in reports:
+        assert report_text(report) == expected_text(report), report.orbit
 
 
 def test_json_templates_are_made_once_per_process_per_indentation(monkeypatch):

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
-from .enumeration import enumerate_orbits
-from .errors import InternalInvariantError, NotInDatabase, OrbitresError
+from .enumeration import enumerate_lie_types, enumerate_orbits
+from .errors import InternalInvariantError, OrbitresError
 from .orbits import (
     Family,
-    LieType,
     VeryEvenLabel,
     is_even_orbit,
     parse_algebra,
@@ -46,7 +44,6 @@ from .report import (
     atlas_json,
     atlas_markdown,
     build_report,
-    exceptional_json,
     report_json,
     report_text,
 )
@@ -100,14 +97,6 @@ def _cmd_atlas(args) -> int:
 
 _SL, _YES = Family.SL, Verdict.YES
 
-
-def _selfcheck_lie_types(max_m: int):
-    for family in Family:
-        step = 1 if family is _SL else 2  # sp and so fix the parity of m
-        for m in range(family.min_m, max_m + 1, step):
-            yield LieType(family, m)
-
-
 _ROUTES = "route equivalence (closed form vs degree search)"
 _EVEN = "even orbit implies resolvable"
 _POLARIZABLE = "resolvable implies polarizable"
@@ -115,8 +104,9 @@ _FACTORIAL = "factorial iff trivial picard (non-zero sp/so)"
 _FREE_RANK = "l = 0 implies picard free rank 0 (sp/so)"
 
 
-def run_selfcheck(max_m: int, out=None) -> int:
-    """Sweep every orbit with m <= max_m and assert the cross-invariants.
+def run_selfcheck(max_m: int) -> int:
+    """Sweep every orbit with m <= max_m, algebra by algebra in
+    ``enumerate_lie_types`` order, and assert the cross-invariants.
 
     Checks per orbit: the closed form and the degree search agree (raised
     as InternalInvariantError inside the dispatcher otherwise), even
@@ -127,13 +117,12 @@ def run_selfcheck(max_m: int, out=None) -> int:
     and the exponent non-negative on each witness.  Evenness is asked only
     of orbits not judged resolvable; the tallies are counted per algebra.
 
-    Returns the number of failures; prints one line per check, "ok" or
-    "FAILED (k of N)", then one line per failure.
+    Returns the number of failures; prints to stdout one line per check,
+    "ok" or "FAILED (k of N)", then one line per failure.
     """
-    out = out if out is not None else sys.stdout
     failures: list[tuple[str, str]] = []  # (check, what failed)
     tallies = dict.fromkeys((_ROUTES, _EVEN, _POLARIZABLE, _FACTORIAL, _FREE_RANK), 0)
-    for lie_type in _selfcheck_lie_types(max_m):
+    for lie_type in enumerate_lie_types(max_m):
         bcd = lie_type.family is not _SL
         swept = answered = 0
         for orbit in enumerate_orbits(lie_type):
@@ -165,14 +154,14 @@ def run_selfcheck(max_m: int, out=None) -> int:
         if bcd:
             tallies[_FACTORIAL] += answered
             tallies[_FREE_RANK] += answered
-    print(f"selfcheck over all classical orbits with m <= {max_m} ({tallies[_ROUTES]} orbits)", file=out)
+    print(f"selfcheck over all classical orbits with m <= {max_m} ({tallies[_ROUTES]} orbits)")
     for name, count in tallies.items():
         failed = sum(check == name for check, _ in failures)
         status = f"FAILED ({failed} of {count})" if failed else f"ok ({count} checked)"
-        print(f"  {name}: {status}", file=out)
+        print(f"  {name}: {status}")
     for _, failure in failures:
-        print(f"  FAILURE {failure}", file=out)
-    print(f"{len(failures)} failures", file=out)
+        print(f"  FAILURE {failure}")
+    print(f"{len(failures)} failures")
     return len(failures)
 
 
@@ -184,22 +173,16 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_exceptional(args) -> int:
-    from .exceptional import exceptional_records, lookup_exceptional  # loaded for this command alone
+    from .exceptional import exceptional_answer, exceptional_export  # loaded for this command alone
 
     if args.export:
         if args.label is not None:
             raise OrbitresError(f"--export takes no LABEL, got {args.label!r}: give ALGEBRA alone")
-        print(json.dumps(exceptional_json(exceptional_records(args.algebra)), indent=2))
-        return 0
-    if args.algebra is None or args.label is None:
+        print(exceptional_export(args.algebra))
+    elif args.algebra is None or args.label is None:
         raise OrbitresError("provide ALGEBRA and LABEL, or --export for the stored table")
-    try:
-        record = lookup_exceptional(args.algebra, args.label)
-    except NotInDatabase as exc:
-        print(f"{args.algebra.strip().upper()} {args.label}: not in database")
-        print(str(exc))
-        return 0
-    print(f"{record.algebra} {record.label}: {record.verdict.value}  ({record.note})")
+    else:
+        print(exceptional_answer(args.algebra, args.label))
     return 0
 
 
@@ -228,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("algebra", help="algebra name, e.g. so8, sp6, sl5, D4")
     report.add_argument("partition", help="partition text, e.g. 3,2,2,1 or 2^2,1^4")
     report.add_argument("--format", choices=("text", "json"), default="text")
-    report.add_argument("--label", choices=("I", "II"), default=None,
+    report.add_argument("--label", choices=[label.value for label in VeryEvenLabel], default=None,
                         help="orbit label for a very even type-D partition")
     report.set_defaults(func=_cmd_report)
 

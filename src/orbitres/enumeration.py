@@ -1,4 +1,5 @@
-"""Exhaustive generation of the valid orbits of one classical algebra.
+"""Exhaustive generation of the classical algebras up to a matrix size
+(``enumerate_lie_types``, the one home of that rule) and of their orbits.
 
 Only the partitions the family allows are generated: parts of the
 family's constrained parity are taken two at a time, so every partition
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .orbits import ClassicalOrbit, LieType, Partition, VeryEvenLabel
+from .orbits import ClassicalOrbit, Family, LieType, Partition, VeryEvenLabel
 
 
 def partitions_desc(total: int, paired: int | None = None) -> Iterator[dict[int, int]]:
@@ -65,6 +66,14 @@ def partitions_desc(total: int, paired: int | None = None) -> Iterator[dict[int,
             runs[part] = count - unit
         rest += part * unit
         part -= 1
+
+
+def enumerate_lie_types(max_m: int) -> Iterator[LieType]:
+    """Every classical algebra with m <= max_m, in ``Family`` order with m
+    ascending: sl takes every m from 1, sp and so every other m from their smallest."""
+    for family in Family:
+        for m in range(family.min_m, max_m + 1, 1 if family is Family.SL else 2):
+            yield LieType(family, m)
 
 
 def enumerate_orbits(lie_type: LieType) -> Iterator[ClassicalOrbit]:

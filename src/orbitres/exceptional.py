@@ -1,12 +1,13 @@
-"""The exceptional-type verdict table, imported by the ``exceptional``
-command alone.  It lists the orbits with a settled or explicitly open
-status; everything else is a lookup miss with guidance (NotInDatabase),
-never a guess.  An algebra is named by its string in EXCEPTIONAL_ALGEBRAS,
-and any other name is bad input (OrbitresError).
-"""
+"""The exceptional-type verdict table and the ``exceptional`` command's text,
+imported by that command alone.  It lists the orbits with a settled or
+explicitly open status, keyed once by algebra and normalized label; any other
+label is a lookup miss with guidance (NotInDatabase), never a guess.  An
+algebra is named by its string in EXCEPTIONAL_ALGEBRAS, and any other name is
+bad input (OrbitresError)."""
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 
 from .errors import NotInDatabase, OrbitresError
@@ -58,33 +59,48 @@ def _normalize_label(label: str) -> str:
     return "".join(label.split()).casefold()
 
 
+_BY_LABEL = {(r.algebra, _normalize_label(r.label)): r for r in EXCEPTIONAL_TABLE}
+
+
 def _coerce_algebra(algebra: str) -> str:
     name = algebra.strip().upper()
     if name not in EXCEPTIONAL_ALGEBRAS:
-        raise OrbitresError(f"unknown exceptional algebra {algebra!r} (expected G2, F4, E6, E7 or E8)")
+        *most, last = EXCEPTIONAL_ALGEBRAS
+        raise OrbitresError(f"unknown exceptional algebra {algebra!r} (expected {', '.join(most)} or {last})")
     return name
 
 
-def lookup_exceptional(algebra: str, label: str) -> ExceptionalRecord:
-    """Find the stored record for a Bala-Carter label, or raise.
+def _find(name: str, label: str) -> ExceptionalRecord:
+    record = _BY_LABEL.get((name, _normalize_label(label)))
+    if record is None:
+        raise NotInDatabase(f"{name} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
+    return record
 
-    Raises OrbitresError for algebras outside G2/F4/E6/E7/E8 and
-    NotInDatabase (with guidance) for labels the table does not cover.
-    """
-    alg = _coerce_algebra(algebra)
-    wanted = _normalize_label(label)
-    for record in EXCEPTIONAL_TABLE:
-        if record.algebra == alg and _normalize_label(record.label) == wanted:
-            return record
-    raise NotInDatabase(f"{alg} orbit {label!r} is not in the database: {NOT_IN_DATABASE_GUIDANCE}")
+
+def lookup_exceptional(algebra: str, label: str) -> ExceptionalRecord:
+    """The stored record of a Bala-Carter label; a miss raises NotInDatabase with guidance."""
+    return _find(_coerce_algebra(algebra), label)
 
 
 def exceptional_records(algebra: str | None = None) -> tuple[ExceptionalRecord, ...]:
-    """The embedded table, or the records of one algebra, for audit.
-
-    Raises OrbitresError for an algebra outside G2/F4/E6/E7/E8.
-    """
+    """The embedded table, or the records of one algebra, for audit."""
     if algebra is None:
         return EXCEPTIONAL_TABLE
-    alg = _coerce_algebra(algebra)
-    return tuple(record for record in EXCEPTIONAL_TABLE if record.algebra == alg)
+    name = _coerce_algebra(algebra)
+    return tuple(record for record in EXCEPTIONAL_TABLE if record.algebra == name)
+
+
+def exceptional_answer(algebra: str, label: str) -> str:
+    """The ``exceptional`` command's text: the record's line, or the miss line and guidance."""
+    name = _coerce_algebra(algebra)
+    try:
+        record = _find(name, label)
+    except NotInDatabase as exc:
+        return f"{name} {label}: not in database\n{exc}"
+    return f"{record.algebra} {record.label}: {record.verdict.value}  ({record.note})"
+
+
+def exceptional_export(algebra: str | None = None) -> str:
+    """``exceptional_records(algebra)`` as JSON text, each record from its own fields."""
+    return json.dumps([{**r._asdict(), "verdict": r.verdict.value}
+                       for r in exceptional_records(algebra)], indent=2)

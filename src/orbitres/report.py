@@ -3,22 +3,22 @@
 A report bundles everything the package can say about one orbit: dimension,
 Picard group, factoriality, and the cross-checked resolution verdict with
 the polarizability it checked.  The renderings read the Q-factoriality
-certificate off the Picard group they show, and the orbit's own profile, runs
-(``orbit.partition.counts``) and evenness (``is_even_orbit``).  Every JSON
-layout of the CLI is written here alone.  ``report_json`` streams an
-orbit's JSON text, byte-identical to ``json.dumps(indent=2)``, by filling
-``%`` templates, joining the texts of its runs, and writing the per-q
-Hesselink records from their runs: no rendering expands the parts or builds
-the dual partition.  The templates depend on the indentation alone and are
-made once per process for each of the two (``_LAYOUTS``).  The texts of the
-values an atlas repeats (runs, Picard groups, and verdicts with the
-polarizability they were checked against) are made once per call, when
-first shown: in one frame (``_JsonFrame``) per algebra, which a lone
-``report_json`` builds for itself, or in ``_atlas_rows`` for a table.  A
-run's compact text is ``orbits.compact_run``, and every yes/no cell reads
-``_CELL``.  Nothing that grows with the input outlives a call.  Each atlas
-writer writes an orbit as its iterable of reports yields it.
-``exceptional_json`` gives the exceptional table as dicts for ``json.dumps``.
+certificate off the Picard group they show, and the orbit's own profile,
+runs (``orbit.partition.counts``) and evenness (``is_even_orbit``).  It
+renders classical orbits only, and every JSON layout of an orbit is written
+here alone.  ``report_json`` streams an orbit's JSON text, byte-identical to
+``json.dumps(indent=2)``, by filling ``%`` templates, joining the texts of
+its runs, and writing the per-q Hesselink records from their runs: no
+rendering expands the parts or builds the dual partition.  The templates
+depend on the indentation alone and are made once per process for each of
+the two (``_LAYOUTS``).  The texts of the values an atlas repeats (runs,
+Picard groups, and verdicts with the polarizability they were checked
+against) are made once per call, when first shown: in one frame
+(``_JsonFrame``) per algebra, which a lone ``report_json`` builds for
+itself, or in ``_atlas_rows`` for a table.  A run's compact text is
+``orbits.compact_run``, and every yes/no cell reads ``_CELL``.  Nothing that
+grows with the input outlives a call.  Each atlas writer writes an orbit as
+its iterable of reports yields it.
 """
 
 from __future__ import annotations
@@ -266,15 +266,6 @@ class _JsonFrame:
         self.opening = layout["opening"] % (_str(lie_type.name), _str(lie_type.cartan_label),
                                             _str(lie_type.family.value), lie_type.m)
         self.runs, self.s, self.groups, self.verdicts = map(_Texts, layout["makers"])
-
-
-def exceptional_json(records: tuple) -> list[dict]:
-    """The exported exceptional table, one dict per ``ExceptionalRecord``
-    (``orbitres.exceptional``)."""
-    return [
-        {"algebra": r.algebra, "label": r.label, "verdict": r.verdict.value, "note": r.note}
-        for r in records
-    ]
 
 
 def _witness_text(witness) -> str:

@@ -28,6 +28,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from orbitres import Family, LieType, enumerate_orbits, validate_orbit
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import OrbitresError
 from orbitres.hesselink import HesselinkReport
 from orbitres.orbits import Partition, VeryEvenLabel
@@ -222,9 +223,9 @@ def reference_closed_form(orbit) -> ResolutionWitness | None:
 
 def bcd_orbits_up_to(max_m: int):
     """Every sp/so orbit with m <= max_m, algebra by algebra."""
-    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
-        for m in range(low, max_m + 1, 2):
-            yield from enumerate_orbits(LieType(family, m))
+    for lie_type in enumerate_lie_types(max_m):
+        if lie_type.family is not Family.SL:
+            yield from enumerate_orbits(lie_type)
 
 
 @st.composite

@@ -22,6 +22,7 @@ from orbitres import (
     polarizable,
     validate_orbit,
 )
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
 from orbitres.exceptional import EXCEPTIONAL_TABLE, lookup_exceptional
 from orbitres.hesselink import admissible_reports
@@ -53,22 +54,15 @@ class SweepResult:
     in_image_pairs: int
 
 
-def _bcd_lie_types(max_m):
-    for m in range(2, max_m + 1, 2):
-        yield LieType(Family.SP, m)
-    for m in range(3, max_m + 1, 2):
-        yield LieType(Family.SO_ODD, m)
-    for m in range(4, max_m + 1, 2):
-        yield LieType(Family.SO_EVEN, m)
-
-
 @pytest.fixture(scope="session")
 def sweep():
     records = []
     violations = 0
     in_image_pairs = 0
     start = time.monotonic()
-    for lie_type in _bcd_lie_types(MAX_SWEEP_M):
+    for lie_type in enumerate_lie_types(MAX_SWEEP_M):
+        if lie_type.family is Family.SL:
+            continue
         for orbit in enumerate_orbits(lie_type):
             degree_one = False
             try:

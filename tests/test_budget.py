@@ -39,6 +39,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from orbitres import Family
+from orbitres.enumeration import enumerate_lie_types
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LIMIT = 1 << 30
@@ -243,7 +244,7 @@ def sweep_inputs(draw) -> tuple[str, tuple[str, ...]]:
     if draw(st.booleans()):
         return cap, ("selfcheck", str(draw(st.integers(0, 12))))
     family = draw(st.sampled_from(Family))
-    m = draw(st.sampled_from(range(family.min_m, 13, 1 if family is Family.SL else 2)))
+    m = draw(st.sampled_from([m for kind, m in enumerate_lie_types(12) if kind is family]))
     return cap, ("atlas", algebra_name(draw, family, m), "--format",
                  draw(st.sampled_from(("json", "md", "csv"))))
 

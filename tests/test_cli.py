@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import itertools
 import json
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -31,10 +31,10 @@ from orbitres import (
 )
 from orbitres.cli import main
 from orbitres.errors import InternalInvariantError
-from orbitres.exceptional import NOT_IN_DATABASE_GUIDANCE, exceptional_records
+from orbitres.exceptional import EXCEPTIONAL_ALGEBRAS, EXCEPTIONAL_TABLE, NOT_IN_DATABASE_GUIDANCE
 from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import AbelianGroupDescriptor
-from orbitres.report import exceptional_json, report_text
+from orbitres.report import report_text
 
 
 def run(capsys, *argv):
@@ -219,21 +219,6 @@ class TestReport:
             "  polarizable    yes (every sl orbit is polarizable)\n"
             "  resolution     yes  [route always_sln]\n"
         )
-
-    def test_huge_zero_orbit_fits_in_one_gigabyte(self):
-        """A fresh interpreter whose address space is capped at 1 GB (the cap
-        set on the child alone) answers sl_(10^12) [1^(10^12)]."""
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = Path(cli.__file__).resolve().parent.parent
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbitres.cli; "
-                "sys.exit(orbitres.cli.main(sys.argv[2:]))")
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(src), "report", "sl1000000000000", "1^1000000000000"],
-            capture_output=True, text=True, preexec_fn=cap, timeout=60)
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.startswith("sl1000000000000 [1^1000000000000]\n")
 
     def test_cartan_name_accepted(self, capsys):
         code, out, _ = run(capsys, "report", "D4", "5,3", "--format", "json")
@@ -457,9 +442,13 @@ class TestJsonBytes:
         assert out == json.dumps(expected_report_dict(build_report(orbit)), indent=2) + "\n"
 
     def test_exceptional_export(self, capsys):
+        """The export is the table, one object per record with its fields in
+        order, the verdict by its value, as ``json.dumps(indent=2)`` writes it."""
         code, out, _ = run(capsys, "exceptional", "--export")
         assert code == 0
-        assert out == json.dumps(exceptional_json(exceptional_records()), indent=2) + "\n"
+        rows = [{"algebra": r.algebra, "label": r.label, "verdict": r.verdict.value, "note": r.note}
+                for r in EXCEPTIONAL_TABLE]
+        assert out == json.dumps(rows, indent=2) + "\n"
 
 
 class TestSelfcheck:
@@ -486,7 +475,7 @@ class TestSelfcheck:
         assert code == 2
         assert "max_m" in err
 
-    def test_failed_checks_are_reported_failed(self, monkeypatch):
+    def test_failed_checks_are_reported_failed(self, capsys, monkeypatch):
         """A check with failures prints FAILED (k of N), never ok."""
         monkeypatch.setattr(cli, "is_even_orbit", lambda orbit: True)
         original = cli.admits_symplectic_resolution
@@ -498,9 +487,8 @@ class TestSelfcheck:
             return original(orbit)
 
         monkeypatch.setattr(cli, "admits_symplectic_resolution", dispatch)
-        out = io.StringIO()
-        assert cli.run_selfcheck(6, out=out) == 6
-        lines = out.getvalue().splitlines()
+        assert cli.run_selfcheck(6) == 6
+        lines = capsys.readouterr().out.splitlines()
         assert lines[1:6] == [
             "  route equivalence (closed form vs degree search): FAILED (1 of 58)",
             "  even orbit implies resolvable: FAILED (5 of 57)",
@@ -512,12 +500,12 @@ class TestSelfcheck:
         assert sum(line.endswith("even orbit judged non-resolvable") for line in lines) == 5
         assert lines[-1] == "6 failures"
 
-    def test_even_check_stays_live(self, monkeypatch):
+    def test_even_check_stays_live(self, capsys, monkeypatch):
         """With ``is_even_orbit`` as it is, a NO verdict for an even orbit
         fails the even check, in sl and in sp alike, and every tally stays
         as in the plain sweep."""
-        plain = io.StringIO()
-        assert cli.run_selfcheck(4, out=plain) == 0
+        assert cli.run_selfcheck(4) == 0
+        plain = capsys.readouterr().out
         original = cli.admits_symplectic_resolution
         denied = (validate_orbit(LieType(Family.SL, 4), (2, 2)),
                   validate_orbit(LieType(Family.SP, 4), (2, 2)))
@@ -527,16 +515,20 @@ class TestSelfcheck:
             return verdict._replace(answer=Verdict.NO) if orbit in denied else verdict
 
         monkeypatch.setattr(cli, "admits_symplectic_resolution", dispatch)
-        out = io.StringIO()
-        assert cli.run_selfcheck(4, out=out) == 2
-        expected = plain.getvalue().splitlines()[:6]
+        assert cli.run_selfcheck(4) == 2
+        out = capsys.readouterr().out
+        expected = plain.splitlines()[:6]
         assert expected[2] == "  even orbit implies resolvable: ok (23 checked)"
         expected[2] = "  even orbit implies resolvable: FAILED (2 of 23)"
-        assert out.getvalue().splitlines() == expected + [
+        assert out.splitlines() == expected + [
             "  FAILURE sl4 [2^2]: even orbit judged non-resolvable",
             "  FAILURE sp4 [2^2]: even orbit judged non-resolvable",
             "2 failures",
         ]
+
+    def test_sweep_takes_only_its_size(self):
+        """``run_selfcheck`` prints to stdout, with no option only a test would set."""
+        assert list(inspect.signature(cli.run_selfcheck).parameters) == ["max_m"]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_selfcheck", lambda max_m: 1)
@@ -587,6 +579,14 @@ class TestExceptional:
         code, _, err = run(capsys, "exceptional", "E8")
         assert code == 2
         assert "LABEL" in err
+
+    def test_help_lists_the_table_algebras(self, capsys):
+        """Start-up does not load the table, so the parser spells out the
+        algebras the help lists: they are EXCEPTIONAL_ALGEBRAS, in order."""
+        *most, last = EXCEPTIONAL_ALGEBRAS
+        with pytest.raises(SystemExit):
+            main(["exceptional", "--help"])
+        assert f"\n  algebra     {', '.join(most)} or {last}\n" in capsys.readouterr().out
 
 
 class TestOneParser:

@@ -7,7 +7,7 @@ import pytest
 
 from common import ALL_FAMILIES, BCD_FAMILIES, accel_asc, brute_force_valid
 from orbitres import Family, LieType, count_orbits, enumerate_orbits
-from orbitres.enumeration import partitions_desc
+from orbitres.enumeration import enumerate_lie_types, partitions_desc
 from orbitres.errors import OrbitresError
 from orbitres.orbits import Partition, VeryEvenLabel
 
@@ -49,20 +49,35 @@ def test_partitions_desc_yields_a_new_dict_each_time():
     ``enumerate_orbits`` stores each dict in its Partition without the
     run gate, so this is the shape that gate would have checked, and the
     gate keeps these runs as they are."""
-    for family in ALL_FAMILIES:
-        for m in range(family.min_m, 31, 1 if family is Family.SL else 2):
-            paired = family.constrained_parity
-            kept = list(partitions_desc(m, paired=paired))
-            assert kept, (family, m)
-            assert kept == [dict(runs) for runs in partitions_desc(m, paired=paired)]
-            assert len({id(runs) for runs in kept}) == len(kept)
-            for runs in kept:
-                values, counts = list(runs), list(runs.values())
-                assert all(type(x) is int for x in values + counts), runs
-                assert all(map(operator.gt, values, values[1:])), runs
-                assert min(counts) > 0, runs
-                assert sum(map(operator.mul, values, counts)) == m, runs
-                assert list(Partition.from_runs(runs).counts.items()) == list(runs.items())
+    for family, m in enumerate_lie_types(30):
+        paired = family.constrained_parity
+        kept = list(partitions_desc(m, paired=paired))
+        assert kept, (family, m)
+        assert kept == [dict(runs) for runs in partitions_desc(m, paired=paired)]
+        assert len({id(runs) for runs in kept}) == len(kept)
+        for runs in kept:
+            values, counts = list(runs), list(runs.values())
+            assert all(type(x) is int for x in values + counts), runs
+            assert all(map(operator.gt, values, values[1:])), runs
+            assert min(counts) > 0, runs
+            assert sum(map(operator.mul, values, counts)) == m, runs
+            assert list(Partition.from_runs(runs).counts.items()) == list(runs.items())
+
+
+def test_enumerate_lie_types_yields_what_the_gate_accepts():
+    """The algebras with m <= 40 are exactly the (family, m) pairs the
+    LieType gate accepts, in ``Family`` order with m ascending."""
+    accepted = []
+    for family in Family:
+        for m in range(-1, 41):
+            try:
+                accepted.append(LieType(family, m))
+            except OrbitresError:
+                pass
+    assert list(enumerate_lie_types(40)) == accepted
+    assert [lie_type.name for lie_type in enumerate_lie_types(4)] == [
+        "sl1", "sl2", "sl3", "sl4", "sp2", "sp4", "so3", "so4"]
+    assert list(enumerate_lie_types(0)) == []
 
 
 def test_sl4_orbits_frozen():

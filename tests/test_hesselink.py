@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 import sys
 import tracemalloc
@@ -33,7 +32,8 @@ from orbitres import (
     resolution_by_search,
     validate_orbit,
 )
-from orbitres.cli import _selfcheck_lie_types, main, run_selfcheck
+from orbitres.cli import main, run_selfcheck
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.hesselink import HesselinkReport, admissible_reports
 from orbitres.report import report_text
@@ -124,11 +124,10 @@ class TestAdmissible:
         = (-1)^epsilon (n_odd - q) / 2 beside each q; and the records come
         for exactly the admissible q: no negative q, none of the wrong
         parity, none past m."""
-        lie_types = [LieType(Family.SP, m) for m in range(2, 65, 2)]
-        lie_types += [LieType(Family.SO_ODD, m) for m in range(3, 65, 2)]
-        lie_types += [LieType(Family.SO_EVEN, m) for m in range(4, 65, 2)]
-        for lie_type in lie_types:
-            m, family = lie_type.m, lie_type.family
+        for lie_type in enumerate_lie_types(64):
+            family, m = lie_type
+            if family is Family.SL:
+                continue
             regular = (m - 1, 1) if family is Family.SO_EVEN else (m,)
             hook = (2 if family is Family.SP else 3,) + (1,) * (m - 2 - (family is not Family.SP))
             for parts in ((1,) * m, regular, hook):
@@ -458,7 +457,7 @@ class TestAnalysis:
             checked += 1
         assert checked > 500
 
-    def test_one_analysis_per_orbit(self, monkeypatch):
+    def test_one_analysis_per_orbit(self, capsys, monkeypatch):
         """A report, and the selfcheck for each orbit it sweeps, call
         polarizable exactly once and build one analysis for an sp/so orbit,
         and neither for sl, which the dispatcher answers before either
@@ -496,8 +495,9 @@ class TestAnalysis:
 
         analyses.clear()
         polarized.clear()
-        assert run_selfcheck(8, out=io.StringIO()) == 0
-        swept = [o for lie_type in _selfcheck_lie_types(8) for o in enumerate_orbits(lie_type)]
+        assert run_selfcheck(8) == 0
+        assert capsys.readouterr().out.endswith("\n0 failures\n")
+        swept = [o for lie_type in enumerate_lie_types(8) for o in enumerate_orbits(lie_type)]
         assert any(o.lie_type.family is Family.SL for o in swept)
         assert polarized == bcd(swept)
         assert analyses == bcd(swept)

@@ -6,8 +6,9 @@ report, and the closed form reads nothing of the Hesselink module.  Start-up
 stays light: importing the CLI and building its parser pulls in none of
 ``dataclasses``, the ``inspect`` machinery it imports, ``typing`` and
 ``shutil``, and only the ``exceptional`` command loads the exceptional
-table.  An exception class exists only where some code handles it apart
-from the others.  Only the partition gate itself and enumeration, whose
+table, whose rules neither the report module nor the CLI restates.  An
+exception class exists only where some code handles it apart from the
+others.  Only the partition gate itself and enumeration, whose
 runs are valid by construction, reach the unchecked Partition constructor.
 In the Hesselink module the image test and the degree exponent each have
 one home, and each input rule is raised by one gate: the parsers check
@@ -118,6 +119,27 @@ def test_report_never_reads_the_odd_part_count():
         for key in ("attr", "id", "value", "arg")
     }
     assert "n_odd" not in named
+
+
+def test_report_names_nothing_of_the_exceptional_table():
+    """report.py renders classical orbits only: no import, name, attribute,
+    argument or string in it names the exceptional table."""
+    named = {
+        getattr(node, key, None)
+        for node in ast.walk(tree("report"))
+        for key in ("attr", "id", "value", "arg", "name", "module")
+    }
+    assert [n for n in named if isinstance(n, str) and "exceptional" in n.lower()] == []
+
+
+def test_cli_restates_no_rule_of_the_table_or_the_sweep():
+    """The exceptional command's algebra rule and its miss text live in
+    orbitres.exceptional, the sweep's algebras in enumerate_lie_types and
+    the labels in VeryEvenLabel: cli.py holds no ``.upper()``, no miss
+    text, no sweep of its own and no list of labels."""
+    source = (SRC / "cli.py").read_text()
+    assert [text for text in (".upper()", "not in database", "_selfcheck_lie_types", '"II"')
+            if text in source] == []
 
 
 def functions_holding(module: ast.Module, hit) -> set:

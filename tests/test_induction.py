@@ -16,7 +16,8 @@ from collections import defaultdict
 from functools import lru_cache
 
 from common import collapse
-from orbitres import Family, LieType, enumerate_orbits, polarizable
+from orbitres import Family, enumerate_orbits, polarizable
+from orbitres.enumeration import enumerate_lie_types
 
 MAX_M = 30
 
@@ -35,19 +36,21 @@ def induced(paired: int, m0: int) -> dict[int, set]:
 
 def test_induction_reaches_the_polarizable_orbits_from_their_witnesses():
     checked = 0
-    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
+    for lie_type in enumerate_lie_types(MAX_M):
+        family, m = lie_type
+        if family is Family.SL:
+            continue
         paired = 1 if family is Family.SP else 0  # the parity whose parts come in pairs
-        for m in range(low, MAX_M + 1, 2):
-            expected = defaultdict(set)
-            for m0 in range(m % 2, m + 1, 2):
-                for parts in induced(paired, m0)[m]:
-                    expected[parts] |= {m0} - ({2} if family is Family.SO_EVEN else set())
-            got = {}
-            for orbit in enumerate_orbits(LieType(family, m)):
-                pol = polarizable(orbit)
-                checked += 1
-                if pol.polarizable:
-                    qs = {w.q for w in pol.witnesses}
-                    assert got.setdefault(orbit.partition.parts, qs) == qs, orbit
-            assert got == expected, (family, m)
+        expected = defaultdict(set)
+        for m0 in range(m % 2, m + 1, 2):
+            for parts in induced(paired, m0)[m]:
+                expected[parts] |= {m0} - ({2} if family is Family.SO_EVEN else set())
+        got = {}
+        for orbit in enumerate_orbits(lie_type):
+            pol = polarizable(orbit)
+            checked += 1
+            if pol.polarizable:
+                qs = {w.q for w in pol.witnesses}
+                assert got.setdefault(orbit.partition.parts, qs) == qs, orbit
+        assert got == expected, (family, m)
     assert checked == 10_756

@@ -16,29 +16,31 @@ from __future__ import annotations
 import pytest
 
 from matrix_oracle import induced_orbits
-from orbitres import Family, LieType, enumerate_orbits, orbit_dimension, polarizable, validate_orbit
+from orbitres import Family, enumerate_orbits, orbit_dimension, polarizable, validate_orbit
+from orbitres.enumeration import enumerate_lie_types
 
 
 def check_induced_orbits(max_m: int) -> int:
     """Compare every sp/so algebra with m <= max_m with its matrices;
     returns the number of induced orbits."""
     reached = 0
-    for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
-        for m in range(low, max_m + 1, 2):
-            lie_type = LieType(family, m)
-            found = induced_orbits(family is Family.SP, m, seed=f"{family.value}{m}")
-            torus = {2} if family is Family.SO_EVEN else set()
-            expected = {parts: m0s - torus for parts, (m0s, _) in found.items()}
-            got = {}
-            for orbit in enumerate_orbits(lie_type):
-                pol = polarizable(orbit)
-                if pol.polarizable:
-                    qs = {w.q for w in pol.witnesses}
-                    assert got.setdefault(orbit.partition.parts, qs) == qs, orbit
-            assert got == expected, lie_type
-            for parts, (_, dimension) in found.items():
-                assert dimension == orbit_dimension(validate_orbit(lie_type, parts)), parts
-            reached += len(found)
+    for lie_type in enumerate_lie_types(max_m):
+        family, m = lie_type
+        if family is Family.SL:
+            continue
+        found = induced_orbits(family is Family.SP, m, seed=f"{family.value}{m}")
+        torus = {2} if family is Family.SO_EVEN else set()
+        expected = {parts: m0s - torus for parts, (m0s, _) in found.items()}
+        got = {}
+        for orbit in enumerate_orbits(lie_type):
+            pol = polarizable(orbit)
+            if pol.polarizable:
+                qs = {w.q for w in pol.witnesses}
+                assert got.setdefault(orbit.partition.parts, qs) == qs, orbit
+        assert got == expected, lie_type
+        for parts, (_, dimension) in found.items():
+            assert dimension == orbit_dimension(validate_orbit(lie_type, parts)), parts
+        reached += len(found)
     return reached
 
 

@@ -19,6 +19,7 @@ from orbitres import (
     parse_partition,
     validate_orbit,
 )
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import OrbitresError
 from orbitres.orbits import Partition, VeryEvenLabel, is_even_orbit, profile
 
@@ -201,12 +202,10 @@ class TestPartition:
         from orbitres.orbits import compact_run
 
         assert (compact_run((4, 1)), compact_run((4, 3))) == ("4", "4^3")
-        for family in ALL_FAMILIES:
-            for m in range(family.min_m, 13, 1 if family is Family.SL else 2):
-                for orbit in enumerate_orbits(LieType(family, m)):
-                    partition = orbit.partition
-                    assert partition.compact_str() == ",".join(
-                        map(compact_run, partition.counts.items()))
+        for lie_type in enumerate_lie_types(12):
+            for orbit in enumerate_orbits(lie_type):
+                partition = orbit.partition
+                assert partition.compact_str() == ",".join(map(compact_run, partition.counts.items()))
 
     @given(partitions())
     def test_counts_decreasing_and_kept(self, d):
@@ -360,18 +359,17 @@ class TestOrbitDimension:
     def test_dual_partition_formulas(self):
         # oracle: Collingwood-McGovern 6.1.3 with s the dual partition,
         # counted straight off the parts
-        for family in ALL_FAMILIES:
-            for m in range(family.min_m, 15, 1 if family is Family.SL else 2):
-                for orbit in enumerate_orbits(LieType(family, m)):
-                    parts = orbit.partition.parts
-                    squares = sum(
-                        sum(1 for p in parts if p >= i) ** 2 for i in range(1, parts[0] + 1))
-                    odd = sum(1 for p in parts if p % 2)
-                    expected = {
-                        Family.SL: m * m - squares,
-                        Family.SP: (m * m + m - squares - odd) // 2,
-                    }.get(family, (m * m - m - squares + odd) // 2)
-                    assert orbit_dimension(orbit) == expected, orbit
+        for lie_type in enumerate_lie_types(14):
+            family, m = lie_type
+            for orbit in enumerate_orbits(lie_type):
+                parts = orbit.partition.parts
+                squares = sum(sum(1 for p in parts if p >= i) ** 2 for i in range(1, parts[0] + 1))
+                odd = sum(1 for p in parts if p % 2)
+                expected = {
+                    Family.SL: m * m - squares,
+                    Family.SP: (m * m + m - squares - odd) // 2,
+                }.get(family, (m * m - m - squares + odd) // 2)
+                assert orbit_dimension(orbit) == expected, orbit
 
     def test_zero_orbit_dimension(self):
         assert orbit_dimension(validate_orbit(SL3, (1, 1, 1))) == 0
@@ -452,11 +450,9 @@ class TestParsing:
 
     def test_every_name_parses_back(self):
         # both names of every algebra with m <= 30 name that algebra
-        for family in Family:
-            for m in range(family.min_m, 31, 1 if family is Family.SL else 2):
-                lie_type = LieType(family, m)
-                assert parse_algebra(lie_type.name) == lie_type == parse_algebra(lie_type.cartan_label)
-                assert parse_algebra(lie_type.cartan_label.lower()) == lie_type
+        for lie_type in enumerate_lie_types(30):
+            assert parse_algebra(lie_type.name) == lie_type == parse_algebra(lie_type.cartan_label)
+            assert parse_algebra(lie_type.cartan_label.lower()) == lie_type
 
     def test_parse_algebra_errors(self):
         for text in ("e8", "so", "slx5", "\u017fl5"):  # a long s folds to s, but is no prefix

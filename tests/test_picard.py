@@ -8,6 +8,7 @@ from hypothesis import given
 
 from common import bcd_orbits, json_text, valid_orbits
 from orbitres import Family, LieType, build_report, enumerate_orbits, picard, validate_orbit
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import InternalInvariantError
 from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import (
@@ -22,6 +23,8 @@ SP6 = LieType(Family.SP, 6)
 SO7 = LieType(Family.SO_ODD, 7)
 SO8 = LieType(Family.SO_EVEN, 8)
 SO10 = LieType(Family.SO_EVEN, 10)
+# one test per family, each id the family and its smallest m
+BY_FAMILY = pytest.mark.parametrize("family", Family, ids=lambda family: f"{family}-{family.min_m}")
 
 
 class TestDescriptor:
@@ -178,14 +181,11 @@ class TestQFactorial:
         certified = q_factorial_certificate(picard(orbit)) is QFactorialCertificate.CERTIFIED
         assert certified == expected
 
-    @pytest.mark.parametrize("family,low", [
-        (Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4),
-    ])
-    def test_certificate_restated_from_the_parts(self, family, low):
+    @BY_FAMILY
+    def test_certificate_restated_from_the_parts(self, family):
         # oracle: the certificate read off the raw parts, every orbit with m <= 20
-        step = 1 if family is Family.SL else 2
-        for m in range(low, 21, step):
-            for orbit in enumerate_orbits(LieType(family, m)):
+        for lie_type in [t for t in enumerate_lie_types(20) if t.family is family]:
+            for orbit in enumerate_orbits(lie_type):
                 parts = orbit.partition.parts
                 if family is Family.SL:
                     expected = len(set(parts)) == 1
@@ -214,23 +214,19 @@ class TestFactorial:
         assert is_factorial(validate_orbit(SP6, (1,) * 6)) is None
         # None for the zero orbit of every algebra with m <= 12, sl1 [1] included, and
         # for no other orbit of them
-        for family, low in ((Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4)):
-            for m in range(low, 13, 1 if family is Family.SL else 2):
-                for orbit in enumerate_orbits(LieType(family, m)):
-                    zero = orbit.partition.parts == (1,) * m
-                    assert (is_factorial(orbit) is None) == zero, orbit
+        for lie_type in enumerate_lie_types(12):
+            for orbit in enumerate_orbits(lie_type):
+                zero = orbit.partition.parts == (1,) * lie_type.m
+                assert (is_factorial(orbit) is None) == zero, orbit
 
-    @pytest.mark.parametrize("family,low", [
-        (Family.SL, 1), (Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4),
-    ])
-    def test_rule_restated_from_the_parts(self, family, low):
+    @BY_FAMILY
+    def test_rule_restated_from_the_parts(self, family):
         # oracle: the factoriality rule read off the raw parts, every orbit with m <= 20
-        step = 1 if family is Family.SL else 2
-        for m in range(low, 21, step):
-            for orbit in enumerate_orbits(LieType(family, m)):
+        for lie_type in [t for t in enumerate_lie_types(20) if t.family is family]:
+            for orbit in enumerate_orbits(lie_type):
                 parts = orbit.partition.parts
                 odd = {p for p in parts if p % 2 == 1}
-                if parts == (1,) * m:
+                if parts == (1,) * lie_type.m:
                     expected = None
                 elif family is Family.SL:
                     expected = False

@@ -36,6 +36,7 @@ from orbitres import (
     parse_partition,
     validate_orbit,
 )
+from orbitres.enumeration import enumerate_lie_types
 from orbitres.errors import OrbitresError
 from orbitres.hesselink import (
     HesselinkAnalysis,
@@ -79,15 +80,16 @@ def test_profile_computed_once_per_report(monkeypatch):
             assert calls == [orbit]
 
 
-def test_selfcheck_builds_profiles_for_sp_so_only(monkeypatch):
+def test_selfcheck_builds_profiles_for_sp_so_only(capsys, monkeypatch):
     """sl orbits need no profile in the sweep."""
     calls = _count_calls(monkeypatch, orbits.profile)
-    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    assert cli.run_selfcheck(10) == 0
+    assert capsys.readouterr().out.endswith("\n0 failures\n")
     bcd = [
         orbit
-        for family, low in ((Family.SP, 2), (Family.SO_ODD, 3), (Family.SO_EVEN, 4))
-        for m in range(low, 11, 2)
-        for orbit in enumerate_orbits(LieType(family, m))
+        for lie_type in enumerate_lie_types(10)
+        if lie_type.family is not Family.SL
+        for orbit in enumerate_orbits(lie_type)
     ]
     assert calls == bcd
 
@@ -107,7 +109,7 @@ def test_text_report_builds_no_dual_partition():
     assert peak < 1 << 20, peak
 
 
-def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
+def test_text_table_and_selfcheck_never_expand_the_parts(capsys, monkeypatch):
     """The text report, the atlas rows, the selfcheck sweep and the JSON
     text read the stored runs alone: none reads ``Partition.parts``, the
     O(N) expansion."""
@@ -120,7 +122,8 @@ def test_text_table_and_selfcheck_never_expand_the_parts(monkeypatch):
             report_text(report)
             next(report_module._atlas_rows([report]))
             json_text(report)
-    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    assert cli.run_selfcheck(10) == 0
+    assert capsys.readouterr().out.endswith("\n0 failures\n")
     assert reads == []
 
 
@@ -336,19 +339,13 @@ def test_atlas_json_is_json_dumps_written_as_it_goes():
     assert out.getvalue() == "[\n  " + atlas_item(reports[0])
 
 
-def classical_algebras(max_m: int):
-    """Every classical algebra with m <= max_m."""
-    return [LieType(family, m) for family in Family
-            for m in range(family.min_m, max_m + 1, 1 if family is Family.SL else 2)]
-
-
 def test_atlases_are_their_references_in_every_format():
     """Through the writers' per-call texts, every classical algebra with
     m <= 12 gives the JSON, markdown and CSV atlases of references built
     with nothing kept between orbits, and so does an iterable that mixes
     algebras."""
     atlases = [[build_report(orbit) for orbit in enumerate_orbits(lie_type)]
-               for lie_type in classical_algebras(12)]
+               for lie_type in enumerate_lie_types(12)]
     assert len(atlases) == 28  # sl1..sl12, sp2..sp12, so3..so11 and so4..so12
     mixed = [report for reports in atlases for report in reports[::3]]
     for reports in atlases + [mixed]:
@@ -478,7 +475,7 @@ def test_text_report_is_its_reference():
     """``report_text`` equals the reference built from the report's fields
     on every classical orbit with m <= 12, zero orbits and very even orbits
     of both labels included."""
-    reports = [build_report(orbit) for lie_type in classical_algebras(12)
+    reports = [build_report(orbit) for lie_type in enumerate_lie_types(12)
                for orbit in enumerate_orbits(lie_type)]
     labels = {r.orbit.very_even_label for r in reports}
     assert labels == {None, VeryEvenLabel.I, VeryEvenLabel.II}
@@ -550,17 +547,17 @@ def test_atlas_json_renders_through_report_json_with_one_frame(monkeypatch):
     assert frames == [lie_type]
 
 
-def test_selfcheck_tests_evenness_only_of_unresolved_orbits(monkeypatch):
+def test_selfcheck_tests_evenness_only_of_unresolved_orbits(capsys, monkeypatch):
     """The sweep asks ``is_even_orbit``, through any binding, at most once
     per orbit and exactly of the orbits it judged not resolvable; the
     profile asks it nothing."""
     calls = _count_calls(monkeypatch, orbits.is_even_orbit)
-    assert cli.run_selfcheck(10, out=io.StringIO()) == 0
+    assert cli.run_selfcheck(10) == 0
+    assert capsys.readouterr().out.endswith("\n0 failures\n")
     unresolved = [
         orbit
-        for family in Family
-        for m in range(family.min_m, 11, 1 if family is Family.SL else 2)
-        for orbit in enumerate_orbits(LieType(family, m))
+        for lie_type in enumerate_lie_types(10)
+        for orbit in enumerate_orbits(lie_type)
         if admits_symplectic_resolution(orbit).answer is not Verdict.YES
     ]
     assert unresolved

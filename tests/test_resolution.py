@@ -26,13 +26,15 @@ from orbitres import (
 from orbitres.errors import InternalInvariantError, NotInDatabase, OrbitresError
 from orbitres.hesselink import SL_POLARIZABILITY
 from orbitres.orbits import VeryEvenLabel, is_even_orbit
+import orbitres.exceptional as exceptional_module
 from orbitres.exceptional import (
     EXCEPTIONAL_ALGEBRAS,
     EXCEPTIONAL_TABLE,
+    exceptional_answer,
+    exceptional_export,
     exceptional_records,
     lookup_exceptional,
 )
-from orbitres.report import exceptional_json
 from orbitres.resolution import ResolutionWitness, Route, closed_form_verdict
 
 SL9 = LieType(Family.SL, 9)
@@ -298,11 +300,39 @@ class TestExceptional:
         assert "Springer" in str(info.value)
 
     def test_export_round_trips(self):
-        payload = exceptional_json(exceptional_records())
-        assert len(payload) == len(EXCEPTIONAL_TABLE)
-        parsed = json.loads(json.dumps(payload))
-        assert parsed == payload
-        assert {"algebra", "label", "verdict", "note"} == set(parsed[0])
+        """The export holds each record's four fields in order, the verdict
+        by value, for the whole table or one algebra."""
+        for algebra in (None, *EXCEPTIONAL_ALGEBRAS, " e7 "):
+            parsed = json.loads(exceptional_export(algebra))
+            assert parsed == [
+                {"algebra": r.algebra, "label": r.label, "verdict": r.verdict.value, "note": r.note}
+                for r in exceptional_records(algebra)]
+        assert len(json.loads(exceptional_export())) == len(EXCEPTIONAL_TABLE)
+        assert list(json.loads(exceptional_export())[0]) == ["algebra", "label", "verdict", "note"]
+
+    def test_lookup_normalizes_only_the_label_it_was_given(self, monkeypatch):
+        """The table is keyed once: a lookup, hit or miss, and the command's
+        answer normalize the one label they were given, and no stored one."""
+        seen = []
+        original = exceptional_module._normalize_label
+        monkeypatch.setattr(exceptional_module, "_normalize_label",
+                            lambda label: seen.append(label) or original(label))
+        for function, algebra, label in ((lookup_exceptional, "E7", "D5 + A1"),
+                                         (exceptional_answer, "e8", "E7(a1)"),
+                                         (exceptional_answer, "G2", "G2(a1)")):
+            seen.clear()
+            function(algebra, label)
+            assert seen == [label]
+        seen.clear()
+        with pytest.raises(NotInDatabase):
+            lookup_exceptional("E6", "A1")
+        assert seen == ["A1"]
+
+    def test_unknown_algebra_message_lists_every_algebra(self):
+        expected = ", ".join(EXCEPTIONAL_ALGEBRAS[:-1]) + " or " + EXCEPTIONAL_ALGEBRAS[-1]
+        with pytest.raises(OrbitresError) as info:
+            exceptional_answer("E9", "A1")
+        assert str(info.value) == f"unknown exceptional algebra 'E9' (expected {expected})"
 
     def test_records_of_one_algebra(self):
         e7 = exceptional_records(" e7 ")

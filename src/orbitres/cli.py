@@ -18,7 +18,8 @@ The environment variable ORBITRES_MAX_M (default 30) caps enumeration size.
 An orbit's JSON is the text ``report.report_json`` writes from its report.
 ``atlas`` streams every format as it enumerates, so after an internal error
 (exit 4) stdout may hold a truncated array or table.  The argument parser
-is built once per process and reused by every ``main`` call.
+is built once per process and reused by every ``main`` call, which sends a
+named command straight to its own parser.
 """
 
 from __future__ import annotations
@@ -233,11 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print the embedded table (optionally one algebra) as JSON")
     exceptional.set_defaults(func=_cmd_exceptional)
 
+    parser.commands = sub.choices  # each command's own parser, by its exact name
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line.  A first word naming a command exactly hands the
+    rest to that command's parser alone.  The top-level parser answers all
+    else: no argv, -h, an unknown or abbreviated command, and the
+    "unrecognized arguments" error of both paths."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit

@@ -368,6 +368,9 @@ def orbit_dimension(orbit: ClassicalOrbit) -> int:
 
 
 _ALGEBRA_RE = re.compile(r"^([a-z]+)\s*(\d+)$", re.IGNORECASE)
+# the Family rows by Cartan letter and by prefix, in Family order: so tries so_odd first
+_BY_LETTER = {family.letter: family for family in Family}
+_BY_PREFIX = {f.prefix: tuple(g for g in Family if g.prefix == f.prefix) for f in Family}
 
 
 def parse_algebra(text: str) -> LieType:
@@ -375,16 +378,15 @@ def parse_algebra(text: str) -> LieType:
     syntax alone: so names the orthogonal family of m's parity, LieType gates m."""
     match = _ALGEBRA_RE.match(text.strip())
     word = match.group(1) if match else ""
-    by_letter = [f for f in Family if f.letter == word.upper()]
-    by_prefix = [f for f in Family if f.prefix == word.lower()]
-    if not (by_letter or by_prefix):
+    family = _BY_LETTER.get(word.upper())
+    by_prefix = _BY_PREFIX.get(word.lower())
+    if family is None and by_prefix is None:
         raise OrbitresError(f"cannot parse algebra name {text!r} (try 'so8', 'sp6', 'sl5' or 'D4')")
     try:
         n = int(match.group(2))
     except ValueError:  # more digits than int() accepts
         raise OrbitresError(f"algebra name {text.strip()[:40]!r}... is too long") from None
-    if by_letter:  # n is the rank: invert LieType.rank
-        family = by_letter[0]
+    if family is not None:  # n is the rank: invert LieType.rank
         return LieType(family, n + 1 if family is _SL else 2 * n + family.min_m % 2)
     return LieType(next((f for f in by_prefix if (n - f.min_m) % 2 == 0), by_prefix[0]), n)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import inspect
 import io
@@ -12,6 +13,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import expected_report_dict
 import orbitres.cli as cli
@@ -30,7 +33,7 @@ from orbitres import (
     validate_orbit,
 )
 from orbitres.cli import main
-from orbitres.errors import InternalInvariantError
+from orbitres.errors import InternalInvariantError, OrbitresError
 from orbitres.exceptional import EXCEPTIONAL_ALGEBRAS, EXCEPTIONAL_TABLE, NOT_IN_DATABASE_GUIDANCE
 from orbitres.orbits import VeryEvenLabel
 from orbitres.picard import AbelianGroupDescriptor
@@ -589,6 +592,90 @@ class TestExceptional:
         assert f"\n  algebra     {', '.join(most)} or {last}\n" in capsys.readouterr().out
 
 
+def through_the_top_level(argv) -> int:
+    """The command line as the top-level parser alone reads it: argv through
+    ``build_parser().parse_args``, then the command's ``func``, with the exit
+    code and the "error: " line that ``main`` gives bad input."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OrbitresError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def outcome(call, argv):
+    """The exit code (or SystemExit's code, marked), stdout and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_answer(argv):
+    assert outcome(main, argv) == outcome(through_the_top_level, argv)
+
+
+COMMANDS = ("report", "atlas", "selfcheck", "exceptional")
+
+# argv that main answers as the top-level parser would, byte for byte
+DISPATCH_PARITY = [
+    ("report", "sp6", "2,2,1,1"),
+    ("report", "so8", "4,4", "--label", "II", "--format", "json"),
+    ("report", "sp6", "--format=json", "2,2,1,1"),
+    ("atlas", "sl4", "--format", "csv"),
+    ("atlas", "so8"),
+    ("selfcheck", "4"),
+    ("selfcheck",),
+    ("exceptional", "E7", "D4(a1)+A1"),
+    ("exceptional", "E8", "--export"),
+    ("-h",), ("--help",),
+    *((command, flag) for command in COMMANDS for flag in ("-h", "--help")),
+    (), ("bogus",), ("rep",), ("Report", "sp6", "2,2,1,1"), ("-h", "report"),
+    ("--", "report", "sp6", "2,2,1,1"),
+    ("report", "sp6", "2,2,1,1", "extra"),
+    ("atlas", "sl4", "sl5", "--format", "md", "more"),
+    ("report", "sp6", "2,2,1,1", "--bogus"),
+    ("report", "sp6", "2,2,1,1", "--format", "xml"),
+    ("report", "sp6", "--", "2,2,1,1"),
+    ("report", "sp6"),
+    ("report", "so8", "3,2,2,1", "--label", "I"),
+    ("selfcheck", "x"),
+    ("exceptional", "E6", "A3", "--export"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_PARITY, ids=[" ".join(a) or "(none)" for a in DISPATCH_PARITY])
+def test_dispatch_parity(monkeypatch, argv):
+    monkeypatch.delenv("ORBITRES_MAX_M", raising=False)
+    assert_one_answer(argv)
+
+
+WORDS = (*COMMANDS, "r", "rep", "at", "self", "exc", "-h", "--help", "--he", "--", "-x",
+         "--format", "--form", "--label", "--export", "--bogus", "--format=json")
+VALUES = ("sp6", "so8", "sl4", "D4", "zz9", "2,2,1,1", "4,4", "3,2,2,1", "x", "", "json", "text",
+          "md", "csv", "xml", "I", "II", "E7", "D4(a1)+A1", "4", "-1")
+# a command, a prefix of one or a flag, then up to six words or values
+ARGVS = st.builds(lambda first, rest: (first, *rest), st.sampled_from(WORDS),
+                  st.lists(st.sampled_from(WORDS + VALUES), max_size=6))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(ARGVS)
+def test_drawn_argv_parity(argv):
+    assert_one_answer(argv)
+
+
+@pytest.mark.sweep
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(ARGVS)
+def test_drawn_argv_parity_sweep(argv):
+    assert_one_answer(argv)
+
+
 class TestOneParser:
     """main reuses one parser for the process, and no call leaves state behind."""
 
@@ -612,3 +699,22 @@ class TestOneParser:
         assert code == 0
         assert lookup.startswith("E7 D4(a1)+A1: unknown  (")
         assert lookup.count("\n") == 1
+
+    def test_both_paths_share_no_state(self):
+        """Calls alternate between main's straight path and the top-level
+        parser: each answers as it would alone, whichever ran before."""
+        text = report_text(build_report(validate_orbit(parse_algebra("so8"), (4, 4)))) + "\n"
+        as_json = ("report", "so8", "4,4", "--label", "II", "--format", "json")
+        as_text = ("report", "so8", "4,4")
+        rejected = ("report", "so8", "4,4", "--label", "II", "extra")
+        valid = ("atlas", "sl4", "--format", "csv")
+        for first, second in ((main, through_the_top_level), (through_the_top_level, main)):
+            code, out, err = outcome(first, as_json)
+            assert (code, json.loads(out)["very_even_label"], err) == (0, "II", "")
+            code, out, err = outcome(second, as_text)
+            assert (code, out, err) == (0, text, "")
+            code, out, err = outcome(first, rejected)
+            assert (code, out) == (("SystemExit", 2), "")
+            assert err.endswith("orbitres: error: unrecognized arguments: extra\n")
+            assert outcome(second, valid) == outcome(first, valid)
+            assert outcome(second, valid)[1].count("\n") == 6  # a header and five orbits

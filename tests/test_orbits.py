@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from common import ALL_FAMILIES, bcd_orbits_up_to, json_text, partitions, valid_orbits
+import orbitres.orbits as orbits
 from orbitres import (
     Family,
     LieType,
@@ -449,13 +450,26 @@ class TestParsing:
         assert parse_algebra("A4") == LieType(Family.SL, 5)
 
     def test_every_name_parses_back(self):
-        # both names of every algebra with m <= 30 name that algebra
+        # both names of every algebra with m <= 30, in any case, name that algebra
         for lie_type in enumerate_lie_types(30):
-            assert parse_algebra(lie_type.name) == lie_type == parse_algebra(lie_type.cartan_label)
-            assert parse_algebra(lie_type.cartan_label.lower()) == lie_type
+            name, label = lie_type.name, lie_type.cartan_label
+            assert parse_algebra(name) == lie_type == parse_algebra(label)
+            for text in (name.upper(), name.capitalize(), name[0] + name[1].upper() + name[2:],
+                         label.lower()):
+                assert parse_algebra(text) == lie_type
+        assert parse_algebra("So8") == SO8 == parse_algebra("d4")
+        assert parse_algebra("sO7") == SO7 == parse_algebra(" b3 ")
+
+    def test_name_tables_hold_the_family_rows_in_order(self):
+        assert list(orbits._BY_LETTER.items()) == [(f.letter, f) for f in Family]
+        assert list(orbits._BY_PREFIX.items()) == [
+            ("sl", (Family.SL,)), ("sp", (Family.SP,)), ("so", (Family.SO_ODD, Family.SO_EVEN))]
+        assert [f for row in orbits._BY_PREFIX.values() for f in row] == list(Family)
 
     def test_parse_algebra_errors(self):
-        for text in ("e8", "so", "slx5", "\u017fl5"):  # a long s folds to s, but is no prefix
+        # a long s matches [a-z] and upper-cases to S, but "\u017fl" is no prefix
+        # and "SL" no letter, in either case
+        for text in ("e8", "E8", "so", "slx5", "Dd4", "\u017fl5", "\u017fP6", "\u017fO8"):
             with pytest.raises(OrbitresError, match="^cannot parse algebra name "):
                 parse_algebra(text)
         with pytest.raises(OrbitresError, match=r"\.\.\. is too long$"):
